@@ -133,21 +133,13 @@ def extremal_problem_value(kernel: kc.SeriesKernel, w: complex) -> float:
 def extremal_problem_ls(kernel: kc.SeriesKernel, w: complex) -> float:
     """Constrained least-squares oracle over the truncated monomial basis.
 
-    Minimizes sum |c_n|^2 / a_n subject to f(w) = 0 and f'(w) = 1.
+    Minimizes sum |c_n|^2 / a_n subject to f(w) = 0 and f'(w) = 1.  The
+    normal matrix A diag(a) A^H of the constraint rows A = (w^n, n w^(n-1))
+    is the order-1 jet of K at w.
     """
-    ns = kernel.ns
-    a = kernel.coeffs
-    row0 = kc._powers(complex(w), ns)
-    row1 = _falling_one(ns) * kc._powers(complex(w), ns - 1)
-    A = np.vstack([row0, row1])
+    M = kc.jet(kernel, w, 1).values
     b = np.array([0.0, 1.0], dtype=complex)
-    M = (A * a) @ A.conj().T  # A diag(a) A^H
-    val = np.vdot(b, np.linalg.solve(M, b)).real
-    return float(val)
-
-
-def _falling_one(ns: np.ndarray) -> np.ndarray:
-    return ns.astype(float)
+    return float(np.vdot(b, np.linalg.solve(M, b)).real)
 
 
 # ---------------------------------------------------------------------------

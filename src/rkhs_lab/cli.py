@@ -31,14 +31,6 @@ EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
 
-def _threads() -> int:
-    value = os.environ.get("RKHS_LAB_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def _fmt(x) -> str:
     # repr round-trips IEEE-754 doubles exactly
     if isinstance(x, complex):

@@ -11,8 +11,8 @@ import numpy as np
 from . import kernels as kc
 from .curvature import curvature_scalar
 from .errors import NotAContraction
-from .positivity import (WeightSequence, as_weights, contraction_check,
-                         hyponormal_check)
+from .positivity import (as_weights, contraction_check, hyponormal_check,
+                         two_hypercontraction_check)
 
 FK_RTOL = 1e-9  # |fk| <= FK_RTOL * Ktilde(z, z)^2 counts as curvature equality
 WEIGHT_TOL = 1e-8
@@ -52,12 +52,16 @@ class PipelineReport:
         return self.failed_step is None
 
 
-def _require_contraction(kernel: kc.SeriesKernel) -> None:
-    # coefficient test only: authoritative for diagonal kernels and cheap
-    b = kc.tilde_kernel(kernel).coeffs
-    scale = max(1.0, float(np.abs(b).max()))
-    if not np.all(b >= -1e-10 * scale):
+def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float, float]:
+    """Order-1 Gram determinant of the tilde jet at zeta, with its diagonal.
+
+    Raises NotAContraction unless :func:`contraction_check` passes.
+    """
+    if not contraction_check(kernel).passed:
         raise NotAContraction("kernel coefficients must be non-decreasing")
+    J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).values
+    j00, j11 = J[0, 0].real, J[1, 1].real
+    return float(j00 * j11 - abs(J[0, 1]) ** 2), j00, j11
 
 
 def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
@@ -66,27 +70,13 @@ def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
     Equals the Gram determinant of (Ktilde_zeta, dbar Ktilde_zeta), hence
     non-negative for contractions.
     """
-    _require_contraction(kernel)
-    kt = kc.tilde_kernel(kernel)
-    J = kc.jet(kt, zeta, 1).values
-    return float(J[0, 0].real * J[1, 1].real - abs(J[0, 1]) ** 2)
+    return _tilde_minor(kernel, zeta)[0]
 
 
 def dependence_test(kernel: kc.SeriesKernel, zeta: complex, tol: float = FK_RTOL) -> bool:
     """Cauchy-Schwarz equality on the tilde jet: the two jet vectors are dependent."""
-    _require_contraction(kernel)
-    kt = kc.tilde_kernel(kernel)
-    J = kc.jet(kt, zeta, 1).values
-    minor = J[0, 0].real * J[1, 1].real - abs(J[0, 1]) ** 2
-    return minor <= tol * max(J[0, 0].real * J[1, 1].real, J[0, 0].real ** 2)
-
-
-def _fk_is_zero(kernel: kc.SeriesKernel, zeta: complex,
-                rtol: float = FK_RTOL) -> tuple[float, bool]:
-    kt = kc.tilde_kernel(kernel)
-    J = kc.jet(kt, zeta, 1).values
-    fk = float(J[0, 0].real * J[1, 1].real - abs(J[0, 1]) ** 2)
-    return fk, abs(fk) <= rtol * max(J[0, 0].real ** 2, 1e-300)
+    minor, j00, j11 = _tilde_minor(kernel, zeta)
+    return minor <= tol * max(j00 * j11, j00 ** 2)
 
 
 def classify_shift(ws, zeta: complex, rtol: float = FK_RTOL) -> ExtremalityReport:
@@ -98,8 +88,8 @@ def classify_shift(ws, zeta: complex, rtol: float = FK_RTOL) -> ExtremalityRepor
     """
     ws = as_weights(ws)
     kernel = ws.kernel()
-    _require_contraction(kernel)
-    fk, at_point = _fk_is_zero(kernel, zeta, rtol)
+    fk, j00, _ = _tilde_minor(kernel, zeta)
+    at_point = abs(fk) <= rtol * max(j00 ** 2, 1e-300)
     weights_all_one = bool(np.all(np.abs(ws.weights - 1.0) <= WEIGHT_TOL))
     curv = curvature_scalar(kernel, zeta)
     bound = -(1.0 - abs(zeta) ** 2) ** -2
@@ -200,11 +190,10 @@ def uniqueness_pipeline_check(ws, zeta: complex = 0.0,
     ok = run("contraction", contraction_check(kernel).passed,
              "tilde coefficients non-negative")
     if ok:
-        inv = 1.0 / ws.coeffs
-        expr = inv[:-2] - 2.0 * inv[1:-1] + inv[2:]
-        worst = float(expr.min()) if expr.size else 0.0
-        ok = run("two-hypercontraction", worst >= -1e-10,
-                 f"min of 1/a_n - 2/a_(n+1) + 1/a_(n+2) = {worst:.3e}")
+        hyper = two_hypercontraction_check(ws)
+        ok = run("two-hypercontraction", hyper.passed,
+                 "min of 1/a_n - 2/a_(n+1) + 1/a_(n+2) = "
+                 f"{hyper.info['min_expression']:.3e}")
     if ok:
         C = normalized_pullback_coeffs(kernel, zeta, truncation)
         curv0 = -(C[1, 1].real - abs(C[0, 1]) ** 2)

@@ -1,14 +1,17 @@
 """Diagonal reproducing kernels on the disc and annulus.
 
 A series kernel is K(z, w) = sum_n a_n z^n conj(w)^n over a finite index
-window.  Closed-form kernels carry callables for evaluation and for the
-two-point mixed derivatives d^p/dz^p d^q/dwbar^q K(z, w), which is what the
-tilde transform, normalization and Mobius pullback need.
+window.  Every series quantity is read off one product T(z) diag(a) T(w)^H,
+where T[p, i, n] = F_p(n) x_i^(n - p) (F_p the falling factorial) is built
+by one table routine that also checks every point against the domain:
+values, two-point derivatives, jets and sampled Gram matrices.  Closed-form
+kernels, as built by normalization and Mobius pullback, carry callables for
+evaluation and for the two-point mixed derivatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
 
@@ -16,6 +19,7 @@ import numpy as np
 
 from .errors import (
     CenterOutsideDisc,
+    ConfigError,
     KernelVanishesNearCenter,
     PointOutsideDomain,
     TruncationTailTooLarge,
@@ -78,10 +82,6 @@ class SeriesKernel:
     def n_max(self) -> int:
         return int(self.ns[-1])
 
-    @property
-    def all_nonnegative(self) -> bool:
-        return bool(np.all(self.coeffs >= 0.0))
-
     @classmethod
     def disc(cls, coeffs) -> "SeriesKernel":
         coeffs = np.asarray(coeffs, dtype=float)
@@ -120,7 +120,6 @@ class ClosedFormKernel:
 
     evaluator: Callable[[complex, complex], complex]
     deriv_evaluator: Optional[Callable[[complex, complex, int, int], complex]] = None
-    jet_evaluator: Optional[Callable[[complex, int, int], complex]] = None
     domain: str = "disc"
     inner_radius: Optional[float] = None
 
@@ -153,30 +152,6 @@ def check_point(kernel, z: complex) -> None:
         raise PointOutsideDomain(f"|z| = {r:.4f} too close to inner circle r = {inner}")
 
 
-def _falling(n: np.ndarray, k: int) -> np.ndarray:
-    out = np.ones_like(n, dtype=float)
-    for i in range(k):
-        out = out * (n - i)
-    return out
-
-
-def _powers(x: complex, exps: np.ndarray) -> np.ndarray:
-    if x == 0:
-        return (exps == 0).astype(complex)
-    return np.power(complex(x), exps)
-
-
-def _series_deriv2(kernel: SeriesKernel, z: complex, w: complex, p: int, q: int) -> complex:
-    coef = kernel.coeffs * _falling(kernel.ns, p) * _falling(kernel.ns, q)
-    mask = coef != 0.0
-    if not np.any(mask):
-        return 0j
-    nn = kernel.ns[mask]
-    zp = _powers(z, nn - p)
-    wq = _powers(np.conjugate(w), nn - q)
-    return complex(np.sum(coef[mask] * zp * wq))
-
-
 def _sustained_growth(a: np.ndarray, window: int = 20) -> tuple[float, float]:
     """Growth rate and geometric-envelope value at the end of the trailing window.
 
@@ -200,49 +175,93 @@ def _sustained_growth(a: np.ndarray, window: int = 20) -> tuple[float, float]:
     return growth, envelope
 
 
-def _series_tail_bound(kernel: SeriesKernel, z: complex, w: complex) -> float:
-    """Geometric bound on the dropped tail of the coefficient series."""
-    rho = abs(z * np.conjugate(w))
+def _geometric_tail(first, ratio):
+    """Elementwise first * (ratio + ratio^2 + ...), infinite for ratio >= 1."""
+    return np.where(first > 0.0, np.where(
+        ratio < 1.0, first * ratio / (1.0 - ratio), np.inf), 0.0)
+
+
+def _series_tail_bound(kernel: SeriesKernel, rho: np.ndarray) -> np.ndarray:
+    """Geometric bound on the dropped tail of the coefficient series.
+
+    It depends on (z, w) only through rho = |z wbar|, taken elementwise.
+    """
     a = np.abs(kernel.coeffs)
-    bound = 0.0
-    # outer end of the window
-    if rho > 0 or kernel.n_max == 0:
-        growth, env = _sustained_growth(a[::1])
-        t_last = env * rho ** kernel.n_max
-        if t_last > 0.0:
-            ratio = rho * growth
-            bound += t_last * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
-    # inner end, only relevant for Laurent windows
-    if kernel.n_min < 0 and rho > 0:
-        growth, env = _sustained_growth(a[::-1])
-        t_first = env * rho ** kernel.n_min
-        if t_first > 0.0:
-            ratio = growth / rho
-            bound += t_first * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        growth, env = _sustained_growth(a)
+        bound = _geometric_tail(env * rho ** kernel.n_max, rho * growth)
+        # inner end of a Laurent window; rho > 0 on the annulus
+        if kernel.n_min < 0:
+            growth, env = _sustained_growth(a[::-1])
+            bound += _geometric_tail(env * rho ** kernel.n_min, growth / rho)
     return bound
+
+
+def _table(kernel: SeriesKernel, ns: np.ndarray, x, order: int) -> np.ndarray:
+    """T[p, i, k] = F_p(n_k) x_i^(n_k - p) for p <= order, after checking every x_i.
+
+    F_p(n) = n (n - 1) ... (n - p + 1) is the falling factorial.  Where
+    F_p(n) = 0 the exponent is replaced by 0, so x = 0 never meets a
+    negative power and the entry is an exact zero.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    for xi in x:
+        check_point(kernel, xi)
+    fall = np.ones((order + 1, ns.size))
+    for p in range(1, order + 1):
+        fall[p] = fall[p - 1] * (ns - (p - 1))
+    exps = np.where(fall != 0.0, ns - np.arange(order + 1)[:, None], 0)
+    return fall[:, None, :] * x[None, :, None] ** exps[:, None, :]
+
+
+def _series(kernel: SeriesKernel, z, w, order: int) -> np.ndarray:
+    """S[p, q, i, j] = d^p_z d^q_wbar K(z_i, w_j) for p, q <= order.
+
+    One product T(z) diag(a) T(w)^H of the tables of :func:`_table`; terms
+    with a zero coefficient are left out.
+    """
+    live = kernel.coeffs != 0.0
+    ns, a = kernel.ns[live], kernel.coeffs[live]
+    tz = _table(kernel, ns, z, order)
+    tw = tz if w is z else _table(kernel, ns, w, order)
+    size = order + 1
+    S = (tz * a).reshape(size * tz.shape[1], -1) @ tw.reshape(size * tw.shape[1], -1).conj().T
+    return S.reshape(size, tz.shape[1], size, tw.shape[1]).transpose(0, 2, 1, 3)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
+def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
+    """Matrix K(z_i, w_j) of a series kernel over two arrays of points.
+
+    Every point is checked against the domain and every entry against the
+    truncation tail bound.
+    """
+    K = _series(kernel, z, w, 0)[0, 0]
+    z, w = np.atleast_1d(z), np.atleast_1d(w)
+    tail = _series_tail_bound(kernel, np.abs(np.multiply.outer(z, np.conjugate(w))))
+    bad = np.argwhere(tail > TAIL_RTOL * np.maximum(np.abs(K), 1e-300))
+    if bad.size:
+        i, j = bad[0]
+        raise TruncationTailTooLarge(
+            f"tail bound {tail[i, j]:.3e} exceeds {TAIL_RTOL:.0e} * |K| at z={z[i]}, w={w[j]}")
+    return K
+
+
 def eval_kernel(kernel, z: complex, w: complex) -> complex:
     """Evaluate K(z, w); Hermitian in (z, w) by construction."""
-    check_point(kernel, z)
-    check_point(kernel, w)
     if isinstance(kernel, SeriesKernel):
-        val = _series_deriv2(kernel, z, w, 0, 0)
-        tail = _series_tail_bound(kernel, z, w)
-        if tail > TAIL_RTOL * max(abs(val), 1e-300):
-            raise TruncationTailTooLarge(
-                f"tail bound {tail:.3e} exceeds {TAIL_RTOL:.0e} * |K| at z={z}, w={w}")
-        return val
-    return complex(kernel.evaluator(z, w))
+        return complex(kernel_matrix(kernel, z, w)[0, 0])
+    return deriv2(kernel, z, w, 0, 0)
 
 
 def deriv2(kernel, z: complex, w: complex, p: int, q: int) -> complex:
     """Two-point mixed derivative d^p_z d^q_wbar K(z, w)."""
     if isinstance(kernel, SeriesKernel):
-        return _series_deriv2(kernel, z, w, p, q)
+        return complex(_series(kernel, z, w, max(p, q))[p, q, 0, 0])
+    check_point(kernel, z)
+    check_point(kernel, w)
     if p == 0 and q == 0:
         return complex(kernel.evaluator(z, w))
     if kernel.deriv_evaluator is None:
@@ -254,28 +273,22 @@ def deriv2(kernel, z: complex, w: complex, p: int, q: int) -> complex:
 
 def mixed_deriv(kernel, w: complex, p: int, q: int) -> complex:
     """Diagonal mixed derivative d^p d^qbar K(w, w)."""
-    if isinstance(kernel, SeriesKernel):
-        return _series_deriv2(kernel, w, w, p, q)
-    if p == 0 and q == 0:
-        return complex(kernel.evaluator(w, w))
-    if p > 2 or q > 2:
-        raise UnsupportedJetOrder(f"closed-form kernels support p, q <= 2, got ({p}, {q})")
-    if kernel.jet_evaluator is not None:
-        return complex(kernel.jet_evaluator(w, p, q))
-    if kernel.deriv_evaluator is not None:
-        return complex(kernel.deriv_evaluator(w, w, p, q))
-    raise UnsupportedJetOrder("closed-form kernel has no jet evaluator")
+    return deriv2(kernel, w, w, p, q)
 
 
 def jet(kernel, w: complex, order: int) -> KernelJet:
     """Matrix of diagonal mixed derivatives up to the given order."""
     if order < 1:
         raise ValueError("jet order must be >= 1")
-    J = np.empty((order + 1, order + 1), dtype=complex)
-    for p in range(order + 1):
-        for q in range(p, order + 1):
-            J[p, q] = mixed_deriv(kernel, w, p, q)
-            J[q, p] = np.conjugate(J[p, q])
+    if isinstance(kernel, SeriesKernel):
+        S = _series(kernel, w, w, order)[:, :, 0, 0]
+        J = (S + S.conj().T) / 2.0  # the product is Hermitian up to rounding
+    else:
+        J = np.empty((order + 1, order + 1), dtype=complex)
+        for p in range(order + 1):
+            for q in range(p, order + 1):
+                J[p, q] = mixed_deriv(kernel, w, p, q)
+                J[q, p] = np.conjugate(J[p, q])
     return KernelJet(center=complex(w), order=order, values=J)
 
 
@@ -283,10 +296,11 @@ def tilde_kernel(kernel: SeriesKernel) -> SeriesKernel:
     """Coefficients of (1 - z wbar) K(z, w): b_0 = a_0, b_n = a_n - a_{n-1}.
 
     The result may have non-positive coefficients; it is returned as a
-    signed series and ``all_nonnegative`` acts as the contractivity flag.
+    signed series, and ``positivity.contraction_check`` judges its signs.
     """
     if kernel.kind != DISC_DIAGONAL:
-        raise ValueError("tilde transform is defined for disc diagonal kernels")
+        raise ConfigError(f"field 'kind' must be '{DISC_DIAGONAL}' for the tilde "
+                          f"transform, got '{kernel.kind}'")
     a = kernel.coeffs
     b = np.empty_like(a)
     b[0] = a[0]

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels as kc
-from .errors import DimensionMismatch, NonHermitianInput, NotAContraction
+from .errors import ConfigError, DimensionMismatch, NonHermitianInput, NotAContraction
 
 DEFAULT_SEED = 2024
 SAMPLE_COUNT = 50
@@ -93,7 +93,8 @@ def contraction_check(kernel: kc.SeriesKernel, sample_points=None,
 
     For diagonal kernels the coefficient signs of the tilde series are
     equivalent to positive semidefiniteness, and are taken as the verdict;
-    the sampled Gram test is reported alongside.
+    the sampled Gram test is reported alongside.  Every contractivity
+    requirement elsewhere in the package defers to this verdict.
     """
     kt = kc.tilde_kernel(kernel)
     scale = float(np.abs(kt.coeffs).max())
@@ -107,7 +108,7 @@ def contraction_check(kernel: kc.SeriesKernel, sample_points=None,
                    0.9 * resolvable)
         sample_points = sample_cloud(seed, radius=safe)
     pts = np.asarray(sample_points)
-    G = np.array([[kc.eval_kernel(kt, zi, zj) for zj in pts] for zi in pts])
+    G = kc.kernel_matrix(kt, pts, pts)
     gram_result = psd_check(G, tol=tol * max(1.0, float(np.linalg.norm(G, ord=2))))
     return CheckResult(
         passed=coeff_pass,
@@ -121,6 +122,9 @@ def as_weights(obj) -> WeightSequence:
     """Coerce a disc-diagonal kernel to its shift weights (no-op on weights)."""
     if isinstance(obj, WeightSequence):
         return obj
+    if obj.kind != kc.DISC_DIAGONAL:
+        raise ConfigError(f"field 'kind' must be '{kc.DISC_DIAGONAL}' for shift "
+                          f"weights, got '{obj.kind}'")
     return WeightSequence.from_coeffs(obj.coeffs)
 
 

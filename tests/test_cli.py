@@ -53,6 +53,24 @@ def test_malformed_spec_names_field(runner, tmp_path):
     assert "coeff_rule" in res.output
 
 
+def test_curvature_outside_disc_is_refused(runner, geo_spec):
+    res = runner.invoke(main, ["curvature", "--kernel", geo_spec,
+                               "--grid", "1.2:1.2:1"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "PointOutsideDomain"
+
+
+@pytest.mark.parametrize("command", ["check", "extremal"])
+def test_shift_commands_refuse_annulus_spec(runner, command):
+    spec = json.dumps({"kind": "annulus_laurent", "r": 0.5, "weight_b": 0})
+    res = runner.invoke(main, [command, "--kernel", spec])
+    assert res.exit_code == 1
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert "'kind'" in diag["message"]
+
+
 def test_local_op_json_payload(runner, geo_spec):
     res = runner.invoke(main, ["local-op", "--kernel", geo_spec, "--at", "0.3"])
     assert res.exit_code == 0

@@ -7,6 +7,7 @@ from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import (curvature_matrix, curvature_scalar,
                                 curvature_scalar_fd, frame_from_jet,
                                 mobius_rule_check)
+from rkhs_lab.errors import PointOutsideDomain
 from tests.conftest import random_contractive_kernel
 
 
@@ -15,6 +16,12 @@ def test_geometric_kernel_closed_form():
     for w in [0.0, 0.25, 0.5 + 0.3j, -0.7j]:
         expected = -(1.0 - abs(w) ** 2) ** -2
         assert curvature_scalar(k, w) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [0.99, 1.5])
+def test_curvature_refuses_points_outside_the_disc(w):
+    with pytest.raises(PointOutsideDomain):
+        curvature_scalar(kc.SeriesKernel.geometric(), w)
 
 
 def test_bergman_kernel_closed_form():

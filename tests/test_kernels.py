@@ -1,11 +1,16 @@
 """Series evaluation, jets, tilde kernels, normalization, Mobius pullbacks."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.errors import (KernelVanishesNearCenter, PointOutsideDomain,
                              TruncationTailTooLarge)
+from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
 
 
 def geometric(n_max=200):
@@ -113,3 +118,94 @@ def test_mobius_map_roundtrip():
     a = 0.4 - 0.3j
     for z in [0.1, 0.2 + 0.5j, -0.6j]:
         assert abs(kc.mobius_map(-a, kc.mobius_map(a, z)) - z) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the series table against independent references
+
+def mp_series(kernel, z, w, p, q):
+    """40-digit sum of a_n F_p(n) F_q(n) z^(n-p) conj(w)^(n-q) over the window,
+    with the sum of the moduli of its terms (the scale of any rounding)."""
+    with mpmath.workdps(40):
+        zc, wc = mpmath.mpc(z), mpmath.conj(mpmath.mpc(w))
+        total, scale = mpmath.mpc(0), mpmath.mpf(0)
+        for n, a in zip(kernel.ns.tolist(), kernel.coeffs.tolist()):
+            fall = 1
+            for i in range(p):
+                fall *= n - i
+            for i in range(q):
+                fall *= n - i
+            if fall:
+                term = mpmath.mpf(a) * fall * zc ** (n - p) * wc ** (n - q)
+                total += term
+                scale += abs(term)
+        return complex(total), float(scale)
+
+
+@st.composite
+def windows_and_points(draw):
+    """Positive disc windows with points including 0, or Laurent windows of the
+    annulus Szego / weighted Bergman kernels with points in the admissible band."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=40))
+        kernel, radii = kc.SeriesKernel.disc(coeffs), st.one_of(
+            st.just(0.0), st.floats(0.0, 0.97))
+    else:
+        spec = an.AnnulusSpec(r=draw(st.floats(0.2, 0.7)), N=50)
+        if draw(st.booleans()):
+            kernel = an.szego_kernel(spec)
+        else:
+            b = draw(st.floats(-2.0, 3.0))
+            kernel = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(b))
+        radii = st.floats(spec.r + kc.BOUNDARY_MARGIN + 1e-3, 0.97)
+    z, w = (draw(radii) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+            for _ in range(2))
+    return kernel, z, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows_and_points())
+def test_deriv2_and_jet_match_mpmath(case):
+    # rounding is bounded by the sum of the moduli of the terms, not by the
+    # value itself, which may cancel
+    kernel, z, w = case
+    J = kc.jet(kernel, w, 2).values
+    for p in range(3):
+        for q in range(3):
+            exact, scale = mp_series(kernel, z, w, p, q)
+            assert abs(kc.deriv2(kernel, z, w, p, q) - exact) <= 1e-12 * scale
+            exact, scale = mp_series(kernel, w, w, p, q)
+            assert abs(J[p, q] - exact) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("coeffs", [np.linspace(1.0, 3.0, 201),
+                                    np.array([1.0, 0.5] + [0.6] * 100)])
+def test_contraction_gram_matches_elementwise_kernel(coeffs):
+    k = kc.SeriesKernel.disc(coeffs)
+    kt = kc.tilde_kernel(k)
+    pts = sample_cloud(radius=0.6)
+    G = np.array([[kc.eval_kernel(kt, zi, zj) for zj in pts] for zi in pts])
+    norm = np.linalg.norm(G, ord=2)
+    assert np.abs(kc.kernel_matrix(kt, pts, pts) - G).max() <= 1e-12 * norm
+    res = contraction_check(k, sample_points=pts)
+    ref = psd_check(G, tol=1e-10 * max(1.0, norm))
+    assert res.info["gram_test"] == ref.passed
+    assert abs(res.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * norm
+
+
+def test_contraction_gram_refuses_unresolved_or_outside_points():
+    short = kc.SeriesKernel.disc(np.linspace(1.0, 2.0, 20))
+    with pytest.raises(TruncationTailTooLarge):
+        contraction_check(short, sample_points=[0.2, 0.9])
+    with pytest.raises(PointOutsideDomain):
+        contraction_check(short, sample_points=[0.2, 0.99])
+
+
+def test_every_series_path_checks_the_domain():
+    k = an.szego_kernel(an.AnnulusSpec(r=0.5))
+    with pytest.raises(PointOutsideDomain):
+        kc.jet(k, 0.51, 1)
+    with pytest.raises(PointOutsideDomain):
+        kc.deriv2(k, 0.7, 0.3, 1, 1)
+    with pytest.raises(PointOutsideDomain):
+        kc.mixed_deriv(geometric(), complex(np.nan, 0.0), 1, 1)
