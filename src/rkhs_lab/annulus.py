@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import kernels as kc
 from .curvature import curvature_scalar
@@ -16,6 +15,7 @@ from .errors import DegenerateJet, NotLogHarmonic, QuadratureFailure
 
 BOUNDARY_NODES = 4096
 QUAD_RTOL = 1e-12
+MIN_N = 50
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class AnnulusSpec:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise ValueError("inner radius must lie in (0, 1)")
-        if self.N < 50:
-            raise ValueError("truncation N must be at least 50")
+        if self.N < MIN_N:
+            raise ValueError(f"truncation N must be at least {MIN_N}")
 
 
 @dataclass(frozen=True)
@@ -90,28 +90,42 @@ def szego_annulus(spec: AnnulusSpec, z: complex, w: complex) -> complex:
     return kc.eval_kernel(szego_kernel(spec), z, w)
 
 
+def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
+    """|z^n|^2 in the weighted Bergman space for each n in ns:
+    2 pi int_r^1 rho^(2n+1) h(rho) drho, closed form for power laws, quad otherwise."""
+    if weight.kind == "power_law":
+        integrals = []
+        for n in ns:
+            e = 2 * n + 1 + weight.b
+            if abs(e + 1.0) < 1e-14:
+                integrals.append(np.log(1.0 / spec.r))
+            elif (e + 1.0) * np.log(spec.r) > 700.0:  # r^(e+1) overflows
+                integrals.append(np.inf)
+            else:
+                integrals.append((1.0 - spec.r ** (e + 1.0)) / (e + 1.0))
+        return 2.0 * np.pi * np.array(integrals, dtype=float)
+    from scipy import integrate
+
+    integrals = []
+    for n in ns:
+        val, err = integrate.quad(lambda rho: rho ** (2 * n + 1) * weight(rho),
+                                  spec.r, 1.0, epsrel=QUAD_RTOL, epsabs=0.0, limit=200)
+        if not np.isfinite(val) or val <= 0.0 or err > 1e-9 * abs(val):
+            raise QuadratureFailure(f"norm integral for n = {n} unreliable (err {err:.2e})")
+        integrals.append(val)
+    return 2.0 * np.pi * np.array(integrals, dtype=float)
+
+
 def monomial_norm_sq(spec: AnnulusSpec, weight: RadialWeight, n: int) -> float:
     """|z^n|^2 in the weighted Bergman space: 2 pi int_r^1 rho^(2n+1) h(rho) drho."""
-    if weight.kind == "power_law":
-        e = 2 * n + 1 + weight.b
-        if abs(e + 1.0) < 1e-14:
-            integral = np.log(1.0 / spec.r)
-        elif (e + 1.0) * np.log(spec.r) > 700.0:  # r^(e+1) overflows
-            integral = np.inf
-        else:
-            integral = (1.0 - spec.r ** (e + 1.0)) / (e + 1.0)
-        return 2.0 * np.pi * integral
-    val, err = integrate.quad(lambda rho: rho ** (2 * n + 1) * weight(rho),
-                              spec.r, 1.0, epsrel=QUAD_RTOL, epsabs=0.0, limit=200)
-    if not np.isfinite(val) or val <= 0.0 or err > 1e-9 * abs(val):
-        raise QuadratureFailure(f"norm integral for n = {n} unreliable (err {err:.2e})")
-    return 2.0 * np.pi * val
+    return float(_norms_sq(spec, weight, [n])[0])
 
 
 def weighted_bergman_kernel(spec: AnnulusSpec, weight: RadialWeight) -> kc.SeriesKernel:
     """Laurent kernel with a_n = 1 / |z^n|^2 for the radial weight."""
     ns = np.arange(-spec.N, spec.N + 1)
-    coeffs = np.array([1.0 / monomial_norm_sq(spec, weight, int(n)) for n in ns])
+    with np.errstate(divide="ignore"):  # zero norms give inf, trimmed below
+        coeffs = 1.0 / _norms_sq(spec, weight, ns.tolist())
     ns, coeffs = _trim_window(ns, coeffs)
     return kc.SeriesKernel.annulus(ns, coeffs, spec.r)
 

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm as _norm
-from scipy.stats import qmc
 
 from .errors import DimensionMismatch, PointOutsideBall, PointOutsidePolydisc
 
@@ -90,9 +88,11 @@ class CIVerdict:
 
 def _unit_vectors(dim: int, samples: int) -> np.ndarray:
     """Deterministic low-discrepancy unit vectors in C^dim."""
+    from scipy.stats import norm, qmc
+
     sob = qmc.Sobol(d=2 * dim, scramble=True, seed=QMC_SEED)
     u = sob.random(samples)
-    g = _norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
     vecs = g[:, :dim] + 1j * g[:, dim:]
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 

@@ -19,12 +19,12 @@ import numpy as np
 from . import annulus as an
 from . import kernels as kc
 from .curvature import curvature_scalar
-from .errors import KernelLabError
+from .errors import ConfigError, KernelLabError
 from .extremality import classify_shift
 from .localop import LocalOperatorForm, canonical_form, jet_gram, verify_tt_identity
 from .positivity import (contraction_check, hyponormal_check,
                          two_hypercontraction_check)
-from .specio import load_kernel
+from .specio import annulus_from_spec, kernel_from_spec, load_kernel, load_spec
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -211,40 +211,57 @@ def extremal(kernel, at, tol, out):
     sys.exit(EXIT_PASS)
 
 
+def _contradiction(option: str, value, field: str, spec_value) -> ConfigError:
+    return ConfigError(f"option {option} {value} contradicts field '{field}' = "
+                       f"{spec_value!r} of the kernel spec")
+
+
 @main.command("ci-check")
 @click.option("--kernel", required=True)
-@click.option("--domain", type=click.Choice(["disc", "annulus"]), default="disc")
-@click.option("--r", default=0.5, show_default=True)
-@click.option("--weight", default="1", show_default=True)
+@click.option("--domain", type=click.Choice(["disc", "annulus"]), default=None,
+              help="must match the spec's kind")
+@click.option("--r", type=float, default=None, help="must match the spec's r")
+@click.option("--weight", default=None, help="must match the spec's weight_b")
 @click.option("--grid", default="0:0.9:20", show_default=True)
 @click.option("--tol", default=1e-8, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default="-", show_default=True)
 def ci_check(kernel, domain, r, weight, grid, tol, fmt, out):
-    """Curvature-inequality slack along a grid."""
+    """Curvature-inequality slack along a grid.
+
+    The spec decides the domain: -(1 - |w|^2)^-2 on the disc,
+    -4 pi^2 S(w, w)^2 with the Szego kernel S of the spec's annulus.
+    """
     try:
         radii = _parse_grid(grid)
+        spec = load_spec(kernel)
+        kern = kernel_from_spec(spec)
+        annulus = kern.kind == kc.ANNULUS_LAURENT
+        if domain is not None and domain != ("annulus" if annulus else "disc"):
+            raise _contradiction("--domain", domain, "kind", kern.kind)
+        if annulus:
+            aspec, wobj = annulus_from_spec(spec)
+            if r is not None and r != aspec.r:
+                raise _contradiction("--r", r, "r", aspec.r)
+            if weight is not None and _parse_weight(weight).b != wobj.b:
+                raise _contradiction("--weight", weight, "weight_b", wobj.b)
+            szego = an.szego_kernel(aspec)
+        elif r is not None:
+            raise _contradiction("--r", r, "kind", kern.kind)
+        elif weight is not None:
+            raise _contradiction("--weight", weight, "kind", kern.kind)
         rows = []
         violated = False
-        if domain == "disc":
-            kern = load_kernel(kernel)
-            for x in radii:
-                curv = curvature_scalar(kern, complex(x))
-                bound = -((1.0 - x * x) ** -2)
-                slack = bound - curv  # >= 0 when the inequality holds
-                violated = violated or slack < -tol
-                rows.append((x, curv, bound, slack, "with4pi2"))
-        else:
-            spec = an.AnnulusSpec(r=r)
-            wobj = _parse_weight(weight)
-            kern = an.weighted_bergman_kernel(spec, wobj)
-            for x in radii:
-                curv = curvature_scalar(kern, complex(x))
-                s = an.szego_annulus(spec, complex(x), complex(x)).real
+        for x in radii:
+            curv = curvature_scalar(kern, complex(x))
+            if annulus:
+                s = kc.eval_kernel(szego, complex(x), complex(x)).real
                 bound = -4.0 * np.pi ** 2 * s ** 2
-                slack = bound - curv
-                violated = violated or slack < -tol
-                rows.append((x, curv, bound, slack, "with4pi2"))
+            else:
+                bound = -((1.0 - x * x) ** -2)
+            slack = bound - curv  # >= 0 when the inequality holds
+            violated = violated or slack < -tol
+            rows.append((x, curv, bound, slack, "with4pi2"))
     except (KernelLabError, OSError) as exc:
         _fail(exc)
     header = ["abs_w", "curvature", "bound", "slack", "normalization"]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels as kc
 from .curvature import CurvatureMatrix, MetricFrameSample, curvature_matrix
@@ -60,6 +59,8 @@ def jet_gram(kernel, w: complex, m: int = 1) -> JetGram:
 
 def gram_from_matrix(G: np.ndarray, m: int, n: int) -> JetGram:
     """Wrap a caller-supplied Gram, normalizing so the top-left block is I."""
+    import scipy.linalg
+
     G = np.asarray(G, dtype=complex)
     if G.shape != ((m + 1) * n, (m + 1) * n):
         raise DimensionMismatch(f"Gram must be {(m + 1) * n} x {(m + 1) * n}")
@@ -74,6 +75,8 @@ def gram_from_matrix(G: np.ndarray, m: int, n: int) -> JetGram:
 
 def canonical_form(gram: JetGram) -> LocalOperatorForm:
     """Orthonormalize the jet basis and extract the canonical blocks."""
+    import scipy.linalg
+
     G, m, n = gram.G, gram.m, gram.n
     if not np.allclose(G[:n, :n], np.eye(n), atol=1e-10):
         raise NormalizationMissing("top-left block of the Gram must be the identity")

@@ -96,6 +96,7 @@ def contraction_check(kernel: kc.SeriesKernel, sample_points=None,
     the sampled Gram test is reported alongside.  Every contractivity
     requirement elsewhere in the package defers to this verdict.
     """
+    _shift_coeffs(kernel)
     kt = kc.tilde_kernel(kernel)
     scale = float(np.abs(kt.coeffs).max())
     coeff_pass = bool(np.all(kt.coeffs >= -tol * max(1.0, scale)))
@@ -118,14 +119,28 @@ def contraction_check(kernel: kc.SeriesKernel, sample_points=None,
     )
 
 
+def _shift_coeffs(kernel: kc.SeriesKernel) -> np.ndarray:
+    """Coefficients of a kernel that defines a weighted shift, else ConfigError."""
+    if kernel.kind != kc.DISC_DIAGONAL:
+        raise ConfigError(f"field 'kind' must be '{kc.DISC_DIAGONAL}' for shift "
+                          f"weights, got '{kernel.kind}'")
+    if kernel.coeffs.size < 2:
+        raise ConfigError("field 'coeffs' must hold at least two coefficients for "
+                          f"shift weights, got {kernel.coeffs.size}")
+    return kernel.coeffs
+
+
 def as_weights(obj) -> WeightSequence:
     """Coerce a disc-diagonal kernel to its shift weights (no-op on weights)."""
     if isinstance(obj, WeightSequence):
         return obj
-    if obj.kind != kc.DISC_DIAGONAL:
-        raise ConfigError(f"field 'kind' must be '{kc.DISC_DIAGONAL}' for shift "
-                          f"weights, got '{obj.kind}'")
-    return WeightSequence.from_coeffs(obj.coeffs)
+    a = _shift_coeffs(obj)
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = a[:-1] / a[1:]
+    if not np.all((ratios > 0.0) & np.isfinite(ratios)):
+        raise ConfigError("field 'coeffs' has a ratio a_n / a_(n+1) outside the "
+                          "double range, so the shift weights are not representable")
+    return WeightSequence.from_coeffs(a)
 
 
 def hyponormal_check(ws, tol: float = 1e-10) -> CheckResult:

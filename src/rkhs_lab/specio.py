@@ -34,24 +34,45 @@ def _require(spec: dict, field: str, types):
     return value
 
 
+def _float(field: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"field '{field}' does not fit a double, got {value}")
+
+
+def _n_max(spec: dict) -> int:
+    n_max = spec.get("n_max", kc.DEFAULT_N_MAX)
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ConfigError(f"field 'n_max' must be a positive integer, got {n_max!r}")
+    return n_max
+
+
+def annulus_from_spec(spec: dict) -> tuple[an.AnnulusSpec, an.RadialWeight]:
+    """Annulus (r and truncation N = n_max) and power-law weight of an
+    annulus_laurent spec."""
+    n_max = _n_max(spec)
+    if n_max < an.MIN_N:
+        raise ConfigError(f"field 'n_max' must be at least {an.MIN_N} for "
+                          f"annulus_laurent, got {n_max}")
+    r = _require(spec, "r", (int, float))
+    if not 0.0 < r < 1.0:
+        raise ConfigError(f"field 'r' must lie in (0, 1), got {r}")
+    b = spec.get("weight_b", 0.0)
+    if not isinstance(b, (int, float)):
+        raise ConfigError(f"field 'weight_b' must be a number, got {b!r}")
+    weight = an.RadialWeight.power_law(_float("weight_b", b))
+    return an.AnnulusSpec(r=float(r), N=n_max), weight
+
+
 def kernel_from_spec(spec: dict) -> kc.SeriesKernel:
     kind = _require(spec, "kind", str)
     if kind not in KINDS:
         raise ConfigError(f"field 'kind' must be one of {KINDS}, got '{kind}'")
 
-    n_max = spec.get("n_max", kc.DEFAULT_N_MAX)
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ConfigError(f"field 'n_max' must be a positive integer, got {n_max!r}")
-
+    n_max = _n_max(spec)
     if kind == "annulus_laurent":
-        r = _require(spec, "r", (int, float))
-        if not 0.0 < r < 1.0:
-            raise ConfigError(f"field 'r' must lie in (0, 1), got {r}")
-        b = spec.get("weight_b", 0.0)
-        if not isinstance(b, (int, float)):
-            raise ConfigError(f"field 'weight_b' must be a number, got {b!r}")
-        aspec = an.AnnulusSpec(r=float(r), N=n_max)
-        return an.weighted_bergman_kernel(aspec, an.RadialWeight.power_law(float(b)))
+        return an.weighted_bergman_kernel(*annulus_from_spec(spec))
 
     rule = _require(spec, "coeff_rule", str)
     if rule not in RULES:
@@ -64,24 +85,28 @@ def kernel_from_spec(spec: dict) -> kc.SeriesKernel:
         coeffs = n + 1.0
     elif rule == "(n+1)^s":
         s = _require(spec, "s", (int, float))
-        coeffs = (n + 1.0) ** float(s)
+        with np.errstate(over="ignore"):
+            coeffs = (n + 1.0) ** _float("s", s)
+        if not np.all(np.isfinite(coeffs) & (coeffs > 0.0)):
+            raise ConfigError(f"field 's' = {s} gives coefficients that are not "
+                              "finite and positive")
     else:
         raw = _require(spec, "coeffs", list)
         if not raw:
             raise ConfigError("field 'coeffs' must be a non-empty list")
         try:
             coeffs = np.array([float(c) for c in raw])
-        except (TypeError, ValueError):
-            raise ConfigError("field 'coeffs' must contain only numbers")
-        if (coeffs <= 0.0).any():
-            raise ConfigError("field 'coeffs' must be strictly positive")
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("field 'coeffs' must contain only numbers that fit a double")
+        if not np.all(np.isfinite(coeffs) & (coeffs > 0.0)):
+            raise ConfigError("field 'coeffs' must be finite and strictly positive")
     return kc.SeriesKernel.disc(coeffs)
 
 
-def load_kernel(source: Union[str, dict]) -> kc.SeriesKernel:
-    """Load a kernel from a dict, a JSON string, or a path to a JSON file."""
+def load_spec(source: Union[str, dict]) -> dict:
+    """Read a spec from a dict, a JSON string, or a path to a JSON file."""
     if isinstance(source, dict):
-        return kernel_from_spec(source)
+        return source
     text = source
     if not text.lstrip().startswith("{"):
         with open(source, "r") as fh:
@@ -92,4 +117,9 @@ def load_kernel(source: Union[str, dict]) -> kc.SeriesKernel:
         raise ConfigError(f"invalid JSON: {exc}")
     if not isinstance(spec, dict):
         raise ConfigError("kernel spec must be a JSON object")
-    return kernel_from_spec(spec)
+    return spec
+
+
+def load_kernel(source: Union[str, dict]) -> kc.SeriesKernel:
+    """Load a kernel from a dict, a JSON string, or a path to a JSON file."""
+    return kernel_from_spec(load_spec(source))

@@ -1,10 +1,22 @@
 """Command-line behaviour: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rkhs_lab
+from rkhs_lab import annulus as an
+from rkhs_lab import kernels as kc
 from rkhs_lab.cli import main
 
 
@@ -122,3 +134,200 @@ def test_grid_parse_errors(runner, geo_spec):
     res = runner.invoke(main, ["curvature", "--kernel", geo_spec,
                                "--grid", "oops"])
     assert res.exit_code != 0
+
+
+# ---------------------------------------------------------------------------
+# refusals and the spec as the single description of a kernel
+
+ONE_COEFFICIENT = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                              "coeffs": [1.0]})
+README_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.5, "weight_b": 0})
+
+
+@pytest.mark.parametrize("command, extra", [("check", ["--tests", "contraction"]),
+                                            ("check", ["--tests", "hyponormal"]),
+                                            ("check", ["--tests", "2hyper"]),
+                                            ("extremal", [])])
+def test_shift_commands_refuse_one_coefficient_spec(runner, command, extra):
+    res = runner.invoke(main, [command, "--kernel", ONE_COEFFICIENT] + extra)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert "'coeffs'" in diag["message"]
+
+
+@pytest.mark.parametrize("command, extra", [("check", ["--tests", "hyponormal"]),
+                                            ("extremal", [])])
+def test_shift_commands_refuse_unrepresentable_weights(runner, command, extra):
+    # a_0 / a_1 = 1e600 overflows, so the weight sqrt(a_0 / a_1) has no double
+    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                       "coeffs": [1e300, 1e-300, 1.0]})
+    res = runner.invoke(main, [command, "--kernel", spec] + extra)
+    assert res.exit_code == 1
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert "'coeffs'" in diag["message"]
+
+
+def test_ci_check_reads_the_kernel_file(runner, tmp_path):
+    res = runner.invoke(main, ["ci-check", "--kernel", str(tmp_path / "missing.json"),
+                               "--domain", "annulus", "--grid", "0.6:0.8:2"])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "FileNotFoundError"
+
+
+def test_ci_check_annulus_spec_uses_annulus_bound(runner):
+    res = runner.invoke(main, ["ci-check", "--kernel", README_ANNULUS,
+                               "--grid", "0.55:0.9:4", "--out", "-"])
+    assert res.exit_code == 0
+    szego = an.szego_kernel(an.AnnulusSpec(r=0.5))
+    for line in res.stdout.strip().splitlines()[1:]:
+        x, curv, bound, slack, tag = line.split(",")
+        s = kc.eval_kernel(szego, float(x), float(x)).real
+        assert float(bound) == pytest.approx(-4.0 * np.pi ** 2 * s ** 2, rel=1e-14)
+        assert float(slack) == float(bound) - float(curv) > 0.0
+        assert tag == "with4pi2"
+
+
+def test_ci_check_accepts_flags_that_agree_with_spec(runner):
+    spec = json.dumps({"kind": "annulus_laurent", "r": 0.4, "weight_b": 2})
+    args = ["ci-check", "--kernel", spec, "--grid", "0.45:0.9:3"]
+    plain = runner.invoke(main, args)
+    flagged = runner.invoke(main, args + ["--domain", "annulus", "--r", "0.4",
+                                          "--weight", "rho^2"])
+    assert plain.exit_code == flagged.exit_code == 0
+    assert plain.stdout == flagged.stdout
+
+
+@pytest.mark.parametrize("spec, flags, field", [
+    (README_ANNULUS, ["--domain", "disc"], "'kind'"),
+    (README_ANNULUS, ["--r", "0.6"], "'r'"),
+    (README_ANNULUS, ["--weight", "rho"], "'weight_b'"),
+    (json.dumps({"kind": "disc_diagonal", "coeff_rule": "1"}), ["--domain", "annulus"],
+     "'kind'"),
+    (json.dumps({"kind": "disc_diagonal", "coeff_rule": "1"}), ["--r", "0.5"], "'kind'"),
+], ids=["annulus-domain", "annulus-r", "annulus-weight", "disc-domain", "disc-r"])
+def test_ci_check_refuses_flags_that_contradict_spec(runner, spec, flags, field):
+    res = runner.invoke(main, ["ci-check", "--kernel", spec, "--grid", "0.6:0.8:2"]
+                        + flags)
+    assert res.exit_code == 1
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert field in diag["message"]
+
+
+# ---------------------------------------------------------------------------
+# import cost: scipy's heavy subpackages load only where they are used
+
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import rkhs_lab.cli
+heavy = ("scipy.integrate", "scipy.stats", "scipy.linalg")
+loaded = [m for m in heavy if m in sys.modules]
+from rkhs_lab import annulus as an, caratheodory as ca
+spec = an.AnnulusSpec(r=0.5, N=50)
+quad = an.weighted_bergman_kernel(spec, an.RadialWeight.from_profile(lambda rho: rho ** 2))
+closed = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(2.0))
+verdict = ca.generalized_ci_check(np.array([[-2.0]]), "ball", [0.0])
+print(json.dumps({"loaded": loaded,
+                  "quad_rel_diff": float(np.abs(quad.coeffs / closed.coeffs - 1.0).max()),
+                  "ci_passed": bool(verdict.passed), "ci_margin": verdict.worst_margin}))
+"""
+
+
+def test_cli_import_defers_heavy_scipy_modules():
+    src = str(Path(rkhs_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    # the deferred imports still serve the quad profile and Caratheodory sampling
+    assert out["quad_rel_diff"] < 1e-10
+    assert out["ci_passed"]
+    assert out["ci_margin"] == pytest.approx(-1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on generated input: exit 0/1/2, never a traceback, and a
+# JSON diagnostic on stderr for exit 1
+
+numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(),
+                    st.sampled_from([1e-300, 1e300, 10 ** 400, -10 ** 400]))
+
+
+@st.composite
+def specs(draw):
+    if draw(st.booleans()):
+        spec = {"kind": "annulus_laurent",
+                "r": draw(st.one_of(st.floats(0.05, 0.95), numbers)),
+                "weight_b": draw(st.one_of(st.integers(-2, 3), numbers))}
+    else:
+        rule = draw(st.sampled_from(["1", "n+1", "(n+1)^s", "custom-list", "n^2"]))
+        spec = {"kind": "disc_diagonal", "coeff_rule": rule}
+        if rule == "(n+1)^s":
+            spec["s"] = draw(st.one_of(st.floats(-2.0, 2.0), numbers))
+        if rule == "custom-list":
+            spec["coeffs"] = draw(st.lists(st.one_of(st.floats(0.1, 10.0), numbers),
+                                           max_size=6))
+    if draw(st.booleans()):
+        spec["n_max"] = draw(st.integers(-1, 300))
+    if draw(st.integers(0, 5)) == 0:
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    return spec
+
+
+@st.composite
+def invocations(draw):
+    """(argv with a KERNEL placeholder, how to pass the spec, the spec text)."""
+    text = json.dumps(draw(specs()))
+    how = draw(st.sampled_from(["inline", "file", "truncated", "truncated-file",
+                                "missing"]))
+    if how.startswith("truncated"):
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    command = draw(st.sampled_from(["curvature", "check", "extremal", "ci-check"]))
+    lo, hi = sorted(draw(st.floats(-1.2, 1.2)) for _ in range(2))
+    grid = ["--grid", f"{lo}:{hi}:{draw(st.integers(1, 4))}"]
+    if command == "curvature":
+        extra = grid
+    elif command == "check":
+        extra = ["--tests", draw(st.sampled_from(["contraction", "hyponormal", "2hyper",
+                                                  "contraction,hyponormal,2hyper"]))]
+    elif command == "extremal":
+        at = complex(draw(st.floats(-1.2, 1.2)), draw(st.floats(-1.2, 1.2)))
+        extra = ["--at", repr(at)]
+    else:
+        extra = grid
+        if draw(st.booleans()):
+            extra += ["--domain", draw(st.sampled_from(["disc", "annulus"]))]
+        if draw(st.booleans()):
+            extra += ["--r", repr(draw(st.floats(0.05, 0.95)))]
+        if draw(st.booleans()):
+            extra += ["--weight", draw(st.sampled_from(["1", "rho", "rho^2", "rho^-1"]))]
+    return [command, "--kernel", "KERNEL"] + extra, how, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(invocations())
+def test_cli_contract_on_generated_specs(case):
+    argv, how, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        if how in ("file", "truncated-file"):
+            with open(path, "w") as fh:
+                fh.write(text)
+        source = path if how in ("file", "truncated-file", "missing") else text
+        with warnings.catch_warnings():
+            # a warning printed before the diagnostic is printed every time
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(main, [source if a == "KERNEL" else a for a in argv])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code == 1:
+        assert "error" in json.loads(res.stderr)

@@ -55,6 +55,11 @@ def test_json_string_and_file(tmp_path):
     ({"kind": "disc_diagonal", "coeff_rule": "1", "n_max": 0}, "n_max"),
     ({"kind": "annulus_laurent"}, "r"),
     ({"kind": "annulus_laurent", "r": 1.5}, "r"),
+    ({"kind": "disc_diagonal", "coeff_rule": "(n+1)^s", "s": 1000}, "s"),
+    ({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+      "coeffs": [1.0, float("inf")]}, "coeffs"),
+    ({"kind": "annulus_laurent", "r": 0.5, "weight_b": 10 ** 400}, "weight_b"),
+    ({"kind": "annulus_laurent", "r": 0.5, "n_max": 10}, "n_max"),
 ])
 def test_diagnostics_name_offending_field(spec, field):
     with pytest.raises(ConfigError) as exc:
