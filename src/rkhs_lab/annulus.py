@@ -5,6 +5,7 @@ inequality, periods and characters of log-harmonic radial weights."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,8 +87,14 @@ def szego_kernel(spec: AnnulusSpec) -> kc.SeriesKernel:
     return kc.SeriesKernel.annulus(ns, coeffs, spec.r)
 
 
+@lru_cache(maxsize=8)
+def _szego(spec: AnnulusSpec) -> kc.SeriesKernel:
+    """The Szego kernel of a spec, built once and shared (its arrays are read-only)."""
+    return szego_kernel(spec)
+
+
 def szego_annulus(spec: AnnulusSpec, z: complex, w: complex) -> complex:
-    return kc.eval_kernel(szego_kernel(spec), z, w)
+    return kc.eval_kernel(_szego(spec), z, w)
 
 
 def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
@@ -97,9 +104,11 @@ def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
         integrals = []
         for n in ns:
             e = 2 * n + 1 + weight.b
+            with np.errstate(over="ignore"):  # |b| near the double limit gives +-inf
+                overflows = (e + 1.0) * np.log(spec.r) > 700.0  # r^(e+1) overflows
             if abs(e + 1.0) < 1e-14:
                 integrals.append(np.log(1.0 / spec.r))
-            elif (e + 1.0) * np.log(spec.r) > 700.0:  # r^(e+1) overflows
+            elif overflows:
                 integrals.append(np.inf)
             else:
                 integrals.append((1.0 - spec.r ** (e + 1.0)) / (e + 1.0))
@@ -171,7 +180,7 @@ def strict_ci_check(spec: AnnulusSpec, weight: RadialWeight, w: complex,
 
 def hardy_ci_slack(spec: AnnulusSpec, w: complex) -> float:
     """Slack of the Szego (Hardy) kernel itself; strictly positive on the annulus."""
-    kern = szego_kernel(spec)
+    kern = _szego(spec)
     dd = -curvature_scalar(kern, w)
     s = kc.eval_kernel(kern, w, w).real
     return float(dd - 4.0 * np.pi ** 2 * s ** 2)

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 = all verdicts pass, 2 = a mathematical inequality or
-classification check failed, 1 = operational error (bad config, IO, domain).
+classification check failed, 1 = operational error (bad config or option
+text, IO, domain).  Click's own parser errors (a missing required option, a
+value of the wrong type) keep click's exit code 2.
 Outputs are written atomically and are bit-identical for identical configs.
 """
 
@@ -72,9 +74,9 @@ def _parse_grid(grid: str):
         start, stop, steps = grid.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError:
-        raise click.UsageError(f"--grid must be start:stop:steps, got '{grid}'")
+        raise ConfigError(f"option --grid must be start:stop:steps, got '{grid}'")
     if steps < 1:
-        raise click.UsageError("--grid steps must be >= 1")
+        raise ConfigError(f"option --grid steps must be >= 1, got '{grid}'")
     return np.linspace(start, stop, steps)
 
 
@@ -82,7 +84,7 @@ def _parse_at(at: str) -> complex:
     try:
         return complex(at)
     except ValueError:
-        raise click.UsageError(f"--at must be a complex number, got '{at}'")
+        raise ConfigError(f"option --at must be a complex number, got '{at}'")
 
 
 def _parse_weight(weight: str) -> an.RadialWeight:
@@ -96,7 +98,7 @@ def _parse_weight(weight: str) -> an.RadialWeight:
             pass
     if w == "rho":
         return an.RadialWeight.power_law(1.0)
-    raise click.UsageError(f"--weight must be '1', 'rho' or 'rho^<b>', got '{weight}'")
+    raise ConfigError(f"option --weight must be '1', 'rho' or 'rho^<b>', got '{weight}'")
 
 
 def _fail(exc: Exception) -> None:
@@ -139,9 +141,9 @@ def curvature(kernel, grid, fmt, out):
 @click.option("--out", default="-", show_default=True)
 def local_op(kernel, at, m, tol, out):
     """Canonical local-operator form at a point."""
-    if m != 1:
-        raise click.UsageError("only m=1 is exposed on the command line")
     try:
+        if m != 1:
+            raise ConfigError(f"option --m must be 1 on the command line, got {m}")
         kern = load_kernel(kernel)
         w = _parse_at(at)
         form = canonical_form(jet_gram(kern, w))
@@ -173,11 +175,13 @@ def check(kernel, tests, seed, out):
     }
     try:
         kern = load_kernel(kernel)
+        names = [name.strip() for name in tests.split(",")]
+        unknown = [name for name in names if name not in runners]
+        if unknown:
+            raise ConfigError(f"option --tests names unknown test '{unknown[0]}'; "
+                              f"choose from {', '.join(runners)}")
         verdicts = {}
-        for name in tests.split(","):
-            name = name.strip()
-            if name not in runners:
-                raise click.UsageError(f"unknown test '{name}'")
+        for name in names:
             res = runners[name](kern)
             verdicts[name] = {"passed": bool(res),
                               "min_eigenvalue": res.min_eigenvalue}
@@ -284,6 +288,8 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt, out):
 def annulus(r, weight, task, grid, fmt, out):
     """Annulus kernels, strict inequality slack, and weight characters."""
     try:
+        if not 0.0 < r < 1.0:
+            raise ConfigError(f"option --r must lie in (0, 1), got {r}")
         spec = an.AnnulusSpec(r=r)
         wobj = _parse_weight(weight)
         if task == "character":

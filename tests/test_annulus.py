@@ -6,6 +6,7 @@ from scipy import integrate
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
+from rkhs_lab.curvature import curvature_scalar
 from rkhs_lab.errors import NotLogHarmonic
 
 
@@ -137,3 +138,23 @@ def test_extremal_value_disc_hardy_control():
     hardy = kc.SeriesKernel.disc(np.full(201, 1.0 / (2.0 * np.pi)))
     assert an.extremal_problem_value(hardy, 0.0) == pytest.approx(2.0 * np.pi)
     assert an.extremal_problem_ls(hardy, 0.0) == pytest.approx(2.0 * np.pi)
+
+
+def test_szego_kernel_is_built_once_per_spec(monkeypatch):
+    spec = an.AnnulusSpec(r=0.45, N=120)
+    fresh = an.szego_kernel(spec)
+    expected = [float(-curvature_scalar(fresh, complex(x))
+                      - 4.0 * np.pi ** 2 * kc.eval_kernel(fresh, x, x).real ** 2)
+                for x in (0.6, 0.75)]
+    an.szego_annulus(spec, 0.6, 0.6)  # fills the shared kernel
+    builds = []
+    real = an.szego_kernel
+    monkeypatch.setattr(an, "szego_kernel", lambda s: builds.append(s) or real(s))
+    weight = an.RadialWeight.power_law(1.0)
+    kern = an.weighted_bergman_kernel(spec, weight)
+    for x in (0.6, 0.75):
+        an.strict_ci_check(spec, weight, complex(x), kernel=kern)
+    assert [an.hardy_ci_slack(spec, complex(x)) for x in (0.6, 0.75)] == expected
+    assert builds == []
+    # the public builder still returns a new kernel on every call
+    assert an.szego_kernel(spec) is not an.szego_kernel(spec)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rkhs_lab
@@ -134,6 +134,36 @@ def test_grid_parse_errors(runner, geo_spec):
     res = runner.invoke(main, ["curvature", "--kernel", geo_spec,
                                "--grid", "oops"])
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["curvature", "--kernel", "GEO", "--grid", "oops"], "--grid"),
+    (["curvature", "--kernel", "GEO", "--grid", "0:0.5:0"], "--grid"),
+    (["ci-check", "--kernel", "GEO", "--grid", "0:0.5"], "--grid"),
+    (["extremal", "--kernel", "GEO", "--at", "0.1+"], "--at"),
+    (["local-op", "--kernel", "GEO", "--at", "zero"], "--at"),
+    (["annulus", "--task", "bergman", "--weight", "rho^x"], "--weight"),
+    (["check", "--kernel", "GEO", "--tests", "contraction,bogus"], "--tests"),
+    (["local-op", "--kernel", "GEO", "--m", "2"], "--m"),
+    (["annulus", "--task", "szego", "--r", "1.5"], "--r"),
+], ids=["grid-text", "grid-steps", "grid-parts", "extremal-at", "local-op-at",
+        "annulus-weight", "tests", "m", "annulus-r"])
+def test_usage_errors_exit_1_with_json(runner, geo_spec, argv, option):
+    res = runner.invoke(main, [geo_spec if a == "GEO" else a for a in argv])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert f"option {option} " in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [["curvature", "--grid", "0:0.5:3"],
+                                  ["annulus", "--task", "szego", "--r", "half"]],
+                         ids=["missing-kernel", "non-float-r"])
+def test_click_parser_errors_keep_exit_2(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "Usage:" in res.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -281,40 +311,74 @@ def specs(draw):
     return spec
 
 
+#: option text one character or one part away from well-formed
+NEAR_MISSES = ["0:0.5", "0:0.5:3:1", "0:0.5:x", "0:0.5:-2", "0:0.5:0", "0:0.5:1.5",
+               "a:0.5:3", "", " ", "0.3+", "1j+1j", "(0.3", "--1", "nan:", "0.2 0.3"]
+
+
+def grid_steps(text):
+    start, stop, steps = text.split(":")
+    float(start), float(stop)
+    if int(steps) < 1:
+        raise ValueError(steps)
+
+
+def parses(parse, text) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def invocations(draw):
-    """(argv with a KERNEL placeholder, how to pass the spec, the spec text)."""
+    """(argv with a KERNEL placeholder, how to pass the spec, the spec text,
+    whether the --grid or --at text is malformed)."""
     text = json.dumps(draw(specs()))
     how = draw(st.sampled_from(["inline", "file", "truncated", "truncated-file",
                                 "missing"]))
     if how.startswith("truncated"):
         text = text[:draw(st.integers(0, len(text) - 1))]
-    command = draw(st.sampled_from(["curvature", "check", "extremal", "ci-check"]))
-    lo, hi = sorted(draw(st.floats(-1.2, 1.2)) for _ in range(2))
-    grid = ["--grid", f"{lo}:{hi}:{draw(st.integers(1, 4))}"]
-    if command == "curvature":
-        extra = grid
-    elif command == "check":
+    command = draw(st.sampled_from(["curvature", "check", "extremal", "local-op",
+                                    "ci-check"]))
+    malformed = command != "check" and draw(st.integers(0, 3)) == 0
+    option_text = st.one_of(st.text(max_size=12), st.sampled_from(NEAR_MISSES))
+    if command == "check":
         extra = ["--tests", draw(st.sampled_from(["contraction", "hyponormal", "2hyper",
                                                   "contraction,hyponormal,2hyper"]))]
-    elif command == "extremal":
-        at = complex(draw(st.floats(-1.2, 1.2)), draw(st.floats(-1.2, 1.2)))
-        extra = ["--at", repr(at)]
+    elif command in ("extremal", "local-op"):
+        if malformed:
+            at = draw(option_text.filter(lambda t: not parses(complex, t)))
+        else:
+            at = repr(complex(draw(st.floats(-1.2, 1.2)), draw(st.floats(-1.2, 1.2))))
+        extra = [f"--at={at}"]
     else:
-        extra = grid
+        if malformed:
+            grid = draw(option_text.filter(lambda t: not parses(grid_steps, t)))
+        else:
+            lo, hi = sorted(draw(st.floats(-1.2, 1.2)) for _ in range(2))
+            grid = f"{lo}:{hi}:{draw(st.integers(1, 4))}"
+        extra = [f"--grid={grid}"]
+    if command == "ci-check":
         if draw(st.booleans()):
             extra += ["--domain", draw(st.sampled_from(["disc", "annulus"]))]
         if draw(st.booleans()):
             extra += ["--r", repr(draw(st.floats(0.05, 0.95)))]
         if draw(st.booleans()):
             extra += ["--weight", draw(st.sampled_from(["1", "rho", "rho^2", "rho^-1"]))]
-    return [command, "--kernel", "KERNEL"] + extra, how, text
+    return [command, "--kernel", "KERNEL"] + extra, how, text, malformed
 
 
 @settings(max_examples=150, deadline=None)
 @given(invocations())
+# weight_b near the double limit overflowed a norm exponent check with a
+# RuntimeWarning printed ahead of the diagnostic
+@example((["check", "--kernel", "KERNEL", "--tests", "contraction"], "inline",
+          '{"kind": "annulus_laurent", "r": 0.05, "weight_b": 6.000847107507442e+307}',
+          False))
 def test_cli_contract_on_generated_specs(case):
-    argv, how, text = case
+    argv, how, text, malformed = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")
         if how in ("file", "truncated-file"):
@@ -329,5 +393,6 @@ def test_cli_contract_on_generated_specs(case):
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)
     assert "Traceback" not in res.output
-    if res.exit_code == 1:
+    if res.exit_code == 1 or malformed:
+        assert res.exit_code == 1
         assert "error" in json.loads(res.stderr)

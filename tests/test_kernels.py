@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
+from rkhs_lab.curvature import curvature_scalar
 from rkhs_lab.errors import (KernelVanishesNearCenter, PointOutsideDomain,
                              TruncationTailTooLarge)
 from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
@@ -129,37 +130,63 @@ def test_mobius_map_roundtrip():
 SUBNORMAL_FLOOR = 4.0 * 2.0 ** -1074
 
 
-def mp_series(kernel, z, w, p, q):
-    """40-digit sum of a_n F_p(n) F_q(n) z^(n-p) conj(w)^(n-q) over the window,
-    with the rounding tolerance: 1e-12 times the sum of the moduli of its terms
-    (the value itself may cancel) plus a subnormal floor for every term."""
+def mp_series(kernel, z, w, order=2):
+    """40-digit sums of a_n F_p(n) F_q(n) z^(n-p) conj(w)^(n-q) over the window
+    for p, q <= order, with their rounding tolerances: 1e-12 times the sum of
+    the moduli of the terms (the value itself may cancel) plus a subnormal
+    floor for every term."""
+    size = order + 1
     with mpmath.workdps(40):
         zc, wc = mpmath.mpc(z), mpmath.conj(mpmath.mpc(w))
-        total, scale, floor = mpmath.mpc(0), mpmath.mpf(0), 0.0
+        total = [[mpmath.mpc(0)] * size for _ in range(size)]
+        scale = [[mpmath.mpf(0)] * size for _ in range(size)]
+        floor = np.zeros((size, size))
+        zpow, wpow = {}, {}  # each power of z and conj(w) once, by exponent
+
+        def power(x, table, k):
+            if k not in table:
+                table[k] = x ** k
+            return table[k]
+
         for n, a in zip(kernel.ns.tolist(), kernel.coeffs.tolist()):
-            fall = 1
-            for i in range(p):
-                fall *= n - i
-            for i in range(q):
-                fall *= n - i
-            if fall:
-                term = mpmath.mpf(a) * fall * zc ** (n - p) * wc ** (n - q)
-                total += term
-                scale += abs(term)
-                floor += SUBNORMAL_FLOOR * (1.0 + abs(a * fall))
-        return complex(total), 1e-12 * float(scale) + floor
+            fall = [1]
+            for i in range(order):
+                fall.append(fall[-1] * (n - i))
+            for p in range(size):
+                for q in range(size):
+                    if fall[p] * fall[q]:
+                        term = (mpmath.mpf(a) * fall[p] * fall[q]
+                                * power(zc, zpow, n - p) * power(wc, wpow, n - q))
+                        total[p][q] += term
+                        scale[p][q] += abs(term)
+                        floor[p, q] += SUBNORMAL_FLOOR * (1.0 + abs(a * fall[p] * fall[q]))
+        return ([[complex(total[p][q]) for q in range(size)] for p in range(size)],
+                1e-12 * np.array(scale, dtype=float) + floor)
 
 
 @st.composite
 def windows_and_points(draw):
-    """Positive disc windows with points including 0, or Laurent windows of the
-    annulus Szego / weighted Bergman kernels with points in the admissible band."""
-    if draw(st.booleans()):
-        coeffs = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=40))
-        kernel, radii = kc.SeriesKernel.disc(coeffs), st.one_of(
-            st.just(0.0), st.floats(0.0, 0.97))
+    """Positive disc windows with points including 0; signed tilde windows with
+    zero coefficients (runs of equal a_n), as the extremality tests feed them
+    to the jet; or Laurent windows of the annulus Szego / weighted Bergman
+    kernels with points in the admissible band.  Some windows have the
+    production length: 201 disc terms, or N = 200 on the annulus."""
+    disc_radii = st.one_of(st.just(0.0), st.floats(0.0, 0.97))
+    family = draw(st.sampled_from(["disc", "tilde", "annulus"]))
+    long = draw(st.integers(0, 3)) == 0
+    if family == "disc":
+        size = 201 if long else draw(st.integers(1, 40))
+        coeffs = draw(st.lists(st.floats(0.1, 10.0), min_size=size, max_size=size))
+        kernel, radii = kc.SeriesKernel.disc(coeffs), disc_radii
+    elif family == "tilde":
+        runs = draw(st.lists(st.tuples(st.floats(0.1, 10.0), st.integers(1, 8)),
+                             min_size=1, max_size=40 if long else 8))
+        coeffs = [a for a, length in runs for _ in range(length)]
+        if long:
+            coeffs = (coeffs * (201 // len(coeffs) + 1))[:201]
+        kernel, radii = kc.tilde_kernel(kc.SeriesKernel.disc(coeffs)), disc_radii
     else:
-        spec = an.AnnulusSpec(r=draw(st.floats(0.2, 0.7)), N=50)
+        spec = an.AnnulusSpec(r=draw(st.floats(0.2, 0.7)), N=200 if long else 50)
         if draw(st.booleans()):
             kernel = an.szego_kernel(spec)
         else:
@@ -181,12 +208,12 @@ def windows_and_points(draw):
 def test_deriv2_and_jet_match_mpmath(case):
     kernel, z, w = case
     J = kc.jet(kernel, w, 2).values
+    two_point, two_point_tol = mp_series(kernel, z, w)
+    diagonal, diagonal_tol = mp_series(kernel, w, w)
     for p in range(3):
         for q in range(3):
-            exact, tol = mp_series(kernel, z, w, p, q)
-            assert abs(kc.deriv2(kernel, z, w, p, q) - exact) <= tol
-            exact, tol = mp_series(kernel, w, w, p, q)
-            assert abs(J[p, q] - exact) <= tol
+            assert abs(kc.deriv2(kernel, z, w, p, q) - two_point[p][q]) <= two_point_tol[p, q]
+            assert abs(J[p, q] - diagonal[p][q]) <= diagonal_tol[p, q]
 
 
 @pytest.mark.parametrize("coeffs", [np.linspace(1.0, 3.0, 201),
@@ -220,3 +247,47 @@ def test_every_series_path_checks_the_domain():
         kc.deriv2(k, 0.7, 0.3, 1, 1)
     with pytest.raises(PointOutsideDomain):
         kc.mixed_deriv(geometric(), complex(np.nan, 0.0), 1, 1)
+
+
+def test_series_kernel_arrays_are_private_and_read_only():
+    ns, coeffs = np.arange(60), np.linspace(1.0, 2.0, 60)
+    k = kc.SeriesKernel(kc.DISC_DIAGONAL, ns, coeffs)
+    for arr in (k.ns, k.coeffs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    w = 0.4 + 0.2j
+    before = kc.jet(k, w, 2).values
+    coeffs[:] = 7.0  # the caller's array, after the kernel was built and used
+    ns[:] = 0
+    assert np.array_equal(kc.jet(k, w, 2).values, before)
+    assert np.array_equal(k.coeffs, np.linspace(1.0, 2.0, 60))
+
+
+def test_jet_at_zero_is_exact():
+    # J[p, p] = a_p (p!)^2 and the off-diagonal entries vanish exactly
+    k = kc.SeriesKernel.disc([2.0, 3.0, 5.0, 7.0])
+    J = kc.jet(k, 0.0, 2).values
+    assert np.array_equal(J, np.diag([2.0, 3.0, 5.0 * 4.0]).astype(complex))
+
+
+@pytest.mark.parametrize("kernel", [
+    kc.SeriesKernel.bergman(),
+    kc.mobius_pullback(kc.SeriesKernel.bergman(), 0.2 - 0.1j),
+], ids=["series", "closed-form"])
+def test_normalize_at_keeps_the_curvature(kernel):
+    # normalization multiplies K by |f|^2 with f holomorphic: same curvature
+    nk = kc.normalize_at(kernel, 0.3 + 0.1j)
+    for z in (0.3 + 0.1j, -0.2 + 0.4j, 0.5):
+        assert curvature_scalar(nk, z) == pytest.approx(curvature_scalar(kernel, z),
+                                                        rel=1e-8)
+    J = kc.jet(nk, 0.1j, 2).values
+    assert np.allclose(J, J.conj().T, rtol=0.0, atol=1e-12 * abs(J).max())
+
+
+def test_normalize_at_checks_sample_points_of_series_kernels():
+    short = kc.SeriesKernel.disc(np.ones(20))
+    with pytest.raises(TruncationTailTooLarge):
+        kc.normalize_at(short, 0.85)
+    with pytest.raises(PointOutsideDomain):
+        kc.normalize_at(geometric(), 0.95)
