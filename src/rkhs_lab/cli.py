@@ -175,13 +175,12 @@ def check(kernel, tests, seed, out):
     }
     try:
         kern = load_kernel(kernel)
-        names = [name.strip() for name in tests.split(",")]
-        unknown = [name for name in names if name not in runners]
-        if unknown:
-            raise ConfigError(f"option --tests names unknown test '{unknown[0]}'; "
-                              f"choose from {', '.join(runners)}")
         verdicts = {}
-        for name in names:
+        for name in tests.split(","):
+            name = name.strip()
+            if name not in runners:
+                raise ConfigError(f"option --tests names unknown test '{name}'; "
+                                  f"choose from {', '.join(runners)}")
             res = runners[name](kern)
             verdicts[name] = {"passed": bool(res),
                               "min_eigenvalue": res.min_eigenvalue}
