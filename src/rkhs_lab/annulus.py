@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels as kc
 from .curvature import curvature_scalar
-from .errors import DegenerateJet, NotLogHarmonic, QuadratureFailure
+from .errors import ConfigError, DegenerateJet, NotLogHarmonic, QuadratureFailure
 
 BOUNDARY_NODES = 4096
 QUAD_RTOL = 1e-12
@@ -26,7 +26,7 @@ class AnnulusSpec:
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
-            raise ValueError("inner radius must lie in (0, 1)")
+            raise ConfigError(f"field 'r' must lie in (0, 1), got {self.r}")
         if self.N < MIN_N:
             raise ValueError(f"truncation N must be at least {MIN_N}")
 

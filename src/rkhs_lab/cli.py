@@ -287,8 +287,6 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt, out):
 def annulus(r, weight, task, grid, fmt, out):
     """Annulus kernels, strict inequality slack, and weight characters."""
     try:
-        if not 0.0 < r < 1.0:
-            raise ConfigError(f"option --r must lie in (0, 1), got {r}")
         spec = an.AnnulusSpec(r=r)
         wobj = _parse_weight(weight)
         if task == "character":

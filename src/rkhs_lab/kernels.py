@@ -6,9 +6,11 @@ matrices) are read off one product T(z) diag(a) T(w)^H, where
 T[p, i, n] = F_p(n) x_i^(n - p) (F_p the falling factorial).  Diagonal jets
 come from real moment sums: with t = |w|^2,
 d^p d^qbar K(w, w) = conj(w)^(p - q) sum_n a_n F_p(n) F_q(n) t^(n - p) for
-p >= q.  Both paths check every point against the domain.  The constant rows
-of a kernel (live window, falling factorials, exponents, moment weights, tail
-growth) are computed once and kept on the kernel, whose arrays are read-only.
+p >= q, summed as the real product M diag(a) M^T with M[p, n] = F_p(n) |w|^(n - p)
+so that, as in the table product, a_n sits between the two powers of |w|.
+Both paths check every point against the domain.  The constant rows of a
+kernel (live window, falling factorials, exponents, tail growth) are computed
+once and kept on the kernel, whose arrays are read-only.
 Closed-form kernels, as built by normalization and Mobius pullback, carry
 callables for evaluation and for the two-point mixed derivatives.
 """
@@ -88,9 +90,10 @@ class SeriesKernel:
         return self.ns[live], self.coeffs[live]
 
     @cached_property
-    def _rows_by_order(self) -> dict:
-        """Constant rows of the live window per jet order; see :func:`_rows`."""
-        return {}
+    def _row_store(self) -> list:
+        """Constant rows of the live window for the highest order built so far;
+        filled by :func:`_rows`."""
+        return []
 
     @cached_property
     def _tail_growth(self) -> tuple:
@@ -226,44 +229,31 @@ def _series_tail_bound(kernel: SeriesKernel, rho: np.ndarray) -> np.ndarray:
 
 
 def _rows(kernel: SeriesKernel, order: int):
-    """(fall, exps, weights) of the live window for p, q <= order, built once
-    per kernel and order.
+    """(fall, exps) of the live window for p <= order, sliced from the rows of
+    the highest order built so far on the kernel.
 
     fall[p, k] = F_p(n_k), with F_p(n) = n (n - 1) ... (n - p + 1) the falling
     factorial; exps[p, k] = n_k - p, replaced by 0 where F_p(n_k) = 0 so that
-    x = 0 never meets a negative power; weights[p, q, k] = a_k F_p(n_k) F_q(n_k).
+    x = 0 never meets a negative power.
     """
-    rows = kernel._rows_by_order.get(order)
-    if rows is None:
-        ns, a = kernel._live
+    store = kernel._row_store
+    if not store or store[0].shape[0] <= order:
+        ns = kernel._live[0]
         fall = np.ones((order + 1, ns.size))
         for p in range(1, order + 1):
             fall[p] = fall[p - 1] * (ns - (p - 1))
-        exps = np.where(fall != 0.0, ns - np.arange(order + 1)[:, None], 0).astype(float)
-        weights = a * fall[:, None, :] * fall[None, :, :]
-        rows = kernel._rows_by_order[order] = (fall, exps, weights)
-    return rows
+        store[:] = fall, np.where(fall != 0.0, ns - np.arange(order + 1)[:, None], 0)
+    return store[0][:order + 1], store[1][:order + 1]
 
 
 def _table(kernel: SeriesKernel, x, order: int) -> np.ndarray:
     """T[p, i, k] = F_p(n_k) x_i^(n_k - p) over the live window for p <= order,
-    after checking every x_i.  Where F_p(n_k) = 0 the entry is an exact zero.
-
-    The powers are taken in polar form |x|^e (cos e arg x + i sin e arg x) with
-    numpy's vectorised real functions rather than libm's complex pow, which
-    runs 2-3x slower right after a BLAS product.
-    """
+    after checking every x_i.  Where F_p(n_k) = 0 the entry is an exact zero."""
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     for xi in x:
         check_point(kernel, xi)
-    fall, exps, _ = _rows(kernel, order)
-    e = exps[:, None, :]
-    phase = e * np.angle(x)[None, :, None]
-    mag = fall[:, None, :] * np.abs(x)[None, :, None] ** e
-    T = np.empty(mag.shape, dtype=complex)
-    np.multiply(mag, np.cos(phase), out=T.real)
-    np.multiply(mag, np.sin(phase), out=T.imag)
-    return T
+    fall, exps = _rows(kernel, order)
+    return fall[:, None, :] * x[None, :, None] ** exps[:, None, :]
 
 
 def _series(kernel: SeriesKernel, z, w, order: int) -> np.ndarray:
@@ -283,21 +273,28 @@ def _series(kernel: SeriesKernel, z, w, order: int) -> np.ndarray:
 def _moment_jet(kernel: SeriesKernel, w: complex, order: int) -> np.ndarray:
     """J[p, q] = d^p d^qbar K(w, w) for p, q <= order from real moment sums.
 
-    For p >= q, J[p, q] = conj(w)^(p - q) sum_k weights[p, q, k] t^exps[p, k]
-    with t = |w|^2; the upper triangle is the conjugate transpose.
+    With M[p, k] = F_p(n_k) |w|^exps[p, k], for p >= q
+    J[p, q] = (conj(w) / |w|)^(p - q) (M diag(a) M^T)[p, q], which is
+    conj(w)^(p - q) sum_k a_k F_p F_q t^(n_k - p); the upper triangle is the
+    conjugate transpose.  Each power of |w| is scaled by a_k before it meets
+    the other, so a small a_k at a negative n_k (inner end of a Laurent
+    window) keeps the sum finite where t^(n_k - p) alone would overflow.
     """
     check_point(kernel, w)
-    _, exps, weights = _rows(kernel, order)
+    fall, exps = _rows(kernel, order)
     w = complex(w)
-    powers = (w.real * w.real + w.imag * w.imag) ** exps
-    sums = (weights @ powers[:, :, None])[:, :, 0]  # row p uses t^(n - p)
-    wbar = [1.0 + 0j]
+    r = abs(w)
+    M = fall * r ** exps
+    sums = (M * kernel._live[1]) @ M.T
+    # at w = 0 only the diagonal survives, so the phase is irrelevant there
+    phase = w.conjugate() / r if r else 0j
+    powers = [1.0 + 0j]
     for _ in range(order):
-        wbar.append(wbar[-1] * w.conjugate())
+        powers.append(powers[-1] * phase)
     J = np.empty((order + 1, order + 1), dtype=complex)
     for p in range(order + 1):
         for q in range(p + 1):
-            J[p, q] = wbar[p - q] * sums[p, q]
+            J[p, q] = powers[p - q] * sums[p, q]
             J[q, p] = J[p, q].conjugate()
     return J
 
@@ -377,7 +374,7 @@ def tilde_kernel(kernel: SeriesKernel) -> SeriesKernel:
     b = np.empty_like(a)
     b[0] = a[0]
     b[1:] = a[1:] - a[:-1]
-    return SeriesKernel(DISC_DIAGONAL, kernel.ns.copy(), b, signed=True)
+    return SeriesKernel(DISC_DIAGONAL, kernel.ns, b, signed=True)
 
 
 def _derivs(kernel, z: complex, w: complex, p: int, q: int) -> np.ndarray:

@@ -55,14 +55,11 @@ def annulus_from_spec(spec: dict) -> tuple[an.AnnulusSpec, an.RadialWeight]:
     if n_max < an.MIN_N:
         raise ConfigError(f"field 'n_max' must be at least {an.MIN_N} for "
                           f"annulus_laurent, got {n_max}")
-    r = _require(spec, "r", (int, float))
-    if not 0.0 < r < 1.0:
-        raise ConfigError(f"field 'r' must lie in (0, 1), got {r}")
+    annulus = an.AnnulusSpec(r=_float("r", _require(spec, "r", (int, float))), N=n_max)
     b = spec.get("weight_b", 0.0)
     if not isinstance(b, (int, float)):
         raise ConfigError(f"field 'weight_b' must be a number, got {b!r}")
-    weight = an.RadialWeight.power_law(_float("weight_b", b))
-    return an.AnnulusSpec(r=float(r), N=n_max), weight
+    return annulus, an.RadialWeight.power_law(_float("weight_b", b))
 
 
 def kernel_from_spec(spec: dict) -> kc.SeriesKernel:

@@ -136,25 +136,25 @@ def test_grid_parse_errors(runner, geo_spec):
     assert res.exit_code != 0
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["curvature", "--kernel", "GEO", "--grid", "oops"], "--grid"),
-    (["curvature", "--kernel", "GEO", "--grid", "0:0.5:0"], "--grid"),
-    (["ci-check", "--kernel", "GEO", "--grid", "0:0.5"], "--grid"),
-    (["extremal", "--kernel", "GEO", "--at", "0.1+"], "--at"),
-    (["local-op", "--kernel", "GEO", "--at", "zero"], "--at"),
-    (["annulus", "--task", "bergman", "--weight", "rho^x"], "--weight"),
-    (["check", "--kernel", "GEO", "--tests", "contraction,bogus"], "--tests"),
-    (["local-op", "--kernel", "GEO", "--m", "2"], "--m"),
-    (["annulus", "--task", "szego", "--r", "1.5"], "--r"),
+@pytest.mark.parametrize("argv, names", [
+    (["curvature", "--kernel", "GEO", "--grid", "oops"], "option --grid "),
+    (["curvature", "--kernel", "GEO", "--grid", "0:0.5:0"], "option --grid "),
+    (["ci-check", "--kernel", "GEO", "--grid", "0:0.5"], "option --grid "),
+    (["extremal", "--kernel", "GEO", "--at", "0.1+"], "option --at "),
+    (["local-op", "--kernel", "GEO", "--at", "zero"], "option --at "),
+    (["annulus", "--task", "bergman", "--weight", "rho^x"], "option --weight "),
+    (["check", "--kernel", "GEO", "--tests", "contraction,bogus"], "option --tests "),
+    (["local-op", "--kernel", "GEO", "--m", "2"], "option --m "),
+    (["annulus", "--task", "szego", "--r", "1.5"], "field 'r' "),
 ], ids=["grid-text", "grid-steps", "grid-parts", "extremal-at", "local-op-at",
         "annulus-weight", "tests", "m", "annulus-r"])
-def test_usage_errors_exit_1_with_json(runner, geo_spec, argv, option):
+def test_usage_errors_exit_1_with_json(runner, geo_spec, argv, names):
     res = runner.invoke(main, [geo_spec if a == "GEO" else a for a in argv])
     assert res.exit_code == 1
     assert res.stdout == ""
     diag = json.loads(res.stderr)
     assert diag["error"] == "ConfigError"
-    assert f"option {option} " in diag["message"]
+    assert names in diag["message"]
 
 
 @pytest.mark.parametrize("argv", [["curvature", "--grid", "0:0.5:3"],

@@ -169,8 +169,10 @@ def windows_and_points(draw):
     """Positive disc windows with points including 0; signed tilde windows with
     zero coefficients (runs of equal a_n), as the extremality tests feed them
     to the jet; or Laurent windows of the annulus Szego / weighted Bergman
-    kernels with points in the admissible band.  Some windows have the
-    production length: 201 disc terms, or N = 200 on the annulus."""
+    kernels with points in the admissible band, including thin inner radii
+    and steep weights, whose inner coefficients come near the double's
+    underflow, and points at the inner edge of the band.  Some windows have the production length: 201 disc terms, or
+    N = 200 on the annulus."""
     disc_radii = st.one_of(st.just(0.0), st.floats(0.0, 0.97))
     family = draw(st.sampled_from(["disc", "tilde", "annulus"]))
     long = draw(st.integers(0, 3)) == 0
@@ -186,13 +188,15 @@ def windows_and_points(draw):
             coeffs = (coeffs * (201 // len(coeffs) + 1))[:201]
         kernel, radii = kc.tilde_kernel(kc.SeriesKernel.disc(coeffs)), disc_radii
     else:
-        spec = an.AnnulusSpec(r=draw(st.floats(0.2, 0.7)), N=200 if long else 50)
+        r = draw(st.one_of(st.floats(0.2, 0.7), st.floats(0.05, 0.2)))
+        spec = an.AnnulusSpec(r=r, N=200 if long else 50)
         if draw(st.booleans()):
             kernel = an.szego_kernel(spec)
         else:
-            b = draw(st.floats(-2.0, 3.0))
+            b = draw(st.one_of(st.floats(-2.0, 3.0), st.floats(3.0, 60.0)))
             kernel = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(b))
-        radii = st.floats(spec.r + kc.BOUNDARY_MARGIN + 1e-3, 0.97)
+        inner = spec.r + kc.BOUNDARY_MARGIN + 1e-3
+        radii = st.one_of(st.just(inner), st.floats(inner, 0.97))
     z, w = (draw(radii) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
             for _ in range(2))
     return kernel, z, w
@@ -205,6 +209,9 @@ def windows_and_points(draw):
 @example((kc.SeriesKernel.disc([1.0, 1.0, 2.0]), 0j, 2.490850251126296e-157 + 0j))
 @example((kc.SeriesKernel.disc([1.0, 1.0, 1.0]),
           1.3458121342557727e-157 + 2.0959782138242404e-157j, 0j))
+# a_n ~ 1e-300 at n = -142, where |w|^(2n) alone overflows a double
+@example((an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05, N=200),
+                                     an.RadialWeight.power_law(50.0)), 0.6j, 0.075 + 0j))
 def test_deriv2_and_jet_match_mpmath(case):
     kernel, z, w = case
     J = kc.jet(kernel, w, 2).values
