@@ -275,8 +275,8 @@ def _moment_jet(kernel: SeriesKernel, w: complex, order: int) -> np.ndarray:
 
     With M[p, k] = F_p(n_k) |w|^exps[p, k], for p >= q
     J[p, q] = (conj(w) / |w|)^(p - q) (M diag(a) M^T)[p, q], which is
-    conj(w)^(p - q) sum_k a_k F_p F_q t^(n_k - p); the upper triangle is the
-    conjugate transpose.  Each power of |w| is scaled by a_k before it meets
+    conj(w)^(p - q) sum_k a_k F_p F_q t^(n_k - p) with t = |w|^2; the upper
+    triangle is the conjugate transpose.  Each power of |w| is scaled by a_k before it meets
     the other, so a small a_k at a negative n_k (inner end of a Laurent
     window) keeps the sum finite where t^(n_k - p) alone would overflow.
     """
