@@ -11,8 +11,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels as kc
-from .curvature import curvature_scalar
-from .errors import ConfigError, DegenerateJet, NotLogHarmonic, QuadratureFailure
+from .curvature import ci_slack, curvature_scalar
+from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, QuadratureFailure
 
 BOUNDARY_NODES = 4096
 QUAD_RTOL = 1e-12
@@ -173,17 +173,12 @@ def strict_ci_check(spec: AnnulusSpec, weight: RadialWeight, w: complex,
     """Slack dd-bar log K - 4 pi^2 S(w, w)^2 of the weighted Bergman kernel."""
     if kernel is None:
         kernel = weighted_bergman_kernel(spec, weight)
-    dd = -curvature_scalar(kernel, w)
-    s = szego_annulus(spec, w, w).real
-    return float(dd - 4.0 * np.pi ** 2 * s ** 2)
+    return float(ci_slack(kernel, w, szego_annulus(spec, w, w).real)[2])
 
 
 def hardy_ci_slack(spec: AnnulusSpec, w: complex) -> float:
     """Slack of the Szego (Hardy) kernel itself; strictly positive on the annulus."""
-    kern = _szego(spec)
-    dd = -curvature_scalar(kern, w)
-    s = kc.eval_kernel(kern, w, w).real
-    return float(dd - 4.0 * np.pi ** 2 * s ** 2)
+    return float(ci_slack(_szego(spec), w, szego_annulus(spec, w, w).real)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,6 @@ def _inner_flux(spec: AnnulusSpec, u: Callable[[float], float],
     r2 = (4.0 * d3 - d2) / 3.0
     du = (16.0 * r2 - r1) / 15.0
     # radial integrand is constant on the circle; trapezoid over theta
-    theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
     ds = spec.r * (2.0 * np.pi / nodes)
     return float(np.sum(np.full(nodes, -du) * ds))  # d/d eta = -d/d rho
 
@@ -224,8 +218,10 @@ def character_of_weight(spec: AnnulusSpec, weight: RadialWeight) -> Character:
     def half_log_h(rho: float) -> float:
         return 0.5 * weight.b * np.log(rho)
 
-    flux = _inner_flux(spec, half_log_h)
-    c = -flux
+    with np.errstate(all="ignore"):
+        c = -_inner_flux(spec, half_log_h)
+    if not np.isfinite(c):
+        raise NonFiniteValue(f"period of rho^{weight.b} is not finite on the annulus r = {spec.r}")
     return Character(gammas=[complex(np.exp(1j * c))], periods=[c],
                      periods_alternate=[-c])
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import annulus as an
 from . import kernels as kc
-from .curvature import curvature_scalar
+from .curvature import ci_slack, curvature_scalar
 from .errors import ConfigError, KernelLabError
 from .extremality import classify_shift
 from .localop import LocalOperatorForm, canonical_form, jet_gram, verify_tt_identity
@@ -69,6 +69,11 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_rows(header, rows, fmt: str, out: str) -> None:
+    _write_out(_csv(header, rows) if fmt == "csv" else
+               _json({"rows": [dict(zip(header, row)) for row in rows]}), out)
+
+
 def _parse_grid(grid: str):
     try:
         start, stop, steps = grid.split(":")
@@ -89,16 +94,16 @@ def _parse_at(at: str) -> complex:
 
 def _parse_weight(weight: str) -> an.RadialWeight:
     w = weight.strip()
-    if w in ("1", ""):
-        return an.RadialWeight.power_law(0.0)
-    if w.startswith("rho^"):
+    b = {"1": 0.0, "": 0.0, "rho": 1.0}.get(w)
+    if b is None and w.startswith("rho^"):
         try:
-            return an.RadialWeight.power_law(float(w[4:]))
+            b = float(w[4:])
         except ValueError:
             pass
-    if w == "rho":
-        return an.RadialWeight.power_law(1.0)
-    raise ConfigError(f"option --weight must be '1', 'rho' or 'rho^<b>', got '{weight}'")
+    if b is None or not np.isfinite(b):
+        raise ConfigError(f"option --weight must be '1', 'rho' or 'rho^<b>' with a "
+                          f"finite b, got '{weight}'")
+    return an.RadialWeight.power_law(b)
 
 
 def _fail(exc: Exception) -> None:
@@ -125,11 +130,7 @@ def curvature(kernel, grid, fmt, out):
         rows = [(r, curvature_scalar(kern, complex(r))) for r in radii]
     except (KernelLabError, OSError) as exc:
         _fail(exc)
-    if fmt == "csv":
-        text = _csv(["abs_w", "curvature"], rows)
-    else:
-        text = _json({"rows": [{"abs_w": r, "curvature": k} for r, k in rows]})
-    _write_out(text, out)
+    _write_rows(["abs_w", "curvature"], rows, fmt, out)
     sys.exit(EXIT_PASS)
 
 
@@ -248,31 +249,18 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt, out):
                 raise _contradiction("--r", r, "r", aspec.r)
             if weight is not None and _parse_weight(weight).b != wobj.b:
                 raise _contradiction("--weight", weight, "weight_b", wobj.b)
-            szego = an.szego_kernel(aspec)
         elif r is not None:
             raise _contradiction("--r", r, "kind", kern.kind)
         elif weight is not None:
             raise _contradiction("--weight", weight, "kind", kern.kind)
         rows = []
-        violated = False
         for x in radii:
-            curv = curvature_scalar(kern, complex(x))
-            if annulus:
-                s = kc.eval_kernel(szego, complex(x), complex(x)).real
-                bound = -4.0 * np.pi ** 2 * s ** 2
-            else:
-                bound = -((1.0 - x * x) ** -2)
-            slack = bound - curv  # >= 0 when the inequality holds
-            violated = violated or slack < -tol
-            rows.append((x, curv, bound, slack, "with4pi2"))
+            s = an.szego_annulus(aspec, complex(x), complex(x)).real if annulus else None
+            rows.append((x, *ci_slack(kern, complex(x), s), "with4pi2"))
     except (KernelLabError, OSError) as exc:
         _fail(exc)
-    header = ["abs_w", "curvature", "bound", "slack", "normalization"]
-    if fmt == "csv":
-        text = _csv(header, rows)
-    else:
-        text = _json({"rows": [dict(zip(header, row)) for row in rows]})
-    _write_out(text, out)
+    violated = any(slack < -tol for _, _, _, slack, _ in rows)
+    _write_rows(["abs_w", "curvature", "bound", "slack", "normalization"], rows, fmt, out)
     sys.exit(EXIT_VIOLATION if violated else EXIT_PASS)
 
 
@@ -301,7 +289,6 @@ def annulus(r, weight, task, grid, fmt, out):
             sys.exit(EXIT_PASS)
         radii = _parse_grid(grid)
         rows = []
-        violated = False
         if task == "szego":
             kern = an.szego_kernel(spec)
             for x in radii:
@@ -317,17 +304,13 @@ def annulus(r, weight, task, grid, fmt, out):
         else:
             kern = an.weighted_bergman_kernel(spec, wobj)
             for x in radii:
-                slack = an.strict_ci_check(spec, wobj, complex(x), kernel=kern)
-                violated = violated or slack <= 0.0
-                rows.append((x, slack, "with4pi2"))
+                rows.append((x, an.strict_ci_check(spec, wobj, complex(x), kernel=kern),
+                             "with4pi2"))
             header = ["abs_w", "slack", "normalization"]
     except (KernelLabError, OSError) as exc:
         _fail(exc)
-    if fmt == "csv":
-        text = _csv(header, rows)
-    else:
-        text = _json({"rows": [dict(zip(header, row)) for row in rows]})
-    _write_out(text, out)
+    violated = task == "strict-ci" and any(slack <= 0.0 for _, slack, _ in rows)
+    _write_rows(header, rows, fmt, out)
     sys.exit(EXIT_VIOLATION if violated else EXIT_PASS)
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, nan
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels as kc
-from .errors import DegenerateKernel, SingularMetric
+from .errors import DegenerateKernel, NonFiniteValue, SingularMetric
 
 FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
 
@@ -53,11 +54,27 @@ class CurvatureMatrix:
 def curvature_scalar(kernel, w: complex) -> float:
     """-d d-bar log K(w, w) via the order-1 jet quotient formula."""
     J = kc.jet(kernel, w, 1).values
-    j00 = J[0, 0].real
+    j00 = float(J[0, 0].real)
     if j00 <= 1e-300:
         raise DegenerateKernel(f"K(w, w) = {j00} at w = {w}")
-    num = j00 * J[1, 1].real - abs(J[0, 1]) ** 2
-    return -num / j00 ** 2
+    try:  # in Python floats an overflow gives inf or an exception, never a warning
+        curv = -(j00 * float(J[1, 1].real) - float(abs(J[0, 1])) ** 2) / j00 ** 2
+    except (OverflowError, ZeroDivisionError):
+        curv = nan
+    if not isfinite(curv):
+        raise NonFiniteValue(f"curvature is not finite at w = {w} (K(w, w) = {j00:.3e})")
+    return curv
+
+
+def ci_slack(kernel, w: complex, szego_value=None) -> tuple:
+    """(curvature, bound, slack = bound - curvature) of the curvature inequality at w;
+    the bound is -(1 - |w|^2)^-2, or -4 pi^2 S(w, w)^2 given the Szego value S(w, w)."""
+    curv = curvature_scalar(kernel, w)
+    if szego_value is None:
+        bound = -((1.0 - abs(w) * abs(w)) ** -2)
+    else:
+        bound = -4.0 * np.pi ** 2 * szego_value ** 2
+    return curv, bound, bound - curv
 
 
 def curvature_scalar_fd(kernel, w: complex, step: float = FD_STEP) -> float:

@@ -17,6 +17,10 @@ class TruncationTailTooLarge(KernelLabError):
     pass
 
 
+class NonFiniteValue(KernelLabError):
+    """A series sum or a quantity built from it is not finite."""
+
+
 class UnsupportedJetOrder(KernelLabError):
     pass
 

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels as kc
-from .curvature import curvature_scalar
+from .curvature import ci_slack
 from .errors import NotAContraction
 from .positivity import (as_weights, contraction_check, hyponormal_check,
                          two_hypercontraction_check)
@@ -91,8 +91,7 @@ def classify_shift(ws, zeta: complex, rtol: float = FK_RTOL) -> ExtremalityRepor
     fk, j00, _ = _tilde_minor(kernel, zeta)
     at_point = abs(fk) <= rtol * max(j00 ** 2, 1e-300)
     weights_all_one = bool(np.all(np.abs(ws.weights - 1.0) <= WEIGHT_TOL))
-    curv = curvature_scalar(kernel, zeta)
-    bound = -(1.0 - abs(zeta) ** 2) ** -2
+    curv, bound, _ = ci_slack(kernel, zeta)
     if not at_point:
         classification = CLASS_NOT_EXTREMAL
         equivalent = False

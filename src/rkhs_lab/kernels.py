@@ -8,9 +8,10 @@ come from real moment sums: with t = |w|^2,
 d^p d^qbar K(w, w) = conj(w)^(p - q) sum_n a_n F_p(n) F_q(n) t^(n - p) for
 p >= q, summed as the real product M diag(a) M^T with M[p, n] = F_p(n) |w|^(n - p)
 so that, as in the table product, a_n sits between the two powers of |w|.
-Both paths check every point against the domain.  The constant rows of a
-kernel (live window, falling factorials, exponents, tail growth) are computed
-once and kept on the kernel, whose arrays are read-only.
+Both paths check every point against the domain and refuse a sum that is not
+finite with ``NonFiniteValue``.  The constant rows of a kernel (live window,
+falling factorials, exponents, tail growth) are computed once and kept on the
+kernel, whose arrays are read-only.
 Closed-form kernels, as built by normalization and Mobius pullback, carry
 callables for evaluation and for the two-point mixed derivatives.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     CenterOutsideDisc,
     ConfigError,
     KernelVanishesNearCenter,
+    NonFiniteValue,
     PointOutsideDomain,
     TruncationTailTooLarge,
     UnsupportedJetOrder,
@@ -263,11 +265,17 @@ def _series(kernel: SeriesKernel, z, w, order: int) -> np.ndarray:
     with a zero coefficient are left out.
     """
     a = kernel._live[1]
-    tz = _table(kernel, z, order)
-    tw = tz if w is z else _table(kernel, w, order)
-    size = order + 1
-    S = (tz * a).reshape(size * tz.shape[1], -1) @ tw.reshape(size * tw.shape[1], -1).conj().T
-    return S.reshape(size, tz.shape[1], size, tw.shape[1]).transpose(0, 2, 1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tz = _table(kernel, z, order)
+        tw = tz if w is z else _table(kernel, w, order)
+        size = order + 1
+        S = (tz * a).reshape(size * tz.shape[1], -1) @ tw.reshape(size * tw.shape[1], -1).conj().T
+    S = S.reshape(size, tz.shape[1], size, tw.shape[1]).transpose(0, 2, 1, 3)
+    if not np.isfinite(S).all():
+        p, q, i, j = np.argwhere(~np.isfinite(S))[0]
+        raise NonFiniteValue(f"series sum d^{p} d^{q}bar K(z, w) is not finite at "
+                             f"z = {np.atleast_1d(z)[i]}, w = {np.atleast_1d(w)[j]}")
+    return S
 
 
 def _moment_jet(kernel: SeriesKernel, w: complex, order: int) -> np.ndarray:
@@ -284,19 +292,22 @@ def _moment_jet(kernel: SeriesKernel, w: complex, order: int) -> np.ndarray:
     fall, exps = _rows(kernel, order)
     w = complex(w)
     r = abs(w)
-    M = fall * r ** exps
-    sums = (M * kernel._live[1]) @ M.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = fall * r ** exps
+        sums = ((M * kernel._live[1]) @ M.T).tolist()  # item access on numpy costs more
     # at w = 0 only the diagonal survives, so the phase is irrelevant there
     phase = w.conjugate() / r if r else 0j
     powers = [1.0 + 0j]
     for _ in range(order):
         powers.append(powers[-1] * phase)
-    J = np.empty((order + 1, order + 1), dtype=complex)
+    J = [[0j] * (order + 1) for _ in range(order + 1)]
     for p in range(order + 1):
         for q in range(p + 1):
-            J[p, q] = powers[p - q] * sums[p, q]
-            J[q, p] = J[p, q].conjugate()
-    return J
+            if not isfinite(sums[p][q]):
+                raise NonFiniteValue(f"moment sum d^{p} d^{q}bar K(w, w) is not finite at w = {w}")
+            J[p][q] = powers[p - q] * sums[p][q]
+            J[q][p] = J[p][q].conjugate()
+    return np.array(J)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +322,9 @@ def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
     K = _series(kernel, z, w, 0)[0, 0]
     z, w = np.atleast_1d(z), np.atleast_1d(w)
     tail = _series_tail_bound(kernel, np.abs(np.multiply.outer(z, np.conjugate(w))))
-    bad = np.argwhere(tail > TAIL_RTOL * np.maximum(np.abs(K), 1e-300))
-    if bad.size:
-        i, j = bad[0]
+    bad = tail > TAIL_RTOL * np.maximum(np.abs(K), 1e-300)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise TruncationTailTooLarge(
             f"tail bound {tail[i, j]:.3e} exceeds {TAIL_RTOL:.0e} * |K| at z={z[i]}, w={w[j]}")
     return K

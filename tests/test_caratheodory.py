@@ -6,7 +6,7 @@ import pytest
 from rkhs_lab import caratheodory as ca
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import curvature_scalar
-from rkhs_lab.errors import PointOutsideBall, PointOutsidePolydisc
+from rkhs_lab.errors import DimensionMismatch, PointOutsideBall, PointOutsidePolydisc
 from tests.conftest import random_contractive_kernel
 
 
@@ -83,7 +83,88 @@ def test_planar_ci_hardy_equality():
     assert abs(verdict.slack_with4pi2) < 1e-10
 
 
-def test_unit_vector_sampling_deterministic():
-    a = ca._unit_vectors(3, 64)
-    b = ca._unit_vectors(3, 64)
-    assert np.array_equal(a, b)
+# ---------------------------------------------------------------------------
+# the generalized check's supremum over tangent vectors is exact
+
+CARA = {"ball": ca.cara_norm_ball, "polydisc": ca.cara_norm_polydisc}
+
+
+def cara_forms(domain, w, n):
+    """Hermitian matrices D with C(v)^2 = max over D of v^H D v."""
+    w = np.asarray(w, dtype=complex)
+    m = w.size
+    if domain == "ball":
+        r2 = float(np.vdot(w, w).real)
+        P = np.outer(w, w.conj()) / r2
+        A = P / (1.0 - r2) + (np.eye(m) - P) / np.sqrt(1.0 - r2)
+        return [np.kron(A @ A, np.eye(n))]
+    gaps = 1.0 - np.abs(w) ** 2
+    return [np.diag(np.repeat(np.arange(m) == j, n) / gaps[j] ** 2) for j in range(m)]
+
+
+def random_case(rng):
+    m, n = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+    w = rng.uniform(-0.4, 0.4, m) + 1j * rng.uniform(-0.4, 0.4, m)
+    return m, n, w
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def margin_of(K, domain, w, n, v):
+    """<K v, v> + C(v)^2 for a unit vector v, through the Caratheodory norm."""
+    V = ca.MatricialTangent.from_flat(v, len(w), n)
+    return float(np.vdot(v, K @ v).real) + CARA[domain](V, w) ** 2
+
+
+@pytest.mark.parametrize("domain", ["ball", "polydisc"])
+def test_generalized_ci_fails_narrow_cone_violations(domain):
+    # K = -E - I + 1.02 u u^H with E = D + Q R Q, D the Caratheodory form that
+    # is largest at u and Q the projector off u: the inequality breaks by 0.02
+    # at u (on the ball by exactly that), and only for tangent vectors close to u
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        m, n, w = random_case(rng)
+        u = complex_normal(rng, m * n)
+        u /= np.linalg.norm(u)
+        D = max(cara_forms(domain, w, n), key=lambda D: np.vdot(u, D @ u).real)
+        Q = np.eye(m * n) - np.outer(u, u.conj())
+        R = complex_normal(rng, m * n, m * n)
+        E = D + Q @ R @ R.conj().T @ Q
+        K = -E - np.eye(m * n) + 1.02 * np.outer(u, u.conj())
+        verdict = ca.generalized_ci_check(K, domain, w, n=n)
+        assert not verdict.passed
+        assert verdict.worst_margin >= 0.02 - 1e-12
+        if domain == "ball":
+            assert verdict.worst_margin == pytest.approx(0.02, abs=1e-12)
+
+
+@pytest.mark.parametrize("domain", ["ball", "polydisc"])
+def test_generalized_ci_margin_is_attained_and_never_exceeded(domain):
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        m, n, w = random_case(rng)
+        B = complex_normal(rng, m * n, m * n)
+        K = -B @ B.conj().T - 2.0 * np.eye(m * n) + 0.5 * complex_normal(rng, m * n, m * n)
+        verdict = ca.generalized_ci_check(K, domain, w, n=n)
+        v = verdict.worst_vector
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        attained = margin_of(K, domain, w, n, v)
+        assert attained == pytest.approx(verdict.worst_margin, rel=1e-12)
+        assert verdict.passed == (verdict.worst_margin <= 1e-10)
+        sample = complex_normal(rng, 2000, m * n)
+        sample /= np.linalg.norm(sample, axis=1, keepdims=True)
+        best = max(margin_of(K, domain, w, n, x) for x in sample)
+        assert best <= verdict.worst_margin + 1e-12 * abs(verdict.worst_margin)
+
+
+def test_generalized_ci_refusals():
+    with pytest.raises(DimensionMismatch):
+        ca.generalized_ci_check(np.eye(3), "ball", [0.0, 0.0, 0.0], n=2)
+    with pytest.raises(DimensionMismatch):
+        ca.generalized_ci_check(-np.eye(4), "polydisc", [0.0, 0.0, 0.0], n=2)
+    with pytest.raises(PointOutsideBall):
+        ca.generalized_ci_check(-np.eye(2), "ball", [0.8, 0.7])
+    with pytest.raises(PointOutsidePolydisc):
+        ca.generalized_ci_check(-np.eye(2), "polydisc", [0.2, 1.0])

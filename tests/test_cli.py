@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -143,11 +144,14 @@ def test_grid_parse_errors(runner, geo_spec):
     (["extremal", "--kernel", "GEO", "--at", "0.1+"], "option --at "),
     (["local-op", "--kernel", "GEO", "--at", "zero"], "option --at "),
     (["annulus", "--task", "bergman", "--weight", "rho^x"], "option --weight "),
+    (["annulus", "--task", "character", "--weight", "rho^nan"], "option --weight "),
+    (["annulus", "--task", "strict-ci", "--weight", "rho^inf"], "option --weight "),
     (["check", "--kernel", "GEO", "--tests", "contraction,bogus"], "option --tests "),
     (["local-op", "--kernel", "GEO", "--m", "2"], "option --m "),
     (["annulus", "--task", "szego", "--r", "1.5"], "field 'r' "),
 ], ids=["grid-text", "grid-steps", "grid-parts", "extremal-at", "local-op-at",
-        "annulus-weight", "tests", "m", "annulus-r"])
+        "annulus-weight", "annulus-weight-nan", "annulus-weight-inf", "tests", "m",
+        "annulus-r"])
 def test_usage_errors_exit_1_with_json(runner, geo_spec, argv, names):
     res = runner.invoke(main, [geo_spec if a == "GEO" else a for a in argv])
     assert res.exit_code == 1
@@ -198,6 +202,36 @@ def test_shift_commands_refuse_unrepresentable_weights(runner, command, extra):
     diag = json.loads(res.stderr)
     assert diag["error"] == "ConfigError"
     assert "'coeffs'" in diag["message"]
+
+
+OVERFLOWING_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.05, "weight_b": 1e300})
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["annulus", "--task", "strict-ci", "--r", "0.5", "--weight", "rho^1e300"],
+     "K(w, w) is not finite at w = "),
+    (["annulus", "--task", "bergman", "--r", "0.5", "--weight", "rho^1e300"],
+     "K(z, w) is not finite at z = "),
+    (["annulus", "--task", "character", "--r", "0.5", "--weight", "rho^1.7e308"],
+     "period of rho^1.7e+308 is not finite"),
+    (["curvature", "--kernel", OVERFLOWING_ANNULUS, "--grid", "0.5:0.9:3"],
+     "K(w, w) is not finite at w = "),
+    (["ci-check", "--kernel", OVERFLOWING_ANNULUS, "--grid", "0.5:0.9:3"],
+     "K(w, w) is not finite at w = "),
+    (["curvature", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                                           "coeffs": [1e300, 1e300, 1e300]}),
+      "--grid", "0.5:0.9:3"], "curvature is not finite at w = "),
+], ids=["strict-ci", "bergman", "character", "curvature", "ci-check", "curvature-quotient"])
+def test_non_finite_values_are_refused(runner, argv, quantity):
+    with warnings.catch_warnings():
+        # an overflow warning would be printed ahead of the diagnostic
+        warnings.simplefilter("error")
+        res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "NonFiniteValue"
+    assert quantity in diag["message"]
 
 
 def test_ci_check_reads_the_kernel_file(runner, tmp_path):
@@ -276,7 +310,8 @@ def test_cli_import_defers_heavy_scipy_modules():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
-    # the deferred imports still serve the quad profile and Caratheodory sampling
+    # the deferred imports still serve the quad profile; the Caratheodory check
+    # needs none of them
     assert out["quad_rel_diff"] < 1e-10
     assert out["ci_passed"]
     assert out["ci_margin"] == pytest.approx(-1.0, abs=1e-12)
@@ -311,6 +346,9 @@ def specs(draw):
     return spec
 
 
+#: a non-finite number as Python, numpy or JSON print it, e.g. nan, -inf, (1+infj), NaN
+NON_FINITE = re.compile(r"(?<!\w)(nan|inf|infinity)j?(?!\w)", re.IGNORECASE)
+
 #: option text one character or one part away from well-formed
 NEAR_MISSES = ["0:0.5", "0:0.5:3:1", "0:0.5:x", "0:0.5:-2", "0:0.5:0", "0:0.5:1.5",
                "a:0.5:3", "", " ", "0.3+", "1j+1j", "(0.3", "--1", "nan:", "0.2 0.3"]
@@ -341,7 +379,12 @@ def invocations(draw):
     if how.startswith("truncated"):
         text = text[:draw(st.integers(0, len(text) - 1))]
     command = draw(st.sampled_from(["curvature", "check", "extremal", "local-op",
-                                    "ci-check"]))
+                                    "ci-check", "annulus"]))
+    if command == "annulus":
+        task = draw(st.sampled_from(["szego", "bergman", "strict-ci", "character"]))
+        r = draw(st.one_of(st.floats(0.05, 0.95), numbers))
+        b = draw(st.one_of(st.integers(-2, 3), numbers))
+        return ["annulus", "--task", task, f"--r={r}", f"--weight=rho^{b}"], how, text, False
     malformed = command != "check" and draw(st.integers(0, 3)) == 0
     option_text = st.one_of(st.text(max_size=12), st.sampled_from(NEAR_MISSES))
     if command == "check":
@@ -396,3 +439,5 @@ def test_cli_contract_on_generated_specs(case):
     if res.exit_code == 1 or malformed:
         assert res.exit_code == 1
         assert "error" in json.loads(res.stderr)
+    else:
+        assert not NON_FINITE.search(res.stdout), res.stdout
