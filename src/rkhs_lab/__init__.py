@@ -15,8 +15,8 @@ from .kernels import (ClosedFormKernel, KernelJet, SeriesKernel, eval_kernel, je
                       mobius_map, mobius_pullback, normalize_at, tilde_kernel)
 from .localop import (canonical_form, function_of_local, jet_gram,
                       verify_tt_identity, verify_tt_identity_gram)
-from .positivity import (WeightSequence, contraction_check, gram_decrease_check,
-                         hyponormal_check, psd_check, two_hypercontraction_check)
+from .positivity import (contraction_check, gram_decrease_check, hyponormal_check,
+                         psd_check, two_hypercontraction_check)
 from .specio import load_kernel
 
 __version__ = "0.1.0"

@@ -92,6 +92,11 @@ def _parse_at(at: str) -> complex:
         raise ConfigError(f"option --at must be a complex number, got '{at}'")
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"option --tol must be a finite number >= 0, got {tol}")
+
+
 def _parse_weight(weight: str) -> an.RadialWeight:
     w = weight.strip()
     b = {"1": 0.0, "": 0.0, "rho": 1.0}.get(w)
@@ -145,6 +150,7 @@ def local_op(kernel, at, m, tol, out):
     try:
         if m != 1:
             raise ConfigError(f"option --m must be 1 on the command line, got {m}")
+        _check_tol(tol)
         kern = load_kernel(kernel)
         w = _parse_at(at)
         form = canonical_form(jet_gram(kern, w))
@@ -175,6 +181,8 @@ def check(kernel, tests, seed, out):
         "2hyper": two_hypercontraction_check,
     }
     try:
+        if seed < 0:
+            raise ConfigError(f"option --seed must be >= 0, got {seed}")
         kern = load_kernel(kernel)
         verdicts = {}
         for name in tests.split(","):
@@ -200,6 +208,7 @@ def check(kernel, tests, seed, out):
 def extremal(kernel, at, tol, out):
     """Extremality classification of the shift at a point."""
     try:
+        _check_tol(tol)
         kern = load_kernel(kernel)
         zeta = _parse_at(at)
         report = classify_shift(kern, zeta, rtol=tol)
@@ -238,6 +247,7 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt, out):
     """
     try:
         radii = _parse_grid(grid)
+        _check_tol(tol)
         spec = load_spec(kernel)
         kern = kernel_from_spec(spec)
         annulus = kern.kind == kc.ANNULUS_LAURENT

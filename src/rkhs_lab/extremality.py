@@ -4,14 +4,15 @@ numerical replay of the uniqueness argument for curvature-extremal contractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional
 
 import numpy as np
 
 from . import kernels as kc
 from .curvature import ci_slack
-from .errors import NotAContraction
-from .positivity import (as_weights, contraction_check, hyponormal_check,
+from .errors import NonFiniteValue, NotAContraction
+from .positivity import (hyponormal_check, is_contraction, shift_kernel, shift_weights,
                          two_hypercontraction_check)
 
 FK_RTOL = 1e-9  # |fk| <= FK_RTOL * Ktilde(z, z)^2 counts as curvature equality
@@ -55,13 +56,17 @@ class PipelineReport:
 def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float, float]:
     """Order-1 Gram determinant of the tilde jet at zeta, with its diagonal.
 
-    Raises NotAContraction unless :func:`contraction_check` passes.
+    Raises NotAContraction unless :func:`is_contraction` holds.  The
+    arithmetic is in Python floats, so an overflow gives inf, never a warning.
     """
-    if not contraction_check(kernel).passed:
+    if not is_contraction(kernel):
         raise NotAContraction("kernel coefficients must be non-decreasing")
-    J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).values
-    j00, j11 = J[0, 0].real, J[1, 1].real
-    return float(j00 * j11 - abs(J[0, 1]) ** 2), j00, j11
+    J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).values.tolist()
+    j00, j11, j01 = J[0][0].real, J[1][1].real, abs(J[0][1])
+    minor = j00 * j11 - j01 * j01
+    if not isfinite(minor):
+        raise NonFiniteValue(f"tilde Gram minor is not finite at zeta = {zeta}")
+    return minor, j00, j11
 
 
 def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
@@ -76,21 +81,21 @@ def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
 def dependence_test(kernel: kc.SeriesKernel, zeta: complex, tol: float = FK_RTOL) -> bool:
     """Cauchy-Schwarz equality on the tilde jet: the two jet vectors are dependent."""
     minor, j00, j11 = _tilde_minor(kernel, zeta)
-    return minor <= tol * max(j00 * j11, j00 ** 2)
+    return minor <= tol * max(j00 * j11, j00 * j00)
 
 
-def classify_shift(ws, zeta: complex, rtol: float = FK_RTOL) -> ExtremalityReport:
+def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
+                   rtol: float = FK_RTOL) -> ExtremalityReport:
     """Trichotomy for contractive diagonal shifts at a point.
 
     Equality at zeta != 0 forces the backward shift; equality only at 0 is
     possible for non-hyponormal weights (the negative answer to the
     uniqueness question at the origin).
     """
-    ws = as_weights(ws)
-    kernel = ws.kernel()
+    kernel = shift_kernel(kernel)
     fk, j00, _ = _tilde_minor(kernel, zeta)
-    at_point = abs(fk) <= rtol * max(j00 ** 2, 1e-300)
-    weights_all_one = bool(np.all(np.abs(ws.weights - 1.0) <= WEIGHT_TOL))
+    at_point = abs(fk) <= rtol * max(j00 * j00, 1e-300)
+    weights_all_one = bool(np.all(np.abs(shift_weights(kernel) - 1.0) <= WEIGHT_TOL))
     curv, bound, _ = ci_slack(kernel, zeta)
     if not at_point:
         classification = CLASS_NOT_EXTREMAL
@@ -101,7 +106,7 @@ def classify_shift(ws, zeta: complex, rtol: float = FK_RTOL) -> ExtremalityRepor
         equivalent = weights_all_one
     else:
         # equality at 0 alone; hyponormality (or directly w_n = 1) upgrades it
-        if weights_all_one or hyponormal_check(ws).passed:
+        if weights_all_one or hyponormal_check(kernel).passed:
             classification = CLASS_EXTREMAL_EVERYWHERE
             equivalent = True
         else:
@@ -158,12 +163,7 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     return u[0].real * (F @ C @ F.conj().T)
 
 
-def _psd_min_eig(M: np.ndarray) -> float:
-    H = (M + M.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(H).min())
-
-
-def uniqueness_pipeline_check(ws, zeta: complex = 0.0,
+def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0,
                               truncation: int = DEFAULT_TRUNCATION) -> PipelineReport:
     """Replay the uniqueness argument step by step on a diagonal model.
 
@@ -173,8 +173,7 @@ def uniqueness_pipeline_check(ws, zeta: complex = 0.0,
     monomials to be orthonormal.  Polynomial density is recorded as an
     assumption, never verified.
     """
-    ws = as_weights(ws)
-    kernel = ws.kernel()
+    kernel = shift_kernel(kernel)
     if zeta != 0:
         # coefficients of psi^n spread over indices >= n (1-|zeta|)/(1+|zeta|);
         # beyond that fraction of the window the truncated sum is unreliable
@@ -186,10 +185,9 @@ def uniqueness_pipeline_check(ws, zeta: complex = 0.0,
         steps.append(StepResult(name=name, passed=passed, detail=detail))
         return passed
 
-    ok = run("contraction", contraction_check(kernel).passed,
-             "tilde coefficients non-negative")
+    ok = run("contraction", is_contraction(kernel), "tilde coefficients non-negative")
     if ok:
-        hyper = two_hypercontraction_check(ws)
+        hyper = two_hypercontraction_check(kernel)
         ok = run("two-hypercontraction", hyper.passed,
                  "min of 1/a_n - 2/a_(n+1) + 1/a_(n+2) = "
                  f"{hyper.info['min_expression']:.3e}")
@@ -210,7 +208,8 @@ def uniqueness_pipeline_check(ws, zeta: complex = 0.0,
         else:
             G = np.linalg.inv(C)
             k = truncation - 1
-            dec = _psd_min_eig(G[:k, :k] - G[1:k + 1, 1:k + 1])
+            D = G[:k, :k] - G[1:k + 1, 1:k + 1]
+            dec = float(np.linalg.eigvalsh((D + D.conj().T) / 2.0).min())
             ok = run("gram-decrease-chain", dec >= -1e-9,
                      f"min eig of G_v - G_Av = {dec:.3e}")
             if ok:

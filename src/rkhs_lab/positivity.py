@@ -15,10 +15,6 @@ SAMPLE_COUNT = 50
 SAMPLE_RADIUS = 0.9
 
 
-def default_tol(G: np.ndarray) -> float:
-    return 1e-10 * max(1.0, float(np.linalg.norm(G, ord=2)))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
@@ -27,43 +23,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-@dataclass(frozen=True)
-class WeightSequence:
-    """Shift weights w_n = sqrt(a_n / a_{n+1}) with the source coefficients."""
-
-    weights: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if not (np.all(self.weights > 0) and np.all(np.isfinite(self.weights))):
-            raise ValueError("weights must be finite and positive")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "WeightSequence":
-        a = np.asarray(coeffs, dtype=float)
-        if a.size < 2 or np.any(a <= 0):
-            raise ValueError("need at least two positive coefficients")
-        return cls(weights=np.sqrt(a[:-1] / a[1:]), coeffs=a)
-
-    @classmethod
-    def from_weights(cls, weights) -> "WeightSequence":
-        w = np.asarray(weights, dtype=float)
-        a = np.ones(w.size + 1)
-        for i, wi in enumerate(w):
-            a[i + 1] = a[i] / wi ** 2
-        return cls(weights=w, coeffs=a)
-
-    def kernel(self) -> kc.SeriesKernel:
-        # weights beyond the listed ones default to 1: constant coefficients
-        a = self.coeffs
-        if a.size < kc.DEFAULT_N_MAX + 1:
-            pad = np.full(kc.DEFAULT_N_MAX + 1 - a.size, a[-1])
-            a = np.concatenate([a, pad])
-        return kc.SeriesKernel.disc(a)
 
 
 def sample_cloud(seed: int = DEFAULT_SEED, count: int = SAMPLE_COUNT,
@@ -82,9 +41,66 @@ def psd_check(gram: np.ndarray, tol: Optional[float] = None) -> CheckResult:
     if not np.allclose(G, G.conj().T, atol=1e-10 * max(1.0, norm)):
         raise NonHermitianInput("matrix is not Hermitian")
     if tol is None:
-        tol = default_tol(G)
+        tol = 1e-10 * max(1.0, norm)
     min_eig = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0).min())
     return CheckResult(passed=min_eig >= -tol, min_eigenvalue=min_eig, info={"tol": tol})
+
+
+def shift_coeffs(kernel: kc.SeriesKernel) -> np.ndarray:
+    """Coefficients of a kernel that defines a weighted shift with representable
+    weights, else ConfigError."""
+    if kernel.kind != kc.DISC_DIAGONAL:
+        raise ConfigError(f"field 'kind' must be '{kc.DISC_DIAGONAL}' for shift "
+                          f"weights, got '{kernel.kind}'")
+    a = kernel.coeffs
+    if a.size < 2:
+        raise ConfigError("field 'coeffs' must hold at least two coefficients for "
+                          f"shift weights, got {a.size}")
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = a[:-1] / a[1:]
+    if not np.all((ratios > 0.0) & np.isfinite(ratios)):
+        raise ConfigError("field 'coeffs' has a ratio a_n / a_(n+1) outside the "
+                          "double range, so the shift weights are not representable")
+    return a
+
+
+def shift_weights(kernel: kc.SeriesKernel) -> np.ndarray:
+    """Shift weights w_n = sqrt(a_n / a_(n+1))."""
+    a = shift_coeffs(kernel)
+    return np.sqrt(a[:-1] / a[1:])
+
+
+def shift_kernel(kernel: kc.SeriesKernel) -> kc.SeriesKernel:
+    """The shift of a kernel, its coefficients continued by the last one up to
+    n = DEFAULT_N_MAX, so the weights beyond the list are 1."""
+    a = shift_coeffs(kernel)
+    if a.size > kc.DEFAULT_N_MAX:
+        return kernel
+    pad = np.full(kc.DEFAULT_N_MAX + 1 - a.size, a[-1])
+    return kc.SeriesKernel.disc(np.concatenate([a, pad]))
+
+
+def is_contraction(kernel: kc.SeriesKernel, tol: float = 1e-10) -> bool:
+    """The contractivity rule: no tilde coefficient a_n - a_(n-1) is below
+    -tol times the largest of them (or -tol)."""
+    b = kc.tilde_kernel(kernel).coeffs
+    return bool(np.all(b >= -tol * max(1.0, float(np.abs(b).max()))))
+
+
+def _default_cloud(kernel: kc.SeriesKernel, kt: kc.SeriesKernel, seed: int) -> np.ndarray:
+    # inside the series' disc of convergence (coefficients may grow) and where
+    # the window resolves the kernel; halved while the tilde tail bound at the
+    # outermost point exceeds TAIL_RTOL times the largest |Ktilde| there, where
+    # kernel_matrix would refuse the cloud
+    a = kernel.coeffs
+    radius = min(SAMPLE_RADIUS, 0.8 * float(np.sqrt((a[:-1] / a[1:]).min())),
+                 0.9 * kc.TAIL_RTOL ** (1.0 / (2.0 * kernel.n_max)))
+    rho = float(np.abs(sample_cloud(seed, radius=radius)).max()) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (kc._series_tail_bound(kt, np.array(rho))
+               > kc.TAIL_RTOL * (np.abs(kt.coeffs) @ rho ** kt.ns)):
+            radius, rho = radius / 2.0, rho / 4.0
+    return sample_cloud(seed, radius=radius)
 
 
 def contraction_check(kernel: kc.SeriesKernel, sample_points=None,
@@ -92,23 +108,17 @@ def contraction_check(kernel: kc.SeriesKernel, sample_points=None,
     """Contractivity of the adjoint multiplication operator via the tilde kernel.
 
     For diagonal kernels the coefficient signs of the tilde series are
-    equivalent to positive semidefiniteness, and are taken as the verdict;
-    the sampled Gram test is reported alongside.  Every contractivity
-    requirement elsewhere in the package defers to this verdict.
+    equivalent to positive semidefiniteness, and are taken as the verdict
+    (:func:`is_contraction`).  The Gram of the tilde kernel on a sample cloud
+    is reported alongside, in ``info`` and ``min_eigenvalue``; the
+    contractivity preconditions elsewhere in the package apply the sign rule
+    and never build that Gram.
     """
-    _shift_coeffs(kernel)
+    shift_coeffs(kernel)
     kt = kc.tilde_kernel(kernel)
-    scale = float(np.abs(kt.coeffs).max())
-    coeff_pass = bool(np.all(kt.coeffs >= -tol * max(1.0, scale)))
-    if sample_points is None:
-        # stay inside the series' disc of convergence (coefficients may grow)
-        # and where the truncation window still resolves the kernel
-        ratios = kernel.coeffs[:-1] / kernel.coeffs[1:]
-        resolvable = kc.TAIL_RTOL ** (1.0 / (2.0 * max(kernel.n_max, 1)))
-        safe = min(SAMPLE_RADIUS, 0.8 * float(np.sqrt(ratios.min())),
-                   0.9 * resolvable)
-        sample_points = sample_cloud(seed, radius=safe)
-    pts = np.asarray(sample_points)
+    coeff_pass = is_contraction(kernel, tol)
+    pts = np.asarray(_default_cloud(kernel, kt, seed) if sample_points is None
+                     else sample_points)
     G = kc.kernel_matrix(kt, pts, pts)
     gram_result = psd_check(G, tol=tol * max(1.0, float(np.linalg.norm(G, ord=2))))
     return CheckResult(
@@ -119,44 +129,19 @@ def contraction_check(kernel: kc.SeriesKernel, sample_points=None,
     )
 
 
-def _shift_coeffs(kernel: kc.SeriesKernel) -> np.ndarray:
-    """Coefficients of a kernel that defines a weighted shift, else ConfigError."""
-    if kernel.kind != kc.DISC_DIAGONAL:
-        raise ConfigError(f"field 'kind' must be '{kc.DISC_DIAGONAL}' for shift "
-                          f"weights, got '{kernel.kind}'")
-    if kernel.coeffs.size < 2:
-        raise ConfigError("field 'coeffs' must hold at least two coefficients for "
-                          f"shift weights, got {kernel.coeffs.size}")
-    return kernel.coeffs
-
-
-def as_weights(obj) -> WeightSequence:
-    """Coerce a disc-diagonal kernel to its shift weights (no-op on weights)."""
-    if isinstance(obj, WeightSequence):
-        return obj
-    a = _shift_coeffs(obj)
-    with np.errstate(over="ignore", under="ignore"):
-        ratios = a[:-1] / a[1:]
-    if not np.all((ratios > 0.0) & np.isfinite(ratios)):
-        raise ConfigError("field 'coeffs' has a ratio a_n / a_(n+1) outside the "
-                          "double range, so the shift weights are not representable")
-    return WeightSequence.from_coeffs(a)
-
-
-def hyponormal_check(ws, tol: float = 1e-10) -> CheckResult:
-    """Pass iff the weight sequence is non-decreasing."""
-    ws = as_weights(ws)
-    diffs = np.diff(ws.weights)
+def hyponormal_check(kernel: kc.SeriesKernel, tol: float = 1e-10) -> CheckResult:
+    """Pass iff the shift weights are non-decreasing."""
+    diffs = np.diff(shift_weights(kernel))
     worst = float(diffs.min()) if diffs.size else 0.0
     return CheckResult(passed=worst >= -tol, info={"min_weight_step": worst})
 
 
-def two_hypercontraction_check(ws, tol: float = 1e-10) -> CheckResult:
+def two_hypercontraction_check(kernel: kc.SeriesKernel, tol: float = 1e-10) -> CheckResult:
     """Three-term criterion 1/a_n - 2/a_{n+1} + 1/a_{n+2} >= 0 on diagonal models."""
-    ws = as_weights(ws)
-    if not contraction_check(ws.kernel()).passed:
+    a = shift_coeffs(kernel)
+    if not is_contraction(kernel):
         raise NotAContraction("2-hypercontraction test requires a contraction")
-    inv = 1.0 / ws.coeffs
+    inv = 1.0 / a
     expr = inv[:-2] - 2.0 * inv[1:-1] + inv[2:]
     worst = float(expr.min()) if expr.size else 0.0
     idx = int(expr.argmin()) if expr.size else -1

@@ -149,9 +149,18 @@ def test_grid_parse_errors(runner, geo_spec):
     (["check", "--kernel", "GEO", "--tests", "contraction,bogus"], "option --tests "),
     (["local-op", "--kernel", "GEO", "--m", "2"], "option --m "),
     (["annulus", "--task", "szego", "--r", "1.5"], "field 'r' "),
+    (["check", "--kernel", "GEO", "--seed", "-1"], "option --seed "),
+    (["ci-check", "--kernel", "GEO", "--tol", "nan"], "option --tol "),
+    (["extremal", "--kernel", "GEO", "--at", "0.3", "--tol", "nan"], "option --tol "),
+    (["local-op", "--kernel", "GEO", "--tol", "nan"], "option --tol "),
+    (["ci-check", "--kernel", "GEO", "--tol", "inf"], "option --tol "),
+    (["extremal", "--kernel", "GEO", "--tol", "-1e-9"], "option --tol "),
+    (["local-op", "--kernel", "GEO", "--tol", "-1"], "option --tol "),
 ], ids=["grid-text", "grid-steps", "grid-parts", "extremal-at", "local-op-at",
         "annulus-weight", "annulus-weight-nan", "annulus-weight-inf", "tests", "m",
-        "annulus-r"])
+        "annulus-r", "seed-negative", "ci-check-tol-nan", "extremal-tol-nan",
+        "local-op-tol-nan", "ci-check-tol-inf", "extremal-tol-negative",
+        "local-op-tol-negative"])
 def test_usage_errors_exit_1_with_json(runner, geo_spec, argv, names):
     res = runner.invoke(main, [geo_spec if a == "GEO" else a for a in argv])
     assert res.exit_code == 1
@@ -192,7 +201,8 @@ def test_shift_commands_refuse_one_coefficient_spec(runner, command, extra):
 
 
 @pytest.mark.parametrize("command, extra", [("check", ["--tests", "hyponormal"]),
-                                            ("extremal", [])])
+                                            ("extremal", []),
+                                            ("check", ["--tests", "contraction"])])
 def test_shift_commands_refuse_unrepresentable_weights(runner, command, extra):
     # a_0 / a_1 = 1e600 overflows, so the weight sqrt(a_0 / a_1) has no double
     spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
@@ -221,7 +231,11 @@ OVERFLOWING_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.05, "weight_
     (["curvature", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                            "coeffs": [1e300, 1e300, 1e300]}),
       "--grid", "0.5:0.9:3"], "curvature is not finite at w = "),
-], ids=["strict-ci", "bergman", "character", "curvature", "ci-check", "curvature-quotient"])
+    (["extremal", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                                          "coeffs": [1e200, 1e300, 1e300]}),
+      "--at", "0.5"], "tilde Gram minor is not finite at zeta = (0.5+0j)"),
+], ids=["strict-ci", "bergman", "character", "curvature", "ci-check", "curvature-quotient",
+        "tilde-minor"])
 def test_non_finite_values_are_refused(runner, argv, quantity):
     with warnings.catch_warnings():
         # an overflow warning would be printed ahead of the diagnostic
@@ -232,6 +246,18 @@ def test_non_finite_values_are_refused(runner, argv, quantity):
     diag = json.loads(res.stderr)
     assert diag["error"] == "NonFiniteValue"
     assert quantity in diag["message"]
+
+
+def test_contraction_default_cloud_resolves_a_growing_short_list(runner):
+    # the tilde coefficients (1, 3, 12, 0, 0, 0) grow at the end of a short
+    # window; the default cloud must sit where that tail is resolved
+    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                       "coeffs": [1, 4, 16, 16, 16, 16]})
+    res = runner.invoke(main, ["check", "--kernel", spec, "--tests", "contraction"])
+    assert res.exit_code == 0, res.stderr
+    verdict = json.loads(res.stdout)["verdicts"]["contraction"]
+    assert verdict["passed"]
+    assert abs(verdict["min_eigenvalue"]) < 1e-10
 
 
 def test_ci_check_reads_the_kernel_file(runner, tmp_path):
@@ -372,7 +398,7 @@ def parses(parse, text) -> bool:
 @st.composite
 def invocations(draw):
     """(argv with a KERNEL placeholder, how to pass the spec, the spec text,
-    whether the --grid or --at text is malformed)."""
+    whether the --grid, --at, --seed or --tol value is malformed)."""
     text = json.dumps(draw(specs()))
     how = draw(st.sampled_from(["inline", "file", "truncated", "truncated-file",
                                 "missing"]))
@@ -390,6 +416,10 @@ def invocations(draw):
     if command == "check":
         extra = ["--tests", draw(st.sampled_from(["contraction", "hyponormal", "2hyper",
                                                   "contraction,hyponormal,2hyper"]))]
+        if draw(st.booleans()):
+            seed = draw(st.integers(-2 ** 31, 2 ** 31))
+            extra.append(f"--seed={seed}")
+            malformed = seed < 0
     elif command in ("extremal", "local-op"):
         if malformed:
             at = draw(option_text.filter(lambda t: not parses(complex, t)))
@@ -403,6 +433,11 @@ def invocations(draw):
             lo, hi = sorted(draw(st.floats(-1.2, 1.2)) for _ in range(2))
             grid = f"{lo}:{hi}:{draw(st.integers(1, 4))}"
         extra = [f"--grid={grid}"]
+    if command in ("ci-check", "extremal", "local-op") and draw(st.booleans()):
+        tol = draw(st.one_of(st.floats(0.0, 1e-3),
+                             st.sampled_from([np.nan, np.inf, -np.inf, -1e-9, -1.0])))
+        extra.append(f"--tol={tol!r}")
+        malformed = malformed or not (np.isfinite(tol) and tol >= 0.0)
     if command == "ci-check":
         if draw(st.booleans()):
             extra += ["--domain", draw(st.sampled_from(["disc", "annulus"]))]

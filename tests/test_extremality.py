@@ -8,6 +8,7 @@ from rkhs_lab.errors import NotAContraction
 from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
                                   normalized_pullback_coeffs,
                                   uniqueness_pipeline_check)
+from rkhs_lab.positivity import contraction_check, two_hypercontraction_check
 from tests.conftest import random_contractive_coeffs
 
 
@@ -108,3 +109,35 @@ def test_pipeline_gram_decrease_on_monomials():
     rep = uniqueness_pipeline_check(geometric(), 0.0)
     step = next(s for s in rep.steps if s.name == "gram-decrease-chain")
     assert step.passed
+
+
+def test_shift_verdicts_build_no_sampled_gram(monkeypatch):
+    # contractivity preconditions use the tilde-coefficient signs; only
+    # contraction_check samples the tilde Gram, once
+    calls = []
+    kernel_matrix = kc.kernel_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(kc, "kernel_matrix", counting)
+    for zeta in (0.0, 0.3):
+        classify_shift(geometric(), zeta)
+        uniqueness_pipeline_check(geometric(), zeta)
+        fk_value(geometric(), zeta)
+        dependence_test(geometric(), zeta)
+    two_hypercontraction_check(geometric())
+    assert len(calls) == 0
+    contraction_check(geometric())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 1.0] + [2.0 * 2 ** k for k in range(60)],
+                                    [1.0, 2.0, 3.0]], ids=["case-2", "1-2-3"])
+def test_short_list_is_continued_by_its_last_coefficient(coeffs):
+    short = kc.SeriesKernel.disc(np.array(coeffs))
+    padded = kc.SeriesKernel.disc(np.array(coeffs + [coeffs[-1]] * (201 - len(coeffs))))
+    for zeta in (0.0, 0.3):
+        assert classify_shift(short, zeta) == classify_shift(padded, zeta)
+        assert uniqueness_pipeline_check(short, zeta) == uniqueness_pipeline_check(padded, zeta)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from rkhs_lab import kernels as kc
 from rkhs_lab.errors import NonHermitianInput, NotAContraction
-from rkhs_lab.positivity import (WeightSequence, contraction_check,
-                                 gram_decrease_check, hyponormal_check,
-                                 psd_check, two_hypercontraction_check)
+from rkhs_lab.positivity import (contraction_check, gram_decrease_check,
+                                 hyponormal_check, psd_check, shift_kernel,
+                                 two_hypercontraction_check)
 from tests.conftest import random_contractive_kernel
 
 
@@ -28,13 +28,6 @@ def test_psd_check_flags_indefinite():
 def test_psd_check_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_weight_sequence_roundtrip():
-    a = np.array([1.0, 2.0, 3.0, 5.0])
-    ws = WeightSequence.from_coeffs(a)
-    back = WeightSequence.from_weights(ws.weights)
-    assert np.allclose(back.coeffs, a / a[0])
 
 
 def test_contraction_check_geometric():
@@ -57,9 +50,14 @@ def test_hyponormal_bergman():
     assert hyponormal_check(berg).passed
 
 
+def shift_from_weights(weights) -> kc.SeriesKernel:
+    """The shift with the given weights: a_0 = 1, a_(n+1) = a_n / w_n^2."""
+    w = np.asarray(weights, dtype=float)
+    return kc.SeriesKernel.disc(np.concatenate([[1.0], np.cumprod(w ** -2.0)]))
+
+
 def test_hyponormal_rejects_weight_dip():
-    ws = WeightSequence.from_weights([1.0, 0.9, 1.0, 1.0])
-    assert not hyponormal_check(ws).passed
+    assert not hyponormal_check(shift_from_weights([1.0, 0.9, 1.0, 1.0])).passed
 
 
 def test_two_hypercontraction_geometric_and_bergman():
@@ -94,5 +92,4 @@ def test_gram_decrease_on_monomials():
 @given(st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=3, max_size=30))
 def test_contractive_weights_give_contraction(weights):
     # w_n <= 1 for all n is exactly contractivity of the shift
-    ws = WeightSequence.from_weights(np.asarray(weights))
-    assert contraction_check(ws.kernel()).passed
+    assert contraction_check(shift_kernel(shift_from_weights(weights))).passed
