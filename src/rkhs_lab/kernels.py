@@ -12,8 +12,12 @@ Both paths check every point against the domain and refuse a sum that is not
 finite with ``NonFiniteValue``.  The constant rows of a kernel (live window,
 falling factorials, exponents, tail growth) are computed once and kept on the
 kernel, whose arrays are read-only.
-Closed-form kernels, as built by normalization and Mobius pullback, carry
-callables for evaluation and for the two-point mixed derivatives.
+Closed-form kernels, as built by normalization and Mobius pullback, answer
+the same question through one callable, their derivative block
+B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order <= 2; a higher order is
+refused with ``UnsupportedJetOrder``.  Both transforms are the congruence
+L = A(z) B(phi(z), phi(w)) A(w)^H of the block of the kernel they transform,
+with A a lower-triangular chain-rule factor.
 """
 
 from __future__ import annotations
@@ -108,6 +112,10 @@ class SeriesKernel:
             return (_sustained_growth(a),)
 
     @property
+    def domain(self) -> str:
+        return "annulus" if self.kind == ANNULUS_LAURENT else "disc"
+
+    @property
     def n_min(self) -> int:
         return int(self.ns[0])
 
@@ -143,16 +151,15 @@ class SeriesKernel:
 
 @dataclass(frozen=True)
 class ClosedFormKernel:
-    """Kernel given by callables.
+    """Kernel given by its derivative block.
 
-    ``deriv_evaluator(z, w, p, q)`` returns d^p_z d^q_wbar K(z, w) for
-    p, q <= 2; kernels built by :func:`normalize_at` and
-    :func:`mobius_pullback` always carry it.  Higher jet orders are refused
-    rather than silently finite-differenced.
+    ``block(z, w, order)`` returns the (order + 1) x (order + 1) array
+    B[p, q] = d^p_z d^q_wbar K(z, w).  It is called with order <= 2 only and
+    with points already checked against ``domain``; every value and
+    derivative of the kernel is read off it.
     """
 
-    evaluator: Callable[[complex, complex], complex]
-    deriv_evaluator: Optional[Callable[[complex, complex, int, int], complex]] = None
+    block: Callable[[complex, complex, int], np.ndarray]
     domain: str = "disc"
     inner_radius: Optional[float] = None
 
@@ -171,17 +178,12 @@ class KernelJet:
 
 def check_point(kernel, z: complex) -> None:
     r = abs(z)
-    if isinstance(kernel, SeriesKernel):
-        domain = "annulus" if kernel.kind == ANNULUS_LAURENT else "disc"
-        inner = kernel.inner_radius
-    else:
-        domain = kernel.domain
-        inner = kernel.inner_radius
+    inner = kernel.inner_radius
     if not np.isfinite(r):
         raise PointOutsideDomain(f"point {z} is not finite")
     if r > 1.0 - BOUNDARY_MARGIN:
         raise PointOutsideDomain(f"|z| = {r:.4f} too close to the unit circle")
-    if domain == "annulus" and r < inner + BOUNDARY_MARGIN:
+    if kernel.domain == "annulus" and r < inner + BOUNDARY_MARGIN:
         raise PointOutsideDomain(f"|z| = {r:.4f} too close to inner circle r = {inner}")
 
 
@@ -310,6 +312,19 @@ def _moment_jet(kernel: SeriesKernel, w: complex, order: int) -> np.ndarray:
     return np.array(J)
 
 
+def _block(kernel, z: complex, w: complex, order: int) -> np.ndarray:
+    """B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order, after checking z and w:
+    one table product for a series kernel, the kernel's own block for a
+    closed form, which supports order <= 2 only."""
+    if isinstance(kernel, SeriesKernel):
+        return _series(kernel, z, w, order)[:, :, 0, 0]
+    check_point(kernel, z)
+    check_point(kernel, w)
+    if order > 2:
+        raise UnsupportedJetOrder(f"closed-form kernels support p, q <= 2, got order {order}")
+    return kernel.block(z, w, order)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -339,17 +354,7 @@ def eval_kernel(kernel, z: complex, w: complex) -> complex:
 
 def deriv2(kernel, z: complex, w: complex, p: int, q: int) -> complex:
     """Two-point mixed derivative d^p_z d^q_wbar K(z, w)."""
-    if isinstance(kernel, SeriesKernel):
-        return complex(_series(kernel, z, w, max(p, q))[p, q, 0, 0])
-    check_point(kernel, z)
-    check_point(kernel, w)
-    if p == 0 and q == 0:
-        return complex(kernel.evaluator(z, w))
-    if kernel.deriv_evaluator is None:
-        raise UnsupportedJetOrder("closed-form kernel has no two-point derivative evaluator")
-    if p > 2 or q > 2:
-        raise UnsupportedJetOrder(f"closed-form kernels support p, q <= 2, got ({p}, {q})")
-    return complex(kernel.deriv_evaluator(z, w, p, q))
+    return complex(_block(kernel, z, w, max(p, q))[p, q])
 
 
 def mixed_deriv(kernel, w: complex, p: int, q: int) -> complex:
@@ -364,11 +369,7 @@ def jet(kernel, w: complex, order: int) -> KernelJet:
     if isinstance(kernel, SeriesKernel):
         J = _moment_jet(kernel, w, order)
     else:
-        J = np.empty((order + 1, order + 1), dtype=complex)
-        for p in range(order + 1):
-            for q in range(p, order + 1):
-                J[p, q] = mixed_deriv(kernel, w, p, q)
-                J[q, p] = np.conjugate(J[p, q])
+        J = _block(kernel, w, w, order)
     return KernelJet(center=complex(w), order=order, values=J)
 
 
@@ -388,17 +389,28 @@ def tilde_kernel(kernel: SeriesKernel) -> SeriesKernel:
     return SeriesKernel(DISC_DIAGONAL, kernel.ns, b, signed=True)
 
 
-def _derivs(kernel, z: complex, w: complex, p: int, q: int) -> np.ndarray:
-    """B[i, j] = d^i_z d^j_wbar K(z, w) for i <= p, j <= q; one table product
-    for a series kernel."""
-    if isinstance(kernel, SeriesKernel):
-        return _series(kernel, z, w, max(p, q))[:p + 1, :q + 1, 0, 0]
-    return np.array([[deriv2(kernel, z, w, i, j) for j in range(q + 1)]
-                     for i in range(p + 1)], dtype=complex)
+def _congruence(kernel, phi, factor, scale=1.0) -> ClosedFormKernel:
+    """Closed form with block L = scale A(z) B(phi(z), phi(w)) A(w)^H on the
+    domain of ``kernel``, B the block of ``kernel`` and A = factor(x) the
+    lower-triangular 3 x 3 factor of the chain rule at x.  By Leibniz and the
+    chain rule each transform below is of this form, and it needs one block of
+    ``kernel`` per point pair."""
+
+    def block(z: complex, w: complex, order: int) -> np.ndarray:
+        size = order + 1
+        x, az = phi(z), factor(z)[:size, :size]
+        y, aw = (x, az) if w == z else (phi(w), factor(w)[:size, :size])
+        return scale * (az @ _block(kernel, x, y, order) @ aw.conj().T)
+
+    return ClosedFormKernel(block=block, domain=kernel.domain, inner_radius=kernel.inner_radius)
 
 
 def normalize_at(kernel, zeta: complex) -> ClosedFormKernel:
-    """Kernel normalized at zeta: L(z, zeta) = 1 near zeta, L(zeta, zeta) = 1."""
+    """Kernel normalized at zeta: L(z, zeta) = 1 near zeta, L(zeta, zeta) = 1.
+
+    L(z, w) = K(zeta, zeta) f(z) K(z, w) conj(f(w)) with f = 1 / K(., zeta),
+    whose Leibniz factor is A[p, i] = comb(p, i) f^(p - i)(z).
+    """
     check_point(kernel, zeta)
     # the kernel must not vanish near the center; sample two small circles
     pts = [zeta + radius * np.exp(2j * np.pi * k / 10)
@@ -410,81 +422,36 @@ def normalize_at(kernel, zeta: complex) -> ClosedFormKernel:
     for pt, value in zip(pts, values):
         if abs(value) < 1e-13:
             raise KernelVanishesNearCenter(f"K(z, {zeta}) vanishes at z = {pt}")
-    c = eval_kernel(kernel, zeta, zeta)
 
-    def f_derivs(z: complex):
-        # derivatives of f(z) = 1 / K(z, zeta) up to order 2
-        u0, u1, u2 = _derivs(kernel, z, zeta, 2, 0)[:, 0]
-        return (1.0 / u0, -u1 / u0 ** 2, (2.0 * u1 ** 2 - u0 * u2) / u0 ** 3)
+    def factor(z: complex) -> np.ndarray:
+        u0, u1, u2 = _block(kernel, z, zeta, 2)[:, 0]
+        f = (1.0 / u0, -u1 / u0 ** 2, (2.0 * u1 ** 2 - u0 * u2) / u0 ** 3)
+        return np.array([[comb(p, i) * f[p - i] if i <= p else 0j for i in range(3)]
+                         for p in range(3)])
 
-    def evaluator(z: complex, w: complex) -> complex:
-        kz = deriv2(kernel, z, zeta, 0, 0)
-        kw = deriv2(kernel, w, zeta, 0, 0)
-        return c * deriv2(kernel, z, w, 0, 0) / (kz * np.conjugate(kw))
-
-    def deriv_evaluator(z: complex, w: complex, p: int, q: int) -> complex:
-        if p > 2 or q > 2:
-            raise UnsupportedJetOrder(f"normalized kernel supports p, q <= 2, got ({p}, {q})")
-        fz = f_derivs(z)
-        fw = fz if w == z else f_derivs(w)
-        B = _derivs(kernel, z, w, p, q)
-        total = 0j
-        for i in range(p + 1):
-            for j in range(q + 1):
-                total += (comb(p, i) * comb(q, j) * fz[p - i]
-                          * B[i, j] * np.conjugate(fw[q - j]))
-        return c * total
-
-    domain = kernel.domain if isinstance(kernel, ClosedFormKernel) else (
-        "annulus" if kernel.kind == ANNULUS_LAURENT else "disc")
-    inner = kernel.inner_radius
-    return ClosedFormKernel(evaluator=evaluator, deriv_evaluator=deriv_evaluator,
-                            domain=domain, inner_radius=inner)
+    return _congruence(kernel, lambda z: z, factor, scale=eval_kernel(kernel, zeta, zeta))
 
 
 def mobius_pullback(kernel, a: complex) -> ClosedFormKernel:
-    """Kernel L(z, w) = K(phi_a^-1(z), phi_a^-1(w)), phi_a(z) = (z-a)/(1-abar z)."""
+    """Kernel L(z, w) = K(psi(z), psi(w)), psi = phi_a^-1, phi_a(z) = (z-a)/(1-abar z).
+
+    By the chain rule its factor is A = [[1, 0, 0], [0, psi', 0], [0, psi'', psi'^2]].
+    """
     if abs(a) >= 1.0:
         raise CenterOutsideDisc(f"|a| = {abs(a):.4f} >= 1")
-    if isinstance(kernel, SeriesKernel):
-        if kernel.kind != DISC_DIAGONAL:
-            raise ValueError("Mobius pullback is defined for disc kernels")
-    elif kernel.domain != "disc":
-        raise ValueError("Mobius pullback is defined for disc kernels")
+    if kernel.domain != "disc":
+        raise ConfigError(f"field 'kind' must be '{DISC_DIAGONAL}' for the Mobius "
+                          f"pullback, got a kernel on the {kernel.domain}")
     ab = np.conjugate(a)
     s = 1.0 - abs(a) ** 2
 
-    def psi(z):
-        return (z + a) / (1.0 + ab * z)
+    def factor(z: complex) -> np.ndarray:
+        d = 1.0 + ab * z
+        psi1 = s / d ** 2
+        return np.array([[1.0, 0.0, 0.0], [0.0, psi1, 0.0],
+                         [0.0, -2.0 * ab * s / d ** 3, psi1 ** 2]], dtype=complex)
 
-    def psi1(z):
-        return s / (1.0 + ab * z) ** 2
-
-    def psi2(z):
-        return -2.0 * ab * s / (1.0 + ab * z) ** 3
-
-    def evaluator(z: complex, w: complex) -> complex:
-        return deriv2(kernel, psi(z), psi(w), 0, 0)
-
-    def deriv_evaluator(z: complex, w: complex, p: int, q: int) -> complex:
-        if p > 2 or q > 2:
-            raise UnsupportedJetOrder(f"pullback kernel supports p, q <= 2, got ({p}, {q})")
-        # chain rule: holomorphic factor in z, antiholomorphic in w
-        hol = {0: [(1.0 + 0j, 0)],
-               1: [(psi1(z), 1)],
-               2: [(psi2(z), 1), (psi1(z) ** 2, 2)]}[p]
-        anti = {0: [(1.0 + 0j, 0)],
-                1: [(np.conjugate(psi1(w)), 1)],
-                2: [(np.conjugate(psi2(w)), 1), (np.conjugate(psi1(w)) ** 2, 2)]}[q]
-        zz, ww = psi(z), psi(w)
-        total = 0j
-        for cz, i in hol:
-            for cw, j in anti:
-                total += cz * cw * deriv2(kernel, zz, ww, i, j)
-        return total
-
-    return ClosedFormKernel(evaluator=evaluator, deriv_evaluator=deriv_evaluator,
-                            domain="disc")
+    return _congruence(kernel, lambda z: (z + a) / (1.0 + ab * z), factor)
 
 
 def mobius_map(a: complex, z: complex) -> complex:

@@ -8,7 +8,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels as kc
-from .errors import ConfigError, DimensionMismatch, NonHermitianInput, NotAContraction
+from .errors import (ConfigError, DimensionMismatch, NonFiniteValue, NonHermitianInput,
+                     NotAContraction)
 
 DEFAULT_SEED = 2024
 SAMPLE_COUNT = 50
@@ -141,8 +142,13 @@ def two_hypercontraction_check(kernel: kc.SeriesKernel, tol: float = 1e-10) -> C
     a = shift_coeffs(kernel)
     if not is_contraction(kernel):
         raise NotAContraction("2-hypercontraction test requires a contraction")
-    inv = 1.0 / a
-    expr = inv[:-2] - 2.0 * inv[1:-1] + inv[2:]
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal a_n has no finite 1/a_n
+        inv = 1.0 / a
+        expr = inv[:-2] - 2.0 * inv[1:-1] + inv[2:]
+    if not np.isfinite(expr).all():
+        n = int(np.argmin(np.isfinite(expr)))
+        raise NonFiniteValue(f"2-hypercontraction expression 1/a_n - 2/a_(n+1) + 1/a_(n+2) "
+                             f"is not finite at n = {n}")
     worst = float(expr.min()) if expr.size else 0.0
     idx = int(expr.argmin()) if expr.size else -1
     return CheckResult(passed=worst >= -tol, info={"min_expression": worst, "argmin": idx})

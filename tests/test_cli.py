@@ -234,8 +234,11 @@ OVERFLOWING_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.05, "weight_
     (["extremal", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                           "coeffs": [1e200, 1e300, 1e300]}),
       "--at", "0.5"], "tilde Gram minor is not finite at zeta = (0.5+0j)"),
+    (["check", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                                       "coeffs": [1e-310, 1, 1]}),
+      "--tests", "2hyper"], "is not finite at n = 0"),
 ], ids=["strict-ci", "bergman", "character", "curvature", "ci-check", "curvature-quotient",
-        "tilde-minor"])
+        "tilde-minor", "2hyper-subnormal"])
 def test_non_finite_values_are_refused(runner, argv, quantity):
     with warnings.catch_warnings():
         # an overflow warning would be printed ahead of the diagnostic
@@ -348,7 +351,7 @@ def test_cli_import_defers_heavy_scipy_modules():
 # JSON diagnostic on stderr for exit 1
 
 numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(),
-                    st.sampled_from([1e-300, 1e300, 10 ** 400, -10 ** 400]))
+                    st.sampled_from([1e-300, 1e-310, 1e300, 10 ** 400, -10 ** 400]))
 
 
 @st.composite
@@ -463,10 +466,12 @@ def test_cli_contract_on_generated_specs(case):
             with open(path, "w") as fh:
                 fh.write(text)
         source = path if how in ("file", "truncated-file", "missing") else text
-        with warnings.catch_warnings():
-            # a warning printed before the diagnostic is printed every time
+        with warnings.catch_warnings(record=True) as caught:
+            # record every warning, repeats included
             warnings.simplefilter("always")
             res = CliRunner().invoke(main, [source if a == "KERNEL" else a for a in argv])
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, runtime
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)

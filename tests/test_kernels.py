@@ -3,14 +3,15 @@
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import curvature_scalar
-from rkhs_lab.errors import (KernelVanishesNearCenter, PointOutsideDomain,
-                             TruncationTailTooLarge)
+from rkhs_lab.errors import (ConfigError, KernelVanishesNearCenter, PointOutsideDomain,
+                             TruncationTailTooLarge, UnsupportedJetOrder)
 from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
 
 
@@ -83,15 +84,15 @@ def test_normalize_at_sets_slice_to_one():
     zeta = 0.2 + 0.1j
     nk = kc.normalize_at(k, zeta)
     for z in [zeta, zeta + 0.05, zeta - 0.04j]:
-        assert abs(nk.evaluator(z, zeta) - 1.0) < 1e-10
-    assert abs(nk.evaluator(zeta, zeta) - 1.0) < 1e-12
+        assert abs(kc.eval_kernel(nk, z, zeta) - 1.0) < 1e-10
+    assert abs(kc.eval_kernel(nk, zeta, zeta) - 1.0) < 1e-12
 
 
 def test_normalize_rejects_vanishing_kernel():
     # coefficients alternating in a way that K(z, zeta) ~ 0 near the circle
     evil = kc.ClosedFormKernel(
-        evaluator=lambda z, w: (z - 0.3) * np.conjugate(w - 0.3),
-        deriv_evaluator=None, domain=kc.DISC_DIAGONAL)
+        block=lambda z, w, order: np.array([[(z - 0.3) * np.conjugate(w - 0.3)]]),
+        domain=kc.DISC_DIAGONAL)
     with pytest.raises(KernelVanishesNearCenter):
         kc.normalize_at(evil, 0.3)
 
@@ -104,15 +105,59 @@ def test_mobius_pullback_composes_with_inverse_map():
     z, w = 0.1 + 0.1j, -0.2
     psi_z, psi_w = kc.mobius_map(-a, z), kc.mobius_map(-a, w)
     expected = 1.0 / (1.0 - psi_z * np.conjugate(psi_w))
-    assert abs(pk.evaluator(z, w) - expected) < 1e-12 * abs(expected)
+    assert abs(kc.eval_kernel(pk, z, w) - expected) < 1e-12 * abs(expected)
 
 
 def test_mobius_pullback_derivative_consistent_with_finite_difference():
     k = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
     pk = kc.mobius_pullback(k, 0.2 - 0.1j)
     z, w, h = 0.15, 0.1 + 0.2j, 1e-5
-    fd = (pk.evaluator(z + h, w) - pk.evaluator(z - h, w)) / (2 * h)
-    assert abs(pk.deriv_evaluator(z, w, 1, 0) - fd) < 1e-8
+    fd = (kc.eval_kernel(pk, z + h, w) - kc.eval_kernel(pk, z - h, w)) / (2 * h)
+    assert abs(kc.deriv2(pk, z, w, 1, 0) - fd) < 1e-8
+
+
+Z, WBAR = sympy.symbols("z wbar")
+
+
+def closed_form_pullback(a):
+    """Mobius pullback of 1/(1 - z wbar) at a, with z and wbar independent."""
+    return ((1 + np.conjugate(a) * Z) * (1 + a * WBAR)
+            / ((1 - abs(a) ** 2) * (1 - Z * WBAR)))
+
+
+def closed_form_normalized(zeta):
+    """1/(1 - z wbar) normalized at zeta."""
+    return ((1 - Z * np.conjugate(zeta)) * (1 - zeta * WBAR)
+            / ((1 - abs(zeta) ** 2) * (1 - Z * WBAR)))
+
+
+@pytest.mark.parametrize("transform, closed_form", [
+    (kc.mobius_pullback, closed_form_pullback),
+    (kc.normalize_at, closed_form_normalized),
+], ids=["mobius", "normalize"])
+def test_closed_form_block_matches_symbolic_derivatives(transform, closed_form):
+    # the whole order-2 block off the diagonal, against sympy derivatives
+    center, z, w = 0.3 + 0.2j, 0.1 + 0.2j, -0.25 + 0.1j
+    kernel = transform(geometric(), center)
+    expr = closed_form(center)
+    for p in range(3):
+        for q in range(3):
+            exact = complex(sympy.diff(expr, Z, p, WBAR, q).subs(
+                {Z: z, WBAR: np.conjugate(w)}).evalf(30))
+            assert abs(kc.deriv2(kernel, z, w, p, q) - exact) <= 1e-12 * abs(exact), (p, q)
+
+
+def test_closed_form_refuses_order_above_two():
+    pk = kc.mobius_pullback(geometric(), 0.2 - 0.1j)
+    with pytest.raises(UnsupportedJetOrder):
+        kc.jet(pk, 0.1, 3)
+    with pytest.raises(UnsupportedJetOrder):
+        kc.deriv2(pk, 0.1, 0.2j, 3, 0)
+
+
+def test_mobius_pullback_refuses_annulus_kernels():
+    with pytest.raises(ConfigError, match="'kind'"):
+        kc.mobius_pullback(an.szego_kernel(an.AnnulusSpec(r=0.5)), 0.1)
 
 
 def test_mobius_map_roundtrip():
@@ -290,10 +335,10 @@ def test_normalize_at_keeps_the_curvature(kernel):
                                                         rel=1e-8)
     # two-point derivatives away from the diagonal, against central differences
     z, w, h = 0.1 + 0.2j, -0.15 + 0.05j, 1e-5
-    dz = (nk.evaluator(z + h, w) - nk.evaluator(z - h, w)) / (2 * h)
-    dwbar = (nk.evaluator(z, w + h) - nk.evaluator(z, w - h)) / (2 * h)
-    assert abs(nk.deriv_evaluator(z, w, 1, 0) - dz) < 1e-8
-    assert abs(nk.deriv_evaluator(z, w, 0, 1) - dwbar) < 1e-8
+    dz = (kc.eval_kernel(nk, z + h, w) - kc.eval_kernel(nk, z - h, w)) / (2 * h)
+    dwbar = (kc.eval_kernel(nk, z, w + h) - kc.eval_kernel(nk, z, w - h)) / (2 * h)
+    assert abs(kc.deriv2(nk, z, w, 1, 0) - dz) < 1e-8
+    assert abs(kc.deriv2(nk, z, w, 0, 1) - dwbar) < 1e-8
 
 
 def test_normalize_at_checks_sample_points_of_series_kernels():
