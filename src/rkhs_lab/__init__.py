@@ -11,7 +11,7 @@ from .curvature import (curvature_matrix, curvature_scalar, curvature_scalar_fd,
                         mobius_rule_check)
 from .extremality import (classify_shift, dependence_test, fk_value,
                           uniqueness_pipeline_check)
-from .kernels import (ClosedFormKernel, KernelJet, SeriesKernel, eval_kernel, jet,
+from .kernels import (ClosedFormKernel, SeriesKernel, eval_kernel, jet,
                       mobius_map, mobius_pullback, normalize_at, tilde_kernel)
 from .localop import (canonical_form, function_of_local, jet_gram,
                       verify_tt_identity, verify_tt_identity_gram)

@@ -14,7 +14,6 @@ from . import kernels as kc
 from .curvature import ci_slack, curvature_scalar
 from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, QuadratureFailure
 
-BOUNDARY_NODES = 4096
 QUAD_RTOL = 1e-12
 MIN_N = 50
 
@@ -160,7 +159,7 @@ def extremal_problem_ls(kernel: kc.SeriesKernel, w: complex) -> float:
     normal matrix A diag(a) A^H of the constraint rows A = (w^n, n w^(n-1))
     is the order-1 jet of K at w.
     """
-    M = kc.jet(kernel, w, 1).values
+    M = kc.jet(kernel, w, 1)
     b = np.array([0.0, 1.0], dtype=complex)
     return float(np.vdot(b, np.linalg.solve(M, b)).real)
 
@@ -184,8 +183,7 @@ def hardy_ci_slack(spec: AnnulusSpec, w: complex) -> float:
 # ---------------------------------------------------------------------------
 # periods and characters
 
-def _inner_flux(spec: AnnulusSpec, u: Callable[[float], float],
-                nodes: int = BOUNDARY_NODES) -> float:
+def _inner_flux(spec: AnnulusSpec, u: Callable[[float], float]) -> float:
     """Flux of the outward normal derivative of a radial u through the inner
     circle, with the normal pointing out of the annulus (toward the origin)."""
     h = 1e-3 * spec.r
@@ -198,9 +196,8 @@ def _inner_flux(spec: AnnulusSpec, u: Callable[[float], float],
     r1 = (4.0 * d2 - d1) / 3.0
     r2 = (4.0 * d3 - d2) / 3.0
     du = (16.0 * r2 - r1) / 15.0
-    # radial integrand is constant on the circle; trapezoid over theta
-    ds = spec.r * (2.0 * np.pi / nodes)
-    return float(np.sum(np.full(nodes, -du) * ds))  # d/d eta = -d/d rho
+    # d/d eta = -d/d rho is constant on the circle of length 2 pi r
+    return float(-2.0 * np.pi * spec.r * du)
 
 
 def character_of_weight(spec: AnnulusSpec, weight: RadialWeight) -> Character:

@@ -23,7 +23,7 @@ from . import kernels as kc
 from .curvature import ci_slack, curvature_scalar
 from .errors import ConfigError, KernelLabError
 from .extremality import classify_shift
-from .localop import LocalOperatorForm, canonical_form, jet_gram, verify_tt_identity
+from .localop import canonical_form, jet_gram, verify_tt_identity
 from .positivity import (contraction_check, hyponormal_check,
                          two_hypercontraction_check)
 from .specio import annulus_from_spec, kernel_from_spec, load_kernel, load_spec
@@ -142,14 +142,11 @@ def curvature(kernel, grid, fmt, out):
 @main.command("local-op")
 @click.option("--kernel", required=True)
 @click.option("--at", default="0", show_default=True)
-@click.option("--m", default=1, show_default=True)
 @click.option("--tol", default=1e-8, show_default=True)
 @click.option("--out", default="-", show_default=True)
-def local_op(kernel, at, m, tol, out):
+def local_op(kernel, at, tol, out):
     """Canonical local-operator form at a point."""
     try:
-        if m != 1:
-            raise ConfigError(f"option --m must be 1 on the command line, got {m}")
         _check_tol(tol)
         kern = load_kernel(kernel)
         w = _parse_at(at)

@@ -1,46 +1,37 @@
-"""Curvature scalars and matrices of Hermitian metrics from kernels or frames."""
+"""Curvature scalars of kernels and curvature matrices of jet Grams.
+
+The local object is the jet Gram G, the Gram matrix of a frame and its first
+derivatives d_1, ..., d_m at a point, in n x n blocks.  Its top-left block is
+the metric h; after congruence of every block with h^-1/2 the curvature matrix
+is minus the Schur complement of that block.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, nan
-from typing import Sequence
 
 import numpy as np
 
 from . import kernels as kc
-from .errors import DegenerateKernel, NonFiniteValue, SingularMetric
+from .errors import DegenerateKernel, NonFiniteValue, NotPositiveDefinite
 
 FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
 
 
 @dataclass(frozen=True)
-class MetricFrameSample:
-    """Pointwise data of a Hermitian metric h and its derivatives.
+class JetGram:
+    """(m+1)n x (m+1)n Gram matrix of (frame, d_1 frame, ..., d_m frame)."""
 
-    ``dh[i]`` is d_i h and ``ddh[i][j]`` is dbar_i d_j h, matching the block
-    layout of the jet Gram matrix (top row d_j h, left column dbar_i h).
-    """
-
-    w: tuple
-    h: np.ndarray
-    dh: Sequence[np.ndarray]
-    ddh: Sequence[Sequence[np.ndarray]]
-
-    @property
-    def m(self) -> int:
-        return len(self.dh)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
+    G: np.ndarray
+    m: int
+    n: int
 
 
 @dataclass(frozen=True)
 class CurvatureMatrix:
-    """Curvature blocks and the assembled mn x mn matrix."""
+    """The mn x mn curvature matrix, in n x n blocks indexed by derivative."""
 
-    blocks: list
     matrix: np.ndarray
     m: int
     n: int
@@ -53,7 +44,7 @@ class CurvatureMatrix:
 
 def curvature_scalar(kernel, w: complex) -> float:
     """-d d-bar log K(w, w) via the order-1 jet quotient formula."""
-    J = kc.jet(kernel, w, 1).values
+    J = kc.jet(kernel, w, 1)
     j00 = float(J[0, 0].real)
     if j00 <= 1e-300:
         raise DegenerateKernel(f"K(w, w) = {j00} at w = {w}")
@@ -93,38 +84,29 @@ def curvature_scalar_fd(kernel, w: complex, step: float = FD_STEP) -> float:
 
 
 def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
+    """h^-1/2 of a Hermitian positive definite metric h."""
     vals, vecs = np.linalg.eigh(h)
     if vals.min() <= 0.0:
-        raise SingularMetric(f"metric not positive definite (min eig {vals.min():.3e})")
+        raise NotPositiveDefinite(f"metric not positive definite (min eig {vals.min():.3e})")
     return vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
 
 
-def curvature_matrix(frame: MetricFrameSample) -> CurvatureMatrix:
-    """Curvature blocks -(dbar_i d_j h - (dbar_i h) h^-1 (d_j h)) at h = I.
+def curvature_matrix(gram: JetGram) -> CurvatureMatrix:
+    """-(G22 - G21 G12) of the jet Gram after congruence of every n x n block
+    with s = h^-1/2, h the top-left block.
 
-    The frame is first normalized at the sample point by congruence with
-    h^-1/2, so the returned blocks refer to a frame orthonormal at w.
+    Block (i, j) is -(dbar_i d_j h - (dbar_i h) h^-1 (d_j h)) for the frame
+    normalized to be orthonormal at the sample point.
     """
-    m, n = frame.m, frame.n
-    h = np.asarray(frame.h, dtype=complex)
-    s = _inv_sqrt_hermitian(h)
-    dh = [s @ np.asarray(d, dtype=complex) @ s for d in frame.dh]
-    ddh = [[s @ np.asarray(frame.ddh[i][j], dtype=complex) @ s for j in range(m)]
-           for i in range(m)]
-    blocks = [[-(ddh[i][j] - dh[i].conj().T @ dh[j]) for j in range(m)] for i in range(m)]
-    matrix = np.block(blocks) if m > 1 else np.asarray(blocks[0][0])
-    return CurvatureMatrix(blocks=blocks, matrix=matrix.reshape(m * n, m * n), m=m, n=n)
+    n = gram.n
+    D = np.kron(np.eye(gram.m + 1), _inv_sqrt_hermitian(gram.G[:n, :n]))
+    H = D @ np.asarray(gram.G, dtype=complex) @ D
+    return CurvatureMatrix(matrix=-(H[n:, n:] - H[n:, :n] @ H[:n, n:]), m=gram.m, n=n)
 
 
-def frame_from_jet(kernel, w: complex) -> MetricFrameSample:
-    """Rank-1 metric sample built from the order-1 kernel jet."""
-    J = kc.jet(kernel, w, 1).values
-    return MetricFrameSample(
-        w=(complex(w),),
-        h=np.array([[J[0, 0]]]),
-        dh=[np.array([[J[0, 1]]])],
-        ddh=[[np.array([[J[1, 1]]])]],
-    )
+def frame_from_jet(kernel, w: complex) -> JetGram:
+    """Rank-1 jet Gram of the frame K(., w): the order-1 kernel jet at w."""
+    return JetGram(G=kc.jet(kernel, w, 1), m=1, n=1)
 
 
 def mobius_rule_check(kernel, a: complex, z: complex) -> float:

@@ -37,10 +37,6 @@ class DegenerateKernel(KernelLabError):
     pass
 
 
-class SingularMetric(KernelLabError):
-    pass
-
-
 class SingularGram(KernelLabError):
     pass
 

@@ -61,7 +61,7 @@ def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float, 
     """
     if not is_contraction(kernel):
         raise NotAContraction("kernel coefficients must be non-decreasing")
-    J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).values.tolist()
+    J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).tolist()
     j00, j11, j01 = J[0][0].real, J[1][1].real, abs(J[0][1])
     minor = j00 * j11 - j01 * j01
     if not isfinite(minor):
@@ -147,13 +147,12 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     # psi = inverse of the conjugated automorphism: psi(z) = (z + c) / (1 + zeta z)
     geom = np.power(-zeta, np.arange(size))
     psi = np.convolve([c, 1.0], geom)[:size]
-    C = np.zeros((size, size), dtype=complex)
-    p = np.zeros(size, dtype=complex)
-    p[0] = 1.0  # psi^0
-    for n in range(a.size):
-        if n > 0:
-            p = np.convolve(p, psi)[:size]
-        C += a[n] * np.outer(p, p.conj())
+    # rows P[n] = psi^n, so C = sum_n a_n P[n]^T conj(P[n]) is one product
+    P = np.zeros((a.size, size), dtype=complex)
+    P[0, 0] = 1.0
+    for n in range(1, a.size):
+        P[n] = np.convolve(P[n - 1], psi)[:size]
+    C = (P.T * a) @ P.conj()
     # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
     u = C[:, 0].copy()
     v = _series_inverse(u)

@@ -164,15 +164,6 @@ class ClosedFormKernel:
     inner_radius: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class KernelJet:
-    """Mixed derivatives J[p, q] = d^p d^qbar K(w, w), 0 <= p, q <= order."""
-
-    center: complex
-    order: int
-    values: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # admissibility and series internals
 
@@ -362,15 +353,13 @@ def mixed_deriv(kernel, w: complex, p: int, q: int) -> complex:
     return deriv2(kernel, w, w, p, q)
 
 
-def jet(kernel, w: complex, order: int) -> KernelJet:
-    """Matrix of diagonal mixed derivatives up to the given order."""
+def jet(kernel, w: complex, order: int) -> np.ndarray:
+    """Diagonal mixed derivatives J[p, q] = d^p d^qbar K(w, w), 0 <= p, q <= order."""
     if order < 1:
         raise ValueError("jet order must be >= 1")
     if isinstance(kernel, SeriesKernel):
-        J = _moment_jet(kernel, w, order)
-    else:
-        J = _block(kernel, w, w, order)
-    return KernelJet(center=complex(w), order=order, values=J)
+        return _moment_jet(kernel, w, order)
+    return _block(kernel, w, w, order)
 
 
 def tilde_kernel(kernel: SeriesKernel) -> SeriesKernel:

@@ -1,9 +1,9 @@
 """Canonical form of the local operator on the second-order joint kernel.
 
-Builds the jet Gram matrix G in the block order (frame, d_1 frame, ...,
-d_m frame), factors G^-1 = P conj(P)^t with P block upper triangular and
-P_11 = I, and reads off the nilpotent blocks and the identity
-t(w) conj(t(w))^t = (-curvature(w))^-1.
+Takes the jet Gram G of :mod:`rkhs_lab.curvature` in the block order (frame,
+d_1 frame, ..., d_m frame), factors G^-1 = P conj(P)^t with P block upper
+triangular and P_11 = I, and reads off the nilpotent blocks and the identity
+t(w) conj(t(w))^t = (-curvature(w))^-1.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -13,19 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as kc
-from .curvature import CurvatureMatrix, MetricFrameSample, curvature_matrix
+from .curvature import JetGram, _inv_sqrt_hermitian, curvature_matrix
 from .errors import DimensionMismatch, NormalizationMissing, NotPositiveDefinite, SingularGram
 
 COND_LIMIT = 1e10
-
-
-@dataclass(frozen=True)
-class JetGram:
-    """(m+1)n x (m+1)n Gram matrix of (frame, d_1 frame, ..., d_m frame)."""
-
-    G: np.ndarray
-    m: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -41,14 +32,12 @@ class LocalOperatorForm:
     n: int
 
 
-def jet_gram(kernel, w: complex, m: int = 1) -> JetGram:
-    """Jet Gram of a scalar kernel; rank n = 1 and m = 1 only.
+def jet_gram(kernel, w: complex) -> JetGram:
+    """Jet Gram of a scalar kernel (rank n = 1, m = 1), normalized so G[0, 0] = 1.
 
     Higher rank or more variables enter through :func:`gram_from_matrix`.
     """
-    if m != 1:
-        raise DimensionMismatch("kernel route supports m = 1; supply a Gram matrix otherwise")
-    J = kc.jet(kernel, w, 1).values
+    J = kc.jet(kernel, w, 1)
     if J[0, 0].real <= 0.0:
         raise SingularGram(f"K(w, w) = {J[0, 0].real} at w = {w}")
     G = J / J[0, 0].real  # frame normalization: top-left block becomes 1
@@ -59,24 +48,16 @@ def jet_gram(kernel, w: complex, m: int = 1) -> JetGram:
 
 def gram_from_matrix(G: np.ndarray, m: int, n: int) -> JetGram:
     """Wrap a caller-supplied Gram, normalizing so the top-left block is I."""
-    import scipy.linalg
-
     G = np.asarray(G, dtype=complex)
     if G.shape != ((m + 1) * n, (m + 1) * n):
         raise DimensionMismatch(f"Gram must be {(m + 1) * n} x {(m + 1) * n}")
-    h = G[:n, :n]
-    vals, vecs = np.linalg.eigh(h)
-    if vals.min() <= 0.0:
-        raise NotPositiveDefinite("top-left block is not positive definite")
-    s = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-    D = scipy.linalg.block_diag(*([s] + [np.eye(n)] * m))
+    D = np.eye((m + 1) * n, dtype=complex)
+    D[:n, :n] = _inv_sqrt_hermitian(G[:n, :n])
     return JetGram(G=D @ G @ D.conj().T, m=m, n=n)
 
 
 def canonical_form(gram: JetGram) -> LocalOperatorForm:
     """Orthonormalize the jet basis and extract the canonical blocks."""
-    import scipy.linalg
-
     G, m, n = gram.G, gram.m, gram.n
     if not np.allclose(G[:n, :n], np.eye(n), atol=1e-10):
         raise NormalizationMissing("top-left block of the Gram must be the identity")
@@ -87,8 +68,9 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Gram is not positive definite") from exc
     # P = inv(L)^H is upper triangular with positive diagonal, P P^H = G^-1,
-    # and P_11 = I because the top-left block of G is the identity.
-    P = scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True).conj().T
+    # and P_11 = I because the top-left block of G is the identity.  The
+    # pivoted inverse leaves roundoff below the diagonal of P; triu drops it.
+    P = np.triu(np.linalg.inv(L).conj().T)
     Ginv = np.linalg.inv(G)
     R = Ginv[n:, n:]
     t = P[n:, n:]
@@ -107,28 +89,17 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
     return LocalOperatorForm(t_blocks=t_blocks, t=t, N=N, R=R, P=P, m=m, n=n)
 
 
-def frame_from_gram(gram: JetGram) -> MetricFrameSample:
-    """Read the metric sample (h, dh, ddh) off the Gram block layout."""
-    G, m, n = gram.G, gram.m, gram.n
-    h = G[:n, :n]
-    dh = [G[:n, (j + 1) * n:(j + 2) * n] for j in range(m)]
-    ddh = [[G[(i + 1) * n:(i + 2) * n, (j + 1) * n:(j + 2) * n] for j in range(m)]
-           for i in range(m)]
-    return MetricFrameSample(w=(), h=h, dh=dh, ddh=ddh)
-
-
 def verify_tt_identity_gram(gram: JetGram) -> float:
     """Relative spectral-norm residual of t conj(t)^t = (-curvature)^-1."""
     form = canonical_form(gram)
-    curv: CurvatureMatrix = curvature_matrix(frame_from_gram(gram))
-    target = np.linalg.inv(-curv.matrix)
+    target = np.linalg.inv(-curvature_matrix(gram).matrix)
     resid = np.linalg.norm(form.t @ form.t.conj().T - target, ord=2)
     return resid / np.linalg.norm(target, ord=2)
 
 
-def verify_tt_identity(kernel, w: complex, m: int = 1) -> float:
+def verify_tt_identity(kernel, w: complex) -> float:
     """Kernel route of the identity check (rank 1, m = 1)."""
-    return verify_tt_identity_gram(jet_gram(kernel, w, m))
+    return verify_tt_identity_gram(jet_gram(kernel, w))
 
 
 def function_of_local(form: LocalOperatorForm, w, f_value: complex, f_gradient) -> np.ndarray:

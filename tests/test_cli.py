@@ -147,7 +147,6 @@ def test_grid_parse_errors(runner, geo_spec):
     (["annulus", "--task", "character", "--weight", "rho^nan"], "option --weight "),
     (["annulus", "--task", "strict-ci", "--weight", "rho^inf"], "option --weight "),
     (["check", "--kernel", "GEO", "--tests", "contraction,bogus"], "option --tests "),
-    (["local-op", "--kernel", "GEO", "--m", "2"], "option --m "),
     (["annulus", "--task", "szego", "--r", "1.5"], "field 'r' "),
     (["check", "--kernel", "GEO", "--seed", "-1"], "option --seed "),
     (["ci-check", "--kernel", "GEO", "--tol", "nan"], "option --tol "),
@@ -157,7 +156,7 @@ def test_grid_parse_errors(runner, geo_spec):
     (["extremal", "--kernel", "GEO", "--tol", "-1e-9"], "option --tol "),
     (["local-op", "--kernel", "GEO", "--tol", "-1"], "option --tol "),
 ], ids=["grid-text", "grid-steps", "grid-parts", "extremal-at", "local-op-at",
-        "annulus-weight", "annulus-weight-nan", "annulus-weight-inf", "tests", "m",
+        "annulus-weight", "annulus-weight-nan", "annulus-weight-inf", "tests",
         "annulus-r", "seed-negative", "ci-check-tol-nan", "extremal-tol-nan",
         "local-op-tol-nan", "ci-check-tol-inf", "extremal-tol-negative",
         "local-op-tol-negative"])
@@ -311,12 +310,19 @@ def test_ci_check_refuses_flags_that_contradict_spec(runner, spec, flags, field)
 
 
 # ---------------------------------------------------------------------------
-# import cost: scipy's heavy subpackages load only where they are used
+# import cost: scipy's heavy subpackages load only where they are used, and
+# the local-operator path uses none of them
 
 IMPORT_PROBE = """
 import json, sys
 import numpy as np
 import rkhs_lab.cli
+from rkhs_lab import kernels as kc, localop as lo
+k = kc.SeriesKernel.bergman()
+lo.canonical_form(lo.jet_gram(k, 0.3))
+lo.verify_tt_identity(k, 0.3)
+G = np.eye(6) + 0.1 * np.ones((6, 6))
+lo.canonical_form(lo.gram_from_matrix(G, 2, 2))
 heavy = ("scipy.integrate", "scipy.stats", "scipy.linalg")
 loaded = [m for m in heavy if m in sys.modules]
 from rkhs_lab import annulus as an, caratheodory as ca

@@ -8,7 +8,8 @@ from rkhs_lab.errors import NotAContraction
 from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
                                   normalized_pullback_coeffs,
                                   uniqueness_pipeline_check)
-from rkhs_lab.positivity import contraction_check, two_hypercontraction_check
+from rkhs_lab.positivity import (contraction_check, shift_kernel,
+                                two_hypercontraction_check)
 from tests.conftest import random_contractive_coeffs
 
 
@@ -102,6 +103,24 @@ def test_normalized_pullback_is_gram_of_monomial_images():
     # for the geometric kernel the conjugated, normalized kernel is itself
     C = normalized_pullback_coeffs(geometric(), 0.3, 40)
     assert np.abs(C - np.eye(41)).max() < 1e-12
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3, 0.5, 0.2 + 0.3j, -0.45j])
+@pytest.mark.parametrize("coeffs", [
+    np.ones(201), np.arange(1.0, 202.0), np.arange(1.0, 202.0) ** 0.6,
+    random_contractive_coeffs(np.random.default_rng(7)),
+    np.array([1.0, 1.0] + [2.0 * 2 ** k for k in range(60)]),
+], ids=["geometric", "bergman", "power-0.6", "seeded", "case-2"])
+def test_normalized_pullback_matches_closed_form_transforms(coeffs, zeta):
+    # C[p, q] is the Taylor coefficient d^p d^qbar L(0, 0) / (p! q!) of the
+    # pulled-back kernel normalized at 0, which the closed-form transforms give
+    kernel = shift_kernel(kc.SeriesKernel.disc(coeffs))
+    truncation = uniqueness_pipeline_check(kernel, zeta).truncation
+    C = normalized_pullback_coeffs(kernel, zeta, truncation)
+    L = kc.normalize_at(kc.mobius_pullback(kernel, np.conjugate(zeta)), 0.0)
+    fact = np.array([1.0, 1.0, 2.0])
+    oracle = kc.jet(L, 0.0, 2) / np.outer(fact, fact)
+    assert np.abs(C[:3, :3] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_pipeline_gram_decrease_on_monomials():
