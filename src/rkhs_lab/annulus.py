@@ -100,18 +100,15 @@ def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
     """|z^n|^2 in the weighted Bergman space for each n in ns:
     2 pi int_r^1 rho^(2n+1) h(rho) drho, closed form for power laws, quad otherwise."""
     if weight.kind == "power_law":
-        integrals = []
-        for n in ns:
-            e = 2 * n + 1 + weight.b
-            with np.errstate(over="ignore"):  # |b| near the double limit gives +-inf
-                overflows = (e + 1.0) * np.log(spec.r) > 700.0  # r^(e+1) overflows
-            if abs(e + 1.0) < 1e-14:
-                integrals.append(np.log(1.0 / spec.r))
-            elif overflows:
-                integrals.append(np.inf)
-            else:
-                integrals.append((1.0 - spec.r ** (e + 1.0)) / (e + 1.0))
-        return 2.0 * np.pi * np.array(integrals, dtype=float)
+        e = 2 * np.asarray(ns) + 1 + weight.b
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # r^(e+1) overflows a double; for |b| near the double limit the product is +-inf
+            overflows = (e + 1.0) * np.log(spec.r) > 700.0
+            # libm's pow, as in Python's r ** x; numpy's SIMD power rounds differently
+            power = np.float_power(spec.r, np.where(overflows, 0.0, e + 1.0))
+            integrals = np.where(overflows, np.inf, (1.0 - power) / (e + 1.0))
+        integrals = np.where(np.abs(e + 1.0) < 1e-14, np.log(1.0 / spec.r), integrals)
+        return 2.0 * np.pi * integrals
     from scipy import integrate
 
     integrals = []

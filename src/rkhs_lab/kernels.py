@@ -1,17 +1,18 @@
 """Diagonal reproducing kernels on the disc and annulus.
 
 A series kernel is K(z, w) = sum_n a_n z^n conj(w)^n over a finite index
-window.  Two-point quantities (values, two-point derivatives, sampled Gram
-matrices) are read off one product T(z) diag(a) T(w)^H, where
-T[p, i, n] = F_p(n) x_i^(n - p) (F_p the falling factorial).  Diagonal jets
-come from real moment sums: with t = |w|^2,
-d^p d^qbar K(w, w) = conj(w)^(p - q) sum_n a_n F_p(n) F_q(n) t^(n - p) for
-p >= q, summed as the real product M diag(a) M^T with M[p, n] = F_p(n) |w|^(n - p)
-so that, as in the table product, a_n sits between the two powers of |w|.
-Both paths check every point against the domain and refuse a sum that is not
-finite with ``NonFiniteValue``.  The constant rows of a kernel (live window,
-falling factorials, exponents, tail growth) are computed once and kept on the
-kernel, whose arrays are read-only.
+window.  Every value and derivative at one point pair (z, w) comes from one
+routine, the moment block: with M_x[p, k] = F_p(n_k) |x|^(n_k - p) (F_p the
+falling factorial) and the phase row c_k = u^(n_k), u = e^(i (arg z - arg w)),
+d^p_z d^q_wbar K(z, w) = (conj(z) / |z|)^p (M_z diag(a c) M_w^T)[p, q] (w / |w|)^q,
+so that a_n sits between the two real powers; on the diagonal c = 1 and the
+sums are real.  Point clouds (sampled Gram matrices) take one product
+T(z) diag(a) T(w)^H of integer-power tables T[i, k] = x_i^(n_k).  Both paths
+check every point against the domain, refuse a sum that is not finite with
+``NonFiniteValue``, and refuse a value whose truncation tail bound exceeds
+TAIL_RTOL |K| (the largest |K| of a matrix).  The constant rows of a kernel
+(live window, falling factorials, exponents, tail growth) are computed once
+and kept on the kernel, whose arrays are read-only.
 Closed-form kernels, as built by normalization and Mobius pullback, answer
 the same question through one callable, their derivative block
 B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order <= 2; a higher order is
@@ -241,79 +242,94 @@ def _rows(kernel: SeriesKernel, order: int):
     return store[0][:order + 1], store[1][:order + 1]
 
 
-def _table(kernel: SeriesKernel, x, order: int) -> np.ndarray:
-    """T[p, i, k] = F_p(n_k) x_i^(n_k - p) over the live window for p <= order,
-    after checking every x_i.  Where F_p(n_k) = 0 the entry is an exact zero."""
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    for xi in x:
-        check_point(kernel, xi)
-    fall, exps = _rows(kernel, order)
-    return fall[:, None, :] * x[None, :, None] ** exps[:, None, :]
+def _phase_row(kernel: SeriesKernel, u: complex) -> np.ndarray:
+    """c_k = u^(n_k) over the live window, for |u| = 1.
 
-
-def _series(kernel: SeriesKernel, z, w, order: int) -> np.ndarray:
-    """S[p, q, i, j] = d^p_z d^q_wbar K(z_i, w_j) for p, q <= order.
-
-    One product T(z) diag(a) T(w)^H of the tables of :func:`_table`; terms
-    with a zero coefficient are left out.
+    The powers u^j, 0 <= j <= max |n|, are repeated products (exact for a real
+    u), and u^-j is taken as conj(u^j); the row is laid out over the
+    contiguous window, then indexed by the live exponents.
     """
+    lo, hi = kernel.n_min, kernel.n_max
+    powers = np.full(max(hi, -lo, 0) + 1, u)
+    powers[0] = 1.0
+    np.cumprod(powers, out=powers)
+    row = (np.concatenate((powers[-lo:0:-1].conj(), powers[:max(hi, -1) + 1])) if lo < 0
+           else powers[lo:hi + 1])
+    ns = kernel._live[0]
+    return row if row.size == ns.size else row[ns - lo]
+
+
+def _moment_block(kernel: SeriesKernel, z: complex, w: complex, order: int) -> np.ndarray:
+    """B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order from the real rows
+    M_x[p, k] = F_p(n_k) |x|^exps[p, k] and the phase row of (z, w), as in the
+    module docstring; the phase of 0 is taken as 1.  Each a_k scales the power
+    of |z| before it meets that of |w|, so a small a_k at a negative n_k (inner
+    end of a Laurent window) keeps the sum finite where a power alone would
+    overflow.  At z == w the sums are real, and the upper triangle is the
+    conjugate transpose of the lower.
+    """
+    fall, exps = _rows(kernel, order)
+    z, w = complex(z), complex(w)
+    rz, rw = abs(z), abs(w)
+    ez = z / rz if rz else 1.0 + 0j
+    ew = w / rw if rw else 1.0 + 0j
+    diagonal = z == w
     a = kernel._live[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        tz = _table(kernel, z, order)
-        tw = tz if w is z else _table(kernel, w, order)
-        size = order + 1
-        S = (tz * a).reshape(size * tz.shape[1], -1) @ tw.reshape(size * tw.shape[1], -1).conj().T
-    S = S.reshape(size, tz.shape[1], size, tw.shape[1]).transpose(0, 2, 1, 3)
-    if not np.isfinite(S).all():
-        p, q, i, j = np.argwhere(~np.isfinite(S))[0]
-        raise NonFiniteValue(f"series sum d^{p} d^{q}bar K(z, w) is not finite at "
-                             f"z = {np.atleast_1d(z)[i]}, w = {np.atleast_1d(w)[j]}")
-    return S
-
-
-def _moment_jet(kernel: SeriesKernel, w: complex, order: int) -> np.ndarray:
-    """J[p, q] = d^p d^qbar K(w, w) for p, q <= order from real moment sums.
-
-    With M[p, k] = F_p(n_k) |w|^exps[p, k], for p >= q
-    J[p, q] = (conj(w) / |w|)^(p - q) (M diag(a) M^T)[p, q], which is
-    conj(w)^(p - q) sum_k a_k F_p F_q t^(n_k - p) with t = |w|^2; the upper
-    triangle is the conjugate transpose.  Each power of |w| is scaled by a_k before it meets
-    the other, so a small a_k at a negative n_k (inner end of a Laurent
-    window) keeps the sum finite where t^(n_k - p) alone would overflow.
-    """
-    check_point(kernel, w)
-    fall, exps = _rows(kernel, order)
-    w = complex(w)
-    r = abs(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = fall * r ** exps
-        sums = ((M * kernel._live[1]) @ M.T).tolist()  # item access on numpy costs more
-    # at w = 0 only the diagonal survives, so the phase is irrelevant there
-    phase = w.conjugate() / r if r else 0j
-    powers = [1.0 + 0j]
+        Mz = Mw = fall * rz ** exps
+        if not diagonal:
+            Mw = fall * rw ** exps
+            a = a * _phase_row(kernel, ez * ew.conjugate())
+        sums = ((Mz * a) @ Mw.T).tolist()  # item access on numpy costs more
+    pz, pw = [1.0 + 0j], [1.0 + 0j]
     for _ in range(order):
-        powers.append(powers[-1] * phase)
-    J = [[0j] * (order + 1) for _ in range(order + 1)]
+        pz.append(pz[-1] * ez.conjugate())
+        pw.append(pw[-1] * ew)
+    B = [[0j] * (order + 1) for _ in range(order + 1)]
     for p in range(order + 1):
-        for q in range(p + 1):
-            if not isfinite(sums[p][q]):
-                raise NonFiniteValue(f"moment sum d^{p} d^{q}bar K(w, w) is not finite at w = {w}")
-            J[p][q] = powers[p - q] * sums[p][q]
-            J[q][p] = J[p][q].conjugate()
-    return np.array(J)
+        for q in range(p + 1 if diagonal else order + 1):
+            if not (isfinite(sums[p][q].real) and isfinite(sums[p][q].imag)):
+                at = (f"K(w, w) is not finite at w = {w}" if diagonal and order
+                      else f"K(z, w) is not finite at z = {z}, w = {w}")
+                raise NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
+            if diagonal:
+                B[p][q] = pz[p - q] * sums[p][q]
+                B[q][p] = B[p][q].conjugate()
+            else:
+                B[p][q] = pz[p] * sums[p][q] * pw[q]
+    return np.array(B)
 
 
 def _block(kernel, z: complex, w: complex, order: int) -> np.ndarray:
     """B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order, after checking z and w:
-    one table product for a series kernel, the kernel's own block for a
-    closed form, which supports order <= 2 only."""
-    if isinstance(kernel, SeriesKernel):
-        return _series(kernel, z, w, order)[:, :, 0, 0]
+    the moment block for a series kernel, the kernel's own block for a closed
+    form, which supports order <= 2 only."""
     check_point(kernel, z)
-    check_point(kernel, w)
+    if w is not z:
+        check_point(kernel, w)
+    if isinstance(kernel, SeriesKernel):
+        return _moment_block(kernel, z, w, order)
     if order > 2:
         raise UnsupportedJetOrder(f"closed-form kernels support p, q <= 2, got order {order}")
     return kernel.block(z, w, order)
+
+
+def _table(kernel: SeriesKernel, x) -> np.ndarray:
+    """T[i, k] = x_i^(n_k) over the live window, after checking every x_i."""
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    for xi in x:
+        check_point(kernel, xi)
+    return x[:, None] ** kernel._live[0]
+
+
+def _refuse_tail(tail: np.ndarray, scale: float, z, w) -> None:
+    """Refuse a sum whose truncation tail bound tail[i, j] at (z_i, w_j)
+    exceeds TAIL_RTOL * scale."""
+    bad = tail > TAIL_RTOL * max(scale, 1e-300)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise TruncationTailTooLarge(f"tail bound {tail[i, j]:.3e} exceeds {TAIL_RTOL:.0e} "
+                                     f"* max|K| ({scale:.3e}) at z={z[i]}, w={w[j]}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +338,32 @@ def _block(kernel, z: complex, w: complex, order: int) -> np.ndarray:
 def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
     """Matrix K(z_i, w_j) of a series kernel over two arrays of points.
 
-    Every point is checked against the domain and every entry against the
-    truncation tail bound.
+    One product T(z) diag(a) T(w)^H of integer-power tables
+    T[i, k] = x_i^(n_k) over the live window.  Every point is checked against
+    the domain, and every entry's truncation tail bound against the largest
+    |K| of the matrix, the scale of a Gram's eigenvalue tolerance.
     """
-    K = _series(kernel, z, w, 0)[0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tz = _table(kernel, z)
+        tw = tz if w is z else _table(kernel, w)
+        K = (tz * kernel._live[1]) @ tw.conj().T
     z, w = np.atleast_1d(z), np.atleast_1d(w)
-    tail = _series_tail_bound(kernel, np.abs(np.multiply.outer(z, np.conjugate(w))))
-    bad = tail > TAIL_RTOL * np.maximum(np.abs(K), 1e-300)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise TruncationTailTooLarge(
-            f"tail bound {tail[i, j]:.3e} exceeds {TAIL_RTOL:.0e} * |K| at z={z[i]}, w={w[j]}")
+    if not np.isfinite(K).all():
+        i, j = np.argwhere(~np.isfinite(K))[0]
+        raise NonFiniteValue(f"series sum K(z, w) is not finite at z = {z[i]}, w = {w[j]}")
+    _refuse_tail(_series_tail_bound(kernel, np.abs(np.multiply.outer(z, w.conj()))),
+                 float(np.abs(K).max(initial=0.0)), z, w)
     return K
 
 
 def eval_kernel(kernel, z: complex, w: complex) -> complex:
-    """Evaluate K(z, w); Hermitian in (z, w) by construction."""
+    """Evaluate K(z, w); Hermitian in (z, w) by construction.  A series value
+    is refused where its truncation tail bound exceeds TAIL_RTOL * |K(z, w)|."""
+    value = complex(_block(kernel, z, w, 0)[0, 0])
     if isinstance(kernel, SeriesKernel):
-        return complex(kernel_matrix(kernel, z, w)[0, 0])
-    return deriv2(kernel, z, w, 0, 0)
+        tail = _series_tail_bound(kernel, abs(z) * abs(w))
+        _refuse_tail(np.atleast_2d(tail), abs(value), [z], [w])
+    return value
 
 
 def deriv2(kernel, z: complex, w: complex, p: int, q: int) -> complex:
@@ -357,8 +380,6 @@ def jet(kernel, w: complex, order: int) -> np.ndarray:
     """Diagonal mixed derivatives J[p, q] = d^p d^qbar K(w, w), 0 <= p, q <= order."""
     if order < 1:
         raise ValueError("jet order must be >= 1")
-    if isinstance(kernel, SeriesKernel):
-        return _moment_jet(kernel, w, order)
     return _block(kernel, w, w, order)
 
 

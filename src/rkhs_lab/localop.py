@@ -56,10 +56,16 @@ def gram_from_matrix(G: np.ndarray, m: int, n: int) -> JetGram:
     return JetGram(G=D @ G @ D.conj().T, m=m, n=n)
 
 
+def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """np.allclose(a, b, atol=atol) written out: |a - b| <= atol + 1e-5 |b|
+    everywhere, which a NaN fails."""
+    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
+
+
 def canonical_form(gram: JetGram) -> LocalOperatorForm:
     """Orthonormalize the jet basis and extract the canonical blocks."""
     G, m, n = gram.G, gram.m, gram.n
-    if not np.allclose(G[:n, :n], np.eye(n), atol=1e-10):
+    if not _allclose(G[:n, :n], np.eye(n), atol=1e-10):
         raise NormalizationMissing("top-left block of the Gram must be the identity")
     if np.linalg.cond(G) > COND_LIMIT:
         raise NotPositiveDefinite(f"Gram condition number exceeds {COND_LIMIT:.0e}")
@@ -75,7 +81,7 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
     R = Ginv[n:, n:]
     t = P[n:, n:]
     tt = t @ t.conj().T
-    if not np.allclose(tt, R, atol=1e-8 * max(1.0, np.linalg.norm(R))):
+    if not _allclose(tt, R, atol=1e-8 * max(1.0, np.linalg.norm(R))):
         raise NotPositiveDefinite("t conj(t)^t does not reproduce the Gram inverse block")
     size = (m + 1) * n
     t_blocks = []

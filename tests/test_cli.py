@@ -262,6 +262,19 @@ def test_contraction_default_cloud_resolves_a_growing_short_list(runner):
     assert abs(verdict["min_eigenvalue"]) < 1e-10
 
 
+def test_contraction_gram_with_a_near_cancelling_entry(runner):
+    # ten off-diagonal entries of the tilde Gram partly cancel (|K| of 0.8-1.5e-3)
+    # and have tail bounds above 1e-12 |K|; against the largest |K| of the
+    # matrix, 2.5e-3, the largest tail bound, 2.4e-15, is within 1e-12, and the
+    # eigenvalue tolerance scales with the matrix, so the Gram is not refused
+    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                       "coeffs": [1.48e-3, 2.73e-2, 0.133, 0.144, 0.254, 1.28, 1.44,
+                                  12.1, 14.6, 30.8, 52.0, 70.1]})
+    res = runner.invoke(main, ["check", "--kernel", spec, "--tests", "contraction"])
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)["verdicts"]["contraction"]["passed"]
+
+
 def test_ci_check_reads_the_kernel_file(runner, tmp_path):
     res = runner.invoke(main, ["ci-check", "--kernel", str(tmp_path / "missing.json"),
                                "--domain", "annulus", "--grid", "0.6:0.8:2"])

@@ -257,6 +257,11 @@ def windows_and_points(draw):
 # a_n ~ 1e-300 at n = -142, where |w|^(2n) alone overflows a double
 @example((an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05, N=200),
                                      an.RadialWeight.power_law(50.0)), 0.6j, 0.075 + 0j))
+# the same with both points at the inner edge: |z|^n and |w|^n each near 1e160
+@example((an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05, N=200),
+                                     an.RadialWeight.power_law(50.0)), 0.075 + 0j, 0.075j))
+# a real pair of opposite signs: the phase row is (-1)^n
+@example((kc.SeriesKernel.bergman(), -0.8 + 0j, 0.8 + 0j))
 def test_deriv2_and_jet_match_mpmath(case):
     kernel, z, w = case
     J = kc.jet(kernel, w, 2)
@@ -266,6 +271,22 @@ def test_deriv2_and_jet_match_mpmath(case):
         for q in range(3):
             assert abs(kc.deriv2(kernel, z, w, p, q) - two_point[p][q]) <= two_point_tol[p, q]
             assert abs(J[p, q] - diagonal[p][q]) <= diagonal_tol[p, q]
+
+
+@pytest.mark.parametrize("kernel", [
+    kc.SeriesKernel.bergman(),
+    kc.tilde_kernel(kc.SeriesKernel.disc([1.0, 2.0, 2.0, 2.0, 3.5] * 40)),
+    an.szego_kernel(an.AnnulusSpec(r=0.3)),
+    an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05), an.RadialWeight.power_law(50.0)),
+], ids=["bergman", "tilde", "szego", "weighted-bergman"])
+def test_real_points_give_exactly_real_values(kernel):
+    # with real coefficients, K(z, w) and its derivatives are real at real z, w
+    for z, w in [(-0.7, -0.7), (-0.8, 0.8), (0.6, -0.45), (-0.35, -0.9), (0.5, 0.5)]:
+        assert kc.eval_kernel(kernel, z, w).imag == 0.0, (z, w)
+        for p in range(3):
+            for q in range(3):
+                assert kc.deriv2(kernel, z, w, p, q).imag == 0.0, (z, w, p, q)
+        assert np.all(kc.jet(kernel, w, 2).imag == 0.0), w
 
 
 @pytest.mark.parametrize("coeffs", [np.linspace(1.0, 3.0, 201),
