@@ -4,6 +4,8 @@ inequality, periods and characters of log-harmonic radial weights."""
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -180,44 +182,22 @@ def hardy_ci_slack(spec: AnnulusSpec, w: complex) -> float:
 # ---------------------------------------------------------------------------
 # periods and characters
 
-def _inner_flux(spec: AnnulusSpec, u: Callable[[float], float]) -> float:
-    """Flux of the outward normal derivative of a radial u through the inner
-    circle, with the normal pointing out of the annulus (toward the origin)."""
-    h = 1e-3 * spec.r
-
-    def central(step):
-        return (u(spec.r + step) - u(spec.r - step)) / (2.0 * step)
-
-    # two Richardson levels: O(h^6) truncation, roundoff ~1e-12
-    d1, d2, d3 = central(h), central(h / 2), central(h / 4)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    du = (16.0 * r2 - r1) / 15.0
-    # d/d eta = -d/d rho is constant on the circle of length 2 pi r
-    return float(-2.0 * np.pi * spec.r * du)
-
-
 def character_of_weight(spec: AnnulusSpec, weight: RadialWeight) -> Character:
     """Period c_1 = - flux of (1/2) log h through the inner boundary, and
     gamma_1 = exp(i c_1).
 
-    Only power-law weights are log-harmonic radial weights; the clockwise
-    orientation of the inner boundary is realized by the sign of the
-    quadrature, validated by gamma(b = 2) = 1.  The opposite-sign variant
-    is reported in ``periods_alternate``.
+    Only power-law weights are log-harmonic radial weights.  For h = rho^b
+    the outward normal on the inner circle points toward the origin, so the
+    flux of (1/2) b log rho is -2 pi r b / (2 r) and c_1 = pi b, in closed
+    form; gamma(b = 2) = 1 fixes the clockwise orientation of the inner
+    boundary.  The opposite-sign variant is reported in ``periods_alternate``.
     """
     if weight.kind != "power_law":
         raise NotLogHarmonic("log h must be harmonic; only power laws qualify")
-
-    def half_log_h(rho: float) -> float:
-        return 0.5 * weight.b * np.log(rho)
-
-    with np.errstate(all="ignore"):
-        c = -_inner_flux(spec, half_log_h)
-    if not np.isfinite(c):
+    c = math.pi * float(weight.b)
+    if not math.isfinite(c):
         raise NonFiniteValue(f"period of rho^{weight.b} is not finite on the annulus r = {spec.r}")
-    return Character(gammas=[complex(np.exp(1j * c))], periods=[c],
-                     periods_alternate=[-c])
+    return Character(gammas=[cmath.exp(1j * c)], periods=[c], periods_alternate=[-c])
 
 
 @dataclass(frozen=True)
@@ -259,11 +239,6 @@ def period_matrix(spec: AnnulusSpec) -> np.ndarray:
     """1x1 period matrix of the harmonic measure of the inner circle.
 
     omega_1 = log rho / log r; the flux through the inner circle, signed so
-    the energy form is positive, equals 2 pi / |log r|.
+    the energy form is positive, is 2 pi r / (r |log r|) = 2 pi / |log r|.
     """
-
-    def omega(rho: float) -> float:
-        return np.log(rho) / np.log(spec.r)
-
-    p11 = _inner_flux(spec, omega)
-    return np.array([[p11]])
+    return np.array([[2.0 * math.pi / abs(math.log(spec.r))]])

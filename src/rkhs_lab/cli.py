@@ -23,7 +23,7 @@ from . import kernels as kc
 from .curvature import ci_slack, curvature_scalar
 from .errors import ConfigError, KernelLabError
 from .extremality import classify_shift
-from .localop import canonical_form, jet_gram, verify_tt_identity
+from .localop import canonical_form, jet_gram, verify_tt_identity_gram
 from .positivity import (contraction_check, hyponormal_check,
                          two_hypercontraction_check)
 from .specio import annulus_from_spec, kernel_from_spec, load_kernel, load_spec
@@ -150,8 +150,9 @@ def local_op(kernel, at, tol, out):
         _check_tol(tol)
         kern = load_kernel(kernel)
         w = _parse_at(at)
-        form = canonical_form(jet_gram(kern, w))
-        residual = verify_tt_identity(kern, w)
+        gram = jet_gram(kern, w)
+        form = canonical_form(gram)
+        residual = verify_tt_identity_gram(gram)
         curv = curvature_scalar(kern, w)
     except (KernelLabError, OSError) as exc:
         _fail(exc)

@@ -200,7 +200,8 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0,
                  and abs(C[1, 1].real - 1.0) <= 1e-8,
                  f"|V0|^2 = {C[0, 0].real:.12f}, |V1|^2 = {C[1, 1].real:.12f}")
     if ok:
-        cond = np.linalg.cond(C)
+        lam = np.abs(np.linalg.eigvalsh(C))  # C is Hermitian: cond = max|lam| / min|lam|
+        cond = lam.max() / lam.min() if lam.min() > 0.0 else np.inf
         if cond > 1e10:
             ok = run("monomial-gram", False,
                      f"coefficient matrix condition {cond:.2e} defeats inversion")

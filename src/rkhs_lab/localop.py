@@ -1,8 +1,10 @@
 """Canonical form of the local operator on the second-order joint kernel.
 
 Takes the jet Gram G of :mod:`rkhs_lab.curvature` in the block order (frame,
-d_1 frame, ..., d_m frame), factors G^-1 = P conj(P)^t with P block upper
-triangular and P_11 = I, and reads off the nilpotent blocks and the identity
+d_1 frame, ..., d_m frame) and factors it once, G = L conj(L)^t.  The block
+upper triangular P = conj(inv(L))^t, with P_11 = I and P conj(P)^t = G^-1,
+gives the nilpotent blocks, the conditioning test and, with t = P_22, the
+lower-right block R = t conj(t)^t of G^-1, which is the identity
 t(w) conj(t(w))^t = (-curvature(w))^-1.  numpy is the only dependency.
 """
 
@@ -26,7 +28,7 @@ class LocalOperatorForm:
     t_blocks: list  # t_l, each n x mn
     t: np.ndarray  # stacked, mn x mn
     N: list  # nilpotent (m+1)n x (m+1)n matrices
-    R: np.ndarray  # mn x mn, equals lower-right block of G^-1
+    R: np.ndarray  # mn x mn, t conj(t)^t, the lower-right block of G^-1
     P: np.ndarray  # upper-triangular factor, P conj(P)^t = G^-1
     m: int
     n: int
@@ -67,8 +69,6 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
     G, m, n = gram.G, gram.m, gram.n
     if not _allclose(G[:n, :n], np.eye(n), atol=1e-10):
         raise NormalizationMissing("top-left block of the Gram must be the identity")
-    if np.linalg.cond(G) > COND_LIMIT:
-        raise NotPositiveDefinite(f"Gram condition number exceeds {COND_LIMIT:.0e}")
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -77,12 +77,18 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
     # and P_11 = I because the top-left block of G is the identity.  The
     # pivoted inverse leaves roundoff below the diagonal of P; triu drops it.
     P = np.triu(np.linalg.inv(L).conj().T)
-    Ginv = np.linalg.inv(G)
-    R = Ginv[n:, n:]
+    # ||G||_F ||P||_F^2 = ||G||_F tr(G^-1) bounds cond_2(G) from above and
+    # exceeds it by at most a factor ((m+1)n)^(3/2); inf and NaN fail the test
+    with np.errstate(over="ignore"):
+        bound = np.linalg.norm(G) * np.linalg.norm(P) ** 2
+    if not bound <= COND_LIMIT:
+        raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) exceeds "
+                                  f"{COND_LIMIT:.0e}")
     t = P[n:, n:]
-    tt = t @ t.conj().T
-    if not _allclose(tt, R, atol=1e-8 * max(1.0, np.linalg.norm(R))):
-        raise NotPositiveDefinite("t conj(t)^t does not reproduce the Gram inverse block")
+    # P is block upper triangular, so the lower-right block of P P^H is t t^H
+    R = t @ t.conj().T
+    # its diagonal is real; a fused multiply-add in the product leaves roundoff there
+    np.fill_diagonal(R, R.diagonal().real)
     size = (m + 1) * n
     t_blocks = []
     N = []
@@ -96,11 +102,12 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
 
 
 def verify_tt_identity_gram(gram: JetGram) -> float:
-    """Relative spectral-norm residual of t conj(t)^t = (-curvature)^-1."""
+    """Relative spectral-norm residual of t conj(t)^t = (-curvature)^-1, the
+    target formed from :func:`curvature_matrix`, not from the factor behind t."""
     form = canonical_form(gram)
     target = np.linalg.inv(-curvature_matrix(gram).matrix)
-    resid = np.linalg.norm(form.t @ form.t.conj().T - target, ord=2)
-    return resid / np.linalg.norm(target, ord=2)
+    resid = np.abs(np.linalg.eigvalsh(form.R - target)).max()
+    return float(resid / np.abs(np.linalg.eigvalsh(target)).max())
 
 
 def verify_tt_identity(kernel, w: complex) -> float:

@@ -25,11 +25,16 @@ KINDS = ("disc_diagonal", "annulus_laurent")
 RULES = ("1", "n+1", "(n+1)^s", "custom-list")
 
 
+def _is_number(value) -> bool:
+    # JSON true and false arrive as bool, which Python counts as an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(spec: dict, field: str, types):
     if field not in spec:
         raise ConfigError(f"missing field '{field}'")
     value = spec[field]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"field '{field}' has wrong type: {type(value).__name__}")
     return value
 
@@ -43,7 +48,7 @@ def _float(field: str, value) -> float:
 
 def _n_max(spec: dict) -> int:
     n_max = spec.get("n_max", kc.DEFAULT_N_MAX)
-    if not isinstance(n_max, int) or n_max < 1:
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ConfigError(f"field 'n_max' must be a positive integer, got {n_max!r}")
     return n_max
 
@@ -57,7 +62,7 @@ def annulus_from_spec(spec: dict) -> tuple[an.AnnulusSpec, an.RadialWeight]:
                           f"annulus_laurent, got {n_max}")
     annulus = an.AnnulusSpec(r=_float("r", _require(spec, "r", (int, float))), N=n_max)
     b = spec.get("weight_b", 0.0)
-    if not isinstance(b, (int, float)):
+    if not _is_number(b):
         raise ConfigError(f"field 'weight_b' must be a number, got {b!r}")
     return annulus, an.RadialWeight.power_law(_float("weight_b", b))
 
@@ -91,9 +96,11 @@ def kernel_from_spec(spec: dict) -> kc.SeriesKernel:
         raw = _require(spec, "coeffs", list)
         if not raw:
             raise ConfigError("field 'coeffs' must be a non-empty list")
+        if not all(_is_number(c) for c in raw):
+            raise ConfigError("field 'coeffs' must contain only numbers")
         try:
             coeffs = np.array([float(c) for c in raw])
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             raise ConfigError("field 'coeffs' must contain only numbers that fit a double")
         if not np.all(np.isfinite(coeffs) & (coeffs > 0.0)):
             raise ConfigError("field 'coeffs' must be finite and strictly positive")

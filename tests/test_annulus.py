@@ -98,6 +98,18 @@ def test_character_values(spec):
         assert abs(abs(char.periods[0]) - np.pi * abs(b)) < 1e-10
 
 
+def test_periods_in_closed_form():
+    # c = pi b for rho^b, and the period matrix 2 pi / |log r|, to the last bit
+    for r in (0.1, 0.5, 0.9):
+        spec = an.AnnulusSpec(r=r)
+        for b in (-3.0, -0.5, 0.0, 1.0, 2.0, 7.25):
+            c = an.character_of_weight(spec, an.RadialWeight.power_law(b)).periods[0]
+            assert abs(c - np.pi * b) <= 4e-16 * abs(np.pi * b)
+        p11 = an.period_matrix(spec)[0, 0]
+        exact = 2.0 * np.pi / abs(np.log(r))
+        assert abs(p11 - exact) <= 4e-16 * exact
+
+
 def test_character_requires_log_harmonic(spec):
     with pytest.raises(NotLogHarmonic):
         an.character_of_weight(spec, an.RadialWeight.from_profile(np.exp))

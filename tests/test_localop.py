@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rkhs_lab import kernels as kc
-from rkhs_lab.errors import NormalizationMissing
+from rkhs_lab.curvature import JetGram
+from rkhs_lab.errors import NormalizationMissing, NotPositiveDefinite
 from rkhs_lab.localop import (canonical_form, function_of_local, gram_from_matrix,
                               jet_gram, verify_tt_identity,
                               verify_tt_identity_gram)
@@ -45,6 +46,35 @@ def test_synthetic_gram_m2_inputs(rng):
             resid = np.linalg.norm(form.t @ form.t.conj().T - R_oracle, 2)
             assert resid <= 1e-8 * np.linalg.norm(R_oracle, 2)
             assert verify_tt_identity_gram(gram_from_matrix(G, m=2, n=n)) <= 1e-8
+
+
+def test_R_is_tt_star_and_the_inverse_block(rng):
+    jets = [jet_gram(kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) ** s, 200), w).G
+            for s in (0.0, 1.0, 2.5) for w in (0.0, 0.4, 0.3 - 0.5j)]
+    cases = [(G, 1, 1) for G in jets] + [
+        (synthetic_normalized_gram(rng, m=m, n=n, cond_scale=4.0), m, n)
+        for m in (1, 2) for n in (1, 2) for _ in range(3)]
+    for G, m, n in cases:
+        form = canonical_form(JetGram(G=G, m=m, n=n))
+        R_oracle = np.linalg.inv(G)[n:, n:]
+        assert np.abs(form.R - R_oracle).max() <= 1e-14 * np.abs(R_oracle).max()
+        assert np.all(form.R.diagonal().imag == 0.0)
+
+
+@pytest.mark.parametrize("delta, accepted", [(2e-6, True), (2e-12, False), (-0.5, False)],
+                         ids=["cond-1e6", "cond-1e12", "indefinite"])
+def test_canonical_form_conditioning(rng, delta, accepted):
+    # G = [[I, C], [C^H, I]] with C = (1 - delta) U, U unitary, has eigenvalues
+    # delta and 2 - delta: cond(G) = (2 - delta) / delta, indefinite for delta < 0
+    n = 2
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    C = (1.0 - delta) * U
+    gram = JetGram(G=np.block([[np.eye(n), C], [C.conj().T, np.eye(n)]]), m=1, n=n)
+    if accepted:
+        assert canonical_form(gram).t.shape == (n, n)
+    else:
+        with pytest.raises(NotPositiveDefinite):
+            canonical_form(gram)
 
 
 def test_unnormalized_gram_rejected(rng):

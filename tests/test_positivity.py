@@ -25,6 +25,13 @@ def test_psd_check_flags_indefinite():
     assert res.min_eigenvalue == pytest.approx(-0.5)
 
 
+def test_psd_check_reports_spectral_norm(rng):
+    B = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    for G in (B @ B.conj().T, B + B.conj().T):
+        res = psd_check(G)
+        assert res.info["norm"] == pytest.approx(np.linalg.norm(G, 2), rel=1e-12)
+
+
 def test_psd_check_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -60,6 +60,16 @@ def test_json_string_and_file(tmp_path):
       "coeffs": [1.0, float("inf")]}, "coeffs"),
     ({"kind": "annulus_laurent", "r": 0.5, "weight_b": 10 ** 400}, "weight_b"),
     ({"kind": "annulus_laurent", "r": 0.5, "n_max": 10}, "n_max"),
+    # JSON booleans are not numbers, although Python counts them as ints
+    ({"kind": "disc_diagonal", "coeff_rule": "1", "n_max": True}, "n_max"),
+    ({"kind": "disc_diagonal", "coeff_rule": "(n+1)^s", "s": True}, "s"),
+    ({"kind": "annulus_laurent", "r": True}, "r"),
+    ({"kind": "annulus_laurent", "r": 0.5, "weight_b": True}, "weight_b"),
+    ({"kind": "annulus_laurent", "r": 0.5, "weight_b": False}, "weight_b"),
+    ({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+      "coeffs": [1.0, True]}, "coeffs"),
+    ({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+      "coeffs": ["1", "2.5"]}, "coeffs"),
 ])
 def test_diagnostics_name_offending_field(spec, field):
     with pytest.raises(ConfigError) as exc:
