@@ -152,7 +152,7 @@ def local_op(kernel, at, tol, out):
         w = _parse_at(at)
         gram = jet_gram(kern, w)
         form = canonical_form(gram)
-        residual = verify_tt_identity_gram(gram)
+        residual = verify_tt_identity_gram(gram, form)
         curv = curvature_scalar(kern, w)
     except (KernelLabError, OSError) as exc:
         _fail(exc)

@@ -1,18 +1,19 @@
 """Diagonal reproducing kernels on the disc and annulus.
 
 A series kernel is K(z, w) = sum_n a_n z^n conj(w)^n over a finite index
-window.  Every value and derivative at one point pair (z, w) comes from one
-routine, the moment block: with M_x[p, k] = F_p(n_k) |x|^(n_k - p) (F_p the
-falling factorial) and the phase row c_k = u^(n_k), u = e^(i (arg z - arg w)),
-d^p_z d^q_wbar K(z, w) = (conj(z) / |z|)^p (M_z diag(a c) M_w^T)[p, q] (w / |w|)^q,
-so that a_n sits between the two real powers; on the diagonal c = 1 and the
-sums are real.  Point clouds (sampled Gram matrices) take one product
-T(z) diag(a) T(w)^H of integer-power tables T[i, k] = x_i^(n_k).  Both paths
-check every point against the domain, refuse a sum that is not finite with
-``NonFiniteValue``, and refuse a value whose truncation tail bound exceeds
-TAIL_RTOL |K| (the largest |K| of a matrix).  The constant rows of a kernel
-(live window, falling factorials, exponents, tail growth) are computed once
-and kept on the kernel, whose arrays are read-only.
+window.  Every sum over it is built from two row builders over the live
+window: real rows M_x[p, k] = F_p(n_k) |x|^(n_k - p) (F_p the falling
+factorial) and phase rows u^(n_k), |u| = 1, by repeated products along n.
+One point pair (z, w) is one moment block with the phase row c of
+u = e^(i (arg z - arg w)),
+d^p_z d^q_wbar K(z, w) = (conj(z) / |z|)^p (M_z diag(a c) M_w^T)[p, q] (w / |w|)^q;
+on the diagonal c = 1 and the sums are real.  A point cloud (a sampled Gram)
+is one product ((M_z o E_z) diag(a)) (M_w o E_w)^H of the order-0 rows and
+the phase rows E_x of each point's unit x / |x|.  Either way a_n sits between
+the two real powers.  Both paths check every point against the domain,
+refuse a sum that is not finite with ``NonFiniteValue``, and refuse a value
+whose truncation tail bound exceeds TAIL_RTOL |K| (the largest |K| of a
+matrix).  The constant rows of a kernel are computed once and kept on it.
 Closed-form kernels, as built by normalization and Mobius pullback, answer
 the same question through one callable, their derivative block
 B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order <= 2; a higher order is
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, isfinite
+from math import comb, inf, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,25 +203,22 @@ def _sustained_growth(a: np.ndarray, window: int = 20) -> tuple[float, float]:
     return growth, envelope
 
 
-def _geometric_tail(first, ratio):
-    """Elementwise first * (ratio + ratio^2 + ...), infinite for ratio >= 1."""
-    return np.where(first > 0.0, np.where(
-        ratio < 1.0, first * ratio / (1.0 - ratio), np.inf), 0.0)
-
-
-def _series_tail_bound(kernel: SeriesKernel, rho: np.ndarray) -> np.ndarray:
-    """Geometric bound on the dropped tail of the coefficient series.
-
-    It depends on (z, w) only through rho = |z wbar|, taken elementwise.
+def _series_tail_bound(kernel: SeriesKernel, rho: float) -> float:
+    """Geometric bound on the dropped tail of the coefficient series at
+    rho = |z wbar|, in Python floats: env rho^N g rho / (1 - g rho) at the
+    outer end and, for a Laurent window, env rho^(n_min) (g / rho) / (1 - g / rho)
+    at the inner end, with (g, env) from :func:`_sustained_growth`; inf where
+    a ratio reaches 1 or a term overflows.  Each term is convex in rho, so
+    over a range of rho the bound is largest at one of its ends.
     """
-    growths = kernel._tail_growth
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        growth, env = growths[0]
-        bound = _geometric_tail(env * rho ** kernel.n_max, rho * growth)
-        # inner end of a Laurent window; rho > 0 on the annulus
-        if kernel.n_min < 0:
-            growth, env = growths[1]
-            bound += _geometric_tail(env * rho ** kernel.n_min, growth / rho)
+    rho, bound = float(rho), 0.0
+    for (growth, env), n, s in zip(kernel._tail_growth, (kernel.n_max, kernel.n_min), (1, -1)):
+        try:
+            first, ratio = env * rho ** n, growth * rho ** s
+        except OverflowError:
+            first, ratio = env * inf, inf
+        if first > 0.0:
+            bound += first * ratio / (1.0 - ratio) if ratio < 1.0 else inf
     return bound
 
 
@@ -242,44 +240,53 @@ def _rows(kernel: SeriesKernel, order: int):
     return store[0][:order + 1], store[1][:order + 1]
 
 
-def _phase_row(kernel: SeriesKernel, u: complex) -> np.ndarray:
-    """c_k = u^(n_k) over the live window, for |u| = 1.
+def _unit(x):
+    """x / |x| for a complex x or an array of them, the unit of 0 taken as 1.
+    x is first scaled by 2^600, exactly for a point of the domain, so that a
+    subnormal x loses no bits to |x| and its unit stays unimodular."""
+    x = x * 2.0 ** 600 + (x == 0)
+    return x / abs(x)
 
-    The powers u^j, 0 <= j <= max |n|, are repeated products (exact for a real
-    u), and u^-j is taken as conj(u^j); the row is laid out over the
-    contiguous window, then indexed by the live exponents.
+
+def _phase_rows(kernel: SeriesKernel, units) -> np.ndarray:
+    """E[..., k] = u^(n_k) over the live window for each unit u of ``units``
+    (a complex or an array of them, |u| = 1).
+
+    The powers u^j, 0 <= j <= max |n|, are repeated products along j (exact
+    for a real u), and u^-j is taken as conj(u^j); the rows are laid out over
+    the contiguous window, then indexed by the live exponents.
     """
     lo, hi = kernel.n_min, kernel.n_max
-    powers = np.full(max(hi, -lo, 0) + 1, u)
-    powers[0] = 1.0
-    np.cumprod(powers, out=powers)
-    row = (np.concatenate((powers[-lo:0:-1].conj(), powers[:max(hi, -1) + 1])) if lo < 0
-           else powers[lo:hi + 1])
+    powers = np.repeat(np.asarray(units, dtype=complex)[..., None], max(hi, -lo, 0) + 1, axis=-1)
+    powers[..., 0] = 1.0
+    np.cumprod(powers, axis=-1, out=powers)
+    rows = (np.concatenate((powers[..., -lo:0:-1].conj(), powers[..., :max(hi, -1) + 1]), axis=-1)
+            if lo < 0 else powers[..., lo:hi + 1])
     ns = kernel._live[0]
-    return row if row.size == ns.size else row[ns - lo]
+    return rows if rows.shape[-1] == ns.size else rows[..., ns - lo]
 
 
 def _moment_block(kernel: SeriesKernel, z: complex, w: complex, order: int) -> np.ndarray:
     """B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order from the real rows
     M_x[p, k] = F_p(n_k) |x|^exps[p, k] and the phase row of (z, w), as in the
-    module docstring; the phase of 0 is taken as 1.  Each a_k scales the power
-    of |z| before it meets that of |w|, so a small a_k at a negative n_k (inner
-    end of a Laurent window) keeps the sum finite where a power alone would
-    overflow.  At z == w the sums are real, and the upper triangle is the
-    conjugate transpose of the lower.
+    module docstring.  Each a_k scales the power of |z| before it meets that
+    of |w|, so a small a_k at a negative n_k (inner end of a Laurent window)
+    keeps the sum finite where a power alone would overflow.  At z == w the
+    sums are real, and the upper triangle is the conjugate transpose of the
+    lower.
     """
     fall, exps = _rows(kernel, order)
     z, w = complex(z), complex(w)
     rz, rw = abs(z), abs(w)
-    ez = z / rz if rz else 1.0 + 0j
-    ew = w / rw if rw else 1.0 + 0j
     diagonal = z == w
+    ez = _unit(z)
+    ew = ez if diagonal else _unit(w)
     a = kernel._live[1]
     with np.errstate(over="ignore", invalid="ignore"):
         Mz = Mw = fall * rz ** exps
         if not diagonal:
             Mw = fall * rw ** exps
-            a = a * _phase_row(kernel, ez * ew.conjugate())
+            a = a * _phase_rows(kernel, ez * ew.conjugate())
         sums = ((Mz * a) @ Mw.T).tolist()  # item access on numpy costs more
     pz, pw = [1.0 + 0j], [1.0 + 0j]
     for _ in range(order):
@@ -314,45 +321,39 @@ def _block(kernel, z: complex, w: complex, order: int) -> np.ndarray:
     return kernel.block(z, w, order)
 
 
-def _table(kernel: SeriesKernel, x) -> np.ndarray:
-    """T[i, k] = x_i^(n_k) over the live window, after checking every x_i."""
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    for xi in x:
-        check_point(kernel, xi)
-    return x[:, None] ** kernel._live[0]
-
-
-def _refuse_tail(tail: np.ndarray, scale: float, z, w) -> None:
-    """Refuse a sum whose truncation tail bound tail[i, j] at (z_i, w_j)
-    exceeds TAIL_RTOL * scale."""
-    bad = tail > TAIL_RTOL * max(scale, 1e-300)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise TruncationTailTooLarge(f"tail bound {tail[i, j]:.3e} exceeds {TAIL_RTOL:.0e} "
-                                     f"* max|K| ({scale:.3e}) at z={z[i]}, w={w[j]}")
+def _refuse_tail(tail: float, scale: float, z, w) -> None:
+    """Refuse a sum whose truncation tail bound at (z, w) exceeds TAIL_RTOL * scale."""
+    if tail > TAIL_RTOL * max(scale, 1e-300):
+        raise TruncationTailTooLarge(f"tail bound {tail:.3e} exceeds {TAIL_RTOL:.0e} "
+                                     f"* max|K| ({scale:.3e}) at z={z}, w={w}")
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
-    """Matrix K(z_i, w_j) of a series kernel over two arrays of points.
-
-    One product T(z) diag(a) T(w)^H of integer-power tables
-    T[i, k] = x_i^(n_k) over the live window.  Every point is checked against
-    the domain, and every entry's truncation tail bound against the largest
-    |K| of the matrix, the scale of a Gram's eigenvalue tolerance.
+    """Matrix K(z_i, w_j) of a series kernel over two arrays of points, the
+    cloud product of the module docstring.  Every point is checked against
+    the domain, and the truncation tail bound against the largest |K| of the
+    matrix, the scale of a Gram's eigenvalue tolerance; the bound is convex
+    in rho = |z_i| |w_j|, so it is taken at the smallest and largest rho.
     """
+    same = w is z
+    z, w = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (z, w))
+    for xi in z if same else np.concatenate((z, w)):
+        check_point(kernel, xi)
+    rz, rw = np.abs(z), np.abs(w)
+    exps = _rows(kernel, 0)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        tz = _table(kernel, z)
-        tw = tz if w is z else _table(kernel, w)
-        K = (tz * kernel._live[1]) @ tw.conj().T
-    z, w = np.atleast_1d(z), np.atleast_1d(w)
+        Ez = rz[:, None] ** exps * _phase_rows(kernel, _unit(z))
+        Ew = Ez if same else rw[:, None] ** exps * _phase_rows(kernel, _unit(w))
+        K = (Ez * kernel._live[1]) @ Ew.conj().T
     if not np.isfinite(K).all():
         i, j = np.argwhere(~np.isfinite(K))[0]
         raise NonFiniteValue(f"series sum K(z, w) is not finite at z = {z[i]}, w = {w[j]}")
-    _refuse_tail(_series_tail_bound(kernel, np.abs(np.multiply.outer(z, w.conj()))),
-                 float(np.abs(K).max(initial=0.0)), z, w)
+    scale = float(np.abs(K).max(initial=0.0))
+    for i, j in ((rz.argmin(), rw.argmin()), (rz.argmax(), rw.argmax())) if K.size else ():
+        _refuse_tail(_series_tail_bound(kernel, rz[i] * rw[j]), scale, z[i], w[j])
     return K
 
 
@@ -361,8 +362,7 @@ def eval_kernel(kernel, z: complex, w: complex) -> complex:
     is refused where its truncation tail bound exceeds TAIL_RTOL * |K(z, w)|."""
     value = complex(_block(kernel, z, w, 0)[0, 0])
     if isinstance(kernel, SeriesKernel):
-        tail = _series_tail_bound(kernel, abs(z) * abs(w))
-        _refuse_tail(np.atleast_2d(tail), abs(value), [z], [w])
+        _refuse_tail(_series_tail_bound(kernel, abs(z) * abs(w)), abs(value), z, w)
     return value
 
 

@@ -101,10 +101,10 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
     return LocalOperatorForm(t_blocks=t_blocks, t=t, N=N, R=R, P=P, m=m, n=n)
 
 
-def verify_tt_identity_gram(gram: JetGram) -> float:
-    """Relative spectral-norm residual of t conj(t)^t = (-curvature)^-1, the
-    target formed from :func:`curvature_matrix`, not from the factor behind t."""
-    form = canonical_form(gram)
+def verify_tt_identity_gram(gram: JetGram, form: LocalOperatorForm) -> float:
+    """Relative spectral-norm residual of t conj(t)^t = (-curvature)^-1 for the
+    canonical form of ``gram``, the target formed from :func:`curvature_matrix`,
+    not from the factor behind t."""
     target = np.linalg.inv(-curvature_matrix(gram).matrix)
     resid = np.abs(np.linalg.eigvalsh(form.R - target)).max()
     return float(resid / np.abs(np.linalg.eigvalsh(target)).max())
@@ -112,7 +112,8 @@ def verify_tt_identity_gram(gram: JetGram) -> float:
 
 def verify_tt_identity(kernel, w: complex) -> float:
     """Kernel route of the identity check (rank 1, m = 1)."""
-    return verify_tt_identity_gram(jet_gram(kernel, w))
+    gram = jet_gram(kernel, w)
+    return verify_tt_identity_gram(gram, canonical_form(gram))
 
 
 def function_of_local(form: LocalOperatorForm, w, f_value: complex, f_gradient) -> np.ndarray:

@@ -37,10 +37,13 @@ def sample_cloud(seed: int = DEFAULT_SEED, count: int = SAMPLE_COUNT,
 
 def psd_check(gram: np.ndarray, tol: Optional[float] = None) -> CheckResult:
     """Pass iff the smallest eigenvalue of a Hermitian matrix is >= -tol; the
-    same ``eigvalsh`` gives the spectral norm, reported as ``info["norm"]``."""
+    same ``eigvalsh`` gives the spectral norm, reported as ``info["norm"]``.
+    An empty, non-square or non-2-D input is refused with DimensionMismatch."""
     G = np.asarray(gram, dtype=complex)
+    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {G.shape}")
     eigs = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
-    norm = float(np.abs(eigs).max()) if G.size else 0.0
+    norm = float(np.abs(eigs).max())
     if not np.allclose(G, G.conj().T, atol=1e-10 * max(1.0, norm)):
         raise NonHermitianInput("matrix is not Hermitian")
     if tol is None:
@@ -101,7 +104,7 @@ def _default_cloud(kernel: kc.SeriesKernel, kt: kc.SeriesKernel, seed: int) -> n
                  0.9 * kc.TAIL_RTOL ** (1.0 / (2.0 * kernel.n_max)))
     rho = float(np.abs(sample_cloud(seed, radius=radius)).max()) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
-        while (kc._series_tail_bound(kt, np.array(rho))
+        while (kc._series_tail_bound(kt, rho)
                > kc.TAIL_RTOL * (np.abs(kt.coeffs) @ rho ** kt.ns)):
             radius, rho = radius / 2.0, rho / 4.0
     return sample_cloud(seed, radius=radius)

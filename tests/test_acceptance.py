@@ -61,7 +61,7 @@ def test_criterion_2_local_form_identity():
             R_oracle = np.linalg.inv(jg.G)[n:, n:]
             resid = (np.linalg.norm(form.t @ form.t.conj().T - R_oracle, 2)
                      / np.linalg.norm(R_oracle, 2))
-            worst = max(worst, resid, verify_tt_identity_gram(jg))
+            worst = max(worst, resid, verify_tt_identity_gram(jg, form))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 10.0
     assert report(2, ok, f"max residual {worst:.2e}, {elapsed:.2f}s")

@@ -262,6 +262,8 @@ def windows_and_points(draw):
                                      an.RadialWeight.power_law(50.0)), 0.075 + 0j, 0.075j))
 # a real pair of opposite signs: the phase row is (-1)^n
 @example((kc.SeriesKernel.bergman(), -0.8 + 0j, 0.8 + 0j))
+# a subnormal point, whose |w| has lost bits: w / |w| is 8e-12 off the unit circle
+@example((kc.SeriesKernel.disc([1.0, 1.0]), 0j, 1.2022125365e-313 + 1.872335091e-313j))
 def test_deriv2_and_jet_match_mpmath(case):
     kernel, z, w = case
     J = kc.jet(kernel, w, 2)
@@ -287,6 +289,47 @@ def test_real_points_give_exactly_real_values(kernel):
             for q in range(3):
                 assert kc.deriv2(kernel, z, w, p, q).imag == 0.0, (z, w, p, q)
         assert np.all(kc.jet(kernel, w, 2).imag == 0.0), w
+    # and so is the matrix over a real cloud, a Gram or two distinct clouds
+    pts = np.array([-0.7, -0.8, 0.8, 0.6, -0.45, -0.35, -0.9, 0.5])
+    assert np.all(kc.kernel_matrix(kernel, pts, pts).imag == 0.0)
+    assert np.all(kc.kernel_matrix(kernel, pts[:3], pts).imag == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows_and_points(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_series_tail_bound_is_largest_at_the_ends_of_a_range(case, s, t, u):
+    # each end's term is convex in rho, so kernel_matrix checks only the
+    # smallest and the largest rho of a cloud
+    kernel = case[0]
+    lo = 0.0 if kernel.inner_radius is None else (kernel.inner_radius + kc.BOUNDARY_MARGIN) ** 2
+    hi = (1.0 - kc.BOUNDARY_MARGIN) ** 2
+    a, b = sorted((lo + s * (hi - lo), lo + t * (hi - lo)))
+    rho = min(max(a + u * (b - a), a), b)
+    ends = max(kc._series_tail_bound(kernel, a), kc._series_tail_bound(kernel, b))
+    assert kc._series_tail_bound(kernel, rho) <= ends * (1.0 + 1e-12)
+
+
+def test_kernel_matrix_matches_mpmath_on_an_annulus_cloud():
+    kernel = an.weighted_bergman_kernel(an.AnnulusSpec(r=0.3), an.RadialWeight.power_law(1.5))
+    rng = np.random.default_rng(7)
+    z, w = (rng.uniform(0.33, 0.95, size) * np.exp(2j * np.pi * rng.uniform(0, 1, size))
+            for size in (10, 3))
+    for zs, ws in ((z, z), (z, w)):
+        K = kc.kernel_matrix(kernel, zs, ws)
+        with mpmath.workdps(50):
+            coeffs = [mpmath.mpf(a) for a in kernel.coeffs.tolist()]
+            for i, zi in enumerate(zs):
+                for j, wj in enumerate(ws):
+                    # sum of a_n x^n, x = z conj(w), and of its moduli, by products along n
+                    x = mpmath.mpc(zi) * mpmath.conj(mpmath.mpc(wj))
+                    rho = abs(x)
+                    power, modulus = x ** kernel.n_min, rho ** kernel.n_min
+                    total, scale = mpmath.mpc(0), mpmath.mpf(0)
+                    for a in coeffs:
+                        total += a * power
+                        scale += a * modulus
+                        power, modulus = power * x, modulus * rho
+                    assert abs(K[i, j] - complex(total)) <= 1e-13 * float(scale), (i, j)
 
 
 @pytest.mark.parametrize("coeffs", [np.linspace(1.0, 3.0, 201),

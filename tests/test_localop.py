@@ -41,11 +41,12 @@ def test_synthetic_gram_m2_inputs(rng):
     for n in (1, 2):
         for _ in range(5):
             G = synthetic_normalized_gram(rng, m=2, n=n)
-            form = canonical_form(gram_from_matrix(G, m=2, n=n))
+            gram = gram_from_matrix(G, m=2, n=n)
+            form = canonical_form(gram)
             R_oracle = np.linalg.inv(G)[n:, n:]
             resid = np.linalg.norm(form.t @ form.t.conj().T - R_oracle, 2)
             assert resid <= 1e-8 * np.linalg.norm(R_oracle, 2)
-            assert verify_tt_identity_gram(gram_from_matrix(G, m=2, n=n)) <= 1e-8
+            assert verify_tt_identity_gram(gram, form) <= 1e-8
 
 
 def test_R_is_tt_star_and_the_inverse_block(rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkhs_lab import kernels as kc
-from rkhs_lab.errors import NonHermitianInput, NotAContraction
+from rkhs_lab.errors import DimensionMismatch, NonHermitianInput, NotAContraction
 from rkhs_lab.positivity import (contraction_check, gram_decrease_check,
                                  hyponormal_check, psd_check, shift_kernel,
                                  two_hypercontraction_check)
@@ -35,6 +35,13 @@ def test_psd_check_reports_spectral_norm(rng):
 def test_psd_check_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)],
+                         ids=["empty", "non-square", "one-dimensional"])
+def test_psd_check_refuses_bad_shapes(matrix):
+    with pytest.raises(DimensionMismatch):
+        psd_check(matrix)
 
 
 def test_contraction_check_geometric():
