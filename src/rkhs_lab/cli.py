@@ -31,6 +31,8 @@ from .specio import annulus_from_spec, kernel_from_spec, load_kernel, load_spec
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
+#: most points a --grid may ask for; each costs a kernel evaluation or more
+MAX_GRID_STEPS = 100_000
 
 
 def _fmt(x) -> str:
@@ -80,8 +82,9 @@ def _parse_grid(grid: str):
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError:
         raise ConfigError(f"option --grid must be start:stop:steps, got '{grid}'")
-    if steps < 1:
-        raise ConfigError(f"option --grid steps must be >= 1, got '{grid}'")
+    if not 1 <= steps <= MAX_GRID_STEPS:
+        raise ConfigError(f"option --grid steps must be between 1 and {MAX_GRID_STEPS}, "
+                          f"got '{grid}'")
     return np.linspace(start, stop, steps)
 
 

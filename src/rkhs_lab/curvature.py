@@ -43,13 +43,21 @@ class CurvatureMatrix:
 
 
 def curvature_scalar(kernel, w: complex) -> float:
-    """-d d-bar log K(w, w) via the order-1 jet quotient formula."""
-    J = kc.jet(kernel, w, 1)
-    j00 = float(J[0, 0].real)
+    """-d d-bar log K(w, w) = -(J00 J11 - |J01|^2) / J00^2 from the order-1 jet.
+
+    The quotient does not depend on the phase of the jet, so for a series
+    kernel it reads the real diagonal sums S00, |S10| and S11 (the jet is
+    these sums times the phase powers of w); a closed form reads its jet."""
+    if isinstance(kernel, kc.SeriesKernel):
+        kc.check_point(kernel, w)
+        (j00, _), (j01, j11) = kc._diagonal_sums(kernel, w, 1)  # |J01| = |S10|
+    else:
+        (j00, j01), (_, j11) = kc.jet(kernel, w, 1).tolist()
+        j00, j11 = j00.real, j11.real
     if j00 <= 1e-300:
         raise DegenerateKernel(f"K(w, w) = {j00} at w = {w}")
     try:  # in Python floats an overflow gives inf or an exception, never a warning
-        curv = -(j00 * float(J[1, 1].real) - float(abs(J[0, 1])) ** 2) / j00 ** 2
+        curv = -(j00 * j11 - abs(j01) ** 2) / j00 ** 2
     except (OverflowError, ZeroDivisionError):
         curv = nan
     if not isfinite(curv):

@@ -6,8 +6,10 @@ window: real rows M_x[p, k] = F_p(n_k) |x|^(n_k - p) (F_p the falling
 factorial) and phase rows u^(n_k), |u| = 1, by repeated products along n.
 One point pair (z, w) is one moment block with the phase row c of
 u = e^(i (arg z - arg w)),
-d^p_z d^q_wbar K(z, w) = (conj(z) / |z|)^p (M_z diag(a c) M_w^T)[p, q] (w / |w|)^q;
-on the diagonal c = 1 and the sums are real.  A point cloud (a sampled Gram)
+d^p_z d^q_wbar K(z, w) = (conj(z) / |z|)^p (M_z diag(a c) M_w^T)[p, q] (w / |w|)^q.
+On the diagonal c = 1: the sums S = M_w diag(a) M_w^T are real and summed once
+(``_diagonal_sums``), the jet is S[p, q] (conj(w) / |w|)^(p - q), and the
+phase-free local invariants read S alone.  A point cloud (a sampled Gram)
 is one product ((M_z o E_z) diag(a)) (M_w o E_w)^H of the order-0 rows and
 the phase rows E_x of each point's unit x / |x|.  Either way a_n sits between
 the two real powers.  Both paths check every point against the domain,
@@ -172,7 +174,7 @@ class ClosedFormKernel:
 def check_point(kernel, z: complex) -> None:
     r = abs(z)
     inner = kernel.inner_radius
-    if not np.isfinite(r):
+    if not isfinite(r):
         raise PointOutsideDomain(f"point {z} is not finite")
     if r > 1.0 - BOUNDARY_MARGIN:
         raise PointOutsideDomain(f"|z| = {r:.4f} too close to the unit circle")
@@ -227,8 +229,8 @@ def _rows(kernel: SeriesKernel, order: int):
     the highest order built so far on the kernel.
 
     fall[p, k] = F_p(n_k), with F_p(n) = n (n - 1) ... (n - p + 1) the falling
-    factorial; exps[p, k] = n_k - p, replaced by 0 where F_p(n_k) = 0 so that
-    x = 0 never meets a negative power.
+    factorial; exps[p, k] = n_k - p as a float, replaced by 0 where F_p(n_k) = 0
+    so that x = 0 never meets a negative power.
     """
     store = kernel._row_store
     if not store or store[0].shape[0] <= order:
@@ -236,7 +238,7 @@ def _rows(kernel: SeriesKernel, order: int):
         fall = np.ones((order + 1, ns.size))
         for p in range(1, order + 1):
             fall[p] = fall[p - 1] * (ns - (p - 1))
-        store[:] = fall, np.where(fall != 0.0, ns - np.arange(order + 1)[:, None], 0)
+        store[:] = fall, np.where(fall != 0.0, ns - np.arange(order + 1.0)[:, None], 0.0)
     return store[0][:order + 1], store[1][:order + 1]
 
 
@@ -266,44 +268,57 @@ def _phase_rows(kernel: SeriesKernel, units) -> np.ndarray:
     return rows if rows.shape[-1] == ns.size else rows[..., ns - lo]
 
 
+def _diagonal_sums(kernel: SeriesKernel, w: complex, order: int) -> list:
+    """S[p][q] = sum_k a_k F_p(n_k) F_q(n_k) |w|^(n_k - p) |w|^(n_k - q) for
+    p, q <= order, nested Python floats: the moment block at z = w without its
+    phase.  Each a_k sits between the two powers of |w|, so a small a_k at a
+    negative n_k (inner end of a Laurent window) keeps a sum finite where a
+    power alone would overflow."""
+    fall, exps = _rows(kernel, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = fall * abs(w) ** exps
+        sums = ((M * kernel._live[1]) @ M.T).tolist()  # item access on numpy costs more
+    for p in range(order + 1):
+        for q in range(p + 1):
+            if not isfinite(sums[p][q]):
+                w = complex(w)
+                at = (f"K(w, w) is not finite at w = {w}" if order
+                      else f"K(z, w) is not finite at z = {w}, w = {w}")
+                raise NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
+    return sums
+
+
 def _moment_block(kernel: SeriesKernel, z: complex, w: complex, order: int) -> np.ndarray:
     """B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order from the real rows
     M_x[p, k] = F_p(n_k) |x|^exps[p, k] and the phase row of (z, w), as in the
-    module docstring.  Each a_k scales the power of |z| before it meets that
-    of |w|, so a small a_k at a negative n_k (inner end of a Laurent window)
-    keeps the sum finite where a power alone would overflow.  At z == w the
-    sums are real, and the upper triangle is the conjugate transpose of the
-    lower.
+    module docstring, with a_k between the powers of |z| and |w|.  At z == w
+    this is the diagonal sums times (conj(w) / |w|)^(p - q).
     """
-    fall, exps = _rows(kernel, order)
     z, w = complex(z), complex(w)
-    rz, rw = abs(z), abs(w)
-    diagonal = z == w
-    ez = _unit(z)
-    ew = ez if diagonal else _unit(w)
-    a = kernel._live[1]
+    if z == w:
+        sums, unit = _diagonal_sums(kernel, w, order), _unit(w).conjugate()
+        phase = [1.0 + 0j]
+        for _ in range(order):
+            phase.append(phase[-1] * unit)
+        return np.array([[phase[p - q] * sums[p][q] if q < p
+                          else (phase[q - p] * sums[q][p]).conjugate()
+                          for q in range(order + 1)] for p in range(order + 1)])
+    fall, exps = _rows(kernel, order)
+    ez, ew = _unit(z), _unit(w)
     with np.errstate(over="ignore", invalid="ignore"):
-        Mz = Mw = fall * rz ** exps
-        if not diagonal:
-            Mw = fall * rw ** exps
-            a = a * _phase_rows(kernel, ez * ew.conjugate())
-        sums = ((Mz * a) @ Mw.T).tolist()  # item access on numpy costs more
+        a = kernel._live[1] * _phase_rows(kernel, ez * ew.conjugate())
+        sums = (((fall * abs(z) ** exps) * a) @ (fall * abs(w) ** exps).T).tolist()
     pz, pw = [1.0 + 0j], [1.0 + 0j]
     for _ in range(order):
         pz.append(pz[-1] * ez.conjugate())
         pw.append(pw[-1] * ew)
     B = [[0j] * (order + 1) for _ in range(order + 1)]
     for p in range(order + 1):
-        for q in range(p + 1 if diagonal else order + 1):
+        for q in range(order + 1):
             if not (isfinite(sums[p][q].real) and isfinite(sums[p][q].imag)):
-                at = (f"K(w, w) is not finite at w = {w}" if diagonal and order
-                      else f"K(z, w) is not finite at z = {z}, w = {w}")
-                raise NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
-            if diagonal:
-                B[p][q] = pz[p - q] * sums[p][q]
-                B[q][p] = B[p][q].conjugate()
-            else:
-                B[p][q] = pz[p] * sums[p][q] * pw[q]
+                raise NonFiniteValue(f"moment sum d^{p} d^{q}bar K(z, w) is not finite "
+                                     f"at z = {z}, w = {w}")
+            B[p][q] = pz[p] * sums[p][q] * pw[q]
     return np.array(B)
 
 
@@ -368,6 +383,8 @@ def eval_kernel(kernel, z: complex, w: complex) -> complex:
 
 def deriv2(kernel, z: complex, w: complex, p: int, q: int) -> complex:
     """Two-point mixed derivative d^p_z d^q_wbar K(z, w)."""
+    if min(p, q) < 0:
+        raise UnsupportedJetOrder(f"derivative orders must be >= 0, got p = {p}, q = {q}")
     return complex(_block(kernel, z, w, max(p, q))[p, q])
 
 
@@ -379,7 +396,7 @@ def mixed_deriv(kernel, w: complex, p: int, q: int) -> complex:
 def jet(kernel, w: complex, order: int) -> np.ndarray:
     """Diagonal mixed derivatives J[p, q] = d^p d^qbar K(w, w), 0 <= p, q <= order."""
     if order < 1:
-        raise ValueError("jet order must be >= 1")
+        raise UnsupportedJetOrder(f"jet order must be >= 1, got {order}")
     return _block(kernel, w, w, order)
 
 

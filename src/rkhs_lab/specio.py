@@ -5,7 +5,7 @@ Schema:
      "coeff_rule": "1" | "n+1" | "(n+1)^s" | "custom-list",
      "s": <float, only for "(n+1)^s">,
      "coeffs": [<floats>, ...]        (only for "custom-list"),
-     "n_max": <int, optional, default 200>,
+     "n_max": <int, optional, default 200, at most MAX_N_MAX>,
      "r": <float, required for annulus_laurent>,
      "weight_b": <float, annulus power-law exponent, default 0>}
 """
@@ -22,6 +22,10 @@ from . import kernels as kc
 from .errors import ConfigError
 
 KINDS = ("disc_diagonal", "annulus_laurent")
+#: longest truncation window a spec may ask for (n_max, or the number of coeffs
+#: minus 1).  At |w| <= 0.98 the term n = 10,000 carries |w|^(2n) < 1e-175 of its
+#: coefficient; a longer window costs memory and time in proportion.
+MAX_N_MAX = 10_000
 RULES = ("1", "n+1", "(n+1)^s", "custom-list")
 
 
@@ -50,6 +54,8 @@ def _n_max(spec: dict) -> int:
     n_max = spec.get("n_max", kc.DEFAULT_N_MAX)
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ConfigError(f"field 'n_max' must be a positive integer, got {n_max!r}")
+    if n_max > MAX_N_MAX:
+        raise ConfigError(f"field 'n_max' must be at most {MAX_N_MAX}, got {n_max}")
     return n_max
 
 
@@ -94,8 +100,9 @@ def kernel_from_spec(spec: dict) -> kc.SeriesKernel:
                               "finite and positive")
     else:
         raw = _require(spec, "coeffs", list)
-        if not raw:
-            raise ConfigError("field 'coeffs' must be a non-empty list")
+        if not 1 <= len(raw) <= MAX_N_MAX + 1:
+            raise ConfigError(f"field 'coeffs' must be a list of 1 to {MAX_N_MAX + 1} "
+                              f"numbers, got {len(raw)}")
         if not all(_is_number(c) for c in raw):
             raise ConfigError("field 'coeffs' must contain only numbers")
         try:

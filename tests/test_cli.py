@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import rkhs_lab
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
-from rkhs_lab.cli import main
+from rkhs_lab.cli import MAX_GRID_STEPS, main
 
 
 @pytest.fixture()
@@ -250,6 +250,30 @@ def test_non_finite_values_are_refused(runner, argv, quantity):
     assert quantity in diag["message"]
 
 
+HUGE_WINDOW = '{"kind": "disc_diagonal", "coeff_rule": "1", "n_max": 1000000000000}'
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["curvature", "--kernel", HUGE_WINDOW], "field 'n_max' "),
+    (["curvature", "--kernel", '{"kind": "annulus_laurent", "r": 0.5, "n_max": 1000000000000}',
+      "--grid", "0.6:0.9:3"], "field 'n_max' "),
+    (["curvature", "--kernel", "GEO", "--grid", "0:0.5:1000000000000"], "option --grid "),
+    # allocatable, but hours of work
+    (["curvature", "--kernel", "GEO", "--grid", "0:0.5:100000000"], "option --grid "),
+    (["ci-check", "--kernel", "GEO", "--grid", f"0:0.5:{MAX_GRID_STEPS + 1}"], "option --grid "),
+    (["annulus", "--task", "szego", "--grid", f"0.6:0.9:{MAX_GRID_STEPS + 1}"],
+     "option --grid "),
+], ids=["n_max", "annulus-n_max", "grid-unallocatable", "grid-huge", "ci-check-grid",
+        "annulus-grid"])
+def test_oversized_requests_are_refused(runner, geo_spec, argv, names):
+    res = runner.invoke(main, [geo_spec if a == "GEO" else a for a in argv])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert names in diag["message"]
+
+
 def test_contraction_default_cloud_resolves_a_growing_short_list(runner):
     # the tilde coefficients (1, 3, 12, 0, 0, 0) grow at the end of a short
     # window; the default cloud must sit where that tail is resolved
@@ -405,7 +429,7 @@ NEAR_MISSES = ["0:0.5", "0:0.5:3:1", "0:0.5:x", "0:0.5:-2", "0:0.5:0", "0:0.5:1.
 def grid_steps(text):
     start, stop, steps = text.split(":")
     float(start), float(stop)
-    if int(steps) < 1:
+    if not 1 <= int(steps) <= MAX_GRID_STEPS:
         raise ValueError(steps)
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import curvature_scalar
-from rkhs_lab.errors import (ConfigError, KernelVanishesNearCenter, PointOutsideDomain,
-                             TruncationTailTooLarge, UnsupportedJetOrder)
+from rkhs_lab.errors import (ConfigError, KernelVanishesNearCenter, NonFiniteValue,
+                             PointOutsideDomain, TruncationTailTooLarge, UnsupportedJetOrder)
 from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
 
 
@@ -155,6 +155,21 @@ def test_closed_form_refuses_order_above_two():
         kc.deriv2(pk, 0.1, 0.2j, 3, 0)
 
 
+@pytest.mark.parametrize("kernel", [kc.SeriesKernel.bergman(),
+                                    kc.mobius_pullback(geometric(), 0.2 - 0.1j)],
+                         ids=["series", "closed-form"])
+def test_negative_orders_are_refused(kernel):
+    # a negative index would wrap around to the highest order of the block
+    with pytest.raises(UnsupportedJetOrder):
+        kc.deriv2(kernel, 0.3, 0.2, -1, 0)
+    with pytest.raises(UnsupportedJetOrder):
+        kc.deriv2(kernel, 0.3, 0.2, 0, -2)
+    with pytest.raises(UnsupportedJetOrder):
+        kc.mixed_deriv(kernel, 0.3, 0, -1)
+    with pytest.raises(UnsupportedJetOrder):
+        kc.jet(kernel, 0.3, 0)
+
+
 def test_mobius_pullback_refuses_annulus_kernels():
     with pytest.raises(ConfigError, match="'kind'"):
         kc.mobius_pullback(an.szego_kernel(an.AnnulusSpec(r=0.5)), 0.1)
@@ -273,6 +288,82 @@ def test_deriv2_and_jet_match_mpmath(case):
         for q in range(3):
             assert abs(kc.deriv2(kernel, z, w, p, q) - two_point[p][q]) <= two_point_tol[p, q]
             assert abs(J[p, q] - diagonal[p][q]) <= diagonal_tol[p, q]
+
+
+def assert_curvature_matches_mpmath(kernel, w):
+    """curvature_scalar against -(J00 J11 - |J01|^2) / J00^2 of the 40-digit
+    diagonal sums.  The bound carries the entry tolerances e of mp_series
+    through the quotient (numerator to first order plus the e01^2 and e00 e11
+    terms, denominator over J00 - e00) and adds four roundings of the double
+    quotient at the size of its terms."""
+    J, tol = mp_series(kernel, w, w, order=1)
+    with mpmath.workdps(40):
+        j00, j11 = mpmath.mpf(J[0][0].real), mpmath.mpf(J[1][1].real)
+        a01 = abs(mpmath.mpc(J[0][1]))
+        e00, e01, e11 = (mpmath.mpf(float(x)) for x in (tol[0, 0], tol[0, 1], tol[1, 1]))
+        lo = j00 - e00
+        assert lo > 0, "K(w, w) is not resolved"
+        num = j00 * j11 - a01 ** 2
+        bound = (e00 * abs(j11) + (j00 + e00) * e11 + (2 * a01 + e01) * e01
+                 + abs(num) * (2 * j00 * e00 + e00 ** 2) / j00 ** 2
+                 + 4 * mpmath.eps * ((j00 + e00) * (abs(j11) + e11) + (a01 + e01) ** 2)) / lo ** 2
+        try:
+            curv = curvature_scalar(kernel, w)
+        except NonFiniteValue:
+            # only where a product of the quotient leaves the double range
+            assert max(j00 ** 2, abs(j00 * j11), a01 ** 2) > 1e307
+            return
+        assert abs(curv + num / j00 ** 2) <= bound, (curv, -num / j00 ** 2, bound)
+
+
+SUBNORMAL_POINT = 1.2022125365e-313 + 1.872335091e-313j
+THIN_STEEP = an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05), an.RadialWeight.power_law(50.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows_and_points())
+@example((kc.SeriesKernel.bergman(), 0j, 0j))
+@example((kc.SeriesKernel.disc([1.0, 1.0]), 0j, SUBNORMAL_POINT))
+# a_n ~ 1e-300 at n = -142, where |w|^(2n) alone overflows a double
+@example((THIN_STEEP, 0j, 0.075 + 0j))
+def test_curvature_matches_mpmath(case):
+    kernel, _, w = case
+    assert_curvature_matches_mpmath(kernel, w)
+
+
+@pytest.mark.parametrize("kernel", [
+    geometric(),
+    kc.SeriesKernel.bergman(),
+    kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) ** 2.7),
+    kc.SeriesKernel.disc([4.0, 3.0, 5.0]),
+    kc.tilde_kernel(kc.SeriesKernel.disc([0.5, 1.7, 2.0] * 20)),
+], ids=["geometric", "bergman", "power-2.7", "short", "tilde"])
+def test_curvature_at_zero_is_exact(kernel):
+    # the sums are a_0, 0 and a_1 at w = 0; with a_0 a power of two every
+    # rounding of the quotient is exact.  At a subnormal point |w|^2 and
+    # |S10|^2 underflow to 0, so the sums give the same quotient.
+    a = kernel.coeffs
+    assert curvature_scalar(kernel, 0.0) == -(a[1] / a[0])
+    assert curvature_scalar(kernel, SUBNORMAL_POINT) == -(a[1] / a[0])
+    assert_curvature_matches_mpmath(kernel, SUBNORMAL_POINT)
+
+
+@pytest.mark.parametrize("w", [0.075, 0.075j, -0.06 + 0.05j])
+def test_curvature_at_the_inner_end_of_a_thin_steep_window(w):
+    # |w|^(2n) alone overflows at n = -142, where a_n ~ 1e-300
+    assert_curvature_matches_mpmath(THIN_STEEP, w)
+
+
+@pytest.mark.parametrize("w, message", [
+    (0.9, "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.9+0j)"),
+    (0.3 + 0.2j, "curvature is not finite at w = (0.3+0.2j) (K(w, w) = 1.149e+308)"),
+    (0, "curvature is not finite at w = 0 (K(w, w) = 1.000e+308)"),
+])
+def test_curvature_refuses_overflowing_sums(w, message):
+    # a sum that overflows, or a quotient whose products do
+    with pytest.raises(NonFiniteValue) as exc:
+        curvature_scalar(kc.SeriesKernel.disc([1e308] * 201), w)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("kernel", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rkhs_lab.errors import ConfigError
-from rkhs_lab.specio import load_kernel
+from rkhs_lab.specio import MAX_N_MAX, load_kernel
 
 
 def test_rule_one_builds_geometric():
@@ -70,6 +70,12 @@ def test_json_string_and_file(tmp_path):
       "coeffs": [1.0, True]}, "coeffs"),
     ({"kind": "disc_diagonal", "coeff_rule": "custom-list",
       "coeffs": ["1", "2.5"]}, "coeffs"),
+    # windows too large to allocate, or to evaluate in useful time
+    ({"kind": "disc_diagonal", "coeff_rule": "1", "n_max": 10 ** 12}, "n_max"),
+    ({"kind": "disc_diagonal", "coeff_rule": "n+1", "n_max": MAX_N_MAX + 1}, "n_max"),
+    ({"kind": "annulus_laurent", "r": 0.5, "n_max": 10 ** 12}, "n_max"),
+    ({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+      "coeffs": [1.0] * (MAX_N_MAX + 2)}, "coeffs"),
 ])
 def test_diagnostics_name_offending_field(spec, field):
     with pytest.raises(ConfigError) as exc:
@@ -80,3 +86,11 @@ def test_diagnostics_name_offending_field(spec, field):
 def test_invalid_json_rejected():
     with pytest.raises(ConfigError):
         load_kernel("{not json")
+
+
+def test_largest_window_is_accepted():
+    k = load_kernel({"kind": "disc_diagonal", "coeff_rule": "1", "n_max": MAX_N_MAX})
+    assert k.n_max == MAX_N_MAX
+    k = load_kernel({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                     "coeffs": [1.0] * (MAX_N_MAX + 1)})
+    assert k.n_max == MAX_N_MAX
