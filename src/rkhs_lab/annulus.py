@@ -18,6 +18,7 @@ from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, 
 
 QUAD_RTOL = 1e-12
 MIN_N = 50
+CHARACTER_TOL = 1e-10  # characters match when every |gamma_1 - gamma_2| is at most this
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class AnnulusSpec:
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"field 'r' must lie in (0, 1), got {self.r}")
         if self.N < MIN_N:
-            raise ValueError(f"truncation N must be at least {MIN_N}")
+            raise ConfigError(f"field 'N' must be at least {MIN_N}, got {self.N}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class Character:
         if any(abs(abs(g) - 1.0) > 1e-12 for g in self.gammas):
             raise ValueError("character entries must be unimodular")
 
-    def matches(self, other: "Character", tol: float = 1e-10) -> bool:
-        return all(abs(g1 - g2) <= tol for g1, g2 in zip(self.gammas, other.gammas))
+    def matches(self, other: "Character") -> bool:
+        return all(abs(g1 - g2) <= CHARACTER_TOL for g1, g2 in zip(self.gammas, other.gammas))
 
 
 def _trim_window(ns: np.ndarray, coeffs: np.ndarray):

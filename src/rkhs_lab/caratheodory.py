@@ -5,7 +5,6 @@ exactly, as a Hermitian top eigenvalue."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -13,6 +12,7 @@ from .curvature import ci_slack
 from .errors import ConfigError, DimensionMismatch, PointOutsideBall, PointOutsidePolydisc
 
 SZEGO_DISC_FACTOR = 1.0 / (2.0 * np.pi)
+CI_TOL = 1e-10  # a verdict passes while its worst margin is at most CI_TOL
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,13 @@ def cara_norm_polydisc(V: MatricialTangent, z) -> float:
 class CIVerdict:
     passed: bool
     worst_margin: float
-    worst_vector: Optional[np.ndarray] = None
+    worst_vector: np.ndarray
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1,
-                         tol: float = 1e-10) -> CIVerdict:
+def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1) -> CIVerdict:
     """Check <K V, V> <= -C(V)^2 for every unit tangent vector V, exactly.
 
     ``K`` is the assembled mn x mn curvature matrix and C the ball or polydisc
@@ -113,36 +112,21 @@ def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1,
     H = (K + K.conj().T) / 2.0
     tops = [np.linalg.eigh(H + D) for D in _cara_forms(domain, w, dim // n, n)]
     vals, vecs = max(tops, key=lambda t: t[0][-1])
-    return CIVerdict(passed=bool(vals[-1] <= tol), worst_margin=float(vals[-1]),
+    return CIVerdict(passed=bool(vals[-1] <= CI_TOL), worst_margin=float(vals[-1]),
                      worst_vector=vecs[:, -1])
 
 
-@dataclass(frozen=True)
-class PlanarCIVerdict:
-    passed: bool
-    slack_with4pi2: float
-    slack_without4pi2: float
-    curvature: float
-    szego_value: float
+def planar_ci_check(kernel, w: complex, szego_value: float) -> CIVerdict:
+    """Planar curvature inequality dd-bar log K >= 4 pi^2 S^2 at a point, as
+    the verdict of the 1 x 1 curvature: worst margin curvature + 4 pi^2 S^2.
 
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def planar_ci_check(kernel, w: complex, szego_value: float,
-                    tol: float = 1e-10) -> PlanarCIVerdict:
-    """Planar curvature inequality dd-bar log K >= 4 pi^2 S^2 at a point.
-
-    The Szego kernel carries its 1/(2 pi) normalization, so the bound with
-    the explicit 4 pi^2 factor is authoritative; the slack without the
-    factor is reported alongside since both normalizations occur in the
-    literature.
+    The Szego value S(w, w) carries its 1/(2 pi) normalization, so on the disc
+    the margin is that of :func:`generalized_ci_check` with the Caratheodory
+    bound -(1 - |w|^2)^-2.
     """
-    s = float(szego_value)
-    curv, _, slack4 = ci_slack(kernel, w, s)
-    return PlanarCIVerdict(passed=bool(slack4 >= -tol), slack_with4pi2=float(slack4),
-                           slack_without4pi2=float(-curv - s ** 2), curvature=curv,
-                           szego_value=s)
+    margin = -float(ci_slack(kernel, w, float(szego_value))[2])
+    return CIVerdict(passed=margin <= CI_TOL, worst_margin=margin,
+                     worst_vector=np.ones(1, dtype=complex))
 
 
 def szego_disc(z: complex, w: complex) -> complex:

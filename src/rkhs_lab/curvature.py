@@ -76,8 +76,8 @@ def ci_slack(kernel, w: complex, szego_value=None) -> tuple:
     return curv, bound, bound - curv
 
 
-def curvature_scalar_fd(kernel, w: complex, step: float = FD_STEP) -> float:
-    """Finite-difference cross-check: -1/4 Laplacian of log K(z, z)."""
+def curvature_scalar_fd(kernel, w: complex) -> float:
+    """Finite-difference cross-check: -1/4 Laplacian of log K(z, z), step FD_STEP."""
 
     def logk(z: complex) -> float:
         return float(np.log(kc.eval_kernel(kernel, z, z).real))
@@ -87,7 +87,7 @@ def curvature_scalar_fd(kernel, w: complex, step: float = FD_STEP) -> float:
                 - 4.0 * logk(w)) / h ** 2
 
     # one Richardson extrapolation level
-    d = (4.0 * lap(step / 2.0) - lap(step)) / 3.0
+    d = (4.0 * lap(FD_STEP / 2.0) - lap(FD_STEP)) / 3.0
     return -0.25 * d
 
 

@@ -10,7 +10,6 @@ from typing import Optional
 import numpy as np
 
 from . import kernels as kc
-from .curvature import ci_slack
 from .errors import NonFiniteValue, NotAContraction
 from .positivity import (hyponormal_check, is_contraction, shift_kernel, shift_weights,
                          two_hypercontraction_check)
@@ -26,9 +25,6 @@ CLASS_NOT_EXTREMAL = "NotExtremal"
 
 @dataclass(frozen=True)
 class ExtremalityReport:
-    point: complex
-    curvature: float
-    extremal_bound: float
     fk_value: float
     classification: str
     equivalent_to_backward_shift: bool
@@ -54,7 +50,9 @@ class PipelineReport:
 
 
 def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float, float]:
-    """Order-1 Gram determinant of the tilde jet at zeta, with its diagonal.
+    """Order-1 Gram determinant of the tilde jet at zeta, and that determinant
+    over j00^2 and j11 / j00, formed from ratios of the jet: scale-free, where
+    the determinant's own products underflow for a small kernel.
 
     Raises NotAContraction unless :func:`is_contraction` holds.  The
     arithmetic is in Python floats, so an overflow gives inf, never a warning.
@@ -64,9 +62,11 @@ def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float, 
     J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).tolist()
     j00, j11, j01 = J[0][0].real, J[1][1].real, abs(J[0][1])
     minor = j00 * j11 - j01 * j01
-    if not isfinite(minor):
+    ratio, slope = j11 / j00, j01 / j00
+    relative = ratio - slope * slope
+    if not (isfinite(minor) and isfinite(relative)):
         raise NonFiniteValue(f"tilde Gram minor is not finite at zeta = {zeta}")
-    return minor, j00, j11
+    return minor, relative, ratio
 
 
 def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
@@ -78,10 +78,11 @@ def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
     return _tilde_minor(kernel, zeta)[0]
 
 
-def dependence_test(kernel: kc.SeriesKernel, zeta: complex, tol: float = FK_RTOL) -> bool:
-    """Cauchy-Schwarz equality on the tilde jet: the two jet vectors are dependent."""
-    minor, j00, j11 = _tilde_minor(kernel, zeta)
-    return minor <= tol * max(j00 * j11, j00 * j00)
+def dependence_test(kernel: kc.SeriesKernel, zeta: complex) -> bool:
+    """Cauchy-Schwarz equality on the tilde jet: the two jet vectors are
+    dependent, up to FK_RTOL relative to the larger diagonal product."""
+    _, relative, ratio = _tilde_minor(kernel, zeta)
+    return relative <= FK_RTOL * max(ratio, 1.0)
 
 
 def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
@@ -93,10 +94,9 @@ def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
     uniqueness question at the origin).
     """
     kernel = shift_kernel(kernel)
-    fk, j00, _ = _tilde_minor(kernel, zeta)
-    at_point = abs(fk) <= rtol * max(j00 * j00, 1e-300)
+    fk, relative, _ = _tilde_minor(kernel, zeta)
+    at_point = abs(relative) <= rtol  # |F_K| <= rtol Ktilde(zeta, zeta)^2
     weights_all_one = bool(np.all(np.abs(shift_weights(kernel) - 1.0) <= WEIGHT_TOL))
-    curv, bound, _ = ci_slack(kernel, zeta)
     if not at_point:
         classification = CLASS_NOT_EXTREMAL
         equivalent = False
@@ -112,8 +112,7 @@ def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
         else:
             classification = CLASS_EXTREMAL_AT_ZERO
             equivalent = False
-    return ExtremalityReport(point=complex(zeta), curvature=curv, extremal_bound=bound,
-                             fk_value=fk, classification=classification,
+    return ExtremalityReport(fk_value=fk, classification=classification,
                              equivalent_to_backward_shift=equivalent)
 
 
@@ -162,17 +161,18 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     return u[0].real * (F @ C @ F.conj().T)
 
 
-def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0,
-                              truncation: int = DEFAULT_TRUNCATION) -> PipelineReport:
+def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> PipelineReport:
     """Replay the uniqueness argument step by step on a diagonal model.
 
     Conjugates the shift so the equality point moves to the origin, checks
     contractivity, the 2-hypercontraction inequality, curvature equality at
     0, the jet-vector norms, and the Gram-decrease chain that forces the
-    monomials to be orthonormal.  Polynomial density is recorded as an
+    monomials to be orthonormal, on the first DEFAULT_TRUNCATION + 1
+    coefficients (fewer away from 0).  Polynomial density is recorded as an
     assumption, never verified.
     """
     kernel = shift_kernel(kernel)
+    truncation = DEFAULT_TRUNCATION
     if zeta != 0:
         # coefficients of psi^n spread over indices >= n (1-|zeta|)/(1+|zeta|);
         # beyond that fraction of the window the truncated sum is unreliable

@@ -50,6 +50,7 @@ ANNULUS_LAURENT = "annulus_laurent"
 BOUNDARY_MARGIN = 0.02
 DEFAULT_N_MAX = 200
 TAIL_RTOL = 1e-12
+GROWTH_WINDOW = 20  # trailing coefficients that set a window end's growth rate
 
 
 @dataclass(frozen=True)
@@ -182,15 +183,15 @@ def check_point(kernel, z: complex) -> None:
         raise PointOutsideDomain(f"|z| = {r:.4f} too close to inner circle r = {inner}")
 
 
-def _sustained_growth(a: np.ndarray, window: int = 20) -> tuple[float, float]:
-    """Growth rate and geometric-envelope value at the end of the trailing window.
+def _sustained_growth(a: np.ndarray) -> tuple[float, float]:
+    """Growth rate and geometric-envelope value at the end of the trailing
+    GROWTH_WINDOW coefficients.
 
     Robust to single-coefficient dips and zeros (common in signed tilde
     series): the envelope max_i a_i growth^(end-i) replaces the literal last
     term, so a_end+k <= envelope * growth^k for the window-consistent rate.
     """
-    w = min(window, a.size)
-    tail = a[-w:]
+    tail = a[-GROWTH_WINDOW:]
     if float(tail.max()) == 0.0:
         return 0.0, 0.0
     nz = np.nonzero(tail)[0]
@@ -427,7 +428,13 @@ def _congruence(kernel, phi, factor, scale=1.0) -> ClosedFormKernel:
         size = order + 1
         x, az = phi(z), factor(z)[:size, :size]
         y, aw = (x, az) if w == z else (phi(w), factor(w)[:size, :size])
-        return scale * (az @ _block(kernel, x, y, order) @ aw.conj().T)
+        B = _block(kernel, x, y, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = scale * (az @ B @ aw.conj().T)
+        if not np.isfinite(L).all():
+            raise NonFiniteValue(f"closed-form block of order {order} is not finite "
+                                 f"at z = {complex(z)}, w = {complex(w)}")
+        return L
 
     return ClosedFormKernel(block=block, domain=kernel.domain, inner_radius=kernel.inner_radius)
 

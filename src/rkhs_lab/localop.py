@@ -116,8 +116,8 @@ def verify_tt_identity(kernel, w: complex) -> float:
     return verify_tt_identity_gram(gram, canonical_form(gram))
 
 
-def function_of_local(form: LocalOperatorForm, w, f_value: complex, f_gradient) -> np.ndarray:
-    """Matrix of f applied to the local operator tuple at w.
+def function_of_local(form: LocalOperatorForm, f_value: complex, f_gradient) -> np.ndarray:
+    """Matrix of f applied to the local operator tuple at the point w of ``form``.
 
     Returns [[f(w) I_n, grad f . t(w)], [0, f(w) I_mn]].
     """

@@ -7,12 +7,20 @@ from scipy import integrate
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import curvature_scalar
-from rkhs_lab.errors import NotLogHarmonic
+from rkhs_lab.errors import ConfigError, NotLogHarmonic
 
 
 @pytest.fixture(scope="module")
 def spec():
     return an.AnnulusSpec(r=0.5)
+
+
+@pytest.mark.parametrize("fields, name", [({"r": 1.5}, "'r'"), ({"r": 0.0}, "'r'"),
+                                          ({"r": 0.5, "N": an.MIN_N - 1}, "'N'")])
+def test_annulus_spec_names_offending_field(fields, name):
+    with pytest.raises(ConfigError) as exc:
+        an.AnnulusSpec(**fields)
+    assert name in str(exc.value)
 
 
 def test_szego_degenerates_to_disc():

@@ -73,14 +73,27 @@ def test_planar_ci_disc_control():
     # Bergman dd-bar log K = 2, Szego term 4 pi^2 (1/2pi)^2 = 1: slack 1
     berg = kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) / np.pi, 200)
     verdict = ca.planar_ci_check(berg, 0.0, ca.szego_disc(0, 0).real)
-    assert verdict.slack_with4pi2 == pytest.approx(1.0)
+    assert -verdict.worst_margin == pytest.approx(1.0)
     assert verdict.passed
 
 
 def test_planar_ci_hardy_equality():
     k = kc.SeriesKernel.disc(np.ones(201))
     verdict = ca.planar_ci_check(k, 0.3, abs(ca.szego_disc(0.3, 0.3)))
-    assert abs(verdict.slack_with4pi2) < 1e-10
+    assert abs(verdict.worst_margin) < 1e-10
+
+
+@pytest.mark.parametrize("coeffs", [np.ones(201), np.arange(1.0, 202.0),
+                                    np.arange(1.0, 202.0) ** 3, 1.0 / np.arange(1.0, 202.0)],
+                         ids=["szego", "bergman", "cubic", "harmonic"])
+def test_planar_ci_is_the_generalized_verdict_on_the_disc(coeffs):
+    # 4 pi^2 S(w, w)^2 with the disc Szego kernel is the Caratheodory bound (1 - |w|^2)^-2
+    k = kc.SeriesKernel.disc(coeffs)
+    for w in (0.0, 0.3, -0.5 + 0.4j, 0.85j):
+        planar = ca.planar_ci_check(k, w, ca.szego_disc(w, w).real)
+        general = ca.generalized_ci_check(np.array([[curvature_scalar(k, w)]]), "ball", [w])
+        assert planar.passed == general.passed
+        assert planar.worst_margin == pytest.approx(general.worst_margin, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

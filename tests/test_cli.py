@@ -58,6 +58,17 @@ def test_extremal_bergman_not_extremal(runner, berg_spec):
     assert payload["classification"] == "NotExtremal"
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-310])
+def test_extremal_classification_does_not_depend_on_scale(runner, scale):
+    # F_K = 0 for constant coefficients at any scale; neither an overflowing
+    # nor a subnormal K(w, w) enters the trichotomy
+    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                       "coeffs": [scale] * 3})
+    res = runner.invoke(main, ["extremal", "--kernel", spec, "--at", "0.3"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["classification"] == "ExtremalEverywhere"
+
+
 def test_malformed_spec_names_field(runner, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"kind": "disc_diagonal", "coeff_rule": "noise"}))

@@ -1,8 +1,11 @@
 """F_K functional, the trichotomy, and the uniqueness pipeline replay."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from rkhs_lab import curvature as cv
 from rkhs_lab import kernels as kc
 from rkhs_lab.errors import NotAContraction
 from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
@@ -39,8 +42,13 @@ def test_fk_requires_contraction():
 
 
 def test_dependence_against_fk():
-    assert dependence_test(geometric(), 0.3)
-    assert not dependence_test(bergman(), 0.3)
+    # both verdicts are scale-free, although F_K underflows for a small kernel
+    for scale, (make, dependent) in itertools.product(
+            (1e-200, 1.0, 1e100), ((geometric, True), (bergman, False), (case2, False))):
+        kernel = kc.SeriesKernel.disc(make().coeffs * scale)
+        assert dependence_test(kernel, 0.3) == dependent
+        classification = classify_shift(kernel, 0.3).classification
+        assert (classification == "ExtremalEverywhere") == dependent
 
 
 def test_trichotomy_backward_shift():
@@ -150,6 +158,22 @@ def test_shift_verdicts_build_no_sampled_gram(monkeypatch):
     assert len(calls) == 0
     contraction_check(geometric())
     assert len(calls) == 1
+
+
+def test_classification_evaluates_no_curvature(monkeypatch):
+    # the trichotomy reads F_K and the weights; the curvature is not part of it
+    calls = []
+    curvature_scalar = cv.curvature_scalar
+
+    def counting(*args):
+        calls.append(args)
+        return curvature_scalar(*args)
+
+    monkeypatch.setattr(cv, "curvature_scalar", counting)
+    for kernel in (geometric(), bergman(), case2()):
+        for zeta in (0.0, 0.3):
+            classify_shift(kernel, zeta)
+    assert calls == []
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, 1.0] + [2.0 * 2 ** k for k in range(60)],

@@ -93,7 +93,7 @@ def test_function_of_local_block_structure():
     form = canonical_form(jet_gram(k, w))
     # f(N_w) for f(z) = z^2 has f(w) I on the diagonal and f'(w) t off it
     f_val, df_val = w ** 2, 2 * w
-    F = function_of_local(form, w, f_val, [df_val])
+    F = function_of_local(form, f_val, [df_val])
     assert F[0, 0] == pytest.approx(f_val)
     assert F[1, 1] == pytest.approx(f_val)
     assert F[1, 0] == 0

@@ -33,8 +33,10 @@ def test_psd_check_reports_spectral_norm(rng):
 
 
 def test_psd_check_rejects_non_hermitian():
-    with pytest.raises(NonHermitianInput):
-        psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # the second is off by 5, far above 1e-10 * ||G||_2 but inside a 1e-5 rtol
+    for matrix in ([[1.0, 2.0], [0.0, 1.0]], [[1e6, 1e6 + 5.0], [1e6, 1e6]]):
+        with pytest.raises(NonHermitianInput):
+            psd_check(np.array(matrix))
 
 
 @pytest.mark.parametrize("matrix", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)],
