@@ -16,7 +16,10 @@ from . import kernels as kc
 from .curvature import ci_slack, curvature_scalar
 from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, QuadratureFailure
 
-QUAD_RTOL = 1e-12
+QUAD_RTOL = 1e-12  # error estimate a profile norm integral must meet
+QUAD_CAP_RTOL = 1e-9  # the estimate still accepted once MAX_PANELS is reached
+GAUSS_POINTS = 20  # nodes per Gauss-Legendre panel of the profile rule
+MAX_PANELS = 500
 MIN_N = 50
 CHARACTER_TOL = 1e-10  # characters match when every |gamma_1 - gamma_2| is at most this
 
@@ -101,7 +104,8 @@ def szego_annulus(spec: AnnulusSpec, z: complex, w: complex) -> complex:
 
 def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
     """|z^n|^2 in the weighted Bergman space for each n in ns:
-    2 pi int_r^1 rho^(2n+1) h(rho) drho, closed form for power laws, quad otherwise."""
+    2 pi int_r^1 rho^(2n+1) h(rho) drho, closed form for power laws, one
+    shared adaptive Gauss rule for a profile."""
     if weight.kind == "power_law":
         e = 2 * np.asarray(ns) + 1 + weight.b
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -112,16 +116,72 @@ def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
             integrals = np.where(overflows, np.inf, (1.0 - power) / (e + 1.0))
         integrals = np.where(np.abs(e + 1.0) < 1e-14, np.log(1.0 / spec.r), integrals)
         return 2.0 * np.pi * integrals
-    from scipy import integrate
+    return _profile_norms_sq(spec, weight, np.asarray(ns))
 
-    integrals = []
-    for n in ns:
-        val, err = integrate.quad(lambda rho: rho ** (2 * n + 1) * weight(rho),
-                                  spec.r, 1.0, epsrel=QUAD_RTOL, epsabs=0.0, limit=200)
-        if not np.isfinite(val) or val <= 0.0 or err > 1e-9 * abs(val):
-            raise QuadratureFailure(f"norm integral for n = {n} unreliable (err {err:.2e})")
-        integrals.append(val)
-    return 2.0 * np.pi * np.array(integrals, dtype=float)
+
+def _profile_norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns: np.ndarray) -> np.ndarray:
+    """2 pi I_n with I_n = int_(log r)^0 e^((2n+2)t) h(e^t) dt, for all n at once.
+
+    Every n shares one set of GAUSS_POINTS-point Gauss-Legendre panels, so h
+    is evaluated once per node.  With s_n = max(0, (2n+2) log r) the scaled
+    sums Sigma_n = I_n e^(-s_n) have exponents <= 0 only, and the norm is
+    exp(s_n + log(2 pi Sigma_n)): inf past the double range, trimmed like
+    the power-law branch.  A panel's error estimate for each n is
+    |whole - (left + right)| of its Gauss sums over itself and its halves.
+    While the summed estimate of some n exceeds QUAD_RTOL I_n, every panel
+    that carries more than its count share of that budget is bisected.
+    Past MAX_PANELS the estimate need only be within QUAD_CAP_RTOL I_n.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, node_weights = leggauss(GAUSS_POINTS)
+    c = 2.0 * ns + 2.0
+    shift = np.maximum(0.0, c * math.log(spec.r))
+    # panels per block of exponentials, so a block holds about 2^18 doubles for any window
+    chunk = max(1, 2 ** 18 // (c.size * GAUSS_POINTS))
+
+    def gauss_sums(a, b):
+        """Sigma_n over each panel [a_k, b_k], shape (len(ns), len(a))."""
+        half = 0.5 * (b - a)[:, None]
+        t = 0.5 * (a + b)[:, None] + half * nodes
+        h = np.array([weight(rho) for rho in np.exp(t).ravel().tolist()]).reshape(t.shape)
+        g = half * node_weights * h
+        sums = np.empty((c.size, a.size))
+        for k in range(0, a.size, chunk):
+            e = np.exp(np.multiply.outer(c, t[k:k + chunk]) - shift[:, None, None])
+            sums[:, k:k + chunk] = np.einsum("npj,pj->np", e, g[k:k + chunk])
+        return sums
+
+    def halves(a, b):
+        m = 0.5 * (a + b)
+        sums = gauss_sums(np.concatenate([a, m]), np.concatenate([m, b]))
+        return sums[:, :a.size], sums[:, a.size:]
+
+    with np.errstate(all="ignore"):  # a NaN or negative profile is refused below
+        a, b = np.array([math.log(spec.r)]), np.array([0.0])
+        whole = gauss_sums(a, b)
+        left, right = halves(a, b)
+        while True:
+            panel_err = np.abs(whole - (left + right))
+            sums, err = (left + right).sum(axis=1), panel_err.sum(axis=1)
+            failing = err > QUAD_RTOL * np.abs(sums)
+            if not failing.any() or a.size >= MAX_PANELS:
+                break
+            share = QUAD_RTOL * np.abs(sums[failing]) / a.size
+            split = (panel_err[failing] > share[:, None]).any(axis=0)
+            m = 0.5 * (a + b)[split]
+            a = np.concatenate([a[~split], a[split], m])
+            b = np.concatenate([b[~split], m, b[split]])
+            whole = np.concatenate([whole[:, ~split], left[:, split], right[:, split]], axis=1)
+            new_left, new_right = halves(a[-2 * m.size:], b[-2 * m.size:])
+            left = np.concatenate([left[:, ~split], new_left], axis=1)
+            right = np.concatenate([right[:, ~split], new_right], axis=1)
+        bad = ~((sums > 0.0) & (err <= QUAD_CAP_RTOL * sums))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise QuadratureFailure(f"norm integral for n = {int(ns[i])} unreliable "
+                                    f"(scaled sum {sums[i]:.3e}, error estimate {err[i]:.2e})")
+        return np.exp(shift + np.log(2.0 * np.pi * sums))
 
 
 def monomial_norm_sq(spec: AnnulusSpec, weight: RadialWeight, n: int) -> float:
@@ -133,7 +193,7 @@ def weighted_bergman_kernel(spec: AnnulusSpec, weight: RadialWeight) -> kc.Serie
     """Laurent kernel with a_n = 1 / |z^n|^2 for the radial weight."""
     ns = np.arange(-spec.N, spec.N + 1)
     with np.errstate(divide="ignore"):  # zero norms give inf, trimmed below
-        coeffs = 1.0 / _norms_sq(spec, weight, ns.tolist())
+        coeffs = 1.0 / _norms_sq(spec, weight, ns)
     ns, coeffs = _trim_window(ns, coeffs)
     return kc.SeriesKernel.annulus(ns, coeffs, spec.r)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -218,7 +219,8 @@ def extremal(kernel, at, tol, out):
     payload = {
         "classification": report.classification,
         "equivalent_to_backward_shift": report.equivalent_to_backward_shift,
-        "fk_value": report.fk_value,
+        "fk_value": report.fk_value if math.isfinite(report.fk_value) else None,
+        "fk_relative": report.fk_relative,
         "at": _fmt(zeta),
     }
     _write_out(_json(payload), out)

@@ -25,7 +25,8 @@ CLASS_NOT_EXTREMAL = "NotExtremal"
 
 @dataclass(frozen=True)
 class ExtremalityReport:
-    fk_value: float
+    fk_value: float  # may overflow to inf or underflow to 0; the verdict reads fk_relative
+    fk_relative: float  # F_K / Ktilde(zeta, zeta)^2, the number compared with rtol
     classification: str
     equivalent_to_backward_shift: bool
 
@@ -52,28 +53,30 @@ class PipelineReport:
 def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float, float]:
     """Order-1 Gram determinant of the tilde jet at zeta, and that determinant
     over j00^2 and j11 / j00, formed from ratios of the jet: scale-free, where
-    the determinant's own products underflow for a small kernel.
+    the determinant's own products underflow or overflow.
 
-    Raises NotAContraction unless :func:`is_contraction` holds.  The
-    arithmetic is in Python floats, so an overflow gives inf, never a warning.
+    Raises NotAContraction unless :func:`is_contraction` holds, and
+    NonFiniteValue when the ratios, which decide every verdict, are not
+    finite.  The arithmetic is in Python floats, so an overflow gives inf or
+    nan, never a warning.
     """
     if not is_contraction(kernel):
         raise NotAContraction("kernel coefficients must be non-decreasing")
     J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).tolist()
     j00, j11, j01 = J[0][0].real, J[1][1].real, abs(J[0][1])
-    minor = j00 * j11 - j01 * j01
     ratio, slope = j11 / j00, j01 / j00
     relative = ratio - slope * slope
-    if not (isfinite(minor) and isfinite(relative)):
-        raise NonFiniteValue(f"tilde Gram minor is not finite at zeta = {zeta}")
-    return minor, relative, ratio
+    if not isfinite(relative):
+        raise NonFiniteValue(f"tilde Gram minor ratio is not finite at zeta = {zeta}")
+    return j00 * j11 - j01 * j01, relative, ratio
 
 
 def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
     """Ktilde(z, z)^2 * dd-bar log Ktilde at zeta; zero iff curvature equality.
 
     Equals the Gram determinant of (Ktilde_zeta, dbar Ktilde_zeta), hence
-    non-negative for contractions.
+    non-negative for contractions.  Its products may leave the double range
+    (inf or nan) where the scale-free ratio that decides the class does not.
     """
     return _tilde_minor(kernel, zeta)[0]
 
@@ -112,7 +115,7 @@ def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
         else:
             classification = CLASS_EXTREMAL_AT_ZERO
             equivalent = False
-    return ExtremalityReport(fk_value=fk, classification=classification,
+    return ExtremalityReport(fk_value=fk, fk_relative=relative, classification=classification,
                              equivalent_to_backward_shift=equivalent)
 
 

@@ -1,13 +1,15 @@
 """Annulus kernels, extremal problem, strict CI, characters, period matrix."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import curvature_scalar
-from rkhs_lab.errors import ConfigError, NotLogHarmonic
+from rkhs_lab.errors import ConfigError, NotLogHarmonic, QuadratureFailure
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +59,63 @@ def test_bergman_norm_closed_forms(spec):
         pytest.approx(2.0 * np.pi * (1.0 - 0.5 ** 4) / 4.0)
 
 
-def test_bergman_norms_match_quadrature(spec):
-    # adaptive quadrature of the tabulated profile against the closed form
-    w_prof = an.RadialWeight.from_profile(lambda rho: rho ** 2)
-    w_pow = an.RadialWeight.power_law(2.0)
-    for n in (-3, -1, 0, 2, 7):
-        assert an.monomial_norm_sq(spec, w_prof, n) == pytest.approx(
-            an.monomial_norm_sq(spec, w_pow, n), rel=1e-10)
+def test_bergman_norms_match_quadrature():
+    # the shared adaptive rule for a tabulated rho^b against the closed form,
+    # over the whole 401-term window
+    for r in (0.3, 0.5, 0.7):
+        spec = an.AnnulusSpec(r=r)
+        for b in range(-2, 4):
+            prof = an.weighted_bergman_kernel(
+                spec, an.RadialWeight.from_profile(lambda rho: rho ** b))
+            closed = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(b))
+            assert np.array_equal(prof.ns, closed.ns)
+            assert prof.ns.size == 2 * spec.N + 1
+            assert np.max(np.abs(prof.coeffs / closed.coeffs - 1.0)) <= 1e-12
+
+
+def test_profile_norms_match_mpmath_at_a_kink():
+    # a profile with a kink inside the annulus, against 30-digit mpmath
+    # quadrature split at the breakpoint
+    spec = an.AnnulusSpec(r=0.5)
+    kern = an.weighted_bergman_kernel(
+        spec, an.RadialWeight.from_profile(lambda rho: abs(rho - 0.6) + 0.1))
+    with mpmath.workdps(30):
+        kink = mpmath.mpf("0.6")
+        for n in (-50, -3, 0, 7, 120):
+            exact = 2 * mpmath.pi * mpmath.quad(
+                lambda rho: rho ** (2 * n + 1) * (abs(rho - kink) + mpmath.mpf("0.1")),
+                [spec.r, kink, 1])
+            coeff = kern.coeffs[kern.ns == n][0]
+            assert abs(coeff * float(exact) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [-2, 0, 3, 50])
+def test_thin_annulus_profile_matches_power_law(b):
+    # at r = 0.05 the norms of negative n leave the double range; the profile
+    # build trims them as the power-law build does, with typed errors only
+    spec = an.AnnulusSpec(r=0.05)
+    prof = an.weighted_bergman_kernel(spec, an.RadialWeight.from_profile(lambda rho: rho ** b))
+    closed = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(b))
+    lo, hi = max(prof.ns[0], closed.ns[0]), min(prof.ns[-1], closed.ns[-1])
+    assert hi == spec.N
+    for kern in (prof, closed):
+        outside = (kern.ns < lo) | (kern.ns > hi)
+        assert np.all(kern.coeffs[outside] < 1e-300)
+    common_prof = prof.coeffs[(prof.ns >= lo) & (prof.ns <= hi)]
+    common_closed = closed.coeffs[(closed.ns >= lo) & (closed.ns <= hi)]
+    assert np.max(np.abs(common_prof / common_closed - 1.0)) <= 1e-12
+    for z in (0.3, 0.5, 0.8):
+        assert abs(kc.eval_kernel(prof, z, z) / kc.eval_kernel(closed, z, z) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("profile", [lambda rho: rho - 0.6, lambda rho: float("nan")],
+                         ids=["negative", "nan"])
+def test_profile_without_positive_norms_is_refused(profile):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure) as exc:
+            an.weighted_bergman_kernel(an.AnnulusSpec(r=0.5), an.RadialWeight.from_profile(profile))
+    assert "for n = -200 " in str(exc.value)
 
 
 def test_bergman_disc_limit():

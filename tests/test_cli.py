@@ -19,6 +19,7 @@ import rkhs_lab
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.cli import MAX_GRID_STEPS, main
+from rkhs_lab.extremality import fk_value as fk_value_of
 
 
 @pytest.fixture()
@@ -242,8 +243,8 @@ OVERFLOWING_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.05, "weight_
                                            "coeffs": [1e300, 1e300, 1e300]}),
       "--grid", "0.5:0.9:3"], "curvature is not finite at w = "),
     (["extremal", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
-                                          "coeffs": [1e200, 1e300, 1e300]}),
-      "--at", "0.5"], "tilde Gram minor is not finite at zeta = (0.5+0j)"),
+                                          "coeffs": [1e-310, 1, 1]}),
+      "--at", "0"], "tilde Gram minor ratio is not finite at zeta = 0j"),
     (["check", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                        "coeffs": [1e-310, 1, 1]}),
       "--tests", "2hyper"], "is not finite at n = 0"),
@@ -259,6 +260,25 @@ def test_non_finite_values_are_refused(runner, argv, quantity):
     diag = json.loads(res.stderr)
     assert diag["error"] == "NonFiniteValue"
     assert quantity in diag["message"]
+
+
+@pytest.mark.parametrize("scale, fk_value", [(1e200, None), (1e-196, 0.0)],
+                         ids=["overflow", "underflow"])
+def test_extremal_reports_the_scale_free_fk(runner, scale, fk_value):
+    # the verdict reads F_K / Ktilde^2, which is finite where F_K itself
+    # leaves the double range; fk_value is printed as null past overflow
+    def run(coeffs):
+        spec = {"kind": "disc_diagonal", "coeff_rule": "custom-list", "coeffs": coeffs}
+        res = runner.invoke(main, ["extremal", "--kernel", json.dumps(spec), "--at", "0.3"])
+        assert res.exit_code == 0, res.stderr
+        return json.loads(res.stdout)
+
+    base = run([1.0, 2.0, 3.0])
+    scaled = run([scale, 2.0 * scale, 3.0 * scale])
+    assert base["fk_value"] == fk_value_of(kc.SeriesKernel.disc(np.array([1.0, 2.0, 3.0])), 0.3)
+    assert scaled["fk_value"] == fk_value
+    assert scaled["fk_relative"] == pytest.approx(base["fk_relative"], rel=1e-12)
+    assert scaled["classification"] == base["classification"] == "NotExtremal"
 
 
 HUGE_WINDOW = '{"kind": "disc_diagonal", "coeff_rule": "1", "n_max": 1000000000000}'
@@ -358,28 +378,27 @@ def test_ci_check_refuses_flags_that_contradict_spec(runner, spec, flags, field)
 
 
 # ---------------------------------------------------------------------------
-# import cost: scipy's heavy subpackages load only where they are used, and
-# the local-operator path uses none of them
+# import cost: src/ imports no scipy at all, and the profile rule loads
+# numpy.polynomial only when a profile kernel is built
 
 IMPORT_PROBE = """
 import json, sys
 import numpy as np
 import rkhs_lab.cli
-from rkhs_lab import kernels as kc, localop as lo
+polynomial_at_import = "numpy.polynomial" in sys.modules
+from rkhs_lab import annulus as an, caratheodory as ca, kernels as kc, localop as lo
 k = kc.SeriesKernel.bergman()
 lo.canonical_form(lo.jet_gram(k, 0.3))
 lo.verify_tt_identity(k, 0.3)
 G = np.eye(6) + 0.1 * np.ones((6, 6))
 lo.canonical_form(lo.gram_from_matrix(G, 2, 2))
-heavy = ("scipy.integrate", "scipy.stats", "scipy.linalg")
-loaded = [m for m in heavy if m in sys.modules]
-from rkhs_lab import annulus as an, caratheodory as ca
 spec = an.AnnulusSpec(r=0.5, N=50)
-quad = an.weighted_bergman_kernel(spec, an.RadialWeight.from_profile(lambda rho: rho ** 2))
+profile = an.weighted_bergman_kernel(spec, an.RadialWeight.from_profile(lambda rho: rho ** 2))
 closed = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(2.0))
 verdict = ca.generalized_ci_check(np.array([[-2.0]]), "ball", [0.0])
-print(json.dumps({"loaded": loaded,
-                  "quad_rel_diff": float(np.abs(quad.coeffs / closed.coeffs - 1.0).max()),
+print(json.dumps({"polynomial_at_import": polynomial_at_import,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "profile_rel_diff": float(np.abs(profile.coeffs / closed.coeffs - 1.0).max()),
                   "ci_passed": bool(verdict.passed), "ci_margin": verdict.worst_margin}))
 """
 
@@ -392,10 +411,9 @@ def test_cli_import_defers_heavy_scipy_modules():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["loaded"] == []
-    # the deferred imports still serve the quad profile; the Caratheodory check
-    # needs none of them
-    assert out["quad_rel_diff"] < 1e-10
+    assert not out["polynomial_at_import"]
+    assert out["scipy"] == []
+    assert out["profile_rel_diff"] <= 1e-12
     assert out["ci_passed"]
     assert out["ci_margin"] == pytest.approx(-1.0, abs=1e-12)
 
