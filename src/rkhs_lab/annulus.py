@@ -109,13 +109,15 @@ def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
     if weight.kind == "power_law":
         e = 2 * np.asarray(ns) + 1 + weight.b
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # r^(e+1) overflows a double; for |b| near the double limit the product is +-inf
-            overflows = (e + 1.0) * np.log(spec.r) > 700.0
             # libm's pow, as in Python's r ** x; numpy's SIMD power rounds differently
-            power = np.float_power(spec.r, np.where(overflows, 0.0, e + 1.0))
-            integrals = np.where(overflows, np.inf, (1.0 - power) / (e + 1.0))
-        integrals = np.where(np.abs(e + 1.0) < 1e-14, np.log(1.0 / spec.r), integrals)
-        return 2.0 * np.pi * integrals
+            power = np.float_power(spec.r, e + 1.0)
+            integrals = np.where(np.abs(e + 1.0) < 1e-14, np.log(1.0 / spec.r),
+                                 (1.0 - power) / (e + 1.0))
+            # where r^(e+1) overflows, the norm 2 pi r^(e+1) / |e+1| is inf only
+            # past the double range, as for a profile
+            return np.where(np.isinf(power),
+                            np.exp((e + 1.0) * np.log(spec.r) + np.log(-2.0 * np.pi / (e + 1.0))),
+                            2.0 * np.pi * integrals)
     return _profile_norms_sq(spec, weight, np.asarray(ns))
 
 

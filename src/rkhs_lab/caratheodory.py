@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import ci_slack
-from .errors import ConfigError, DimensionMismatch, PointOutsideBall, PointOutsidePolydisc
+from .errors import (ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideBall,
+                     PointOutsidePolydisc)
 
 SZEGO_DISC_FACTOR = 1.0 / (2.0 * np.pi)
 CI_TOL = 1e-10  # a verdict passes while its worst margin is at most CI_TOL
@@ -56,7 +57,7 @@ def _cara_forms(domain: str, z, m: int, n: int) -> list:
         raise DimensionMismatch(f"point dimension {zv.size} != m = {m}")
     if domain == "ball":
         r2 = float(np.vdot(zv, zv).real)
-        if r2 >= 1.0:
+        if not r2 < 1.0:  # a NaN point is outside too
             raise PointOutsideBall(f"|z|^2 = {r2:.4f} >= 1")
         A = np.eye(m)
         if r2 > 0.0:
@@ -64,7 +65,7 @@ def _cara_forms(domain: str, z, m: int, n: int) -> list:
             A = P / (1.0 - r2) + (A - P) / np.sqrt(1.0 - r2)
         return [np.kron(A @ A, np.eye(n))]
     if domain == "polydisc":
-        if np.any(np.abs(zv) >= 1.0):
+        if not np.all(np.abs(zv) < 1.0):
             raise PointOutsidePolydisc("some |z_j| >= 1")
         gaps = 1.0 - np.abs(zv) ** 2
         return [np.diag(np.repeat(np.arange(m) == j, n) / gaps[j] ** 2) for j in range(m)]
@@ -109,6 +110,8 @@ def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1) -> CIVerdict
     dim = K.shape[0]
     if K.shape != (dim, dim) or dim % n != 0:
         raise DimensionMismatch("curvature matrix must be mn x mn")
+    if not np.isfinite(K).all():
+        raise NonFiniteValue("curvature matrix has a non-finite entry")
     H = (K + K.conj().T) / 2.0
     tops = [np.linalg.eigh(H + D) for D in _cara_forms(domain, w, dim // n, n)]
     vals, vecs = max(tops, key=lambda t: t[0][-1])

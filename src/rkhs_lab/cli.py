@@ -9,6 +9,7 @@ Outputs are written atomically and are bit-identical for identical configs.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -72,9 +73,9 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_rows(header, rows, fmt: str, out: str) -> None:
-    _write_out(_csv(header, rows) if fmt == "csv" else
-               _json({"rows": [dict(zip(header, row)) for row in rows]}), out)
+def _rows(header, rows, fmt: str) -> str:
+    return (_csv(header, rows) if fmt == "csv" else
+            _json({"rows": [dict(zip(header, row)) for row in rows]}))
 
 
 def _parse_grid(grid: str):
@@ -115,10 +116,24 @@ def _parse_weight(weight: str) -> an.RadialWeight:
     return an.RadialWeight.power_law(b)
 
 
-def _fail(exc: Exception) -> None:
-    diag = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(json.dumps(diag), err=True)
-    sys.exit(EXIT_ERROR)
+def _command(compute):
+    """Run a command body that returns (output text, exit code) and write the
+    text to --out.  Computing and writing share one error boundary: a library
+    or IO error, an unwritable --out included, exits 1 with a JSON diagnostic
+    on stderr."""
+
+    @functools.wraps(compute)
+    def run(out, **options):
+        try:
+            text, code = compute(**options)
+            _write_out(text, out)
+        except (KernelLabError, OSError) as exc:
+            click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+                       err=True)
+            sys.exit(EXIT_ERROR)
+        sys.exit(code)
+
+    return run
 
 
 @click.group()
@@ -131,16 +146,13 @@ def main():
 @click.option("--grid", default="0:0.9:10", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default="-", show_default=True)
-def curvature(kernel, grid, fmt, out):
+@_command
+def curvature(kernel, grid, fmt):
     """Curvature along a radial grid."""
-    try:
-        kern = load_kernel(kernel)
-        radii = _parse_grid(grid)
-        rows = [(r, curvature_scalar(kern, complex(r))) for r in radii]
-    except (KernelLabError, OSError) as exc:
-        _fail(exc)
-    _write_rows(["abs_w", "curvature"], rows, fmt, out)
-    sys.exit(EXIT_PASS)
+    kern = load_kernel(kernel)
+    radii = _parse_grid(grid)
+    rows = [(r, curvature_scalar(kern, complex(r))) for r in radii]
+    return _rows(["abs_w", "curvature"], rows, fmt), EXIT_PASS
 
 
 @main.command("local-op")
@@ -148,26 +160,22 @@ def curvature(kernel, grid, fmt, out):
 @click.option("--at", default="0", show_default=True)
 @click.option("--tol", default=1e-8, show_default=True)
 @click.option("--out", default="-", show_default=True)
-def local_op(kernel, at, tol, out):
+@_command
+def local_op(kernel, at, tol):
     """Canonical local-operator form at a point."""
-    try:
-        _check_tol(tol)
-        kern = load_kernel(kernel)
-        w = _parse_at(at)
-        gram = jet_gram(kern, w)
-        form = canonical_form(gram)
-        residual = verify_tt_identity_gram(gram, form)
-        curv = curvature_scalar(kern, w)
-    except (KernelLabError, OSError) as exc:
-        _fail(exc)
+    _check_tol(tol)
+    kern = load_kernel(kernel)
+    w = _parse_at(at)
+    gram = jet_gram(kern, w)
+    form = canonical_form(gram)
+    residual = verify_tt_identity_gram(gram, form)
     payload = {
         "t": [[_fmt(x) for x in row] for row in form.t.tolist()],
         "R": [[_fmt(x) for x in row] for row in form.R.tolist()],
-        "curvature": curv,
+        "curvature": curvature_scalar(kern, w),
         "residual": residual,
     }
-    _write_out(_json(payload), out)
-    sys.exit(EXIT_PASS if residual <= tol else EXIT_VIOLATION)
+    return _json(payload), EXIT_PASS if residual <= tol else EXIT_VIOLATION
 
 
 @main.command()
@@ -175,31 +183,27 @@ def local_op(kernel, at, tol, out):
 @click.option("--tests", default="contraction,hyponormal,2hyper", show_default=True)
 @click.option("--seed", default=2024, show_default=True)
 @click.option("--out", default="-", show_default=True)
-def check(kernel, tests, seed, out):
+@_command
+def check(kernel, tests, seed):
     """Positivity / contractivity verdicts."""
     runners = {
         "contraction": lambda k: contraction_check(k, seed=seed),
         "hyponormal": hyponormal_check,
         "2hyper": two_hypercontraction_check,
     }
-    try:
-        if seed < 0:
-            raise ConfigError(f"option --seed must be >= 0, got {seed}")
-        kern = load_kernel(kernel)
-        verdicts = {}
-        for name in tests.split(","):
-            name = name.strip()
-            if name not in runners:
-                raise ConfigError(f"option --tests names unknown test '{name}'; "
-                                  f"choose from {', '.join(runners)}")
-            res = runners[name](kern)
-            verdicts[name] = {"passed": bool(res),
-                              "min_eigenvalue": res.min_eigenvalue}
-    except (KernelLabError, OSError) as exc:
-        _fail(exc)
-    _write_out(_json({"seed": seed, "verdicts": verdicts}), out)
-    sys.exit(EXIT_PASS if all(v["passed"] for v in verdicts.values())
-             else EXIT_VIOLATION)
+    if seed < 0:
+        raise ConfigError(f"option --seed must be >= 0, got {seed}")
+    kern = load_kernel(kernel)
+    verdicts = {}
+    for name in tests.split(","):
+        name = name.strip()
+        if name not in runners:
+            raise ConfigError(f"option --tests names unknown test '{name}'; "
+                              f"choose from {', '.join(runners)}")
+        res = runners[name](kern)
+        verdicts[name] = {"passed": bool(res), "min_eigenvalue": res.min_eigenvalue}
+    passed = all(v["passed"] for v in verdicts.values())
+    return _json({"seed": seed, "verdicts": verdicts}), EXIT_PASS if passed else EXIT_VIOLATION
 
 
 @main.command()
@@ -207,15 +211,13 @@ def check(kernel, tests, seed, out):
 @click.option("--at", default="0", show_default=True)
 @click.option("--tol", default=1e-9, show_default=True)
 @click.option("--out", default="-", show_default=True)
-def extremal(kernel, at, tol, out):
+@_command
+def extremal(kernel, at, tol):
     """Extremality classification of the shift at a point."""
-    try:
-        _check_tol(tol)
-        kern = load_kernel(kernel)
-        zeta = _parse_at(at)
-        report = classify_shift(kern, zeta, rtol=tol)
-    except (KernelLabError, OSError) as exc:
-        _fail(exc)
+    _check_tol(tol)
+    kern = load_kernel(kernel)
+    zeta = _parse_at(at)
+    report = classify_shift(kern, zeta, rtol=tol)
     payload = {
         "classification": report.classification,
         "equivalent_to_backward_shift": report.equivalent_to_backward_shift,
@@ -223,8 +225,7 @@ def extremal(kernel, at, tol, out):
         "fk_relative": report.fk_relative,
         "at": _fmt(zeta),
     }
-    _write_out(_json(payload), out)
-    sys.exit(EXIT_PASS)
+    return _json(payload), EXIT_PASS
 
 
 def _contradiction(option: str, value, field: str, spec_value) -> ConfigError:
@@ -242,39 +243,37 @@ def _contradiction(option: str, value, field: str, spec_value) -> ConfigError:
 @click.option("--tol", default=1e-8, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default="-", show_default=True)
-def ci_check(kernel, domain, r, weight, grid, tol, fmt, out):
+@_command
+def ci_check(kernel, domain, r, weight, grid, tol, fmt):
     """Curvature-inequality slack along a grid.
 
     The spec decides the domain: -(1 - |w|^2)^-2 on the disc,
     -4 pi^2 S(w, w)^2 with the Szego kernel S of the spec's annulus.
     """
-    try:
-        radii = _parse_grid(grid)
-        _check_tol(tol)
-        spec = load_spec(kernel)
-        kern = kernel_from_spec(spec)
-        annulus = kern.kind == kc.ANNULUS_LAURENT
-        if domain is not None and domain != ("annulus" if annulus else "disc"):
-            raise _contradiction("--domain", domain, "kind", kern.kind)
-        if annulus:
-            aspec, wobj = annulus_from_spec(spec)
-            if r is not None and r != aspec.r:
-                raise _contradiction("--r", r, "r", aspec.r)
-            if weight is not None and _parse_weight(weight).b != wobj.b:
-                raise _contradiction("--weight", weight, "weight_b", wobj.b)
-        elif r is not None:
-            raise _contradiction("--r", r, "kind", kern.kind)
-        elif weight is not None:
-            raise _contradiction("--weight", weight, "kind", kern.kind)
-        rows = []
-        for x in radii:
-            s = an.szego_annulus(aspec, complex(x), complex(x)).real if annulus else None
-            rows.append((x, *ci_slack(kern, complex(x), s), "with4pi2"))
-    except (KernelLabError, OSError) as exc:
-        _fail(exc)
+    radii = _parse_grid(grid)
+    _check_tol(tol)
+    spec = load_spec(kernel)
+    kern = kernel_from_spec(spec)
+    annulus = kern.kind == kc.ANNULUS_LAURENT
+    if domain is not None and domain != ("annulus" if annulus else "disc"):
+        raise _contradiction("--domain", domain, "kind", kern.kind)
+    if annulus:
+        aspec, wobj = annulus_from_spec(spec)
+        if r is not None and r != aspec.r:
+            raise _contradiction("--r", r, "r", aspec.r)
+        if weight is not None and _parse_weight(weight).b != wobj.b:
+            raise _contradiction("--weight", weight, "weight_b", wobj.b)
+    elif r is not None:
+        raise _contradiction("--r", r, "kind", kern.kind)
+    elif weight is not None:
+        raise _contradiction("--weight", weight, "kind", kern.kind)
+    rows = []
+    for x in radii:
+        s = an.szego_annulus(aspec, complex(x), complex(x)).real if annulus else None
+        rows.append((x, *ci_slack(kern, complex(x), s), "with4pi2"))
     violated = any(slack < -tol for _, _, _, slack, _ in rows)
-    _write_rows(["abs_w", "curvature", "bound", "slack", "normalization"], rows, fmt, out)
-    sys.exit(EXIT_VIOLATION if violated else EXIT_PASS)
+    return (_rows(["abs_w", "curvature", "bound", "slack", "normalization"], rows, fmt),
+            EXIT_VIOLATION if violated else EXIT_PASS)
 
 
 @main.command()
@@ -285,46 +284,41 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt, out):
 @click.option("--grid", default="0.55:0.9:20", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default="-", show_default=True)
-def annulus(r, weight, task, grid, fmt, out):
+@_command
+def annulus(r, weight, task, grid, fmt):
     """Annulus kernels, strict inequality slack, and weight characters."""
-    try:
-        spec = an.AnnulusSpec(r=r)
-        wobj = _parse_weight(weight)
-        if task == "character":
-            char = an.character_of_weight(spec, wobj)
-            payload = {
-                "gamma": _fmt(char.gammas[0]),
-                "period": char.periods[0],
-                "period_alternate": char.periods_alternate[0],
-                "r": r,
-            }
-            _write_out(_json(payload), out)
-            sys.exit(EXIT_PASS)
-        radii = _parse_grid(grid)
-        rows = []
-        if task == "szego":
-            kern = an.szego_kernel(spec)
-            for x in radii:
-                rows.append((x, kc.eval_kernel(kern, complex(x), complex(x)).real,
-                             "1/(2pi)"))
-            header = ["abs_w", "szego_diag", "normalization"]
-        elif task == "bergman":
-            kern = an.weighted_bergman_kernel(spec, wobj)
-            for x in radii:
-                rows.append((x, kc.eval_kernel(kern, complex(x), complex(x)).real,
-                             curvature_scalar(kern, complex(x))))
-            header = ["abs_w", "kernel_diag", "curvature"]
-        else:
-            kern = an.weighted_bergman_kernel(spec, wobj)
-            for x in radii:
-                rows.append((x, an.strict_ci_check(spec, wobj, complex(x), kernel=kern),
-                             "with4pi2"))
-            header = ["abs_w", "slack", "normalization"]
-    except (KernelLabError, OSError) as exc:
-        _fail(exc)
+    spec = an.AnnulusSpec(r=r)
+    wobj = _parse_weight(weight)
+    if task == "character":
+        char = an.character_of_weight(spec, wobj)
+        payload = {
+            "gamma": _fmt(char.gammas[0]),
+            "period": char.periods[0],
+            "period_alternate": char.periods_alternate[0],
+            "r": r,
+        }
+        return _json(payload), EXIT_PASS
+    radii = _parse_grid(grid)
+    rows = []
+    if task == "szego":
+        kern = an.szego_kernel(spec)
+        for x in radii:
+            rows.append((x, kc.eval_kernel(kern, complex(x), complex(x)).real, "1/(2pi)"))
+        header = ["abs_w", "szego_diag", "normalization"]
+    elif task == "bergman":
+        kern = an.weighted_bergman_kernel(spec, wobj)
+        for x in radii:
+            rows.append((x, kc.eval_kernel(kern, complex(x), complex(x)).real,
+                         curvature_scalar(kern, complex(x))))
+        header = ["abs_w", "kernel_diag", "curvature"]
+    else:
+        kern = an.weighted_bergman_kernel(spec, wobj)
+        for x in radii:
+            rows.append((x, an.strict_ci_check(spec, wobj, complex(x), kernel=kern),
+                         "with4pi2"))
+        header = ["abs_w", "slack", "normalization"]
     violated = task == "strict-ci" and any(slack <= 0.0 for _, slack, _ in rows)
-    _write_rows(header, rows, fmt, out)
-    sys.exit(EXIT_VIOLATION if violated else EXIT_PASS)
+    return _rows(header, rows, fmt), EXIT_VIOLATION if violated else EXIT_PASS
 
 
 if __name__ == "__main__":

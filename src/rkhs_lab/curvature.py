@@ -14,7 +14,7 @@ from math import isfinite, nan
 import numpy as np
 
 from . import kernels as kc
-from .errors import DegenerateKernel, NonFiniteValue, NotPositiveDefinite
+from .errors import DegenerateKernel, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 
 FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
 
@@ -40,6 +40,50 @@ class CurvatureMatrix:
         if self.matrix.shape != (1, 1):
             raise ValueError("curvature matrix is not 1x1")
         return float(self.matrix[0, 0].real)
+
+
+def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
+    """h^-1/2 of a Hermitian positive definite metric h."""
+    vals, vecs = np.linalg.eigh(h)  # ascending
+    if not vals[0] > 0.0:
+        raise NotPositiveDefinite(f"metric not positive definite (min eig {vals[0]:.3e})")
+    return (vecs * vals ** -0.5) @ vecs.conj().T
+
+
+def gram_from_matrix(G: np.ndarray, m: int, n: int) -> JetGram:
+    """The jet Gram of a frame made orthonormal at the point.
+
+    The frame change gamma -> gamma s, s = h^-1/2 with h the top-left block,
+    takes every n x n block G_ij to s G_ij s, so the top-left block becomes I.
+    A non-finite entry is refused with NonFiniteValue, a metric h that is not
+    positive definite with NotPositiveDefinite.
+    """
+    G = np.asarray(G, dtype=complex)
+    size = (m + 1) * n
+    if G.shape != (size, size):
+        raise DimensionMismatch(f"Gram must be {size} x {size}")
+    if not np.isfinite(G).all():
+        raise NonFiniteValue("Gram has a non-finite entry")
+    s = _inv_sqrt_hermitian(G[:n, :n])
+    blocks = G.reshape(m + 1, n, m + 1, n).swapaxes(1, 2)  # blocks[i, j] = G_ij
+    return JetGram(G=(s @ blocks @ s).swapaxes(1, 2).reshape(size, size), m=m, n=n)
+
+
+def frame_from_jet(kernel, w: complex) -> JetGram:
+    """Rank-1 jet Gram of the frame K(., w) made orthonormal at w, from the
+    order-1 kernel jet."""
+    return gram_from_matrix(kc.jet(kernel, w, 1), 1, 1)
+
+
+def curvature_matrix(gram: JetGram) -> CurvatureMatrix:
+    """-(H22 - H21 H12) of the jet Gram H of the frame made orthonormal at the
+    point (:func:`gram_from_matrix`).
+
+    Block (i, j) is -(dbar_i d_j h - (dbar_i h) h^-1 (d_j h)) for that frame.
+    """
+    n = gram.n
+    H = gram_from_matrix(gram.G, gram.m, n).G
+    return CurvatureMatrix(matrix=-(H[n:, n:] - H[n:, :n] @ H[:n, n:]), m=gram.m, n=n)
 
 
 def curvature_scalar(kernel, w: complex) -> float:
@@ -89,32 +133,6 @@ def curvature_scalar_fd(kernel, w: complex) -> float:
     # one Richardson extrapolation level
     d = (4.0 * lap(FD_STEP / 2.0) - lap(FD_STEP)) / 3.0
     return -0.25 * d
-
-
-def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
-    """h^-1/2 of a Hermitian positive definite metric h."""
-    vals, vecs = np.linalg.eigh(h)
-    if vals.min() <= 0.0:
-        raise NotPositiveDefinite(f"metric not positive definite (min eig {vals.min():.3e})")
-    return vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-
-
-def curvature_matrix(gram: JetGram) -> CurvatureMatrix:
-    """-(G22 - G21 G12) of the jet Gram after congruence of every n x n block
-    with s = h^-1/2, h the top-left block.
-
-    Block (i, j) is -(dbar_i d_j h - (dbar_i h) h^-1 (d_j h)) for the frame
-    normalized to be orthonormal at the sample point.
-    """
-    n = gram.n
-    D = np.kron(np.eye(gram.m + 1), _inv_sqrt_hermitian(gram.G[:n, :n]))
-    H = D @ np.asarray(gram.G, dtype=complex) @ D
-    return CurvatureMatrix(matrix=-(H[n:, n:] - H[n:, :n] @ H[:n, n:]), m=gram.m, n=n)
-
-
-def frame_from_jet(kernel, w: complex) -> JetGram:
-    """Rank-1 jet Gram of the frame K(., w): the order-1 kernel jet at w."""
-    return JetGram(G=kc.jet(kernel, w, 1), m=1, n=1)
 
 
 def mobius_rule_check(kernel, a: complex, z: complex) -> float:

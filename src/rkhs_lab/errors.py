@@ -37,10 +37,6 @@ class DegenerateKernel(KernelLabError):
     pass
 
 
-class SingularGram(KernelLabError):
-    pass
-
-
 class NotPositiveDefinite(KernelLabError):
     pass
 

@@ -1,11 +1,12 @@
 """Canonical form of the local operator on the second-order joint kernel.
 
-Takes the jet Gram G of :mod:`rkhs_lab.curvature` in the block order (frame,
-d_1 frame, ..., d_m frame) and factors it once, G = L conj(L)^t.  The block
-upper triangular P = conj(inv(L))^t, with P_11 = I and P conj(P)^t = G^-1,
-gives the nilpotent blocks, the conditioning test and, with t = P_22, the
-lower-right block R = t conj(t)^t of G^-1, which is the identity
-t(w) conj(t(w))^t = (-curvature(w))^-1.  numpy is the only dependency.
+Takes the jet Gram G of :mod:`rkhs_lab.curvature`, of the frame made
+orthonormal at the point, in the block order (frame, d_1 frame, ..., d_m
+frame) and factors it once, G = L conj(L)^t.  The block upper triangular
+P = conj(inv(L))^t, with P_11 = I and P conj(P)^t = G^-1, gives the
+conditioning test and, with t = P_22, the lower-right block R = t conj(t)^t
+of G^-1, which is the identity t(w) conj(t(w))^t = (-curvature(w))^-1.
+numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -14,48 +15,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels as kc
-from .curvature import JetGram, _inv_sqrt_hermitian, curvature_matrix
-from .errors import DimensionMismatch, NormalizationMissing, NotPositiveDefinite, SingularGram
+from .curvature import JetGram, curvature_matrix, frame_from_jet, gram_from_matrix
+from .errors import DimensionMismatch, NormalizationMissing, NotPositiveDefinite
 
 COND_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
 class LocalOperatorForm:
-    """Blocks of the canonical local-operator representation."""
+    """The canonical local-operator representation: t, whose n-row blocks are
+    the t_l of the nilpotent parts, and R = t conj(t)^t."""
 
-    t_blocks: list  # t_l, each n x mn
-    t: np.ndarray  # stacked, mn x mn
-    N: list  # nilpotent (m+1)n x (m+1)n matrices
-    R: np.ndarray  # mn x mn, t conj(t)^t, the lower-right block of G^-1
-    P: np.ndarray  # upper-triangular factor, P conj(P)^t = G^-1
+    t: np.ndarray  # mn x mn, the lower-right block of P
+    R: np.ndarray  # mn x mn, the lower-right block of G^-1
     m: int
     n: int
 
 
 def jet_gram(kernel, w: complex) -> JetGram:
-    """Jet Gram of a scalar kernel (rank n = 1, m = 1), normalized so G[0, 0] = 1.
+    """Jet Gram of a scalar kernel (rank n = 1, m = 1), of the frame made
+    orthonormal at w: :func:`curvature.frame_from_jet`.
 
     Higher rank or more variables enter through :func:`gram_from_matrix`.
     """
-    J = kc.jet(kernel, w, 1)
-    if J[0, 0].real <= 0.0:
-        raise SingularGram(f"K(w, w) = {J[0, 0].real} at w = {w}")
-    G = J / J[0, 0].real  # frame normalization: top-left block becomes 1
-    if np.linalg.det(G).real <= 0.0:
-        raise SingularGram("jet Gram is singular; operator leaves the class locally")
-    return JetGram(G=G, m=1, n=1)
-
-
-def gram_from_matrix(G: np.ndarray, m: int, n: int) -> JetGram:
-    """Wrap a caller-supplied Gram, normalizing so the top-left block is I."""
-    G = np.asarray(G, dtype=complex)
-    if G.shape != ((m + 1) * n, (m + 1) * n):
-        raise DimensionMismatch(f"Gram must be {(m + 1) * n} x {(m + 1) * n}")
-    D = np.eye((m + 1) * n, dtype=complex)
-    D[:n, :n] = _inv_sqrt_hermitian(G[:n, :n])
-    return JetGram(G=D @ G @ D.conj().T, m=m, n=n)
+    return frame_from_jet(kernel, w)
 
 
 def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
@@ -89,16 +72,7 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
     R = t @ t.conj().T
     # its diagonal is real; a fused multiply-add in the product leaves roundoff there
     np.fill_diagonal(R, R.diagonal().real)
-    size = (m + 1) * n
-    t_blocks = []
-    N = []
-    for l in range(m):
-        tl = P[(l + 1) * n:(l + 2) * n, n:]
-        t_blocks.append(tl)
-        Nl = np.zeros((size, size), dtype=complex)
-        Nl[:n, n:] = tl
-        N.append(Nl)
-    return LocalOperatorForm(t_blocks=t_blocks, t=t, N=N, R=R, P=P, m=m, n=n)
+    return LocalOperatorForm(t=t, R=R, m=m, n=n)
 
 
 def verify_tt_identity_gram(gram: JetGram, form: LocalOperatorForm) -> float:
@@ -119,15 +93,16 @@ def verify_tt_identity(kernel, w: complex) -> float:
 def function_of_local(form: LocalOperatorForm, f_value: complex, f_gradient) -> np.ndarray:
     """Matrix of f applied to the local operator tuple at the point w of ``form``.
 
-    Returns [[f(w) I_n, grad f . t(w)], [0, f(w) I_mn]].
+    Returns [[f(w) I_n, grad f . t(w)], [0, f(w) I_mn]], where grad f . t(w)
+    is sum_l d_l f(w) t_l over the n-row blocks t_l of t; the nilpotent part
+    N_l is the matrix of f = z_l - w_l.
     """
     grad = np.asarray(f_gradient, dtype=complex).ravel()
     if grad.size != form.m:
         raise DimensionMismatch(f"gradient length {grad.size} != m = {form.m}")
     m, n = form.m, form.n
-    top_right = sum(grad[l] * form.t_blocks[l] for l in range(m))
     out = np.zeros(((m + 1) * n, (m + 1) * n), dtype=complex)
     out[:n, :n] = f_value * np.eye(n)
-    out[:n, n:] = top_right
+    out[:n, n:] = np.tensordot(grad, form.t.reshape(m, n, m * n), axes=1)
     out[n:, n:] = f_value * np.eye(m * n)
     return out

@@ -181,3 +181,8 @@ def test_generalized_ci_refusals():
         ca.generalized_ci_check(-np.eye(2), "ball", [0.8, 0.7])
     with pytest.raises(PointOutsidePolydisc):
         ca.generalized_ci_check(-np.eye(2), "polydisc", [0.2, 1.0])
+    # a NaN point is outside either domain, not a NaN margin
+    with pytest.raises(PointOutsideBall):
+        ca.generalized_ci_check(-np.eye(2), "ball", [0.2, np.nan])
+    with pytest.raises(PointOutsidePolydisc):
+        ca.generalized_ci_check(-np.eye(2), "polydisc", [np.nan, 0.2])

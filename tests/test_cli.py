@@ -1,8 +1,11 @@
 """Command-line behaviour: exit codes, output formats, determinism."""
 
+import csv
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -472,8 +475,11 @@ def parses(parse, text) -> bool:
 
 @st.composite
 def invocations(draw):
-    """(argv with a KERNEL placeholder, how to pass the spec, the spec text,
-    whether the --grid, --at, --seed or --tol value is malformed)."""
+    """(argv with a KERNEL placeholder and an --out placeholder, how to pass
+    the spec, the spec text, whether the --grid, --at, --seed, --tol or --out
+    value is malformed)."""
+    out = draw(st.sampled_from(["-", "OUT-file", "OUT-missing-dir", "OUT-dir"]))
+    unwritable = out in ("OUT-missing-dir", "OUT-dir")
     text = json.dumps(draw(specs()))
     how = draw(st.sampled_from(["inline", "file", "truncated", "truncated-file",
                                 "missing"]))
@@ -485,7 +491,8 @@ def invocations(draw):
         task = draw(st.sampled_from(["szego", "bergman", "strict-ci", "character"]))
         r = draw(st.one_of(st.floats(0.05, 0.95), numbers))
         b = draw(st.one_of(st.integers(-2, 3), numbers))
-        return ["annulus", "--task", task, f"--r={r}", f"--weight=rho^{b}"], how, text, False
+        return (["annulus", "--task", task, f"--r={r}", f"--weight=rho^{b}", "--out", out],
+                how, text, unwritable)
     malformed = command != "check" and draw(st.integers(0, 3)) == 0
     option_text = st.one_of(st.text(max_size=12), st.sampled_from(NEAR_MISSES))
     if command == "check":
@@ -520,7 +527,8 @@ def invocations(draw):
             extra += ["--r", repr(draw(st.floats(0.05, 0.95)))]
         if draw(st.booleans()):
             extra += ["--weight", draw(st.sampled_from(["1", "rho", "rho^2", "rho^-1"]))]
-    return [command, "--kernel", "KERNEL"] + extra, how, text, malformed
+    return [command, "--kernel", "KERNEL"] + extra + ["--out", out], how, text, \
+        malformed or unwritable
 
 
 @settings(max_examples=150, deadline=None)
@@ -538,10 +546,14 @@ def test_cli_contract_on_generated_specs(case):
             with open(path, "w") as fh:
                 fh.write(text)
         source = path if how in ("file", "truncated-file", "missing") else text
+        out_file = os.path.join(tmp, "out.txt")
+        fill = {"KERNEL": source, "OUT-file": out_file,
+                "OUT-missing-dir": os.path.join(tmp, "missing", "out.txt"), "OUT-dir": tmp}
         with warnings.catch_warnings(record=True) as caught:
             # record every warning, repeats included
             warnings.simplefilter("always")
-            res = CliRunner().invoke(main, [source if a == "KERNEL" else a for a in argv])
+            res = CliRunner().invoke(main, [fill.get(a, a) for a in argv])
+        written = Path(out_file).read_text() if os.path.exists(out_file) else ""
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, runtime
     assert res.exit_code in (0, 1, 2), res.output
@@ -552,4 +564,48 @@ def test_cli_contract_on_generated_specs(case):
         assert res.exit_code == 1
         assert "error" in json.loads(res.stderr)
     else:
-        assert not NON_FINITE.search(res.stdout), res.stdout
+        assert not NON_FINITE.search(res.stdout + written), res.stdout + written
+        assert (written if "OUT-file" in argv else res.stdout).strip()
+
+
+# ---------------------------------------------------------------------------
+# README's CLI block, run as written
+
+def readme_cli_examples():
+    """(spec text, [(argv, format, exit code)]) of the sh block in README's CLI
+    section; the comment lines above each command name its format and end
+    with its exit code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    spec, examples, comment = None, [], ""
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            comment += line
+            continue
+        words = shlex.split(line)
+        if words[:1] == ["echo"]:
+            assert words[2:] == [">", "spec.json"], line
+            spec = words[1]
+        elif words:
+            assert words[0] == "rkhs-lab", line
+            fmt = re.search(r"\((CSV|JSON)\)", comment).group(1)
+            code = int(re.search(r"exit (\d)$", comment).group(1))
+            examples.append((words[1:], fmt, code))
+        comment = ""  # a comment belongs to the line right below it
+    return spec, examples
+
+
+def test_readme_cli_examples_run_as_documented(runner):
+    spec, examples = readme_cli_examples()
+    assert len(examples) >= 6
+    with runner.isolated_filesystem():
+        Path("spec.json").write_text(spec)
+        for argv, fmt, code in examples:
+            res = runner.invoke(main, argv)
+            assert res.exit_code == code, (argv, res.output)
+            if fmt == "JSON":
+                assert isinstance(json.loads(res.stdout), dict)
+            else:
+                header, *rows = csv.reader(io.StringIO(res.stdout))
+                assert rows and all(len(row) == len(header) for row in rows)
+                assert all(np.isfinite(float(row[0])) for row in rows)

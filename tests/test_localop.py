@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from rkhs_lab import caratheodory as ca
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import JetGram
-from rkhs_lab.errors import NormalizationMissing, NotPositiveDefinite
+from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar
+from rkhs_lab.errors import NonFiniteValue, NormalizationMissing, NotPositiveDefinite
 from rkhs_lab.localop import (canonical_form, function_of_local, gram_from_matrix,
                               jet_gram, verify_tt_identity,
                               verify_tt_identity_gram)
@@ -29,11 +30,57 @@ def test_canonical_form_shape_and_triangularity():
     k = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
     form = canonical_form(jet_gram(k, 0.25))
     # m = 1, n = 1: single 2x2 nilpotent block, strictly upper triangular
-    N1 = form.N[0]
+    N1 = function_of_local(form, 0.0, [1.0])
     assert N1.shape == (2, 2)
     assert N1[1, 1] == 0
     assert N1[1, 0] == 0
     assert abs(N1[0, 1]) > 0
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3, 0.3 + 0.2j, -0.5j, 0.7])
+def test_one_frame_normalization_for_kernel_and_matrix(w):
+    # the kernel route and the matrix route make the same frame change, so
+    # both give R = -1/curvature
+    k = kc.SeriesKernel.bergman()
+    by_kernel = canonical_form(jet_gram(k, w))
+    by_matrix = canonical_form(gram_from_matrix(kc.jet(k, w, 1), 1, 1))
+    assert np.array_equal(by_matrix.t, by_kernel.t)
+    assert np.array_equal(by_matrix.R, by_kernel.R)
+    assert by_matrix.R[0, 0].real == pytest.approx(-1.0 / curvature_scalar(k, w), rel=1e-12)
+
+
+def test_curvature_matrix_does_not_depend_on_the_frame_scale(rng):
+    # a frame change leaves the curvature matrix unitarily equivalent: the
+    # normalized Gram and the raw one have the same curvature eigenvalues
+    for m in (1, 2):
+        for n in (1, 2):
+            for _ in range(5):
+                dim = (m + 1) * n
+                B = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                G = B @ B.conj().T + 0.5 * np.eye(dim)
+                raw = curvature_matrix(JetGram(G=G, m=m, n=n)).matrix
+                normalized = curvature_matrix(gram_from_matrix(G, m, n)).matrix
+                ev_raw = np.linalg.eigvalsh(raw)
+                ev_normalized = np.linalg.eigvalsh(normalized)
+                assert np.abs(ev_normalized - ev_raw).max() <= 1e-12 * np.abs(ev_raw).max()
+
+
+REFUSE_NON_FINITE = {
+    "gram_from_matrix": lambda G: gram_from_matrix(G, 1, 2),
+    "curvature_matrix": lambda G: curvature_matrix(JetGram(G=G, m=1, n=2)),
+    "generalized_ci_check": lambda G: ca.generalized_ci_check(-G, "ball", [0.1, 0.2], n=2),
+}
+
+
+@pytest.mark.parametrize("call", REFUSE_NON_FINITE.values(), ids=REFUSE_NON_FINITE.keys())
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (3, 3)], ids=["metric", "mixed", "derivative"])
+def test_non_finite_matrix_is_refused(call, entry, where):
+    G = np.eye(4, dtype=complex)
+    G[where] = entry
+    with pytest.raises(NonFiniteValue):
+        call(G)
 
 
 def test_synthetic_gram_m2_inputs(rng):
