@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ci_slack
 from .errors import (ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideBall,
                      PointOutsidePolydisc)
 
@@ -117,19 +116,6 @@ def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1) -> CIVerdict
     vals, vecs = max(tops, key=lambda t: t[0][-1])
     return CIVerdict(passed=bool(vals[-1] <= CI_TOL), worst_margin=float(vals[-1]),
                      worst_vector=vecs[:, -1])
-
-
-def planar_ci_check(kernel, w: complex, szego_value: float) -> CIVerdict:
-    """Planar curvature inequality dd-bar log K >= 4 pi^2 S^2 at a point, as
-    the verdict of the 1 x 1 curvature: worst margin curvature + 4 pi^2 S^2.
-
-    The Szego value S(w, w) carries its 1/(2 pi) normalization, so on the disc
-    the margin is that of :func:`generalized_ci_check` with the Caratheodory
-    bound -(1 - |w|^2)^-2.
-    """
-    margin = -float(ci_slack(kernel, w, float(szego_value))[2])
-    return CIVerdict(passed=margin <= CI_TOL, worst_margin=margin,
-                     worst_vector=np.ones(1, dtype=complex))
 
 
 def szego_disc(z: complex, w: complex) -> complex:

@@ -9,6 +9,7 @@ Outputs are written atomically and are bit-identical for identical configs.
 
 from __future__ import annotations
 
+import errno
 import functools
 import io
 import json
@@ -45,18 +46,26 @@ def _fmt(x) -> str:
 
 
 def _write_out(text: str, out: str) -> None:
+    """Write ``text`` to stdout for '-', else atomically to the path ``out``
+    through a temporary file beside it.  An IO error names ``out``, not the
+    temporary file; a directory is refused before one is made."""
     if not out or out == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rkhs-lab-")
+    tmp = None
     try:
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                                   prefix=".rkhs-lab-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, out) from None
         raise
 
 

@@ -2,14 +2,15 @@
 
 The local object is the jet Gram G, the Gram matrix of a frame and its first
 derivatives d_1, ..., d_m at a point, in n x n blocks.  Its top-left block is
-the metric h; after congruence of every block with h^-1/2 the curvature matrix
-is minus the Schur complement of that block.
+the metric h.  A :class:`JetGram` applies the congruence of every block with
+h^-1/2 when it is built, and the curvature matrix is minus the Schur complement
+of its top-left block, which is then I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, nan
+from math import isfinite
 
 import numpy as np
 
@@ -21,11 +22,31 @@ FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
 
 @dataclass(frozen=True)
 class JetGram:
-    """(m+1)n x (m+1)n Gram matrix of (frame, d_1 frame, ..., d_m frame)."""
+    """(m+1)n x (m+1)n Gram matrix of (frame, d_1 frame, ..., d_m frame), of the
+    frame made orthonormal at the point.
+
+    Built from the Gram G of any frame: the frame change gamma -> gamma s,
+    s = h^-1/2 with h the top-left block, takes every n x n block G_ij to
+    s G_ij s, so the top-left block of ``G`` is I.  A non-finite entry is
+    refused with NonFiniteValue, a metric h that is not positive definite with
+    NotPositiveDefinite.
+    """
 
     G: np.ndarray
     m: int
     n: int
+
+    def __post_init__(self):
+        m, n = self.m, self.n
+        G = np.asarray(self.G, dtype=complex)
+        size = (m + 1) * n
+        if G.shape != (size, size):
+            raise DimensionMismatch(f"Gram must be {size} x {size}")
+        if not np.isfinite(G).all():
+            raise NonFiniteValue("Gram has a non-finite entry")
+        s = _inv_sqrt_hermitian(G[:n, :n])
+        blocks = G.reshape(m + 1, n, m + 1, n).swapaxes(1, 2)  # blocks[i, j] = G_ij
+        object.__setattr__(self, "G", (s @ blocks @ s).swapaxes(1, 2).reshape(size, size))
 
 
 @dataclass(frozen=True)
@@ -50,44 +71,41 @@ def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
     return (vecs * vals ** -0.5) @ vecs.conj().T
 
 
-def gram_from_matrix(G: np.ndarray, m: int, n: int) -> JetGram:
-    """The jet Gram of a frame made orthonormal at the point.
-
-    The frame change gamma -> gamma s, s = h^-1/2 with h the top-left block,
-    takes every n x n block G_ij to s G_ij s, so the top-left block becomes I.
-    A non-finite entry is refused with NonFiniteValue, a metric h that is not
-    positive definite with NotPositiveDefinite.
-    """
-    G = np.asarray(G, dtype=complex)
-    size = (m + 1) * n
-    if G.shape != (size, size):
-        raise DimensionMismatch(f"Gram must be {size} x {size}")
-    if not np.isfinite(G).all():
-        raise NonFiniteValue("Gram has a non-finite entry")
-    s = _inv_sqrt_hermitian(G[:n, :n])
-    blocks = G.reshape(m + 1, n, m + 1, n).swapaxes(1, 2)  # blocks[i, j] = G_ij
-    return JetGram(G=(s @ blocks @ s).swapaxes(1, 2).reshape(size, size), m=m, n=n)
-
-
 def frame_from_jet(kernel, w: complex) -> JetGram:
     """Rank-1 jet Gram of the frame K(., w) made orthonormal at w, from the
     order-1 kernel jet."""
-    return gram_from_matrix(kc.jet(kernel, w, 1), 1, 1)
+    return JetGram(kc.jet(kernel, w, 1), 1, 1)
 
 
 def curvature_matrix(gram: JetGram) -> CurvatureMatrix:
-    """-(H22 - H21 H12) of the jet Gram H of the frame made orthonormal at the
-    point (:func:`gram_from_matrix`).
+    """-(H22 - H21 H12), minus the Schur complement of the metric block of the
+    jet Gram H of the frame orthonormal at the point.
 
     Block (i, j) is -(dbar_i d_j h - (dbar_i h) h^-1 (d_j h)) for that frame.
     """
-    n = gram.n
-    H = gram_from_matrix(gram.G, gram.m, n).G
+    H, n = gram.G, gram.n
     return CurvatureMatrix(matrix=-(H[n:, n:] - H[n:, :n] @ H[:n, n:]), m=gram.m, n=n)
 
 
+def rank1_curvature(s00: float, s10: float, s11: float, w: complex) -> float:
+    """(S10 / S00)^2 - S11 / S00, the curvature of the rank-1 jet Gram
+    [[S00, S10], [S10, S11]] at w: :func:`curvature_matrix` of its
+    :class:`JetGram`, whose frame change is S00^-1/2.
+
+    Only ratios of the sums enter, so a kernel and a positive multiple of it
+    have the same curvature, also where a product of two sums would leave the
+    double range.  Refuses DegenerateKernel unless S00 > 0.  The arithmetic is
+    in Python floats, so an overflow gives inf or nan, never a warning; the
+    caller refuses a value that is not finite.
+    """
+    if not s00 > 0.0:
+        raise DegenerateKernel(f"K(w, w) = {s00} at w = {w}")
+    slope = s10 / s00
+    return slope * slope - s11 / s00
+
+
 def curvature_scalar(kernel, w: complex) -> float:
-    """-d d-bar log K(w, w) = -(J00 J11 - |J01|^2) / J00^2 from the order-1 jet.
+    """-d d-bar log K(w, w) = (|J01| / J00)^2 - J11 / J00 from the order-1 jet.
 
     The quotient does not depend on the phase of the jet, so for a series
     kernel it reads the real diagonal sums S00, |S10| and S11 (the jet is
@@ -97,13 +115,8 @@ def curvature_scalar(kernel, w: complex) -> float:
         (j00, _), (j01, j11) = kc._diagonal_sums(kernel, w, 1)  # |J01| = |S10|
     else:
         (j00, j01), (_, j11) = kc.jet(kernel, w, 1).tolist()
-        j00, j11 = j00.real, j11.real
-    if j00 <= 1e-300:
-        raise DegenerateKernel(f"K(w, w) = {j00} at w = {w}")
-    try:  # in Python floats an overflow gives inf or an exception, never a warning
-        curv = -(j00 * j11 - abs(j01) ** 2) / j00 ** 2
-    except (OverflowError, ZeroDivisionError):
-        curv = nan
+        j00, j01, j11 = j00.real, abs(j01), j11.real
+    curv = rank1_curvature(j00, j01, j11, w)
     if not isfinite(curv):
         raise NonFiniteValue(f"curvature is not finite at w = {w} (K(w, w) = {j00:.3e})")
     return curv

@@ -41,10 +41,6 @@ class NotPositiveDefinite(KernelLabError):
     pass
 
 
-class NormalizationMissing(KernelLabError):
-    pass
-
-
 class NonHermitianInput(KernelLabError):
     pass
 

@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import curvature as cv
 from . import kernels as kc
 from .errors import NonFiniteValue, NotAContraction
 from .positivity import (hyponormal_check, is_contraction, shift_kernel, shift_weights,
@@ -50,25 +51,26 @@ class PipelineReport:
         return self.failed_step is None
 
 
-def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float, float]:
+def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float]:
     """Order-1 Gram determinant of the tilde jet at zeta, and that determinant
-    over j00^2 and j11 / j00, formed from ratios of the jet: scale-free, where
-    the determinant's own products underflow or overflow.
+    over Ktilde(zeta, zeta)^2, which is minus the curvature of the tilde kernel
+    (:func:`curvature.rank1_curvature` of its real diagonal sums): scale-free,
+    where the determinant's own products underflow or overflow.
 
     Raises NotAContraction unless :func:`is_contraction` holds, and
-    NonFiniteValue when the ratios, which decide every verdict, are not
+    NonFiniteValue when the ratio, which decides every verdict, is not
     finite.  The arithmetic is in Python floats, so an overflow gives inf or
     nan, never a warning.
     """
     if not is_contraction(kernel):
         raise NotAContraction("kernel coefficients must be non-decreasing")
-    J = kc.jet(kc.tilde_kernel(kernel), zeta, 1).tolist()
-    j00, j11, j01 = J[0][0].real, J[1][1].real, abs(J[0][1])
-    ratio, slope = j11 / j00, j01 / j00
-    relative = ratio - slope * slope
+    tilde = kc.tilde_kernel(kernel)
+    kc.check_point(tilde, zeta)
+    (j00, _), (j01, j11) = kc._diagonal_sums(tilde, zeta, 1)
+    relative = -cv.rank1_curvature(j00, j01, j11, zeta)
     if not isfinite(relative):
         raise NonFiniteValue(f"tilde Gram minor ratio is not finite at zeta = {zeta}")
-    return j00 * j11 - j01 * j01, relative, ratio
+    return j00 * j11 - j01 * j01, relative
 
 
 def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
@@ -83,9 +85,9 @@ def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
 
 def dependence_test(kernel: kc.SeriesKernel, zeta: complex) -> bool:
     """Cauchy-Schwarz equality on the tilde jet: the two jet vectors are
-    dependent, up to FK_RTOL relative to the larger diagonal product."""
-    _, relative, ratio = _tilde_minor(kernel, zeta)
-    return relative <= FK_RTOL * max(ratio, 1.0)
+    dependent, |F_K| <= FK_RTOL Ktilde(zeta, zeta)^2, the rule of
+    :func:`classify_shift`."""
+    return abs(_tilde_minor(kernel, zeta)[1]) <= FK_RTOL
 
 
 def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
@@ -97,7 +99,7 @@ def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
     uniqueness question at the origin).
     """
     kernel = shift_kernel(kernel)
-    fk, relative, _ = _tilde_minor(kernel, zeta)
+    fk, relative = _tilde_minor(kernel, zeta)
     at_point = abs(relative) <= rtol  # |F_K| <= rtol Ktilde(zeta, zeta)^2
     weights_all_one = bool(np.all(np.abs(shift_weights(kernel) - 1.0) <= WEIGHT_TOL))
     if not at_point:

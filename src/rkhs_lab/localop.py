@@ -1,11 +1,12 @@
 """Canonical form of the local operator on the second-order joint kernel.
 
-Takes the jet Gram G of :mod:`rkhs_lab.curvature`, of the frame made
-orthonormal at the point, in the block order (frame, d_1 frame, ..., d_m
-frame) and factors it once, G = L conj(L)^t.  The block upper triangular
-P = conj(inv(L))^t, with P_11 = I and P conj(P)^t = G^-1, gives the
-conditioning test and, with t = P_22, the lower-right block R = t conj(t)^t
-of G^-1, which is the identity t(w) conj(t(w))^t = (-curvature(w))^-1.
+Takes the jet Gram G of :mod:`rkhs_lab.curvature`, of the frame that it makes
+orthonormal at the point when it is built, in the block order (frame,
+d_1 frame, ..., d_m frame) and factors it once, G = L conj(L)^t.  The block
+upper triangular P = conj(inv(L))^t, with P_11 = I and P conj(P)^t = G^-1,
+gives the conditioning test and, with t = P_22, the lower-right block
+R = t conj(t)^t of G^-1, which is the identity
+t(w) conj(t(w))^t = (-curvature(w))^-1.
 numpy is the only dependency.
 """
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import JetGram, curvature_matrix, frame_from_jet, gram_from_matrix
-from .errors import DimensionMismatch, NormalizationMissing, NotPositiveDefinite
+from .curvature import JetGram, curvature_matrix, frame_from_jet
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 COND_LIMIT = 1e10
 
@@ -36,22 +37,14 @@ def jet_gram(kernel, w: complex) -> JetGram:
     """Jet Gram of a scalar kernel (rank n = 1, m = 1), of the frame made
     orthonormal at w: :func:`curvature.frame_from_jet`.
 
-    Higher rank or more variables enter through :func:`gram_from_matrix`.
+    Higher rank or more variables enter as ``JetGram(G, m, n)``.
     """
     return frame_from_jet(kernel, w)
-
-
-def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """np.allclose(a, b, atol=atol) written out: |a - b| <= atol + 1e-5 |b|
-    everywhere, which a NaN fails."""
-    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
 
 
 def canonical_form(gram: JetGram) -> LocalOperatorForm:
     """Orthonormalize the jet basis and extract the canonical blocks."""
     G, m, n = gram.G, gram.m, gram.n
-    if not _allclose(G[:n, :n], np.eye(n), atol=1e-10):
-        raise NormalizationMissing("top-left block of the Gram must be the identity")
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:

@@ -15,11 +15,10 @@ import pytest
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import curvature_scalar, mobius_rule_check
+from rkhs_lab.curvature import JetGram, curvature_scalar, mobius_rule_check
 from rkhs_lab.extremality import (classify_shift, fk_value,
                                   uniqueness_pipeline_check)
-from rkhs_lab.localop import (canonical_form, gram_from_matrix,
-                              verify_tt_identity, verify_tt_identity_gram)
+from rkhs_lab.localop import canonical_form, verify_tt_identity, verify_tt_identity_gram
 from tests.conftest import (random_contractive_coeffs, random_contractive_kernel,
                             synthetic_normalized_gram)
 
@@ -56,7 +55,7 @@ def test_criterion_2_local_form_identity():
     for _ in range(10):
         for n in (1, 2):
             G = synthetic_normalized_gram(RNG, m=2, n=n)
-            jg = gram_from_matrix(G, m=2, n=n)
+            jg = JetGram(G, m=2, n=n)
             form = canonical_form(jg)
             R_oracle = np.linalg.inv(jg.G)[n:, n:]
             resid = (np.linalg.norm(form.t @ form.t.conj().T - R_oracle, 2)

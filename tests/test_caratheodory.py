@@ -5,7 +5,7 @@ import pytest
 
 from rkhs_lab import caratheodory as ca
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import curvature_scalar
+from rkhs_lab.curvature import ci_slack, curvature_scalar
 from rkhs_lab.errors import DimensionMismatch, PointOutsideBall, PointOutsidePolydisc
 from tests.conftest import random_contractive_kernel
 
@@ -69,31 +69,39 @@ def test_generalized_ci_detects_violation():
     assert not ca.generalized_ci_check(K, "ball", [0.0]).passed
 
 
+# the planar curvature inequality dd-bar log K >= 4 pi^2 S(w, w)^2 is
+# ci_slack with the Szego value; its verdict is generalized_ci_check's on
+# the 1 x 1 curvature
+
 def test_planar_ci_disc_control():
     # Bergman dd-bar log K = 2, Szego term 4 pi^2 (1/2pi)^2 = 1: slack 1
     berg = kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) / np.pi, 200)
-    verdict = ca.planar_ci_check(berg, 0.0, ca.szego_disc(0, 0).real)
-    assert -verdict.worst_margin == pytest.approx(1.0)
-    assert verdict.passed
+    curv, bound, slack = ci_slack(berg, 0.0, ca.szego_disc(0, 0).real)
+    assert (curv, bound) == (pytest.approx(-2.0), pytest.approx(-1.0))
+    assert slack == pytest.approx(1.0)
+    assert ca.generalized_ci_check(np.array([[curv]]), "ball", [0.0]).passed
 
 
 def test_planar_ci_hardy_equality():
+    # the Hardy space attains equality: the slack and the margin are 0
     k = kc.SeriesKernel.disc(np.ones(201))
-    verdict = ca.planar_ci_check(k, 0.3, abs(ca.szego_disc(0.3, 0.3)))
-    assert abs(verdict.worst_margin) < 1e-10
+    curv, _, slack = ci_slack(k, 0.3, abs(ca.szego_disc(0.3, 0.3)))
+    assert abs(slack) < 1e-10
+    assert abs(ca.generalized_ci_check(np.array([[curv]]), "ball", [0.3]).worst_margin) < 1e-10
 
 
 @pytest.mark.parametrize("coeffs", [np.ones(201), np.arange(1.0, 202.0),
                                     np.arange(1.0, 202.0) ** 3, 1.0 / np.arange(1.0, 202.0)],
                          ids=["szego", "bergman", "cubic", "harmonic"])
 def test_planar_ci_is_the_generalized_verdict_on_the_disc(coeffs):
-    # 4 pi^2 S(w, w)^2 with the disc Szego kernel is the Caratheodory bound (1 - |w|^2)^-2
+    # 4 pi^2 S(w, w)^2 with the disc Szego kernel is the Caratheodory bound
+    # (1 - |w|^2)^-2, so minus the slack is the margin of the 1 x 1 curvature
     k = kc.SeriesKernel.disc(coeffs)
     for w in (0.0, 0.3, -0.5 + 0.4j, 0.85j):
-        planar = ca.planar_ci_check(k, w, ca.szego_disc(w, w).real)
+        margin = -ci_slack(k, w, ca.szego_disc(w, w).real)[2]
         general = ca.generalized_ci_check(np.array([[curvature_scalar(k, w)]]), "ball", [w])
-        assert planar.passed == general.passed
-        assert planar.worst_margin == pytest.approx(general.worst_margin, rel=1e-12, abs=1e-12)
+        assert (margin <= ca.CI_TOL) == general.passed
+        assert margin == pytest.approx(general.worst_margin, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

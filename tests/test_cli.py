@@ -146,6 +146,18 @@ def test_output_file_atomic_and_deterministic(runner, geo_spec, tmp_path):
     assert not list(tmp_path.glob(".rkhs-lab-*"))  # no temp litter
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_out_is_named_in_the_diagnostic(runner, geo_spec, tmp_path, where):
+    out = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.csv")
+    res = runner.invoke(main, ["curvature", "--kernel", geo_spec, "--grid", "0:0.5:2",
+                               "--out", out])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    diag = json.loads(res.stderr)
+    assert diag["error"] == ("IsADirectoryError" if where == "directory" else "FileNotFoundError")
+    assert diag["message"].endswith(f": {out!r}")
+
+
 def test_grid_parse_errors(runner, geo_spec):
     res = runner.invoke(main, ["curvature", "--kernel", geo_spec,
                                "--grid", "oops"])
@@ -242,9 +254,10 @@ OVERFLOWING_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.05, "weight_
      "K(w, w) is not finite at w = "),
     (["ci-check", "--kernel", OVERFLOWING_ANNULUS, "--grid", "0.5:0.9:3"],
      "K(w, w) is not finite at w = "),
+    # S11 / S00 = 1 / 1e-310 at w = 0
     (["curvature", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
-                                           "coeffs": [1e300, 1e300, 1e300]}),
-      "--grid", "0.5:0.9:3"], "curvature is not finite at w = "),
+                                           "coeffs": [1e-310, 1, 1]}),
+      "--grid", "0:0.5:2"], "curvature is not finite at w = 0j"),
     (["extremal", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                           "coeffs": [1e-310, 1, 1]}),
       "--at", "0"], "tilde Gram minor ratio is not finite at zeta = 0j"),
@@ -263,6 +276,19 @@ def test_non_finite_values_are_refused(runner, argv, quantity):
     diag = json.loads(res.stderr)
     assert diag["error"] == "NonFiniteValue"
     assert quantity in diag["message"]
+
+
+def test_curvature_of_coefficients_near_the_double_limit(runner):
+    # the quotient reads only ratios of the sums, so [1e300] * 3 has the
+    # curvature of [1] * 3, although S00 S11 overflows
+    def curvatures(c):
+        spec = {"kind": "disc_diagonal", "coeff_rule": "custom-list", "coeffs": [c] * 3}
+        res = runner.invoke(main, ["curvature", "--kernel", json.dumps(spec),
+                                   "--grid", "0.5:0.9:3"])
+        assert res.exit_code == 0, res.stderr
+        return [float(row["curvature"]) for row in csv.DictReader(io.StringIO(res.stdout))]
+
+    assert curvatures(1e300) == pytest.approx(curvatures(1.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("scale, fk_value", [(1e200, None), (1e-196, 0.0)],
@@ -389,12 +415,13 @@ import json, sys
 import numpy as np
 import rkhs_lab.cli
 polynomial_at_import = "numpy.polynomial" in sys.modules
-from rkhs_lab import annulus as an, caratheodory as ca, kernels as kc, localop as lo
+from rkhs_lab import annulus as an, caratheodory as ca, curvature as cv, kernels as kc
+from rkhs_lab import localop as lo
 k = kc.SeriesKernel.bergman()
 lo.canonical_form(lo.jet_gram(k, 0.3))
 lo.verify_tt_identity(k, 0.3)
 G = np.eye(6) + 0.1 * np.ones((6, 6))
-lo.canonical_form(lo.gram_from_matrix(G, 2, 2))
+lo.canonical_form(cv.JetGram(G, 2, 2))
 spec = an.AnnulusSpec(r=0.5, N=50)
 profile = an.weighted_bergman_kernel(spec, an.RadialWeight.from_profile(lambda rho: rho ** 2))
 closed = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(2.0))
@@ -562,7 +589,13 @@ def test_cli_contract_on_generated_specs(case):
     assert "Traceback" not in res.output
     if res.exit_code == 1 or malformed:
         assert res.exit_code == 1
-        assert "error" in json.loads(res.stderr)
+        diag = json.loads(res.stderr)
+        if diag["error"] in ("IsADirectoryError", "FileNotFoundError"):
+            # an IO error names the spec path or the --out value as given,
+            # never a temporary file beside --out
+            given = [p for p in (source, fill.get(argv[-1])) if p is not None]
+            assert any(repr(p) in diag["message"] for p in given), diag["message"]
+            assert ".rkhs-lab-" not in diag["message"]
     else:
         assert not NON_FINITE.search(res.stdout + written), res.stdout + written
         assert (written if "OUT-file" in argv else res.stdout).strip()

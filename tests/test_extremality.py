@@ -51,6 +51,18 @@ def test_dependence_against_fk():
         assert (classification == "ExtremalEverywhere") == dependent
 
 
+def test_dependence_applies_the_rule_of_the_classification():
+    # F_K / Ktilde^2 = 5.9e-8 is above FK_RTOL although it is small against
+    # j11 / j00 = 144: both verdicts read |F_K| <= FK_RTOL Ktilde^2
+    a = np.ones(201)
+    a[6:] = 1e13
+    kernel = kc.SeriesKernel.disc(a)
+    report = classify_shift(kernel, 0.5)
+    assert report.fk_relative == pytest.approx(5.898e-8, rel=1e-3)
+    assert report.classification == "NotExtremal"
+    assert not dependence_test(kernel, 0.5)
+
+
 def test_trichotomy_backward_shift():
     r = classify_shift(geometric(), 0.0)
     assert r.classification == "ExtremalEverywhere"

@@ -310,8 +310,8 @@ def assert_curvature_matches_mpmath(kernel, w):
         try:
             curv = curvature_scalar(kernel, w)
         except NonFiniteValue:
-            # only where a product of the quotient leaves the double range
-            assert max(j00 ** 2, abs(j00 * j11), a01 ** 2) > 1e307
+            # only where a sum or the curvature itself leaves the double range
+            assert max(j00, abs(j11), a01, abs(num) / j00 ** 2) > 1.7e308
             return
         assert abs(curv + num / j00 ** 2) <= bound, (curv, -num / j00 ** 2, bound)
 
@@ -356,14 +356,35 @@ def test_curvature_at_the_inner_end_of_a_thin_steep_window(w):
 
 @pytest.mark.parametrize("w, message", [
     (0.9, "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.9+0j)"),
-    (0.3 + 0.2j, "curvature is not finite at w = (0.3+0.2j) (K(w, w) = 1.149e+308)"),
-    (0, "curvature is not finite at w = 0 (K(w, w) = 1.000e+308)"),
 ])
 def test_curvature_refuses_overflowing_sums(w, message):
-    # a sum that overflows, or a quotient whose products do
+    # a sum that overflows
     with pytest.raises(NonFiniteValue) as exc:
         curvature_scalar(kc.SeriesKernel.disc([1e308] * 201), w)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("w", [0.3 + 0.2j, 0])
+def test_curvature_of_finite_sums_near_the_double_limit(w):
+    # the sums are finite and the quotient reads only their ratios, so
+    # 1e308 / (1 - z wbar) has the curvature -(1 - |w|^2)^-2 of 1 / (1 - z wbar)
+    kernel = kc.SeriesKernel.disc([1e308] * 201)
+    assert curvature_scalar(kernel, w) == pytest.approx(-(1.0 - abs(w) ** 2) ** -2, rel=1e-15)
+
+
+@pytest.mark.parametrize("kernel, points", [
+    (kc.SeriesKernel.bergman(), [0.0, 0.5, -0.3 + 0.6j, 0.9j]),
+    # a short window, so that c a_n stays a normal double for every c
+    (an.weighted_bergman_kernel(an.AnnulusSpec(r=0.85, N=50), an.RadialWeight.power_law(1.0)),
+     [0.9, 0.93j, -0.65 + 0.65j]),
+], ids=["bergman", "laurent"])
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+def test_curvature_is_scale_free(kernel, points, c):
+    scaled = kc.SeriesKernel(kernel.kind, kernel.ns, c * kernel.coeffs,
+                             inner_radius=kernel.inner_radius)
+    for w in points:
+        assert curvature_scalar(scaled, w) == pytest.approx(curvature_scalar(kernel, w),
+                                                             rel=1e-14)
 
 
 def test_closed_form_refuses_a_non_finite_block():

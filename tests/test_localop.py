@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from rkhs_lab import caratheodory as ca
+from rkhs_lab import curvature as cv
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar
-from rkhs_lab.errors import NonFiniteValue, NormalizationMissing, NotPositiveDefinite
-from rkhs_lab.localop import (canonical_form, function_of_local, gram_from_matrix,
-                              jet_gram, verify_tt_identity,
-                              verify_tt_identity_gram)
+from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar, frame_from_jet
+from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite
+from rkhs_lab.localop import (canonical_form, function_of_local, jet_gram,
+                              verify_tt_identity, verify_tt_identity_gram)
 from tests.conftest import random_contractive_kernel, synthetic_normalized_gram
 
 
@@ -43,30 +43,32 @@ def test_one_frame_normalization_for_kernel_and_matrix(w):
     # both give R = -1/curvature
     k = kc.SeriesKernel.bergman()
     by_kernel = canonical_form(jet_gram(k, w))
-    by_matrix = canonical_form(gram_from_matrix(kc.jet(k, w, 1), 1, 1))
+    by_matrix = canonical_form(JetGram(kc.jet(k, w, 1), 1, 1))
     assert np.array_equal(by_matrix.t, by_kernel.t)
     assert np.array_equal(by_matrix.R, by_kernel.R)
     assert by_matrix.R[0, 0].real == pytest.approx(-1.0 / curvature_scalar(k, w), rel=1e-12)
 
 
 def test_curvature_matrix_does_not_depend_on_the_frame_scale(rng):
-    # a frame change leaves the curvature matrix unitarily equivalent: the
-    # normalized Gram and the raw one have the same curvature eigenvalues
+    # a constant frame change gamma -> gamma s takes every block G_ij to
+    # s^H G_ij s, the congruence by S = diag(s, ..., s); the frames made
+    # orthonormal differ by a unitary, so the curvature eigenvalues agree
     for m in (1, 2):
         for n in (1, 2):
             for _ in range(5):
                 dim = (m + 1) * n
                 B = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 G = B @ B.conj().T + 0.5 * np.eye(dim)
-                raw = curvature_matrix(JetGram(G=G, m=m, n=n)).matrix
-                normalized = curvature_matrix(gram_from_matrix(G, m, n)).matrix
-                ev_raw = np.linalg.eigvalsh(raw)
-                ev_normalized = np.linalg.eigvalsh(normalized)
-                assert np.abs(ev_normalized - ev_raw).max() <= 1e-12 * np.abs(ev_raw).max()
+                s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+                S = np.kron(np.eye(m + 1), s)
+                ev = np.linalg.eigvalsh(curvature_matrix(JetGram(G, m, n)).matrix)
+                ev_changed = np.linalg.eigvalsh(
+                    curvature_matrix(JetGram(S.conj().T @ G @ S, m, n)).matrix)
+                assert np.abs(ev_changed - ev).max() <= 1e-12 * np.abs(ev).max()
 
 
 REFUSE_NON_FINITE = {
-    "gram_from_matrix": lambda G: gram_from_matrix(G, 1, 2),
+    "gram_from_matrix": lambda G: JetGram(G, 1, 2),  # a JetGram built from the raw matrix
     "curvature_matrix": lambda G: curvature_matrix(JetGram(G=G, m=1, n=2)),
     "generalized_ci_check": lambda G: ca.generalized_ci_check(-G, "ball", [0.1, 0.2], n=2),
 }
@@ -88,7 +90,7 @@ def test_synthetic_gram_m2_inputs(rng):
     for n in (1, 2):
         for _ in range(5):
             G = synthetic_normalized_gram(rng, m=2, n=n)
-            gram = gram_from_matrix(G, m=2, n=n)
+            gram = JetGram(G, m=2, n=n)
             form = canonical_form(gram)
             R_oracle = np.linalg.inv(G)[n:, n:]
             resid = np.linalg.norm(form.t @ form.t.conj().T - R_oracle, 2)
@@ -125,13 +127,34 @@ def test_canonical_form_conditioning(rng, delta, accepted):
             canonical_form(gram)
 
 
-def test_unnormalized_gram_rejected(rng):
-    G = synthetic_normalized_gram(rng, m=1, n=2)
-    G[0, 0] = 2.0  # break the top-left identity block
-    from rkhs_lab.localop import JetGram
+def test_jet_gram_normalizes_the_metric_block(rng):
+    # a Gram whose metric block h is not I is made orthonormal when it is built
+    for m, n in ((1, 1), (1, 2), (2, 2)):
+        dim = (m + 1) * n
+        B = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        G = B @ B.conj().T + 0.5 * np.eye(dim)
+        assert np.abs(G[:n, :n] - np.eye(n)).max() > 0.1
+        gram = JetGram(G, m, n)
+        assert np.abs(gram.G[:n, :n] - np.eye(n)).max() <= 1e-14
+        assert canonical_form(gram).t.shape == (m * n, m * n)
 
-    with pytest.raises(NormalizationMissing):
-        canonical_form(JetGram(G=G, m=1, n=2))
+
+def test_one_frame_normalization_per_local_point(monkeypatch):
+    # the metric block is made I once, when the JetGram is built; neither the
+    # curvature matrix nor the tt* check normalizes again
+    calls = []
+    inv_sqrt = cv._inv_sqrt_hermitian
+
+    def counting(h):
+        calls.append(h)
+        return inv_sqrt(h)
+
+    monkeypatch.setattr(cv, "_inv_sqrt_hermitian", counting)
+    k = kc.SeriesKernel.bergman()
+    verify_tt_identity(k, 0.3)
+    assert len(calls) == 1
+    curvature_matrix(frame_from_jet(k, 0.3))
+    assert len(calls) == 2
 
 
 def test_function_of_local_block_structure():
