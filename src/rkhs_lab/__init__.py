@@ -5,8 +5,7 @@ from .annulus import (AnnulusSpec, Character, RadialWeight, character_equivalenc
                       character_of_weight, extremal_problem_ls,
                       extremal_problem_value, period_matrix, strict_ci_check,
                       szego_annulus, szego_kernel, weighted_bergman_kernel)
-from .caratheodory import (MatricialTangent, cara_norm_ball, cara_norm_polydisc,
-                           generalized_ci_check, szego_disc)
+from .caratheodory import cara_norm_ball, cara_norm_polydisc, generalized_ci_check, szego_disc
 from .curvature import (curvature_matrix, curvature_scalar, curvature_scalar_fd,
                         mobius_rule_check)
 from .extremality import (classify_shift, dependence_test, fk_value,

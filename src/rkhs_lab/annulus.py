@@ -22,6 +22,7 @@ GAUSS_POINTS = 20  # nodes per Gauss-Legendre panel of the profile rule
 MAX_PANELS = 500
 MIN_N = 50
 CHARACTER_TOL = 1e-10  # characters match when every |gamma_1 - gamma_2| is at most this
+EQUIVALENCE_TOL = 1e-8  # curvature grids agree when their max gap is at most this
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ def character_equivalence(spec: AnnulusSpec, b1: float, b2: float,
     k2 = weighted_bergman_kernel(spec, RadialWeight.power_law(b2))
     diff = float(np.abs(curvature_grid(spec, k1, grid_points)
                         - curvature_grid(spec, k2, grid_points)).max())
-    return EquivalenceVerdict(predicted=predicted, measured=diff <= 1e-8,
+    return EquivalenceVerdict(predicted=predicted, measured=diff <= EQUIVALENCE_TOL,
                               max_curvature_diff=diff)
 
 

@@ -1,6 +1,6 @@
-"""Caratheodory norms of matricial tangent vectors and curvature-inequality
-checks; the generalized check takes its supremum over tangent vectors
-exactly, as a Hermitian top eigenvalue."""
+"""Caratheodory norms of matricial tangent vectors, m x n arrays with one row
+per coordinate, and curvature-inequality checks; the generalized check takes
+its supremum over tangent vectors exactly, as a Hermitian top eigenvalue."""
 
 from __future__ import annotations
 
@@ -15,39 +15,8 @@ SZEGO_DISC_FACTOR = 1.0 / (2.0 * np.pi)
 CI_TOL = 1e-10  # a verdict passes while its worst margin is at most CI_TOL
 
 
-@dataclass(frozen=True)
-class MatricialTangent:
-    """m blocks of length n, stacked into a vector of C^(mn)."""
-
-    blocks: list
-
-    def __post_init__(self):
-        blocks = [np.asarray(b, dtype=complex).ravel() for b in self.blocks]
-        if not blocks:
-            raise DimensionMismatch("tangent vector needs at least one block")
-        n = blocks[0].size
-        if any(b.size != n for b in blocks):
-            raise DimensionMismatch("all blocks must have equal length")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def n(self) -> int:
-        return self.blocks[0].size
-
-    @classmethod
-    def from_flat(cls, v, m: int, n: int) -> "MatricialTangent":
-        v = np.asarray(v, dtype=complex).ravel()
-        if v.size != m * n:
-            raise DimensionMismatch(f"vector length {v.size} != m*n = {m * n}")
-        return cls([v[i * n:(i + 1) * n] for i in range(m)])
-
-
 def _cara_forms(domain: str, z, m: int, n: int) -> list:
-    """Hermitian D with C(V)^2 = max over D of v^H D v, v the stacked blocks of V:
+    """Hermitian D with C(V)^2 = max over D of v^H D v, v the stacked rows of V:
     on the ball A^2 (x) I_n, A = P / (1 - |z|^2) + Q / sqrt(1 - |z|^2) (P the
     projector onto z, Q = I - P) the automorphism sending z to 0; on the
     polydisc one block-j projector scaled by (1 - |z_j|^2)^-2 per coordinate."""
@@ -71,19 +40,28 @@ def _cara_forms(domain: str, z, m: int, n: int) -> list:
     raise ConfigError(f"domain must be 'ball' or 'polydisc', got {domain!r}")
 
 
-def _cara_norm(domain: str, V: MatricialTangent, z) -> float:
-    v = np.concatenate(V.blocks)
-    return float(np.sqrt(max(np.vdot(v, D @ v).real for D in _cara_forms(domain, z, V.m, V.n))))
+def _cara_norm(domain: str, V, z) -> float:
+    try:
+        V = np.asarray(V, dtype=complex)
+    except ValueError as exc:  # ragged rows
+        raise DimensionMismatch(f"tangent vector is not an m x n array: {exc}") from exc
+    if V.ndim != 2 or V.size == 0:
+        raise DimensionMismatch(f"tangent vector must be a non-empty m x n array, "
+                                f"got shape {V.shape}")
+    v = V.ravel()
+    return float(np.sqrt(max(np.vdot(v, D @ v).real for D in _cara_forms(domain, z, *V.shape))))
 
 
-def cara_norm_ball(V: MatricialTangent, z) -> float:
-    """Caratheodory norm on the Euclidean ball: HS norm at 0, transported
-    by the involutive automorphism sending z to 0 elsewhere."""
+def cara_norm_ball(V, z) -> float:
+    """Caratheodory norm on the Euclidean ball of an m x n tangent vector V
+    (row j the block of coordinate j): HS norm at 0, transported by the
+    involutive automorphism sending z to 0 elsewhere."""
     return _cara_norm("ball", V, z)
 
 
-def cara_norm_polydisc(V: MatricialTangent, z) -> float:
-    """Caratheodory norm on the polydisc: max_j |V_j| / (1 - |z_j|^2)."""
+def cara_norm_polydisc(V, z) -> float:
+    """Caratheodory norm on the polydisc of an m x n tangent vector V:
+    max_j |V_j| / (1 - |z_j|^2) over its rows V_j."""
     return _cara_norm("polydisc", V, z)
 
 

@@ -11,12 +11,17 @@ import numpy as np
 
 from . import curvature as cv
 from . import kernels as kc
-from .errors import NonFiniteValue, NotAContraction
-from .positivity import (hyponormal_check, is_contraction, shift_kernel, shift_weights,
+from .errors import NonFiniteValue, NotAContraction, NotPositiveDefinite
+from .positivity import (gram_decrease_check, hyponormal_check, inverse_factor,
+                         is_contraction, shift_kernel, shift_weights,
                          two_hypercontraction_check)
 
 FK_RTOL = 1e-9  # |fk| <= FK_RTOL * Ktilde(z, z)^2 counts as curvature equality
 WEIGHT_TOL = 1e-8
+# a pipeline step passes within STEP_TOL of its target: curvature -1 at 0,
+# |V1|^2 = 1, and the unit norms and zero off-diagonal of the monomial Gram
+STEP_TOL = 1e-8
+NORMALIZATION_TOL = 1e-10  # |V0|^2 = L(0, 0) = 1 holds to roundoff
 DEFAULT_TRUNCATION = 150
 
 CLASS_EXTREMAL_EVERYWHERE = "ExtremalEverywhere"
@@ -105,7 +110,7 @@ def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
     if not at_point:
         classification = CLASS_NOT_EXTREMAL
         equivalent = False
-    elif zeta != 0:
+    elif zeta:
         # equality away from the origin propagates everywhere
         classification = CLASS_EXTREMAL_EVERYWHERE
         equivalent = weights_all_one
@@ -138,14 +143,15 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     """Taylor coefficients C[i, j] of the kernel of phi_zeta(T), normalized at 0.
 
     L(z, w) = sum C[i, j] z^i conj(w)^j with L(z, 0) = 1; C is also the Gram
-    matrix of the jet vectors V_j = dbar^j L(., 0) / j!.
+    matrix of the jet vectors V_j = dbar^j L(., 0) / j!.  Raises
+    NonFiniteValue where the coefficients over a_0 overflow its sums.
     """
     size = truncation + 1
-    a = kernel.coeffs
-    if zeta == 0:
+    a = kernel.coeffs / kernel.coeffs[0]  # C is normalized; this keeps its sums in range
+    if not zeta:
         C = np.zeros((size, size), dtype=complex)
         k = min(size, a.size)
-        C[np.arange(k), np.arange(k)] = a[:k] / a[0]
+        C[np.arange(k), np.arange(k)] = a[:k]
         return C
     c = np.conjugate(zeta)
     # psi = inverse of the conjugated automorphism: psi(z) = (z + c) / (1 + zeta z)
@@ -156,7 +162,10 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     P[0, 0] = 1.0
     for n in range(1, a.size):
         P[n] = np.convolve(P[n - 1], psi)[:size]
-    C = (P.T * a) @ P.conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = (P.T * a) @ P.conj()
+    if not np.isfinite(C).all():
+        raise NonFiniteValue(f"pullback coefficients at zeta = {zeta} leave the double range")
     # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
     u = C[:, 0].copy()
     v = _series_inverse(u)
@@ -174,11 +183,13 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
     0, the jet-vector norms, and the Gram-decrease chain that forces the
     monomials to be orthonormal, on the first DEFAULT_TRUNCATION + 1
     coefficients (fewer away from 0).  Polynomial density is recorded as an
-    assumption, never verified.
+    assumption, never verified.  A zeta off the disc is refused with
+    PointOutsideDomain.
     """
     kernel = shift_kernel(kernel)
+    kc.check_point(kernel, zeta)
     truncation = DEFAULT_TRUNCATION
-    if zeta != 0:
+    if zeta:
         # coefficients of psi^n spread over indices >= n (1-|zeta|)/(1+|zeta|);
         # beyond that fraction of the window the truncated sum is unreliable
         edge = (1.0 - abs(zeta)) / (1.0 + abs(zeta))
@@ -197,30 +208,28 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
                  f"{hyper.info['min_expression']:.3e}")
     if ok:
         C = normalized_pullback_coeffs(kernel, zeta, truncation)
-        curv0 = -(C[1, 1].real - abs(C[0, 1]) ** 2)
-        ok = run("curvature-equality-at-zero", abs(curv0 + 1.0) <= 1e-8,
+        curv0 = cv.rank1_curvature(C[0, 0].real, abs(C[0, 1]), C[1, 1].real, 0.0)
+        ok = run("curvature-equality-at-zero", abs(curv0 + 1.0) <= STEP_TOL,
                  f"curvature at 0 after conjugation = {curv0:.12f}")
     if ok:
-        ok = run("jet-vector-norms", abs(C[0, 0].real - 1.0) <= 1e-10
-                 and abs(C[1, 1].real - 1.0) <= 1e-8,
+        ok = run("jet-vector-norms", abs(C[0, 0].real - 1.0) <= NORMALIZATION_TOL
+                 and abs(C[1, 1].real - 1.0) <= STEP_TOL,
                  f"|V0|^2 = {C[0, 0].real:.12f}, |V1|^2 = {C[1, 1].real:.12f}")
     if ok:
-        lam = np.abs(np.linalg.eigvalsh(C))  # C is Hermitian: cond = max|lam| / min|lam|
-        cond = lam.max() / lam.min() if lam.min() > 0.0 else np.inf
-        if cond > 1e10:
-            ok = run("monomial-gram", False,
-                     f"coefficient matrix condition {cond:.2e} defeats inversion")
-        else:
-            G = np.linalg.inv(C)
-            k = truncation - 1
-            D = G[:k, :k] - G[1:k + 1, 1:k + 1]
-            dec = float(np.linalg.eigvalsh((D + D.conj().T) / 2.0).min())
-            ok = run("gram-decrease-chain", dec >= -1e-9,
-                     f"min eig of G_v - G_Av = {dec:.3e}")
-            if ok:
-                norms = np.abs(np.diag(G).real - 1.0).max()
-                off = float(np.abs(G - np.diag(np.diag(G))).max())
-                ok = run("monomial-orthonormality", norms <= 1e-8 and off <= 1e-8,
-                         f"max |norm-1| = {norms:.3e}, max off-diagonal = {off:.3e}")
+        try:
+            P = inverse_factor(C)
+        except NotPositiveDefinite as exc:
+            ok = run("monomial-gram", False, str(exc))
+    if ok:
+        G = P @ P.conj().T  # C^-1
+        k = truncation - 1
+        dec = gram_decrease_check(G[:k, :k], G[1:k + 1, 1:k + 1])
+        ok = run("gram-decrease-chain", dec.passed,
+                 f"min eig of G_v - G_Av = {dec.min_eigenvalue:.3e}")
+    if ok:
+        norms = np.abs(np.diag(G).real - 1.0).max()
+        off = float(np.abs(G - np.diag(np.diag(G))).max())
+        ok = run("monomial-orthonormality", norms <= STEP_TOL and off <= STEP_TOL,
+                 f"max |norm-1| = {norms:.3e}, max off-diagonal = {off:.3e}")
     failed = next((s.name for s in steps if not s.passed), None)
     return PipelineReport(steps=steps, failed_step=failed, truncation=truncation)

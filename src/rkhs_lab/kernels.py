@@ -51,6 +51,7 @@ BOUNDARY_MARGIN = 0.02
 DEFAULT_N_MAX = 200
 TAIL_RTOL = 1e-12
 GROWTH_WINDOW = 20  # trailing coefficients that set a window end's growth rate
+VANISHING_TOL = 1e-13  # normalize_at refuses a center where |K(z, zeta)| < VANISHING_TOL nearby
 
 
 @dataclass(frozen=True)
@@ -454,7 +455,7 @@ def normalize_at(kernel, zeta: complex) -> ClosedFormKernel:
     else:
         values = (eval_kernel(kernel, pt, zeta) for pt in pts)
     for pt, value in zip(pts, values):
-        if abs(value) < 1e-13:
+        if abs(value) < VANISHING_TOL:
             raise KernelVanishesNearCenter(f"K(z, {zeta}) vanishes at z = {pt}")
 
     def factor(z: complex) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Takes the jet Gram G of :mod:`rkhs_lab.curvature`, of the frame that it makes
 orthonormal at the point when it is built, in the block order (frame,
-d_1 frame, ..., d_m frame) and factors it once, G = L conj(L)^t.  The block
-upper triangular P = conj(inv(L))^t, with P_11 = I and P conj(P)^t = G^-1,
-gives the conditioning test and, with t = P_22, the lower-right block
+d_1 frame, ..., d_m frame) and factors it once,
+:func:`positivity.inverse_factor`.  The block upper triangular factor P, with
+P_11 = I and P conj(P)^t = G^-1, gives t = P_22 and the lower-right block
 R = t conj(t)^t of G^-1, which is the identity
 t(w) conj(t(w))^t = (-curvature(w))^-1.
 numpy is the only dependency.
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import JetGram, curvature_matrix, frame_from_jet
-from .errors import DimensionMismatch, NotPositiveDefinite
-
-COND_LIMIT = 1e10
+from .errors import DimensionMismatch
+from .positivity import inverse_factor
 
 
 @dataclass(frozen=True)
@@ -44,23 +43,9 @@ def jet_gram(kernel, w: complex) -> JetGram:
 
 def canonical_form(gram: JetGram) -> LocalOperatorForm:
     """Orthonormalize the jet basis and extract the canonical blocks."""
-    G, m, n = gram.G, gram.m, gram.n
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Gram is not positive definite") from exc
-    # P = inv(L)^H is upper triangular with positive diagonal, P P^H = G^-1,
-    # and P_11 = I because the top-left block of G is the identity.  The
-    # pivoted inverse leaves roundoff below the diagonal of P; triu drops it.
-    P = np.triu(np.linalg.inv(L).conj().T)
-    # ||G||_F ||P||_F^2 = ||G||_F tr(G^-1) bounds cond_2(G) from above and
-    # exceeds it by at most a factor ((m+1)n)^(3/2); inf and NaN fail the test
-    with np.errstate(over="ignore"):
-        bound = np.linalg.norm(G) * np.linalg.norm(P) ** 2
-    if not bound <= COND_LIMIT:
-        raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) exceeds "
-                                  f"{COND_LIMIT:.0e}")
-    t = P[n:, n:]
+    m, n = gram.m, gram.n
+    # P_11 = I because the top-left block of G is the identity
+    t = inverse_factor(gram.G)[n:, n:]
     # P is block upper triangular, so the lower-right block of P P^H is t t^H
     R = t @ t.conj().T
     # its diagonal is real; a fused multiply-add in the product leaves roundoff there

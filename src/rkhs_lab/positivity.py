@@ -1,4 +1,5 @@
-"""PSD tests and shift criteria: contractivity, hyponormality, hypercontractivity."""
+"""The semidefinite and the definite test of a Hermitian Gram, and shift
+criteria: contractivity, hyponormality, hypercontractivity."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from . import kernels as kc
 from .errors import (ConfigError, DimensionMismatch, NonFiniteValue, NonHermitianInput,
-                     NotAContraction)
+                     NotAContraction, NotPositiveDefinite)
 
 DEFAULT_SEED = 2024
 SAMPLE_COUNT = 50
@@ -17,6 +18,7 @@ SAMPLE_RADIUS = 0.9
 # psd_check and is_contraction scale it by max(1, the largest magnitude); the
 # hyponormal and 2-hypercontraction checks compare their minima against it as is
 CHECK_TOL = 1e-10
+COND_LIMIT = 1e10  # inverse_factor refuses a Gram whose bound ||G||_F tr(G^-1) exceeds it
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,29 @@ def psd_check(gram: np.ndarray) -> CheckResult:
     min_eig = float(eigs.min())
     return CheckResult(passed=min_eig >= -tol, min_eigenvalue=min_eig,
                        info={"tol": tol, "norm": norm})
+
+
+def inverse_factor(gram: np.ndarray) -> np.ndarray:
+    """The definite test: the upper triangular P with P conj(P)^t = G^-1, from
+    one Cholesky factor G = L conj(L)^t, P = conj(inv(L))^t.
+
+    Raises NotPositiveDefinite when the factorization fails or unless
+    ||G||_F tr(G^-1) = ||G||_F ||P||_F^2 <= COND_LIMIT.  That bound exceeds
+    cond_2(G) by at most a factor size^(3/2); inf and NaN fail it.
+    """
+    G = np.asarray(gram, dtype=complex)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("Gram is not positive definite") from exc
+    # the pivoted inverse leaves roundoff below the diagonal of P; triu drops it
+    P = np.triu(np.linalg.inv(L).conj().T)
+    with np.errstate(over="ignore"):
+        bound = np.linalg.norm(G) * np.linalg.norm(P) ** 2
+    if not bound <= COND_LIMIT:
+        raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) = {bound:.2e} "
+                                  f"exceeds {COND_LIMIT:.0e}")
+    return P
 
 
 def shift_coeffs(kernel: kc.SeriesKernel) -> np.ndarray:

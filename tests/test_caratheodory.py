@@ -11,36 +11,44 @@ from tests.conftest import random_contractive_kernel
 
 
 def test_ball_norm_at_origin_is_hilbert_schmidt():
-    V = ca.MatricialTangent.from_flat(np.array([3.0, 4.0]), 2, 1)
+    V = [[3.0], [4.0]]
     assert ca.cara_norm_ball(V, [0.0, 0.0]) == pytest.approx(5.0)
 
 
 def test_ball_norm_radial_blowup():
-    V = ca.MatricialTangent.from_flat(np.array([1.0, 0.0]), 2, 1)
+    V = [[1.0], [0.0]]
     z = [0.6, 0.0]
     # V parallel to z: the P-block scaling 1/(1-|z|^2) applies
     assert ca.cara_norm_ball(V, z) == pytest.approx(1.0 / (1.0 - 0.36))
-    W = ca.MatricialTangent.from_flat(np.array([0.0, 1.0]), 2, 1)
+    W = [[0.0], [1.0]]
     # V orthogonal to z: only the sqrt factor
     assert ca.cara_norm_ball(W, z) == pytest.approx(1.0 / np.sqrt(1.0 - 0.36))
 
 
 def test_ball_norm_rejects_outside_point():
-    V = ca.MatricialTangent.from_flat(np.array([1.0]), 1, 1)
+    V = [[1.0]]
     with pytest.raises(PointOutsideBall):
         ca.cara_norm_ball(V, [1.2])
 
 
 def test_polydisc_norm_blockwise_max():
-    V = ca.MatricialTangent([[1.0], [2.0]])
+    V = np.array([[1.0], [2.0]])
     assert ca.cara_norm_polydisc(V, [0.0, 0.0]) == pytest.approx(2.0)
     assert ca.cara_norm_polydisc(V, [0.0, 0.5]) == pytest.approx(2.0 / 0.75)
     with pytest.raises(PointOutsidePolydisc):
         ca.cara_norm_polydisc(V, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("V", [[[1.0], [2.0, 3.0]], [], [[]], [1.0, 2.0], np.ones((1, 1, 1))],
+                         ids=["ragged", "empty", "empty-row", "1-D", "3-D"])
+def test_norms_refuse_a_tangent_vector_that_is_not_an_m_by_n_array(V):
+    for norm in (ca.cara_norm_ball, ca.cara_norm_polydisc):
+        with pytest.raises(DimensionMismatch):
+            norm(V, [0.0])
+
+
 def test_disc_norms_coincide_for_m1():
-    V = ca.MatricialTangent.from_flat(np.array([1.0 + 1.0j]), 1, 1)
+    V = [[1.0 + 1.0j]]
     for z in [0.0, 0.3, 0.7]:
         assert ca.cara_norm_ball(V, [z]) == pytest.approx(
             ca.cara_norm_polydisc(V, [z]))
@@ -135,8 +143,7 @@ def complex_normal(rng, *shape):
 
 def margin_of(K, domain, w, n, v):
     """<K v, v> + C(v)^2 for a unit vector v, through the Caratheodory norm."""
-    V = ca.MatricialTangent.from_flat(v, len(w), n)
-    return float(np.vdot(v, K @ v).real) + CARA[domain](V, w) ** 2
+    return float(np.vdot(v, K @ v).real) + CARA[domain](v.reshape(len(w), n), w) ** 2
 
 
 @pytest.mark.parametrize("domain", ["ball", "polydisc"])

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from rkhs_lab import curvature as cv
+from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
-from rkhs_lab.errors import NotAContraction
+from rkhs_lab import positivity as ps
+from rkhs_lab.errors import NonFiniteValue, NotAContraction, PointOutsideDomain
 from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
                                   normalized_pullback_coeffs,
                                   uniqueness_pipeline_check)
@@ -148,6 +150,78 @@ def test_pipeline_gram_decrease_on_monomials():
     rep = uniqueness_pipeline_check(geometric(), 0.0)
     step = next(s for s in rep.steps if s.name == "gram-decrease-chain")
     assert step.passed
+
+
+@pytest.mark.parametrize("zeta", [1.5, 1.0, np.nan, complex(np.nan, 0.0)],
+                         ids=["outside", "boundary", "nan", "complex-nan"])
+def test_pipeline_refuses_a_point_off_the_disc(zeta):
+    with pytest.raises(PointOutsideDomain):
+        uniqueness_pipeline_check(geometric(), zeta)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.7e308])
+def test_pipeline_does_not_depend_on_scale(scale):
+    # C is normalized, so c K replays as K does, also where the sums of c K
+    # alone would overflow
+    for zeta in (0.0, 0.3, 0.2 + 0.25j):
+        for coeffs in (np.ones(201), np.arange(1.0, 202.0) / 201.0):
+            scaled = kc.SeriesKernel.disc(scale * coeffs)
+            plain = kc.SeriesKernel.disc(coeffs)
+            assert (uniqueness_pipeline_check(scaled, zeta).failed_step
+                    == uniqueness_pipeline_check(plain, zeta).failed_step)
+
+
+def test_pipeline_refuses_pullback_sums_past_the_double_range():
+    # a_n / a_0 = 1.7e308 for n >= 1: the sums of C overflow, a typed refusal
+    kernel = kc.SeriesKernel.disc(np.concatenate([[1.0], np.full(200, 1.7e308)]))
+    with pytest.raises(NonFiniteValue, match="zeta = 0.3"):
+        uniqueness_pipeline_check(kernel, 0.3)
+
+
+def counting(monkeypatch, module, name):
+    """Calls of ``module.name``, counted through a monkeypatched wrapper."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
+    # the library's definite test gives G = C^-1, and the chain is its
+    # Gram-decrease check; the pipeline forms no inverse or condition number itself
+    assert ex.inverse_factor is ps.inverse_factor
+    assert ex.gram_decrease_check is ps.gram_decrease_check
+    factors = counting(monkeypatch, ex, "inverse_factor")
+    decreases = counting(monkeypatch, ex, "gram_decrease_check")
+    inverses = counting(monkeypatch, np.linalg, "inv")
+    eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
+    assert uniqueness_pipeline_check(geometric(), zeta).passed
+    assert (len(factors), len(decreases)) == (1, 1)
+    # the triangular inverse inside the factor, the eigensolve inside psd_check
+    assert (len(inverses), len(eigensolves)) == (1, 1)
+
+
+def test_pipeline_refusal_of_the_factor_fails_the_monomial_gram_step(monkeypatch):
+    monkeypatch.setattr(ps, "COND_LIMIT", 1.0)
+    rep = uniqueness_pipeline_check(geometric(), 0.3)
+    assert rep.failed_step == "monomial-gram"
+    step = rep.steps[-1]
+    assert step.name == "monomial-gram" and not step.passed
+    assert "exceeds 1e+00" in step.detail
+
+
+def test_pipeline_curvature_step_is_the_rank1_quotient(monkeypatch):
+    quotients = counting(monkeypatch, cv, "rank1_curvature")
+    for kernel in (geometric(), bergman()):
+        uniqueness_pipeline_check(kernel, 0.3)
+    assert len(quotients) == 2
+    assert all(w == 0.0 for *_, w in quotients)
 
 
 def test_shift_verdicts_build_no_sampled_gram(monkeypatch):

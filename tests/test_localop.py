@@ -6,6 +6,8 @@ import pytest
 from rkhs_lab import caratheodory as ca
 from rkhs_lab import curvature as cv
 from rkhs_lab import kernels as kc
+from rkhs_lab import localop as lo
+from rkhs_lab import positivity as ps
 from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar, frame_from_jet
 from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite
 from rkhs_lab.localop import (canonical_form, function_of_local, jet_gram,
@@ -155,6 +157,22 @@ def test_one_frame_normalization_per_local_point(monkeypatch):
     assert len(calls) == 1
     curvature_matrix(frame_from_jet(k, 0.3))
     assert len(calls) == 2
+
+
+def test_canonical_form_is_one_call_of_the_definite_test(monkeypatch):
+    # the Cholesky factor and the conditioning rule live in positivity alone
+    assert lo.inverse_factor is ps.inverse_factor
+    assert not hasattr(lo, "COND_LIMIT")
+    calls = []
+
+    def counting(G):
+        calls.append(G)
+        return ps.inverse_factor(G)
+
+    monkeypatch.setattr(lo, "inverse_factor", counting)
+    gram = jet_gram(kc.SeriesKernel.bergman(), 0.3)
+    canonical_form(gram)
+    assert len(calls) == 1 and calls[0] is gram.G
 
 
 def test_function_of_local_block_structure():

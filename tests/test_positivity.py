@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkhs_lab import kernels as kc
-from rkhs_lab.errors import DimensionMismatch, NonHermitianInput, NotAContraction
+from rkhs_lab.errors import (DimensionMismatch, NonHermitianInput, NotAContraction,
+                             NotPositiveDefinite)
 from rkhs_lab.positivity import (contraction_check, gram_decrease_check,
-                                 hyponormal_check, psd_check, shift_kernel,
-                                 two_hypercontraction_check)
+                                 hyponormal_check, inverse_factor, psd_check,
+                                 shift_kernel, two_hypercontraction_check)
 from tests.conftest import random_contractive_kernel
 
 
@@ -102,6 +103,22 @@ def test_gram_decrease_on_monomials():
     G_Av = np.eye(6) * 0.9
     assert gram_decrease_check(G_v, G_Av).passed
     assert not gram_decrease_check(G_Av, G_v).passed
+
+
+def test_inverse_factor_is_the_upper_factor_of_the_inverse(rng):
+    B = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    G = B @ B.conj().T + np.eye(6)
+    P = inverse_factor(G)
+    assert np.array_equal(P, np.triu(P))
+    assert np.abs(P @ P.conj().T - np.linalg.inv(G)).max() <= 1e-12 * np.abs(P).max() ** 2
+
+
+@pytest.mark.parametrize("G", [np.diag([1.0, -1e-3]), np.diag([1.0, 0.0]),
+                               np.diag([1.0, 1e-11]), np.diag([1.0, np.nan])],
+                         ids=["indefinite", "singular", "ill-conditioned", "nan"])
+def test_inverse_factor_refuses_what_is_not_safely_definite(G):
+    with pytest.raises(NotPositiveDefinite):
+        inverse_factor(G)
 
 
 @settings(max_examples=50, deadline=None)
