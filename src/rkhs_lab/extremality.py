@@ -131,11 +131,29 @@ def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
 
 def _series_inverse(u: np.ndarray) -> np.ndarray:
     """Power-series inverse v with (u * v) = 1 + O(z^len)."""
-    v = np.zeros_like(u, dtype=complex)
+    v = np.zeros_like(u)
     v[0] = 1.0 / u[0]
     for k in range(1, u.size):
         v[k] = -np.dot(u[1:k + 1], v[k - 1::-1]) / u[0]
     return v
+
+
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Lower triangular T[i, j] = row[i - j], so T x is the truncated product row * x."""
+    padded = np.concatenate([np.zeros(row.size - 1, dtype=row.dtype), row])
+    return np.lib.stride_tricks.sliding_window_view(padded, row.size)[:, ::-1]
+
+
+def _power_rows(psi: np.ndarray, count: int) -> np.ndarray:
+    """Rows P[n] = psi^n (n < count, truncated): rows m+1..2m are rows 1..m psi^m."""
+    P = np.zeros((count, psi.size), dtype=psi.dtype)
+    P[0, 0] = 1.0
+    P[1:2] = psi  # an empty slice when count = 1
+    m = 1
+    while m + 1 < count:
+        P[m + 1:2 * m + 1] = P[1:m + 1][:count - 1 - m] @ _toeplitz(P[m]).T
+        m *= 2
+    return P
 
 
 def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
@@ -143,35 +161,28 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     """Taylor coefficients C[i, j] of the kernel of phi_zeta(T), normalized at 0.
 
     L(z, w) = sum C[i, j] z^i conj(w)^j with L(z, 0) = 1; C is also the Gram
-    matrix of the jet vectors V_j = dbar^j L(., 0) / j!.  Raises
-    NonFiniteValue where the coefficients over a_0 overflow its sums.
+    matrix of the jet vectors V_j = dbar^j L(., 0) / j!.  C is real when zeta
+    is.  Raises NonFiniteValue where the coefficients over a_0 overflow its sums.
     """
     size = truncation + 1
     a = kernel.coeffs / kernel.coeffs[0]  # C is normalized; this keeps its sums in range
+    if not zeta.imag:
+        zeta = zeta.real  # then psi, P, C and F are real, and so is the factor of C
     if not zeta:
-        C = np.zeros((size, size), dtype=complex)
-        k = min(size, a.size)
-        C[np.arange(k), np.arange(k)] = a[:k]
-        return C
+        return np.diag(np.concatenate([a[:size], np.zeros(size - a[:size].size)]))
     c = np.conjugate(zeta)
     # psi = inverse of the conjugated automorphism: psi(z) = (z + c) / (1 + zeta z)
     geom = np.power(-zeta, np.arange(size))
     psi = np.convolve([c, 1.0], geom)[:size]
     # rows P[n] = psi^n, so C = sum_n a_n P[n]^T conj(P[n]) is one product
-    P = np.zeros((a.size, size), dtype=complex)
-    P[0, 0] = 1.0
-    for n in range(1, a.size):
-        P[n] = np.convolve(P[n - 1], psi)[:size]
+    P = _power_rows(psi, a.size)
     with np.errstate(over="ignore", invalid="ignore"):
         C = (P.T * a) @ P.conj()
     if not np.isfinite(C).all():
         raise NonFiniteValue(f"pullback coefficients at zeta = {zeta} leave the double range")
     # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
     u = C[:, 0].copy()
-    v = _series_inverse(u)
-    F = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        F[i, :i + 1] = v[i::-1]
+    F = _toeplitz(_series_inverse(u))
     return u[0].real * (F @ C @ F.conj().T)
 
 

@@ -40,13 +40,18 @@ def sample_cloud(seed: int = DEFAULT_SEED, radius: float = SAMPLE_RADIUS) -> np.
     return r * np.exp(1j * theta)
 
 
+def _float_or_complex(matrix) -> np.ndarray:
+    """The matrix as float, or as complex if it has complex entries (real LAPACK)."""
+    return np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
+
+
 def psd_check(gram: np.ndarray) -> CheckResult:
     """Pass iff the smallest eigenvalue of a Hermitian matrix is >= -tol, with
     tol = CHECK_TOL * max(1, ||G||_2); the same ``eigvalsh`` gives the spectral
     norm, reported as ``info["norm"]``.  An entry of G - G^H above tol is
     refused with NonHermitianInput; an empty, non-square or non-2-D input with
     DimensionMismatch."""
-    G = np.asarray(gram, dtype=complex)
+    G = _float_or_complex(gram)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {G.shape}")
     eigs = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
@@ -67,7 +72,7 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
     ||G||_F tr(G^-1) = ||G||_F ||P||_F^2 <= COND_LIMIT.  That bound exceeds
     cond_2(G) by at most a factor size^(3/2); inf and NaN fail it.
     """
-    G = np.asarray(gram, dtype=complex)
+    G = _float_or_complex(gram)
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -190,8 +195,7 @@ def two_hypercontraction_check(kernel: kc.SeriesKernel) -> CheckResult:
 
 def gram_decrease_check(G_v: np.ndarray, G_Av: np.ndarray) -> CheckResult:
     """Contractivity of a linear map through its Gram matrices: G_Av <= G_v."""
-    G_v = np.asarray(G_v, dtype=complex)
-    G_Av = np.asarray(G_Av, dtype=complex)
+    G_v, G_Av = _float_or_complex(G_v), _float_or_complex(G_Av)
     if G_v.shape != G_Av.shape:
         raise DimensionMismatch(f"shapes {G_v.shape} and {G_Av.shape} differ")
     return psd_check(G_v - G_Av)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,6 +144,66 @@ def test_normalized_pullback_matches_closed_form_transforms(coeffs, zeta):
     fact = np.array([1.0, 1.0, 2.0])
     oracle = kc.jet(L, 0.0, 2) / np.outer(fact, fact)
     assert np.abs(C[:3, :3] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def reference_pullback(coeffs, zeta, truncation):
+    """The pullback coefficients in complex arithmetic, with one np.convolve
+    per row psi^n: the reference the doubled rows are held to."""
+    size = truncation + 1
+    a = np.asarray(coeffs, dtype=float) / coeffs[0]
+    zeta = complex(zeta)
+    psi = np.convolve([np.conjugate(zeta), 1.0], np.power(-zeta, np.arange(size)))[:size]
+    P = np.zeros((a.size, size), dtype=complex)
+    P[0, 0] = 1.0
+    for n in range(1, a.size):
+        P[n] = np.convolve(P[n - 1], psi)[:size]
+    C = (P.T * a) @ P.conj()
+    u = C[:, 0].copy()
+    v = ex._series_inverse(u)
+    F = np.zeros((size, size), dtype=complex)
+    for i in range(size):
+        F[i, :i + 1] = v[i::-1]
+    return u[0].real * (F @ C @ F.conj().T)
+
+
+@pytest.mark.parametrize("zeta", [0.3, 0.2 + 0.25j])
+@pytest.mark.parametrize("count", [1, 2, 3, 201])
+def test_pullback_of_a_short_kernel_matches_the_convolution_loop(count, zeta):
+    # the doubling starts from rows psi^0 and psi^1; a kernel with fewer
+    # coefficients than that has fewer rows
+    coeffs = np.arange(1.0, count + 1.0) ** 0.6
+    C = normalized_pullback_coeffs(kc.SeriesKernel.disc(coeffs), zeta, 40)
+    ref = reference_pullback(coeffs, zeta, 40)
+    assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("zeta", [0.3, 0.5, 0.2 + 0.25j, -0.45j])
+def test_pullback_rows_match_a_40_digit_oracle(zeta):
+    # psi(z) = (z + conj(zeta)) / (1 + zeta z) and its powers psi^n, n <= 200,
+    # on the first 40 Taylor coefficients; psi is inner, so |psi^n|_2 = 1
+    cols, count = 40, 201
+    real = not complex(zeta).imag
+    with mpmath.workdps(40):
+        z = mpmath.mpf(zeta) if real else mpmath.mpc(zeta)
+        psi = [mpmath.conj(z)] + [(-z) ** k * mpmath.conj(z) + (-z) ** (k - 1)
+                                  for k in range(1, cols)]
+        row, oracle = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (cols - 1), []
+        for _ in range(count):
+            oracle.append([complex(x) for x in row])
+            row = [mpmath.fsum(row[j] * psi[i - j] for j in range(i + 1)) for i in range(cols)]
+        psi = np.array([complex(x) for x in psi])
+    rows = ex._power_rows(psi.real if real else psi, count)
+    assert np.abs(rows - np.array(oracle)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("zeta", [0, 0.0, 0.3, complex(0.3, 0.0), np.float64(0.3)],
+                         ids=["int-0", "0.0", "0.3", "complex-0.3", "float64-0.3"])
+def test_a_real_zeta_gives_real_pullback_coefficients(zeta):
+    for coeffs in (np.ones(201), np.arange(1.0, 202.0), np.arange(1.0, 202.0) ** 0.6):
+        C = normalized_pullback_coeffs(kc.SeriesKernel.disc(coeffs), zeta, 60)
+        assert C.dtype == np.float64
+        ref = reference_pullback(coeffs, zeta, 60)
+        assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_pipeline_gram_decrease_on_monomials():

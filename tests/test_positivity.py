@@ -121,6 +121,40 @@ def test_inverse_factor_refuses_what_is_not_safely_definite(G):
         inverse_factor(G)
 
 
+def test_a_real_gram_gives_the_verdicts_of_its_complex_cast(rng):
+    # a real Gram stays real (real LAPACK); the verdicts are those of the cast
+    B = rng.normal(size=(8, 8))
+    for G in (B @ B.T + np.eye(8), B + B.T):
+        pairs = [(psd_check(G), psd_check(G.astype(complex))),
+                 (gram_decrease_check(G, 0.5 * G),
+                  gram_decrease_check(G.astype(complex), 0.5 * G.astype(complex)))]
+        for real, cast in pairs:
+            assert real.passed == cast.passed
+            assert (abs(real.min_eigenvalue - cast.min_eigenvalue)
+                    <= 1e-13 * abs(cast.min_eigenvalue))
+    G = B @ B.T + np.eye(8)
+    P, P_cast = inverse_factor(G), inverse_factor(G.astype(complex))
+    assert P.dtype == np.float64 and P_cast.dtype == np.complex128
+    assert np.abs(P - P_cast).max() <= 1e-13 * np.abs(P_cast).max()
+    with pytest.raises(NotPositiveDefinite):
+        inverse_factor(B + B.T - 10.0 * np.eye(8))
+
+
+def test_an_integer_gram_is_accepted():
+    G = np.array([[2, 1], [1, 2]])
+    assert psd_check(G).min_eigenvalue == pytest.approx(1.0)
+    assert inverse_factor(G).dtype == np.float64
+    assert gram_decrease_check(G, np.eye(2, dtype=int)).passed
+    assert not gram_decrease_check(np.eye(2, dtype=int), G).passed
+
+
+def test_a_real_non_symmetric_matrix_is_refused():
+    with pytest.raises(NonHermitianInput):
+        psd_check(np.array([[1, 2], [0, 1]]))
+    with pytest.raises(NonHermitianInput):
+        gram_decrease_check(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=3, max_size=30))
 def test_contractive_weights_give_contraction(weights):
