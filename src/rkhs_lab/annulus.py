@@ -39,40 +39,41 @@ class AnnulusSpec:
 
 @dataclass(frozen=True)
 class RadialWeight:
-    """Radial weight h(rho) on [r, 1]: a power law rho^b or a tabulated profile."""
+    """Radial weight h(rho) on [r, 1]: its tabulated ``profile``, else rho^b."""
 
-    kind: str  # "power_law" | "profile"
     b: float = 0.0
     profile: Optional[Callable[[float], float]] = None
 
+    def __post_init__(self):
+        if self.profile is not None and self.b != 0.0:
+            raise ConfigError(f"field 'b' must be 0 for a profile weight, got {self.b}")
+
     @classmethod
     def power_law(cls, b: float) -> "RadialWeight":
-        return cls(kind="power_law", b=b)
+        return cls(b=b)
 
     @classmethod
     def from_profile(cls, h: Callable[[float], float]) -> "RadialWeight":
-        return cls(kind="profile", profile=h)
+        return cls(profile=h)
 
     def __call__(self, rho: float) -> float:
-        if self.kind == "power_law":
+        if self.profile is None:
             return float(rho) ** self.b
         return float(self.profile(rho))
 
 
 @dataclass(frozen=True)
 class Character:
-    """Unimodular boundary data gamma_j = exp(i c_j); one inner component here."""
+    """Boundary data gamma = exp(i period) of the one inner component."""
 
-    gammas: list
-    periods: list
-    periods_alternate: list  # opposite orientation convention, reported not chosen
+    period: float
 
-    def __post_init__(self):
-        if any(abs(abs(g) - 1.0) > 1e-12 for g in self.gammas):
-            raise ValueError("character entries must be unimodular")
+    @property
+    def gamma(self) -> complex:
+        return cmath.exp(1j * self.period)
 
     def matches(self, other: "Character") -> bool:
-        return all(abs(g1 - g2) <= CHARACTER_TOL for g1, g2 in zip(self.gammas, other.gammas))
+        return abs(self.gamma - other.gamma) <= CHARACTER_TOL
 
 
 def _trim_window(ns: np.ndarray, coeffs: np.ndarray):
@@ -90,7 +91,7 @@ def szego_kernel(spec: AnnulusSpec) -> kc.SeriesKernel:
     with np.errstate(over="ignore"):
         coeffs = 1.0 / (2.0 * np.pi * (1.0 + spec.r ** (2.0 * ns + 1.0)))
     ns, coeffs = _trim_window(ns, coeffs)
-    return kc.SeriesKernel.annulus(ns, coeffs, spec.r)
+    return kc.SeriesKernel(ns, coeffs, spec.r)
 
 
 @lru_cache(maxsize=8)
@@ -107,7 +108,7 @@ def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
     """|z^n|^2 in the weighted Bergman space for each n in ns:
     2 pi int_r^1 rho^(2n+1) h(rho) drho, closed form for power laws, one
     shared adaptive Gauss rule for a profile."""
-    if weight.kind == "power_law":
+    if weight.profile is None:
         e = 2 * np.asarray(ns) + 1 + weight.b
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # libm's pow, as in Python's r ** x; numpy's SIMD power rounds differently
@@ -198,7 +199,7 @@ def weighted_bergman_kernel(spec: AnnulusSpec, weight: RadialWeight) -> kc.Serie
     with np.errstate(divide="ignore"):  # zero norms give inf, trimmed below
         coeffs = 1.0 / _norms_sq(spec, weight, ns)
     ns, coeffs = _trim_window(ns, coeffs)
-    return kc.SeriesKernel.annulus(ns, coeffs, spec.r)
+    return kc.SeriesKernel(ns, coeffs, spec.r)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +255,14 @@ def character_of_weight(spec: AnnulusSpec, weight: RadialWeight) -> Character:
     the outward normal on the inner circle points toward the origin, so the
     flux of (1/2) b log rho is -2 pi r b / (2 r) and c_1 = pi b, in closed
     form; gamma(b = 2) = 1 fixes the clockwise orientation of the inner
-    boundary.  The opposite-sign variant is reported in ``periods_alternate``.
+    boundary.  The opposite-sign variant is -c_1.
     """
-    if weight.kind != "power_law":
+    if weight.profile is not None:
         raise NotLogHarmonic("log h must be harmonic; only power laws qualify")
     c = math.pi * float(weight.b)
     if not math.isfinite(c):
         raise NonFiniteValue(f"period of rho^{weight.b} is not finite on the annulus r = {spec.r}")
-    return Character(gammas=[cmath.exp(1j * c)], periods=[c], periods_alternate=[-c])
+    return Character(period=c)
 
 
 @dataclass(frozen=True)
@@ -288,11 +289,9 @@ def character_equivalence(spec: AnnulusSpec, b1: float, b2: float,
                           grid_points: int = 20) -> EquivalenceVerdict:
     """Unitary equivalence of the two weighted Bergman multiplications:
     predicted by equal characters, measured by equal curvature grids."""
-    g1 = character_of_weight(spec, RadialWeight.power_law(b1))
-    g2 = character_of_weight(spec, RadialWeight.power_law(b2))
-    predicted = g1.matches(g2)
-    k1 = weighted_bergman_kernel(spec, RadialWeight.power_law(b1))
-    k2 = weighted_bergman_kernel(spec, RadialWeight.power_law(b2))
+    w1, w2 = RadialWeight.power_law(b1), RadialWeight.power_law(b2)
+    predicted = character_of_weight(spec, w1).matches(character_of_weight(spec, w2))
+    k1, k2 = weighted_bergman_kernel(spec, w1), weighted_bergman_kernel(spec, w2)
     diff = float(np.abs(curvature_grid(spec, k1, grid_points)
                         - curvature_grid(spec, k2, grid_points)).max())
     return EquivalenceVerdict(predicted=predicted, measured=diff <= EQUIVALENCE_TOL,

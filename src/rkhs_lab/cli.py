@@ -263,9 +263,9 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
     _check_tol(tol)
     spec = load_spec(kernel)
     kern = kernel_from_spec(spec)
-    annulus = kern.kind == kc.ANNULUS_LAURENT
+    annulus, kind = kern.inner_radius is not None, spec["kind"]
     if domain is not None and domain != ("annulus" if annulus else "disc"):
-        raise _contradiction("--domain", domain, "kind", kern.kind)
+        raise _contradiction("--domain", domain, "kind", kind)
     if annulus:
         aspec, wobj = annulus_from_spec(spec)
         if r is not None and r != aspec.r:
@@ -273,9 +273,9 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
         if weight is not None and _parse_weight(weight).b != wobj.b:
             raise _contradiction("--weight", weight, "weight_b", wobj.b)
     elif r is not None:
-        raise _contradiction("--r", r, "kind", kern.kind)
+        raise _contradiction("--r", r, "kind", kind)
     elif weight is not None:
-        raise _contradiction("--weight", weight, "kind", kern.kind)
+        raise _contradiction("--weight", weight, "kind", kind)
     rows = []
     for x in radii:
         s = an.szego_annulus(aspec, complex(x), complex(x)).real if annulus else None
@@ -301,9 +301,9 @@ def annulus(r, weight, task, grid, fmt):
     if task == "character":
         char = an.character_of_weight(spec, wobj)
         payload = {
-            "gamma": _fmt(char.gammas[0]),
-            "period": char.periods[0],
-            "period_alternate": char.periods_alternate[0],
+            "gamma": _fmt(char.gamma),
+            "period": char.period,
+            "period_alternate": -char.period,
             "r": r,
         }
         return _json(payload), EXIT_PASS

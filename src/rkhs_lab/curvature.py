@@ -15,7 +15,8 @@ from math import isfinite
 import numpy as np
 
 from . import kernels as kc
-from .errors import DegenerateKernel, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
+from .errors import (ConfigError, DegenerateKernel, DimensionMismatch, NonFiniteValue,
+                     NotPositiveDefinite)
 
 FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
 
@@ -124,7 +125,11 @@ def curvature_scalar(kernel, w: complex) -> float:
 
 def ci_slack(kernel, w: complex, szego_value=None) -> tuple:
     """(curvature, bound, slack = bound - curvature) of the curvature inequality at w;
-    the bound is -(1 - |w|^2)^-2, or -4 pi^2 S(w, w)^2 given the Szego value S(w, w)."""
+    the bound is -(1 - |w|^2)^-2, or -4 pi^2 S(w, w)^2 given the Szego value S(w, w).
+    A kernel on the annulus without a Szego value is refused with ConfigError."""
+    if szego_value is None and kernel.inner_radius is not None:
+        raise ConfigError(f"argument 'szego_value' is required for a kernel on the "
+                          f"annulus r = {kernel.inner_radius}")
     curv = curvature_scalar(kernel, w)
     if szego_value is None:
         bound = -((1.0 - abs(w) * abs(w)) ** -2)

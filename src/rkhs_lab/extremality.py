@@ -47,9 +47,13 @@ class StepResult:
 @dataclass(frozen=True)
 class PipelineReport:
     steps: list
-    failed_step: Optional[str]
     assumptions: list = field(default_factory=lambda: ["polynomial-density"])
     truncation: int = DEFAULT_TRUNCATION
+
+    @property
+    def failed_step(self) -> Optional[str]:
+        """Name of the first step that failed, None when every step passed."""
+        return next((s.name for s in self.steps if not s.passed), None)
 
     @property
     def passed(self) -> bool:
@@ -242,5 +246,4 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
         off = float(np.abs(G - np.diag(np.diag(G))).max())
         ok = run("monomial-orthonormality", norms <= STEP_TOL and off <= STEP_TOL,
                  f"max |norm-1| = {norms:.3e}, max off-diagonal = {off:.3e}")
-    failed = next((s.name for s in steps if not s.passed), None)
-    return PipelineReport(steps=steps, failed_step=failed, truncation=truncation)
+    return PipelineReport(steps=steps, truncation=truncation)

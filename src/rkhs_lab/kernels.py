@@ -43,9 +43,6 @@ from .errors import (
     UnsupportedJetOrder,
 )
 
-DISC_DIAGONAL = "disc_diagonal"
-ANNULUS_LAURENT = "annulus_laurent"
-
 #: admissibility margin keeping geometric truncation tails below ~1e-12
 BOUNDARY_MARGIN = 0.02
 DEFAULT_N_MAX = 200
@@ -58,13 +55,14 @@ VANISHING_TOL = 1e-13  # normalize_at refuses a center where |K(z, zeta)| < VANI
 class SeriesKernel:
     """Diagonal power/Laurent kernel with a finite truncation window.
 
-    ``ns`` is the contiguous array of exponents, ``coeffs`` the matching
-    coefficients; both are private read-only copies.  ``signed`` marks
-    series (such as tilde transforms) that are allowed to carry non-positive
-    coefficients.
+    ``ns`` is the contiguous array of exponents (from 0 on the disc),
+    ``coeffs`` the matching coefficients; both are private read-only copies.
+    The kernel is on the annulus inner_radius < |z| < 1 exactly when
+    ``inner_radius`` is set.  ``signed`` marks series (such as tilde
+    transforms) that may carry non-positive coefficients.  Anything else is
+    refused with ConfigError naming the field.
     """
 
-    kind: str
     ns: np.ndarray
     coeffs: np.ndarray
     inner_radius: Optional[float] = None
@@ -77,23 +75,19 @@ class SeriesKernel:
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "coeffs", coeffs)
         if ns.size == 0:
-            raise ValueError("truncation window is empty")
+            raise ConfigError("field 'ns' is an empty truncation window")
         if ns.size != coeffs.size:
-            raise ValueError("ns and coeffs length mismatch")
+            raise ConfigError(f"field 'coeffs' has {coeffs.size} entries for {ns.size} in 'ns'")
         if not np.all(np.diff(ns) == 1):
-            raise ValueError("exponent window must be contiguous")
-        if self.kind == DISC_DIAGONAL:
-            if ns[0] != 0:
-                raise ValueError("disc kernels start at n = 0")
-        elif self.kind == ANNULUS_LAURENT:
-            if self.inner_radius is None or not (0.0 < self.inner_radius < 1.0):
-                raise ValueError("annulus kernel needs inner_radius in (0, 1)")
-        else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not self.signed and not np.all(coeffs > 0.0):
-            raise ValueError("coefficients must be positive (use signed=True otherwise)")
+            raise ConfigError("field 'ns' must be a contiguous window")
+        if self.inner_radius is None and ns[0] != 0:
+            raise ConfigError(f"field 'ns' of a disc kernel must start at 0, got {ns[0]}")
+        if self.inner_radius is not None and not 0.0 < self.inner_radius < 1.0:
+            raise ConfigError(f"field 'inner_radius' must lie in (0, 1), got {self.inner_radius}")
         if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
+            raise ConfigError("field 'coeffs' must be finite")
+        if not self.signed and not np.all(coeffs > 0.0):
+            raise ConfigError("field 'coeffs' must be positive (use signed=True otherwise)")
 
     @cached_property
     def _live(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,10 +112,6 @@ class SeriesKernel:
             return (_sustained_growth(a),)
 
     @property
-    def domain(self) -> str:
-        return "annulus" if self.kind == ANNULUS_LAURENT else "disc"
-
-    @property
     def n_min(self) -> int:
         return int(self.ns[0])
 
@@ -132,27 +122,7 @@ class SeriesKernel:
     @classmethod
     def disc(cls, coeffs) -> "SeriesKernel":
         coeffs = np.asarray(coeffs, dtype=float)
-        return cls(DISC_DIAGONAL, np.arange(coeffs.size), coeffs)
-
-    @classmethod
-    def disc_rule(cls, rule: Callable[[np.ndarray], np.ndarray], n_max: int = DEFAULT_N_MAX) -> "SeriesKernel":
-        ns = np.arange(n_max + 1)
-        return cls(DISC_DIAGONAL, ns, np.asarray(rule(ns), dtype=float))
-
-    @classmethod
-    def geometric(cls, n_max: int = DEFAULT_N_MAX) -> "SeriesKernel":
-        """Szego-type kernel a_n = 1 (unnormalized 1/(1 - z wbar))."""
-        return cls.disc(np.ones(n_max + 1))
-
-    @classmethod
-    def bergman(cls, n_max: int = DEFAULT_N_MAX) -> "SeriesKernel":
-        """Bergman-type kernel a_n = n + 1 (unnormalized (1 - z wbar)^-2)."""
-        return cls.disc(np.arange(1.0, n_max + 2.0))
-
-    @classmethod
-    def annulus(cls, ns, coeffs, inner_radius: float, signed: bool = False) -> "SeriesKernel":
-        return cls(ANNULUS_LAURENT, np.asarray(ns, dtype=int), np.asarray(coeffs, dtype=float),
-                   inner_radius=inner_radius, signed=signed)
+        return cls(np.arange(coeffs.size), coeffs)
 
 
 @dataclass(frozen=True)
@@ -161,12 +131,11 @@ class ClosedFormKernel:
 
     ``block(z, w, order)`` returns the (order + 1) x (order + 1) array
     B[p, q] = d^p_z d^q_wbar K(z, w).  It is called with order <= 2 only and
-    with points already checked against ``domain``; every value and
-    derivative of the kernel is read off it.
+    with points already checked against the domain, the annulus when
+    ``inner_radius`` is set; every value and derivative is read off it.
     """
 
     block: Callable[[complex, complex, int], np.ndarray]
-    domain: str = "disc"
     inner_radius: Optional[float] = None
 
 
@@ -180,8 +149,14 @@ def check_point(kernel, z: complex) -> None:
         raise PointOutsideDomain(f"point {z} is not finite")
     if r > 1.0 - BOUNDARY_MARGIN:
         raise PointOutsideDomain(f"|z| = {r:.4f} too close to the unit circle")
-    if kernel.domain == "annulus" and r < inner + BOUNDARY_MARGIN:
+    if inner is not None and r < inner + BOUNDARY_MARGIN:
         raise PointOutsideDomain(f"|z| = {r:.4f} too close to inner circle r = {inner}")
+
+
+def require_disc(kernel, use: str, got: str = "'annulus_laurent'") -> None:
+    """Refuse a kernel on the annulus for ``use``, an operation of the disc only."""
+    if kernel.inner_radius is not None:
+        raise ConfigError(f"field 'kind' must be 'disc_diagonal' for {use}, got {got}")
 
 
 def _sustained_growth(a: np.ndarray) -> tuple[float, float]:
@@ -408,14 +383,12 @@ def tilde_kernel(kernel: SeriesKernel) -> SeriesKernel:
     The result may have non-positive coefficients; it is returned as a
     signed series, and ``positivity.contraction_check`` judges its signs.
     """
-    if kernel.kind != DISC_DIAGONAL:
-        raise ConfigError(f"field 'kind' must be '{DISC_DIAGONAL}' for the tilde "
-                          f"transform, got '{kernel.kind}'")
+    require_disc(kernel, "the tilde transform")
     a = kernel.coeffs
     b = np.empty_like(a)
     b[0] = a[0]
     b[1:] = a[1:] - a[:-1]
-    return SeriesKernel(DISC_DIAGONAL, kernel.ns, b, signed=True)
+    return SeriesKernel(kernel.ns, b, signed=True)
 
 
 def _congruence(kernel, phi, factor, scale=1.0) -> ClosedFormKernel:
@@ -437,7 +410,7 @@ def _congruence(kernel, phi, factor, scale=1.0) -> ClosedFormKernel:
                                  f"at z = {complex(z)}, w = {complex(w)}")
         return L
 
-    return ClosedFormKernel(block=block, domain=kernel.domain, inner_radius=kernel.inner_radius)
+    return ClosedFormKernel(block=block, inner_radius=kernel.inner_radius)
 
 
 def normalize_at(kernel, zeta: complex) -> ClosedFormKernel:
@@ -474,9 +447,7 @@ def mobius_pullback(kernel, a: complex) -> ClosedFormKernel:
     """
     if abs(a) >= 1.0:
         raise CenterOutsideDisc(f"|a| = {abs(a):.4f} >= 1")
-    if kernel.domain != "disc":
-        raise ConfigError(f"field 'kind' must be '{DISC_DIAGONAL}' for the Mobius "
-                          f"pullback, got a kernel on the {kernel.domain}")
+    require_disc(kernel, "the Mobius pullback", "a kernel on the annulus")
     ab = np.conjugate(a)
     s = 1.0 - abs(a) ** 2
 

@@ -90,9 +90,7 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
 def shift_coeffs(kernel: kc.SeriesKernel) -> np.ndarray:
     """Coefficients of a kernel that defines a weighted shift with representable
     weights, else ConfigError."""
-    if kernel.kind != kc.DISC_DIAGONAL:
-        raise ConfigError(f"field 'kind' must be '{kc.DISC_DIAGONAL}' for shift "
-                          f"weights, got '{kernel.kind}'")
+    kc.require_disc(kernel, "shift weights")
     a = kernel.coeffs
     if a.size < 2:
         raise ConfigError("field 'coeffs' must hold at least two coefficients for "

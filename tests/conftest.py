@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rkhs_lab import kernels as kc
+from rkhs_lab.specio import load_kernel
 
 SEED = 20240817
 
@@ -9,6 +10,11 @@ SEED = 20240817
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(SEED)
+
+
+def disc_kernel(rule, n_max=200, **fields):
+    """Disc kernel of a spec coefficient rule: "1", "n+1", or "(n+1)^s" with s=..."""
+    return load_kernel({"kind": "disc_diagonal", "coeff_rule": rule, "n_max": n_max, **fields})
 
 
 def random_contractive_coeffs(rng, size=201, max_step=0.02):

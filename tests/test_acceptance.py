@@ -19,7 +19,7 @@ from rkhs_lab.curvature import JetGram, curvature_scalar, mobius_rule_check
 from rkhs_lab.extremality import (classify_shift, fk_value,
                                   uniqueness_pipeline_check)
 from rkhs_lab.localop import canonical_form, verify_tt_identity, verify_tt_identity_gram
-from tests.conftest import (random_contractive_coeffs, random_contractive_kernel,
+from tests.conftest import (disc_kernel, random_contractive_coeffs, random_contractive_kernel,
                             synthetic_normalized_gram)
 
 RNG = np.random.default_rng(987654321)
@@ -114,7 +114,7 @@ def test_criterion_5_uniqueness_pipeline():
         rep = uniqueness_pipeline_check(geo, zeta)
         ok = ok and rep.passed
 
-    berg = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
+    berg = disc_kernel("n+1")
     rep = uniqueness_pipeline_check(berg, 0.0)
     ok = ok and rep.failed_step == "curvature-equality-at-zero"
 
@@ -135,7 +135,7 @@ def test_criterion_6_extremal_problem_formula():
     start = time.perf_counter()
     worst = 0.0
 
-    berg = kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) / np.pi, 200)
+    berg = kc.SeriesKernel.disc(np.arange(1.0, 202.0) / np.pi)
     closed = an.extremal_problem_value(berg, 0.0)
     worst = max(worst, abs(closed - np.pi / 2.0),
                 abs(closed - an.extremal_problem_ls(berg, 0.0)))

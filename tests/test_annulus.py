@@ -8,7 +8,7 @@ import pytest
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import curvature_scalar
+from rkhs_lab.curvature import ci_slack, curvature_scalar
 from rkhs_lab.errors import ConfigError, NotLogHarmonic, QuadratureFailure
 
 
@@ -149,8 +149,8 @@ def test_hardy_kernel_strict_slack(spec):
 def test_character_values(spec):
     for b, gamma in [(0.0, 1.0), (1.0, -1.0), (2.0, 1.0), (-1.0, -1.0)]:
         char = an.character_of_weight(spec, an.RadialWeight.power_law(b))
-        assert abs(char.gammas[0] - gamma) < 1e-10
-        assert abs(abs(char.periods[0]) - np.pi * abs(b)) < 1e-10
+        assert abs(char.gamma - gamma) < 1e-10
+        assert abs(abs(char.period) - np.pi * abs(b)) < 1e-10
 
 
 def test_periods_in_closed_form():
@@ -158,7 +158,7 @@ def test_periods_in_closed_form():
     for r in (0.1, 0.5, 0.9):
         spec = an.AnnulusSpec(r=r)
         for b in (-3.0, -0.5, 0.0, 1.0, 2.0, 7.25):
-            c = an.character_of_weight(spec, an.RadialWeight.power_law(b)).periods[0]
+            c = an.character_of_weight(spec, an.RadialWeight.power_law(b)).period
             assert abs(c - np.pi * b) <= 4e-16 * abs(np.pi * b)
         p11 = an.period_matrix(spec)[0, 0]
         exact = 2.0 * np.pi / abs(np.log(r))
@@ -168,6 +168,35 @@ def test_periods_in_closed_form():
 def test_character_requires_log_harmonic(spec):
     with pytest.raises(NotLogHarmonic):
         an.character_of_weight(spec, an.RadialWeight.from_profile(np.exp))
+
+
+def test_a_weight_is_its_profile_or_a_power_law(spec):
+    h = np.square
+    with pytest.raises(ConfigError, match="'b'"):
+        an.RadialWeight(b=2, profile=h)
+    assert an.RadialWeight(profile=h) == an.RadialWeight.from_profile(h)
+    assert an.RadialWeight(b=2.0) == an.RadialWeight.power_law(2.0)
+    assert an.RadialWeight(b=2.0)(0.5) == an.RadialWeight.from_profile(h)(0.5) == 0.25
+    # a profile is not log-harmonic even where it equals a power law
+    with pytest.raises(NotLogHarmonic):
+        an.character_of_weight(spec, an.RadialWeight.from_profile(h))
+
+
+def test_character_is_its_period():
+    char = an.Character(np.pi)
+    assert abs(char.gamma + 1.0) < 1e-15
+    assert char.matches(an.Character(3.0 * np.pi))
+    assert not char.matches(an.Character(0.0))
+
+
+def test_ci_slack_refuses_an_annulus_kernel_without_its_szego_value(spec):
+    weight = an.RadialWeight.power_law(1.0)
+    kernel = an.weighted_bergman_kernel(spec, weight)
+    for k in (kernel, kc.normalize_at(kernel, 0.7)):
+        with pytest.raises(ConfigError, match="'szego_value'"):
+            ci_slack(k, 0.7)
+    szego = an.szego_annulus(spec, 0.7, 0.7).real
+    assert ci_slack(kernel, 0.7, szego)[2] == an.strict_ci_check(spec, weight, 0.7, kernel)
 
 
 def test_character_periodicity_b_plus_two(spec):

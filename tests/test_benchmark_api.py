@@ -1,9 +1,12 @@
 """Every library name that the benchmark in perfbench/ traces or calls exists,
-so removing one fails here rather than in a benchmark run.  The benchmark
-files are parsed, not imported."""
+and every library call it makes binds to its callee's signature, so removing
+a name or changing a signature fails here rather than in a benchmark run.
+The benchmark files are parsed, not imported."""
 
 import ast
 import importlib
+import inspect
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: the module aliases of perfbench/workloads.py
 ALIASES = {"cv": "curvature", "lo": "localop", "an": "annulus", "ca": "caratheodory",
            "ps": "positivity", "ex": "extremality", "kc": "kernels"}
+#: every module name that workloads.py calls through: the aliases and specio
+CALLED = {**ALIASES, "specio": "specio"}
 
 
 def traced_layers():
@@ -23,11 +28,38 @@ def traced_layers():
     raise AssertionError("perfbench/tracing.py assigns no LAYERS")
 
 
+WORKLOADS = ast.parse((PERFBENCH / "workloads.py").read_text())
+
+
 def workload_attributes():
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    return sorted({(ALIASES[node.value.id], node.attr) for node in ast.walk(tree)
+    return sorted({(ALIASES[node.value.id], node.attr) for node in ast.walk(WORKLOADS)
                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                    and node.value.id in ALIASES})
+
+
+def dotted(node):
+    """["an", "RadialWeight", "power_law"] for the callee an.RadialWeight.power_law,
+    None for a callee that is not a dotted name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and head + [node.attr]
+    return None
+
+
+def workload_calls():
+    """(module name, attribute path, positional count, keyword names) of every
+    call that workloads.py makes on a library module, once per distinct shape."""
+    calls = set()
+    for node in ast.walk(WORKLOADS):
+        path = isinstance(node, ast.Call) and dotted(node.func)
+        if path and path[0] in CALLED and len(path) > 1:
+            assert not any(isinstance(a, ast.Starred) for a in node.args), path
+            assert all(k.arg for k in node.keywords), path
+            calls.add((path[0], tuple(path[1:]), len(node.args),
+                       tuple(k.arg for k in node.keywords)))
+    return sorted(calls)
 
 
 TRACED = [(layer, name) for layer, names in traced_layers().items() for name in names]
@@ -41,3 +73,20 @@ def test_benchmark_names_exist(module, name):
 def test_benchmark_reads_every_alias():
     assert len(TRACED) >= 20
     assert {module for module, _ in workload_attributes()} == set(ALIASES.values())
+
+
+CALLS = workload_calls()
+
+
+@pytest.mark.parametrize("alias, path, positional, keywords", CALLS,
+                         ids=[f"{a}.{'.'.join(p)}/{n}/{','.join(k)}" for a, p, n, k in CALLS])
+def test_benchmark_calls_bind_to_their_signatures(alias, path, positional, keywords):
+    callee = reduce(getattr, path, importlib.import_module(f"rkhs_lab.{CALLED[alias]}"))
+    inspect.signature(callee).bind(*range(positional), **dict.fromkeys(keywords))
+
+
+def test_benchmark_calls_cover_the_library_calls():
+    calls = {(alias, ".".join(path)) for alias, path, _, _ in CALLS}
+    assert {("an", "strict_ci_check"), ("an", "AnnulusSpec"),
+            ("an", "RadialWeight.power_law"), ("specio", "load_kernel")} <= calls
+    assert len(calls) >= 20

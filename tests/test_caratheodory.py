@@ -83,7 +83,7 @@ def test_generalized_ci_detects_violation():
 
 def test_planar_ci_disc_control():
     # Bergman dd-bar log K = 2, Szego term 4 pi^2 (1/2pi)^2 = 1: slack 1
-    berg = kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) / np.pi, 200)
+    berg = kc.SeriesKernel.disc(np.arange(1.0, 202.0) / np.pi)
     curv, bound, slack = ci_slack(berg, 0.0, ca.szego_disc(0, 0).real)
     assert (curv, bound) == (pytest.approx(-2.0), pytest.approx(-1.0))
     assert slack == pytest.approx(1.0)

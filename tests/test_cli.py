@@ -417,7 +417,7 @@ import rkhs_lab.cli
 polynomial_at_import = "numpy.polynomial" in sys.modules
 from rkhs_lab import annulus as an, caratheodory as ca, curvature as cv, kernels as kc
 from rkhs_lab import localop as lo
-k = kc.SeriesKernel.bergman()
+k = kc.SeriesKernel.disc(np.arange(1.0, 202.0))
 lo.canonical_form(lo.jet_gram(k, 0.3))
 lo.verify_tt_identity(k, 0.3)
 G = np.eye(6) + 0.1 * np.ones((6, 6))

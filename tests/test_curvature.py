@@ -8,7 +8,7 @@ from rkhs_lab.curvature import (curvature_matrix, curvature_scalar,
                                 curvature_scalar_fd, frame_from_jet,
                                 mobius_rule_check)
 from rkhs_lab.errors import PointOutsideDomain
-from tests.conftest import random_contractive_kernel
+from tests.conftest import disc_kernel, random_contractive_kernel
 
 
 def test_geometric_kernel_closed_form():
@@ -21,12 +21,12 @@ def test_geometric_kernel_closed_form():
 @pytest.mark.parametrize("w", [0.99, 1.5])
 def test_curvature_refuses_points_outside_the_disc(w):
     with pytest.raises(PointOutsideDomain):
-        curvature_scalar(kc.SeriesKernel.geometric(), w)
+        curvature_scalar(disc_kernel("1"), w)
 
 
 def test_bergman_kernel_closed_form():
     # K = 1/(1-z wbar)^2: curvature is -2 (1-|w|^2)^-2
-    k = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
+    k = disc_kernel("n+1")
     for w in [0.0, 0.4, 0.2 - 0.5j]:
         expected = -2.0 * (1.0 - abs(w) ** 2) ** -2
         assert curvature_scalar(k, w) == pytest.approx(expected, rel=1e-11)
@@ -42,7 +42,7 @@ def test_finite_difference_oracle_agrees(rng):
 
 
 def test_curvature_matrix_reduces_to_scalar():
-    k = kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) ** 2, 200)
+    k = disc_kernel("(n+1)^s", s=2)
     w = 0.2 + 0.3j
     frame = frame_from_jet(k, w)
     K = curvature_matrix(frame)

@@ -16,7 +16,7 @@ from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
                                   uniqueness_pipeline_check)
 from rkhs_lab.positivity import (contraction_check, shift_kernel,
                                 two_hypercontraction_check)
-from tests.conftest import random_contractive_coeffs
+from tests.conftest import disc_kernel, random_contractive_coeffs
 
 
 def geometric():
@@ -24,7 +24,7 @@ def geometric():
 
 
 def bergman():
-    return kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
+    return disc_kernel("n+1")
 
 
 def case2():

@@ -13,6 +13,7 @@ from rkhs_lab.curvature import curvature_scalar
 from rkhs_lab.errors import (ConfigError, KernelVanishesNearCenter, NonFiniteValue,
                              PointOutsideDomain, TruncationTailTooLarge, UnsupportedJetOrder)
 from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
+from tests.conftest import disc_kernel
 
 
 def geometric(n_max=200):
@@ -58,7 +59,7 @@ def test_deriv2_matches_analytic_derivatives():
 
 
 def test_jet_hermitian_on_diagonal():
-    k = kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) ** 1.5, 150)
+    k = disc_kernel("(n+1)^s", 150, s=1.5)
     J = kc.jet(k, 0.3 + 0.3j, 2)
     assert np.allclose(J, J.conj().T, atol=1e-10 * abs(J[0, 0]))
 
@@ -72,7 +73,7 @@ def test_tilde_kernel_coefficients():
 
 
 def test_tilde_kernel_value_identity():
-    k = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
+    k = disc_kernel("n+1")
     z, w = 0.3, 0.5 + 0.1j
     lhs = kc.eval_kernel(kc.tilde_kernel(k), z, w)
     rhs = (1.0 - z * np.conjugate(w)) * kc.eval_kernel(k, z, w)
@@ -80,7 +81,7 @@ def test_tilde_kernel_value_identity():
 
 
 def test_normalize_at_sets_slice_to_one():
-    k = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
+    k = disc_kernel("n+1")
     zeta = 0.2 + 0.1j
     nk = kc.normalize_at(k, zeta)
     for z in [zeta, zeta + 0.05, zeta - 0.04j]:
@@ -91,8 +92,7 @@ def test_normalize_at_sets_slice_to_one():
 def test_normalize_rejects_vanishing_kernel():
     # coefficients alternating in a way that K(z, zeta) ~ 0 near the circle
     evil = kc.ClosedFormKernel(
-        block=lambda z, w, order: np.array([[(z - 0.3) * np.conjugate(w - 0.3)]]),
-        domain=kc.DISC_DIAGONAL)
+        block=lambda z, w, order: np.array([[(z - 0.3) * np.conjugate(w - 0.3)]]))
     with pytest.raises(KernelVanishesNearCenter):
         kc.normalize_at(evil, 0.3)
 
@@ -109,7 +109,7 @@ def test_mobius_pullback_composes_with_inverse_map():
 
 
 def test_mobius_pullback_derivative_consistent_with_finite_difference():
-    k = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
+    k = disc_kernel("n+1")
     pk = kc.mobius_pullback(k, 0.2 - 0.1j)
     z, w, h = 0.15, 0.1 + 0.2j, 1e-5
     fd = (kc.eval_kernel(pk, z + h, w) - kc.eval_kernel(pk, z - h, w)) / (2 * h)
@@ -155,7 +155,7 @@ def test_closed_form_refuses_order_above_two():
         kc.deriv2(pk, 0.1, 0.2j, 3, 0)
 
 
-@pytest.mark.parametrize("kernel", [kc.SeriesKernel.bergman(),
+@pytest.mark.parametrize("kernel", [disc_kernel("n+1"),
                                     kc.mobius_pullback(geometric(), 0.2 - 0.1j)],
                          ids=["series", "closed-form"])
 def test_negative_orders_are_refused(kernel):
@@ -173,6 +173,52 @@ def test_negative_orders_are_refused(kernel):
 def test_mobius_pullback_refuses_annulus_kernels():
     with pytest.raises(ConfigError, match="'kind'"):
         kc.mobius_pullback(an.szego_kernel(an.AnnulusSpec(r=0.5)), 0.1)
+
+
+def test_transforms_keep_the_domain_of_their_kernel():
+    szego = an.szego_kernel(an.AnnulusSpec(r=0.5))
+    normalized = kc.normalize_at(szego, 0.7)
+    assert normalized.inner_radius == 0.5
+    assert kc.normalize_at(geometric(), 0.3).inner_radius is None
+    assert kc.mobius_pullback(geometric(), 0.3).inner_radius is None
+    with pytest.raises(PointOutsideDomain):
+        kc.eval_kernel(normalized, 0.1, 0.7)
+    with pytest.raises(ConfigError, match="'kind'"):
+        kc.mobius_pullback(normalized, 0.1)
+
+
+def test_a_closed_form_on_the_annulus_refuses_the_hole():
+    closed = kc.ClosedFormKernel(block=lambda z, w, order: np.ones((order + 1, order + 1)),
+                                 inner_radius=0.5)
+    assert kc.eval_kernel(closed, 0.7, 0.6) == 1.0
+    with pytest.raises(PointOutsideDomain):
+        kc.eval_kernel(closed, 0.1, 0.6)
+    with pytest.raises(ConfigError, match="'kind'"):
+        kc.mobius_pullback(closed, 0.1)
+
+
+@pytest.mark.parametrize("ns, coeffs, fields, field", [
+    ([], [], {}, "'ns'"),
+    ([0, 1, 2], [1.0, 1.0], {}, "'coeffs'"),
+    ([0, 1, 3], [1.0, 1.0, 1.0], {}, "'ns'"),
+    ([-1, 0, 1], [1.0, 1.0, 1.0], {}, "'ns'"),
+    ([-1, 0, 1], [1.0, 1.0, 1.0], {"inner_radius": 0.0}, "'inner_radius'"),
+    ([-1, 0, 1], [1.0, 1.0, 1.0], {"inner_radius": 1.0}, "'inner_radius'"),
+    ([-1, 0, 1], [1.0, 1.0, 1.0], {"inner_radius": np.nan}, "'inner_radius'"),
+    ([0, 1, 2], [1.0, np.inf, 1.0], {}, "'coeffs'"),
+    ([0, 1, 2], [1.0, np.nan, 1.0], {"signed": True}, "'coeffs'"),
+    ([0, 1, 2], [1.0, 0.0, 1.0], {}, "'coeffs'"),
+    ([-1, 0, 1], [1.0, -2.0, 1.0], {"inner_radius": 0.5}, "'coeffs'"),
+], ids=["empty", "length", "gap", "disc-from-minus-1", "radius-0", "radius-1", "radius-nan",
+        "inf", "signed-nan", "zero", "negative-laurent"])
+def test_series_kernel_refuses_an_invalid_window(ns, coeffs, fields, field):
+    with pytest.raises(ConfigError, match=field):
+        kc.SeriesKernel(ns, coeffs, **fields)
+
+
+def test_series_kernel_accepts_signed_and_laurent_windows():
+    assert kc.SeriesKernel([0, 1, 2], [1.0, 0.0, -1.0], signed=True).inner_radius is None
+    assert kc.SeriesKernel([3, 4], [1.0, 2.0], inner_radius=0.5).n_min == 3
 
 
 def test_mobius_map_roundtrip():
@@ -276,7 +322,7 @@ def windows_and_points(draw):
 @example((an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05, N=200),
                                      an.RadialWeight.power_law(50.0)), 0.075 + 0j, 0.075j))
 # a real pair of opposite signs: the phase row is (-1)^n
-@example((kc.SeriesKernel.bergman(), -0.8 + 0j, 0.8 + 0j))
+@example((disc_kernel("n+1"), -0.8 + 0j, 0.8 + 0j))
 # a subnormal point, whose |w| has lost bits: w / |w| is 8e-12 off the unit circle
 @example((kc.SeriesKernel.disc([1.0, 1.0]), 0j, 1.2022125365e-313 + 1.872335091e-313j))
 def test_deriv2_and_jet_match_mpmath(case):
@@ -322,7 +368,7 @@ THIN_STEEP = an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05), an.RadialWeight.
 
 @settings(max_examples=60, deadline=None)
 @given(windows_and_points())
-@example((kc.SeriesKernel.bergman(), 0j, 0j))
+@example((disc_kernel("n+1"), 0j, 0j))
 @example((kc.SeriesKernel.disc([1.0, 1.0]), 0j, SUBNORMAL_POINT))
 # a_n ~ 1e-300 at n = -142, where |w|^(2n) alone overflows a double
 @example((THIN_STEEP, 0j, 0.075 + 0j))
@@ -333,8 +379,8 @@ def test_curvature_matches_mpmath(case):
 
 @pytest.mark.parametrize("kernel", [
     geometric(),
-    kc.SeriesKernel.bergman(),
-    kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) ** 2.7),
+    disc_kernel("n+1"),
+    disc_kernel("(n+1)^s", s=2.7),
     kc.SeriesKernel.disc([4.0, 3.0, 5.0]),
     kc.tilde_kernel(kc.SeriesKernel.disc([0.5, 1.7, 2.0] * 20)),
 ], ids=["geometric", "bergman", "power-2.7", "short", "tilde"])
@@ -373,15 +419,14 @@ def test_curvature_of_finite_sums_near_the_double_limit(w):
 
 
 @pytest.mark.parametrize("kernel, points", [
-    (kc.SeriesKernel.bergman(), [0.0, 0.5, -0.3 + 0.6j, 0.9j]),
+    (disc_kernel("n+1"), [0.0, 0.5, -0.3 + 0.6j, 0.9j]),
     # a short window, so that c a_n stays a normal double for every c
     (an.weighted_bergman_kernel(an.AnnulusSpec(r=0.85, N=50), an.RadialWeight.power_law(1.0)),
      [0.9, 0.93j, -0.65 + 0.65j]),
 ], ids=["bergman", "laurent"])
 @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
 def test_curvature_is_scale_free(kernel, points, c):
-    scaled = kc.SeriesKernel(kernel.kind, kernel.ns, c * kernel.coeffs,
-                             inner_radius=kernel.inner_radius)
+    scaled = kc.SeriesKernel(kernel.ns, c * kernel.coeffs, inner_radius=kernel.inner_radius)
     for w in points:
         assert curvature_scalar(scaled, w) == pytest.approx(curvature_scalar(kernel, w),
                                                              rel=1e-14)
@@ -397,7 +442,7 @@ def test_closed_form_refuses_a_non_finite_block():
 
 
 @pytest.mark.parametrize("kernel", [
-    kc.SeriesKernel.bergman(),
+    disc_kernel("n+1"),
     kc.tilde_kernel(kc.SeriesKernel.disc([1.0, 2.0, 2.0, 2.0, 3.5] * 40)),
     an.szego_kernel(an.AnnulusSpec(r=0.3)),
     an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05), an.RadialWeight.power_law(50.0)),
@@ -488,7 +533,7 @@ def test_every_series_path_checks_the_domain():
 
 def test_series_kernel_arrays_are_private_and_read_only():
     ns, coeffs = np.arange(60), np.linspace(1.0, 2.0, 60)
-    k = kc.SeriesKernel(kc.DISC_DIAGONAL, ns, coeffs)
+    k = kc.SeriesKernel(ns, coeffs)
     for arr in (k.ns, k.coeffs):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -509,8 +554,8 @@ def test_jet_at_zero_is_exact():
 
 
 @pytest.mark.parametrize("kernel", [
-    kc.SeriesKernel.bergman(),
-    kc.mobius_pullback(kc.SeriesKernel.bergman(), 0.2 - 0.1j),
+    disc_kernel("n+1"),
+    kc.mobius_pullback(disc_kernel("n+1"), 0.2 - 0.1j),
 ], ids=["series", "closed-form"])
 def test_normalize_at_keeps_the_curvature(kernel):
     # normalization multiplies K by |f|^2 with f holomorphic: same curvature

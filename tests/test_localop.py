@@ -12,7 +12,8 @@ from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar, fram
 from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite
 from rkhs_lab.localop import (canonical_form, function_of_local, jet_gram,
                               verify_tt_identity, verify_tt_identity_gram)
-from tests.conftest import random_contractive_kernel, synthetic_normalized_gram
+from tests.conftest import (disc_kernel, random_contractive_kernel,
+                            synthetic_normalized_gram)
 
 
 def test_geometric_tt_identity_exact():
@@ -29,7 +30,7 @@ def test_tt_identity_random_kernels(rng):
 
 
 def test_canonical_form_shape_and_triangularity():
-    k = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 200)
+    k = disc_kernel("n+1")
     form = canonical_form(jet_gram(k, 0.25))
     # m = 1, n = 1: single 2x2 nilpotent block, strictly upper triangular
     N1 = function_of_local(form, 0.0, [1.0])
@@ -43,7 +44,7 @@ def test_canonical_form_shape_and_triangularity():
 def test_one_frame_normalization_for_kernel_and_matrix(w):
     # the kernel route and the matrix route make the same frame change, so
     # both give R = -1/curvature
-    k = kc.SeriesKernel.bergman()
+    k = disc_kernel("n+1")
     by_kernel = canonical_form(jet_gram(k, w))
     by_matrix = canonical_form(JetGram(kc.jet(k, w, 1), 1, 1))
     assert np.array_equal(by_matrix.t, by_kernel.t)
@@ -101,7 +102,7 @@ def test_synthetic_gram_m2_inputs(rng):
 
 
 def test_R_is_tt_star_and_the_inverse_block(rng):
-    jets = [jet_gram(kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) ** s, 200), w).G
+    jets = [jet_gram(disc_kernel("(n+1)^s", s=s), w).G
             for s in (0.0, 1.0, 2.5) for w in (0.0, 0.4, 0.3 - 0.5j)]
     cases = [(G, 1, 1) for G in jets] + [
         (synthetic_normalized_gram(rng, m=m, n=n, cond_scale=4.0), m, n)
@@ -152,7 +153,7 @@ def test_one_frame_normalization_per_local_point(monkeypatch):
         return inv_sqrt(h)
 
     monkeypatch.setattr(cv, "_inv_sqrt_hermitian", counting)
-    k = kc.SeriesKernel.bergman()
+    k = disc_kernel("n+1")
     verify_tt_identity(k, 0.3)
     assert len(calls) == 1
     curvature_matrix(frame_from_jet(k, 0.3))
@@ -170,7 +171,7 @@ def test_canonical_form_is_one_call_of_the_definite_test(monkeypatch):
         return ps.inverse_factor(G)
 
     monkeypatch.setattr(lo, "inverse_factor", counting)
-    gram = jet_gram(kc.SeriesKernel.bergman(), 0.3)
+    gram = jet_gram(disc_kernel("n+1"), 0.3)
     canonical_form(gram)
     assert len(calls) == 1 and calls[0] is gram.G
 
@@ -191,7 +192,7 @@ def test_function_of_local_block_structure():
 def test_curvature_from_local_form_matches_scalar():
     from rkhs_lab.curvature import curvature_scalar
 
-    k = kc.SeriesKernel.disc_rule(lambda n: (n + 1.0) ** 3, 200)
+    k = disc_kernel("(n+1)^s", s=3)
     w = 0.2 - 0.3j
     form = canonical_form(jet_gram(k, w))
     # R = -1/curvature in the rank-1 case

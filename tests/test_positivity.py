@@ -11,7 +11,7 @@ from rkhs_lab.errors import (DimensionMismatch, NonHermitianInput, NotAContracti
 from rkhs_lab.positivity import (contraction_check, gram_decrease_check,
                                  hyponormal_check, inverse_factor, psd_check,
                                  shift_kernel, two_hypercontraction_check)
-from tests.conftest import random_contractive_kernel
+from tests.conftest import disc_kernel, random_contractive_kernel
 
 
 def test_psd_check_accepts_gram(rng):
@@ -63,7 +63,7 @@ def test_contraction_random_family(rng):
 
 
 def test_hyponormal_bergman():
-    berg = kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 100)
+    berg = disc_kernel("n+1", 100)
     assert hyponormal_check(berg).passed
 
 
@@ -80,7 +80,7 @@ def test_hyponormal_rejects_weight_dip():
 def test_two_hypercontraction_geometric_and_bergman():
     assert two_hypercontraction_check(kc.SeriesKernel.disc(np.ones(100))).passed
     assert two_hypercontraction_check(
-        kc.SeriesKernel.disc_rule(lambda n: n + 1.0, 100)).passed
+        disc_kernel("n+1", 100)).passed
 
 
 def test_two_hypercontraction_requires_contraction():
