@@ -65,11 +65,11 @@ class CurvatureMatrix:
 
 
 def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
-    """h^-1/2 of a Hermitian positive definite metric h."""
-    vals, vecs = np.linalg.eigh(h)  # ascending
+    """h^-1/2 of a Hermitian positive definite metric h; if 1 x 1, eigh's value in closed form."""
+    vals, vecs = (h.real[0], None) if h.shape == (1, 1) else np.linalg.eigh(h)  # ascending
     if not vals[0] > 0.0:
         raise NotPositiveDefinite(f"metric not positive definite (min eig {vals[0]:.3e})")
-    return (vecs * vals ** -0.5) @ vecs.conj().T
+    return h.real ** -0.5 if vecs is None else (vecs * vals ** -0.5) @ vecs.conj().T
 
 
 def frame_from_jet(kernel, w: complex) -> JetGram:

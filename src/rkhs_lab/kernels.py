@@ -51,6 +51,11 @@ GROWTH_WINDOW = 20  # trailing coefficients that set a window end's growth rate
 VANISHING_TOL = 1e-13  # normalize_at refuses a center where |K(z, zeta)| < VANISHING_TOL nearby
 
 
+def _check_inner_radius(inner_radius) -> None:
+    if inner_radius is not None and not 0.0 < inner_radius < 1.0:
+        raise ConfigError(f"field 'inner_radius' must lie in (0, 1), got {inner_radius}")
+
+
 @dataclass(frozen=True)
 class SeriesKernel:
     """Diagonal power/Laurent kernel with a finite truncation window.
@@ -82,8 +87,7 @@ class SeriesKernel:
             raise ConfigError("field 'ns' must be a contiguous window")
         if self.inner_radius is None and ns[0] != 0:
             raise ConfigError(f"field 'ns' of a disc kernel must start at 0, got {ns[0]}")
-        if self.inner_radius is not None and not 0.0 < self.inner_radius < 1.0:
-            raise ConfigError(f"field 'inner_radius' must lie in (0, 1), got {self.inner_radius}")
+        _check_inner_radius(self.inner_radius)
         if not np.all(np.isfinite(coeffs)):
             raise ConfigError("field 'coeffs' must be finite")
         if not self.signed and not np.all(coeffs > 0.0):
@@ -130,13 +134,16 @@ class ClosedFormKernel:
     """Kernel given by its derivative block.
 
     ``block(z, w, order)`` returns the (order + 1) x (order + 1) array
-    B[p, q] = d^p_z d^q_wbar K(z, w).  It is called with order <= 2 only and
-    with points already checked against the domain, the annulus when
-    ``inner_radius`` is set; every value and derivative is read off it.
+    B[p, q] = d^p_z d^q_wbar K(z, w), called with order <= 2 only and with points
+    already checked against the domain, the annulus when ``inner_radius`` (in
+    (0, 1), else ConfigError) is set; every value and derivative is read off it.
     """
 
     block: Callable[[complex, complex, int], np.ndarray]
     inner_radius: Optional[float] = None
+
+    def __post_init__(self):
+        _check_inner_radius(self.inner_radius)
 
 
 # ---------------------------------------------------------------------------

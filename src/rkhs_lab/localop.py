@@ -3,11 +3,10 @@
 Takes the jet Gram G of :mod:`rkhs_lab.curvature`, of the frame that it makes
 orthonormal at the point when it is built, in the block order (frame,
 d_1 frame, ..., d_m frame) and factors it once,
-:func:`positivity.inverse_factor`.  The block upper triangular factor P, with
-P_11 = I and P conj(P)^t = G^-1, gives t = P_22 and the lower-right block
-R = t conj(t)^t of G^-1, which is the identity
-t(w) conj(t(w))^t = (-curvature(w))^-1.
-numpy is the only dependency.
+:func:`positivity.inverse_factor`.  Its P, exactly upper triangular with a
+real diagonal, P_11 = I and P conj(P)^t = G^-1, gives t = P_22 and the
+lower-right block R = t conj(t)^t of G^-1, which is the identity
+t(w) conj(t(w))^t = (-curvature(w))^-1.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -56,10 +55,10 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
 def verify_tt_identity_gram(gram: JetGram, form: LocalOperatorForm) -> float:
     """Relative spectral-norm residual of t conj(t)^t = (-curvature)^-1 for the
     canonical form of ``gram``, the target formed from :func:`curvature_matrix`,
-    not from the factor behind t."""
+    not from the factor behind t; one eigensolve gives both spectra."""
     target = np.linalg.inv(-curvature_matrix(gram).matrix)
-    resid = np.abs(np.linalg.eigvalsh(form.R - target)).max()
-    return float(resid / np.abs(np.linalg.eigvalsh(target)).max())
+    resid, scale = np.abs(np.linalg.eigvalsh(np.stack((form.R - target, target)))).max(axis=1)
+    return float(resid / scale)
 
 
 def verify_tt_identity(kernel, w: complex) -> float:

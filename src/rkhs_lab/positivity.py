@@ -65,22 +65,21 @@ def psd_check(gram: np.ndarray) -> CheckResult:
 
 
 def inverse_factor(gram: np.ndarray) -> np.ndarray:
-    """The definite test: the upper triangular P with P conj(P)^t = G^-1, from
-    one Cholesky factor G = L conj(L)^t, P = conj(inv(L))^t.
+    """The definite test: P = inv(conj(L)^t) from one Cholesky factor G = L conj(L)^t,
+    so P conj(P)^t = G^-1; LU does not pivot on a triangular matrix, so P is
+    exactly upper triangular with a real positive diagonal.
 
-    Raises NotPositiveDefinite when the factorization fails or unless
-    ||G||_F tr(G^-1) = ||G||_F ||P||_F^2 <= COND_LIMIT.  That bound exceeds
-    cond_2(G) by at most a factor size^(3/2); inf and NaN fail it.
+    Raises NotPositiveDefinite when the factorization fails or unless the bound
+    ||G||_F tr(G^-1) = ||G||_F ||P||_F^2, in Python floats (no overflow warning),
+    is <= COND_LIMIT; it exceeds cond_2(G) by at most size^(3/2); inf and NaN fail it.
     """
     G = _float_or_complex(gram)
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Gram is not positive definite") from exc
-    # the pivoted inverse leaves roundoff below the diagonal of P; triu drops it
-    P = np.triu(np.linalg.inv(L).conj().T)
-    with np.errstate(over="ignore"):
-        bound = np.linalg.norm(G) * np.linalg.norm(P) ** 2
+    P = np.linalg.inv(L.conj().T)
+    bound = float(np.vdot(G, G).real) ** 0.5 * float(np.vdot(P, P).real)
     if not bound <= COND_LIMIT:
         raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) = {bound:.2e} "
                                   f"exceeds {COND_LIMIT:.0e}")

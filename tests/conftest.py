@@ -17,6 +17,19 @@ def disc_kernel(rule, n_max=200, **fields):
     return load_kernel({"kind": "disc_diagonal", "coeff_rule": rule, "n_max": n_max, **fields})
 
 
+def counting(monkeypatch, module, name):
+    """Calls of ``module.name``, counted through a monkeypatched wrapper."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def random_contractive_coeffs(rng, size=201, max_step=0.02):
     """a_0 = 1 and a_n nondecreasing: tilde coefficients a_n - a_(n-1) >= 0."""
     steps = rng.uniform(0.0, max_step, size - 1)

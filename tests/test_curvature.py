@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import (curvature_matrix, curvature_scalar,
+from rkhs_lab.curvature import (_inv_sqrt_hermitian, curvature_matrix, curvature_scalar,
                                 curvature_scalar_fd, frame_from_jet,
                                 mobius_rule_check)
-from rkhs_lab.errors import PointOutsideDomain
+from rkhs_lab.errors import NotPositiveDefinite, PointOutsideDomain
 from tests.conftest import disc_kernel, random_contractive_kernel
 
 
@@ -61,3 +61,33 @@ def test_mobius_rule_random_kernels(rng):
         a = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         assert mobius_rule_check(k, a, z) < 1e-6
+
+
+def _eigh_inv_sqrt(h):
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * vals ** -0.5) @ vecs.conj().T
+
+
+def test_a_1x1_metric_root_is_the_eigh_route_to_the_bit():
+    rng = np.random.default_rng(20000)
+    for v in 10.0 ** rng.uniform(-300.0, 300.0, 20000):
+        h = np.array([[complex(v)]])
+        root, oracle = _inv_sqrt_hermitian(h), _eigh_inv_sqrt(h)
+        assert root.shape == (1, 1) and oracle.imag[0, 0] == 0.0
+        assert root[0, 0] == oracle.real[0, 0]
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, -1e-300, -2.0])
+def test_a_1x1_metric_root_refuses_what_is_not_positive(v):
+    with pytest.raises(NotPositiveDefinite):
+        _inv_sqrt_hermitian(np.array([[complex(v)]]))
+
+
+def test_a_2x2_metric_root_is_the_eigh_route():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = B @ B.conj().T + 0.1 * np.eye(2)
+        assert np.array_equal(_inv_sqrt_hermitian(h), _eigh_inv_sqrt(h))
+    with pytest.raises(NotPositiveDefinite):
+        _inv_sqrt_hermitian(np.diag([1.0, -1.0]).astype(complex))

@@ -16,7 +16,7 @@ from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
                                   uniqueness_pipeline_check)
 from rkhs_lab.positivity import (contraction_check, shift_kernel,
                                 two_hypercontraction_check)
-from tests.conftest import disc_kernel, random_contractive_coeffs
+from tests.conftest import counting, disc_kernel, random_contractive_coeffs
 
 
 def geometric():
@@ -237,19 +237,6 @@ def test_pipeline_refuses_pullback_sums_past_the_double_range():
     kernel = kc.SeriesKernel.disc(np.concatenate([[1.0], np.full(200, 1.7e308)]))
     with pytest.raises(NonFiniteValue, match="zeta = 0.3"):
         uniqueness_pipeline_check(kernel, 0.3)
-
-
-def counting(monkeypatch, module, name):
-    """Calls of ``module.name``, counted through a monkeypatched wrapper."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 @pytest.mark.parametrize("zeta", [0.0, 0.3])

@@ -197,6 +197,13 @@ def test_a_closed_form_on_the_annulus_refuses_the_hole():
         kc.mobius_pullback(closed, 0.1)
 
 
+@pytest.mark.parametrize("inner_radius", [np.nan, -0.2, 1.5])
+def test_a_closed_form_refuses_an_inner_radius_outside_the_unit_interval(inner_radius):
+    with pytest.raises(ConfigError, match="'inner_radius'"):
+        kc.ClosedFormKernel(block=lambda z, w, order: np.ones((order + 1, order + 1)),
+                            inner_radius=inner_radius)
+
+
 @pytest.mark.parametrize("ns, coeffs, fields, field", [
     ([], [], {}, "'ns'"),
     ([0, 1, 2], [1.0, 1.0], {}, "'coeffs'"),

@@ -12,7 +12,7 @@ from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar, fram
 from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite
 from rkhs_lab.localop import (canonical_form, function_of_local, jet_gram,
                               verify_tt_identity, verify_tt_identity_gram)
-from tests.conftest import (disc_kernel, random_contractive_kernel,
+from tests.conftest import (counting, disc_kernel, random_contractive_kernel,
                             synthetic_normalized_gram)
 
 
@@ -158,6 +158,16 @@ def test_one_frame_normalization_per_local_point(monkeypatch):
     assert len(calls) == 1
     curvature_matrix(frame_from_jet(k, 0.3))
     assert len(calls) == 2
+
+
+def test_a_scalar_local_point_costs_one_factor_two_inverses_one_eigensolve(monkeypatch):
+    # the 1 x 1 metric root needs no eigh; the residual reads the spectra of
+    # R - target and of the target from one eigvalsh
+    calls = {name: counting(monkeypatch, np.linalg, name)
+             for name in ("eigh", "cholesky", "inv", "eigvalsh")}
+    assert verify_tt_identity(disc_kernel("n+1"), 0.3 + 0.2j) < 1e-12
+    assert {name: len(c) for name, c in calls.items()} == {
+        "eigh": 0, "cholesky": 1, "inv": 2, "eigvalsh": 1}
 
 
 def test_canonical_form_is_one_call_of_the_definite_test(monkeypatch):

@@ -1,17 +1,20 @@
 """Contractivity, hyponormality, 2-hypercontraction, Gram-decrease tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
 from rkhs_lab.errors import (DimensionMismatch, NonHermitianInput, NotAContraction,
                              NotPositiveDefinite)
 from rkhs_lab.positivity import (contraction_check, gram_decrease_check,
                                  hyponormal_check, inverse_factor, psd_check,
                                  shift_kernel, two_hypercontraction_check)
-from tests.conftest import disc_kernel, random_contractive_kernel
+from tests.conftest import counting, disc_kernel, random_contractive_kernel
 
 
 def test_psd_check_accepts_gram(rng):
@@ -111,6 +114,46 @@ def test_inverse_factor_is_the_upper_factor_of_the_inverse(rng):
     P = inverse_factor(G)
     assert np.array_equal(P, np.triu(P))
     assert np.abs(P @ P.conj().T - np.linalg.inv(G)).max() <= 1e-12 * np.abs(P).max() ** 2
+
+
+def _assert_exact_upper_factor(G):
+    P = inverse_factor(G)
+    assert P.dtype == G.dtype
+    assert np.array_equal(P, np.triu(P))
+    assert np.all(P.diagonal().imag == 0.0) and np.all(P.diagonal().real > 0.0)
+    assert np.abs(P @ P.conj().T - np.linalg.inv(G)).max() <= 1e-12 * np.abs(P).max() ** 2
+
+
+# LU does not pivot on a triangular matrix: zeros below the diagonal and a
+# real positive diagonal of P hold to the bit, with no triu
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("size", [1, 2, 3, 40, 151])
+def test_inverse_factor_is_exactly_upper_triangular_with_a_real_diagonal(dtype, size):
+    rng = np.random.default_rng(size)  # the shared rng fixture keeps its draws for other tests
+    for _ in range(20):
+        B = rng.normal(size=(size, size)).astype(dtype)
+        if dtype is complex:
+            B += 1j * rng.normal(size=(size, size))
+        _assert_exact_upper_factor(B @ B.conj().T + np.eye(size))
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+def test_the_pipeline_factor_is_exactly_upper_triangular_with_a_real_diagonal(monkeypatch,
+                                                                             zeta):
+    factors = counting(monkeypatch, ex, "inverse_factor")
+    assert ex.uniqueness_pipeline_check(kc.SeriesKernel.disc(np.ones(201)), zeta).passed
+    (C,), = factors  # the real C of the geometric shift
+    assert C.dtype == np.float64 and C.shape[0] > 50
+    _assert_exact_upper_factor(C)
+
+
+def test_inverse_factor_refuses_an_overflowing_bound_without_a_warning():
+    # ||G||_F = 1e154 and ||P||_F^2 = tr(G^-1) = 1e160 are finite; their product is not
+    G = np.diag([1e154, 1e-160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite, match="= inf exceeds"):
+            inverse_factor(G)
 
 
 @pytest.mark.parametrize("G", [np.diag([1.0, -1e-3]), np.diag([1.0, 0.0]),
