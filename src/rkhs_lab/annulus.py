@@ -233,9 +233,13 @@ def extremal_problem_ls(kernel: kc.SeriesKernel, w: complex) -> float:
 
 def strict_ci_check(spec: AnnulusSpec, weight: RadialWeight, w: complex,
                     kernel: Optional[kc.SeriesKernel] = None) -> float:
-    """Slack dd-bar log K - 4 pi^2 S(w, w)^2 of the weighted Bergman kernel."""
+    """Slack dd-bar log K - 4 pi^2 S(w, w)^2 of the weighted Bergman kernel, or of
+    ``kernel`` prebuilt for it; one on another annulus is refused with ConfigError."""
     if kernel is None:
         kernel = weighted_bergman_kernel(spec, weight)
+    elif kernel.inner_radius != spec.r:
+        raise ConfigError(f"argument 'kernel' must be on the annulus r = {spec.r} of the "
+                          f"spec, got inner radius {kernel.inner_radius}")
     return float(ci_slack(kernel, w, szego_annulus(spec, w, w).real)[2])
 
 

@@ -48,6 +48,8 @@ def _cara_norm(domain: str, V, z) -> float:
     if V.ndim != 2 or V.size == 0:
         raise DimensionMismatch(f"tangent vector must be a non-empty m x n array, "
                                 f"got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise NonFiniteValue("tangent vector has a non-finite entry")
     v = V.ravel()
     return float(np.sqrt(max(np.vdot(v, D @ v).real for D in _cara_forms(domain, z, *V.shape))))
 

@@ -55,8 +55,6 @@ class CurvatureMatrix:
     """The mn x mn curvature matrix, in n x n blocks indexed by derivative."""
 
     matrix: np.ndarray
-    m: int
-    n: int
 
     def as_scalar(self) -> float:
         if self.matrix.shape != (1, 1):
@@ -85,7 +83,7 @@ def curvature_matrix(gram: JetGram) -> CurvatureMatrix:
     Block (i, j) is -(dbar_i d_j h - (dbar_i h) h^-1 (d_j h)) for that frame.
     """
     H, n = gram.G, gram.n
-    return CurvatureMatrix(matrix=-(H[n:, n:] - H[n:, :n] @ H[:n, n:]), m=gram.m, n=n)
+    return CurvatureMatrix(matrix=-(H[n:, n:] - H[n:, :n] @ H[:n, n:]))
 
 
 def rank1_curvature(s00: float, s10: float, s11: float, w: complex) -> float:

@@ -3,7 +3,7 @@ numerical replay of the uniqueness argument for curvature-extremal contractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from typing import Optional
 
@@ -47,8 +47,8 @@ class StepResult:
 @dataclass(frozen=True)
 class PipelineReport:
     steps: list
-    assumptions: list = field(default_factory=lambda: ["polynomial-density"])
     truncation: int = DEFAULT_TRUNCATION
+    assumptions = ("polynomial-density",)  # recorded, never verified; not a field
 
     @property
     def failed_step(self) -> Optional[str]:
@@ -112,20 +112,15 @@ def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
     at_point = abs(relative) <= rtol  # |F_K| <= rtol Ktilde(zeta, zeta)^2
     weights_all_one = bool(np.all(np.abs(shift_weights(kernel) - 1.0) <= WEIGHT_TOL))
     if not at_point:
-        classification = CLASS_NOT_EXTREMAL
-        equivalent = False
+        classification, equivalent = CLASS_NOT_EXTREMAL, False
     elif zeta:
         # equality away from the origin propagates everywhere
-        classification = CLASS_EXTREMAL_EVERYWHERE
-        equivalent = weights_all_one
-    else:
+        classification, equivalent = CLASS_EXTREMAL_EVERYWHERE, weights_all_one
+    elif weights_all_one or hyponormal_check(kernel).passed:
         # equality at 0 alone; hyponormality (or directly w_n = 1) upgrades it
-        if weights_all_one or hyponormal_check(kernel).passed:
-            classification = CLASS_EXTREMAL_EVERYWHERE
-            equivalent = True
-        else:
-            classification = CLASS_EXTREMAL_AT_ZERO
-            equivalent = False
+        classification, equivalent = CLASS_EXTREMAL_EVERYWHERE, True
+    else:
+        classification, equivalent = CLASS_EXTREMAL_AT_ZERO, False
     return ExtremalityReport(fk_value=fk, fk_relative=relative, classification=classification,
                              equivalent_to_backward_shift=equivalent)
 
@@ -160,40 +155,45 @@ def _power_rows(psi: np.ndarray, count: int) -> np.ndarray:
     return P
 
 
+def _pullback_at_modulus(kernel: kc.SeriesKernel, zeta: complex, truncation: int) -> np.ndarray:
+    """:func:`normalized_pullback_coeffs` at r = |zeta|, in float64; a refusal names zeta."""
+    size = truncation + 1
+    a = kernel.coeffs / kernel.coeffs[0]  # C is normalized; this keeps its sums in range
+    if not zeta:
+        return np.diag(np.concatenate([a[:size], np.zeros(size - a[:size].size)]))
+    # psi = inverse of the conjugated automorphism: psi(z) = (z + r) / (1 + r z), r = |zeta|
+    psi = np.convolve([abs(zeta), 1.0], np.power(-abs(zeta), np.arange(size)))[:size]
+    # rows P[n] = psi^n, so C = sum_n a_n P[n]^T P[n] is one product
+    P = _power_rows(psi, a.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = (P.T * a) @ P
+    if not np.isfinite(C).all():
+        raise NonFiniteValue(f"pullback coefficients at zeta = {zeta} leave the double range")
+    # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
+    F = _toeplitz(_series_inverse(C[:, 0]))
+    return C[0, 0] * (F @ C @ F.T)
+
+
 def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
                                truncation: int = DEFAULT_TRUNCATION) -> np.ndarray:
     """Taylor coefficients C[i, j] of the kernel of phi_zeta(T), normalized at 0.
 
     L(z, w) = sum C[i, j] z^i conj(w)^j with L(z, 0) = 1; C is also the Gram
-    matrix of the jet vectors V_j = dbar^j L(., 0) / j!.  C is real when zeta
-    is.  Raises NonFiniteValue where the coefficients over a_0 overflow its sums.
+    matrix of the jet vectors V_j = dbar^j L(., 0) / j!.  The kernel is rotation
+    invariant, so C at zeta = r e^(i theta) is the real C(r) rotated, d_i C[i, j]
+    conj(d_j) with d_i = e^(i i theta): real when zeta is.  Raises
+    NonFiniteValue where the coefficients over a_0 overflow its sums.
     """
-    size = truncation + 1
-    a = kernel.coeffs / kernel.coeffs[0]  # C is normalized; this keeps its sums in range
-    if not zeta.imag:
-        zeta = zeta.real  # then psi, P, C and F are real, and so is the factor of C
-    if not zeta:
-        return np.diag(np.concatenate([a[:size], np.zeros(size - a[:size].size)]))
-    c = np.conjugate(zeta)
-    # psi = inverse of the conjugated automorphism: psi(z) = (z + c) / (1 + zeta z)
-    geom = np.power(-zeta, np.arange(size))
-    psi = np.convolve([c, 1.0], geom)[:size]
-    # rows P[n] = psi^n, so C = sum_n a_n P[n]^T conj(P[n]) is one product
-    P = _power_rows(psi, a.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = (P.T * a) @ P.conj()
-    if not np.isfinite(C).all():
-        raise NonFiniteValue(f"pullback coefficients at zeta = {zeta} leave the double range")
-    # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
-    u = C[:, 0].copy()
-    F = _toeplitz(_series_inverse(u))
-    return u[0].real * (F @ C @ F.conj().T)
+    phase = complex(zeta) / abs(zeta) if zeta else 1.0
+    d = np.power(phase if phase.imag else phase.real, np.arange(truncation + 1))
+    return d[:, None] * _pullback_at_modulus(kernel, zeta, truncation) * d.conj()
 
 
 def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> PipelineReport:
     """Replay the uniqueness argument step by step on a diagonal model.
 
-    Conjugates the shift so the equality point moves to the origin, checks
+    Conjugates the shift so the equality point moves to the origin, at |zeta|
+    (every step reads a congruence invariant, which a rotation keeps), checks
     contractivity, the 2-hypercontraction inequality, curvature equality at
     0, the jet-vector norms, and the Gram-decrease chain that forces the
     monomials to be orthonormal, on the first DEFAULT_TRUNCATION + 1
@@ -222,27 +222,27 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
                  "min of 1/a_n - 2/a_(n+1) + 1/a_(n+2) = "
                  f"{hyper.info['min_expression']:.3e}")
     if ok:
-        C = normalized_pullback_coeffs(kernel, zeta, truncation)
-        curv0 = cv.rank1_curvature(C[0, 0].real, abs(C[0, 1]), C[1, 1].real, 0.0)
+        C = _pullback_at_modulus(kernel, zeta, truncation)
+        curv0 = cv.rank1_curvature(C[0, 0], C[0, 1], C[1, 1], 0.0)
         ok = run("curvature-equality-at-zero", abs(curv0 + 1.0) <= STEP_TOL,
                  f"curvature at 0 after conjugation = {curv0:.12f}")
     if ok:
-        ok = run("jet-vector-norms", abs(C[0, 0].real - 1.0) <= NORMALIZATION_TOL
-                 and abs(C[1, 1].real - 1.0) <= STEP_TOL,
-                 f"|V0|^2 = {C[0, 0].real:.12f}, |V1|^2 = {C[1, 1].real:.12f}")
+        ok = run("jet-vector-norms", abs(C[0, 0] - 1.0) <= NORMALIZATION_TOL
+                 and abs(C[1, 1] - 1.0) <= STEP_TOL,
+                 f"|V0|^2 = {C[0, 0]:.12f}, |V1|^2 = {C[1, 1]:.12f}")
     if ok:
         try:
             P = inverse_factor(C)
         except NotPositiveDefinite as exc:
             ok = run("monomial-gram", False, str(exc))
     if ok:
-        G = P @ P.conj().T  # C^-1
+        G = P @ P.T  # C^-1
         k = truncation - 1
         dec = gram_decrease_check(G[:k, :k], G[1:k + 1, 1:k + 1])
         ok = run("gram-decrease-chain", dec.passed,
                  f"min eig of G_v - G_Av = {dec.min_eigenvalue:.3e}")
     if ok:
-        norms = np.abs(np.diag(G).real - 1.0).max()
+        norms = np.abs(np.diag(G) - 1.0).max()
         off = float(np.abs(G - np.diag(np.diag(G))).max())
         ok = run("monomial-orthonormality", norms <= STEP_TOL and off <= STEP_TOL,
                  f"max |norm-1| = {norms:.3e}, max off-diagonal = {off:.3e}")

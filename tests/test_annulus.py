@@ -199,6 +199,18 @@ def test_ci_slack_refuses_an_annulus_kernel_without_its_szego_value(spec):
     assert ci_slack(kernel, 0.7, szego)[2] == an.strict_ci_check(spec, weight, 0.7, kernel)
 
 
+def test_strict_ci_refuses_a_kernel_of_another_annulus(spec):
+    # the r = 0.3 kernel under the r = 0.5 spec would pair its curvature with
+    # the Szego value of r = 0.5, a slack of 0.298 at 0.7 against its own 5.408
+    weight = an.RadialWeight.power_law(1.0)
+    other = an.AnnulusSpec(r=0.3)
+    kernel = an.weighted_bergman_kernel(other, weight)
+    for k in (kernel, kc.SeriesKernel.disc(np.ones(201))):
+        with pytest.raises(ConfigError, match="'kernel'"):
+            an.strict_ci_check(spec, weight, 0.7, k)
+    assert an.strict_ci_check(other, weight, 0.7, kernel) == pytest.approx(5.408037, rel=1e-6)
+
+
 def test_character_periodicity_b_plus_two(spec):
     for b in (-2.0, -0.5, 0.0, 1.0, 1.5):
         g1 = an.character_of_weight(spec, an.RadialWeight.power_law(b))

@@ -6,7 +6,8 @@ import pytest
 from rkhs_lab import caratheodory as ca
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import ci_slack, curvature_scalar
-from rkhs_lab.errors import DimensionMismatch, PointOutsideBall, PointOutsidePolydisc
+from rkhs_lab.errors import (DimensionMismatch, NonFiniteValue, PointOutsideBall,
+                             PointOutsidePolydisc)
 from tests.conftest import random_contractive_kernel
 
 
@@ -45,6 +46,14 @@ def test_norms_refuse_a_tangent_vector_that_is_not_an_m_by_n_array(V):
     for norm in (ca.cara_norm_ball, ca.cara_norm_polydisc):
         with pytest.raises(DimensionMismatch):
             norm(V, [0.0])
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "complex-inf"])
+def test_norms_refuse_a_non_finite_tangent_vector(entry):
+    for norm in (ca.cara_norm_ball, ca.cara_norm_polydisc):
+        with pytest.raises(NonFiniteValue, match="tangent vector"):
+            norm([[1.0], [entry]], [0.0, 0.3])
 
 
 def test_disc_norms_coincide_for_m1():

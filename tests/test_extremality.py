@@ -1,10 +1,14 @@
 """F_K functional, the trichotomy, and the uniqueness pipeline replay."""
 
+import cmath
 import itertools
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkhs_lab import curvature as cv
 from rkhs_lab import extremality as ex
@@ -14,6 +18,7 @@ from rkhs_lab.errors import NonFiniteValue, NotAContraction, PointOutsideDomain
 from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
                                   normalized_pullback_coeffs,
                                   uniqueness_pipeline_check)
+from rkhs_lab.localop import canonical_form, jet_gram
 from rkhs_lab.positivity import (contraction_check, shift_kernel,
                                 two_hypercontraction_check)
 from tests.conftest import counting, disc_kernel, random_contractive_coeffs
@@ -196,8 +201,8 @@ def test_pullback_rows_match_a_40_digit_oracle(zeta):
     assert np.abs(rows - np.array(oracle)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("zeta", [0, 0.0, 0.3, complex(0.3, 0.0), np.float64(0.3)],
-                         ids=["int-0", "0.0", "0.3", "complex-0.3", "float64-0.3"])
+@pytest.mark.parametrize("zeta", [0, 0.0, 0.3, complex(0.3, 0.0), np.float64(0.3), -0.3],
+                         ids=["int-0", "0.0", "0.3", "complex-0.3", "float64-0.3", "-0.3"])
 def test_a_real_zeta_gives_real_pullback_coefficients(zeta):
     for coeffs in (np.ones(201), np.arange(1.0, 202.0), np.arange(1.0, 202.0) ** 0.6):
         C = normalized_pullback_coeffs(kc.SeriesKernel.disc(coeffs), zeta, 60)
@@ -239,7 +244,15 @@ def test_pipeline_refuses_pullback_sums_past_the_double_range():
         uniqueness_pipeline_check(kernel, 0.3)
 
 
-@pytest.mark.parametrize("zeta", [0.0, 0.3])
+@pytest.mark.parametrize("zeta", [-0.3, 0.2 + 0.25j])
+def test_pipeline_refusal_names_the_callers_zeta(zeta):
+    # C is built at |zeta|; the refusal still names the point asked about
+    kernel = kc.SeriesKernel.disc(np.concatenate([[1.0], np.full(200, 1.7e308)]))
+    with pytest.raises(NonFiniteValue, match=re.escape(f"zeta = {zeta} ")):
+        uniqueness_pipeline_check(kernel, zeta)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3, 0.2 + 0.25j])
 def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
     # the library's definite test gives G = C^-1, and the chain is its
     # Gram-decrease check; the pipeline forms no inverse or condition number itself
@@ -253,6 +266,8 @@ def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
     assert (len(factors), len(decreases)) == (1, 1)
     # the triangular inverse inside the factor, the eigensolve inside psd_check
     assert (len(inverses), len(eigensolves)) == (1, 1)
+    # a complex zeta replays at |zeta|, so both run in real LAPACK
+    assert factors[0][0].dtype == eigensolves[0][0].dtype == np.float64
 
 
 def test_pipeline_refusal_of_the_factor_fails_the_monomial_gram_step(monkeypatch):
@@ -318,3 +333,25 @@ def test_short_list_is_continued_by_its_last_coefficient(coeffs):
     for zeta in (0.0, 0.3):
         assert classify_shift(short, zeta) == classify_shift(padded, zeta)
         assert uniqueness_pipeline_check(short, zeta) == uniqueness_pipeline_check(padded, zeta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["1", "n+1", "(n+1)^s"]), st.floats(0.2, 3.0),
+       st.floats(0.05, 0.85), st.floats(-np.pi, np.pi))
+def test_a_rotation_of_the_point_changes_no_verdict(rule, s, r, theta):
+    # a diagonal kernel is rotation invariant, K(e^(it) z, e^(it) w) = K(z, w),
+    # so every verdict at r e^(i theta) is the verdict at r, with no reference value
+    kernel = disc_kernel(rule, s=s) if rule == "(n+1)^s" else disc_kernel(rule)
+    z = cmath.rect(r, theta)
+    assert cv.curvature_scalar(kernel, z) == pytest.approx(cv.curvature_scalar(kernel, r),
+                                                           rel=1e-12)
+    slack_z, slack_r = cv.ci_slack(kernel, z), cv.ci_slack(kernel, r)
+    assert np.abs(np.subtract(slack_z, slack_r)).max() <= 1e-12 * abs(slack_r[1])
+    class_z, class_r = classify_shift(kernel, z), classify_shift(kernel, r)
+    assert class_z.classification == class_r.classification
+    assert class_z.fk_relative == pytest.approx(class_r.fk_relative, rel=1e-12, abs=1e-15)
+    steps_z, steps_r = (uniqueness_pipeline_check(kernel, w).steps for w in (z, r))
+    assert [(t.name, t.passed) for t in steps_z] == [(t.name, t.passed) for t in steps_r]
+    form_z, form_r = (canonical_form(jet_gram(kernel, w)) for w in (z, r))
+    assert np.allclose(form_z.R, form_r.R, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.abs(form_z.t), np.abs(form_r.t), rtol=1e-12, atol=0.0)
