@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels as kc
-from .curvature import ci_slack, curvature_scalar
+from .curvature import ci_slack, curvature_of_sums, curvature_scalar, order1_sums
 from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, QuadratureFailure
 
 QUAD_RTOL = 1e-12  # error estimate a profile norm integral must meet
@@ -205,12 +205,18 @@ def weighted_bergman_kernel(spec: AnnulusSpec, weight: RadialWeight) -> kc.Serie
 # ---------------------------------------------------------------------------
 # extremal problem
 
-def extremal_problem_value(kernel: kc.SeriesKernel, w: complex) -> float:
-    """Closed form inf{|f|^2 : f(w) = 0, f'(w) = 1} = [K(w,w) dd-bar log K]^-1."""
-    k_ww = kc.eval_kernel(kernel, w, w).real
+def extremal_problem_value(kernel, w: complex) -> float:
+    """Closed form inf{|f|^2 : f(w) = 0, f'(w) = 1} = [K(w,w) dd-bar log K]^-1.
+
+    K(w, w) and the curvature are read off one order-1 jet, the diagonal sums
+    of a series kernel, whose K(w, w) gets the truncation tail test of
+    :func:`kernels.eval_kernel`."""
+    k_ww, j01, j11 = order1_sums(kernel, w)
+    if isinstance(kernel, kc.SeriesKernel):
+        kc._refuse_tail(kc._series_tail_bound(kernel, abs(w) * abs(w)), abs(k_ww), w, w)
     if k_ww <= 0.0:
         raise DegenerateJet(f"K(w, w) = {k_ww} at w = {w}")
-    dd = -curvature_scalar(kernel, w)
+    dd = -curvature_of_sums(k_ww, j01, j11, w)
     if dd <= 0.0:
         raise DegenerateJet(f"dd-bar log K = {dd} at w = {w}")
     return 1.0 / (k_ww * dd)

@@ -104,17 +104,26 @@ def rank1_curvature(s00: float, s10: float, s11: float, w: complex) -> float:
 
 
 def curvature_scalar(kernel, w: complex) -> float:
-    """-d d-bar log K(w, w) = (|J01| / J00)^2 - J11 / J00 from the order-1 jet.
+    """-d d-bar log K(w, w) = (|J01| / J00)^2 - J11 / J00 from the order-1 jet."""
+    return curvature_of_sums(*order1_sums(kernel, w), w)
 
-    The quotient does not depend on the phase of the jet, so for a series
-    kernel it reads the real diagonal sums S00, |S10| and S11 (the jet is
-    these sums times the phase powers of w); a closed form reads its jet."""
+
+def order1_sums(kernel, w: complex) -> tuple:
+    """J00, J01 up to its phase, and J11 of the order-1 jet at w, real.
+
+    The curvature does not depend on the phase of the jet, so a series kernel
+    gives its real diagonal sums S00, S10, S11 (the jet is these sums times
+    the phase powers of w); a closed form gives J00, |J01|, J11 of its jet."""
     if isinstance(kernel, kc.SeriesKernel):
         kc.check_point(kernel, w)
-        (j00, _), (j01, j11) = kc._diagonal_sums(kernel, w, 1)  # |J01| = |S10|
-    else:
-        (j00, j01), (_, j11) = kc.jet(kernel, w, 1).tolist()
-        j00, j01, j11 = j00.real, abs(j01), j11.real
+        return kc._diagonal_sums(kernel, w, 1)
+    (j00, j01), (_, j11) = kc.jet(kernel, w, 1).tolist()
+    return j00.real, abs(j01), j11.real
+
+
+def curvature_of_sums(j00: float, j01: float, j11: float, w: complex) -> float:
+    """:func:`rank1_curvature` of the sums of :func:`order1_sums` at w,
+    refused with NonFiniteValue unless it is finite."""
     curv = rank1_curvature(j00, j01, j11, w)
     if not isfinite(curv):
         raise NonFiniteValue(f"curvature is not finite at w = {w} (K(w, w) = {j00:.3e})")

@@ -75,7 +75,7 @@ def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float]:
         raise NotAContraction("kernel coefficients must be non-decreasing")
     tilde = kc.tilde_kernel(kernel)
     kc.check_point(tilde, zeta)
-    (j00, _), (j01, j11) = kc._diagonal_sums(tilde, zeta, 1)
+    j00, j01, j11 = kc._diagonal_sums(tilde, zeta, 1)
     relative = -cv.rank1_curvature(j00, j01, j11, zeta)
     if not isfinite(relative):
         raise NonFiniteValue(f"tilde Gram minor ratio is not finite at zeta = {zeta}")
@@ -211,7 +211,8 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
         truncation = min(truncation, max(10, int(0.7 * kernel.n_max * edge)))
     steps: list[StepResult] = []
 
-    def run(name: str, passed: bool, detail: str = "") -> bool:
+    def run(name: str, passed, detail: str = "") -> bool:
+        passed = bool(passed)  # a numpy comparison gives a numpy bool
         steps.append(StepResult(name=name, passed=passed, detail=detail))
         return passed
 

@@ -1,21 +1,29 @@
 """Diagonal reproducing kernels on the disc and annulus.
 
 A series kernel is K(z, w) = sum_n a_n z^n conj(w)^n over a finite index
-window.  Every sum over it is built from two row builders over the live
+window.  Two-point sums are built from two row builders over the live
 window: real rows M_x[p, k] = F_p(n_k) |x|^(n_k - p) (F_p the falling
 factorial) and phase rows u^(n_k), |u| = 1, by repeated products along n.
 One point pair (z, w) is one moment block with the phase row c of
 u = e^(i (arg z - arg w)),
 d^p_z d^q_wbar K(z, w) = (conj(z) / |z|)^p (M_z diag(a c) M_w^T)[p, q] (w / |w|)^q.
-On the diagonal c = 1: the sums S = M_w diag(a) M_w^T are real and summed once
-(``_diagonal_sums``), the jet is S[p, q] (conj(w) / |w|)^(p - q), and the
-phase-free local invariants read S alone.  A point cloud (a sampled Gram)
-is one product ((M_z o E_z) diag(a)) (M_w o E_w)^H of the order-0 rows and
-the phase rows E_x of each point's unit x / |x|.  Either way a_n sits between
-the two real powers.  Both paths check every point against the domain,
-refuse a sum that is not finite with ``NonFiniteValue``, and refuse a value
-whose truncation tail bound exceeds TAIL_RTOL |K| (the largest |K| of a
-matrix).  The constant rows of a kernel are computed once and kept on it.
+On the diagonal c = 1, and the real sums S_pq = sum_k a_k F_p F_q |w|^(2 n_k - p - q)
+take one power row per point (``_diagonal_sums``): with x = |w|^(n_k - order),
+S_pq = |w|^(2 order - p - q) (F_p F_q) @ (a x) x, plus the exact terms of
+the at most ``order`` columns 0 <= n_k < order.  The jet is
+S_pq (conj(w) / |w|)^(p - q), and the phase-free local invariants read S
+alone.  A point cloud (a sampled Gram) is one product
+((M_z o E_z) diag(a)) (M_w o E_w)^H of the order-0 rows and the phase rows
+E_x of each point's unit x / |x|.  Every path puts a_n between the two real
+powers, so a small a_n at the inner end of a Laurent window keeps a sum
+finite where a power alone would overflow, and no cached row holds a_n:
+a F_p F_q would overflow first for coefficients near the double limit.
+Sums are taken under ``np.errstate`` except the diagonal sums of a disc
+window that no power, product or sum can overflow, decided once per kernel.
+Every path checks each point against the domain, refuses a sum that is not
+finite with ``NonFiniteValue``, and refuses a value whose truncation tail
+bound exceeds TAIL_RTOL |K| (the largest |K| of a matrix).  The constant
+rows of a kernel are computed once and kept on it.
 Closed-form kernels, as built by normalization and Mobius pullback, answer
 the same question through one callable, their derivative block
 B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order <= 2; a higher order is
@@ -26,6 +34,7 @@ with A a lower-triangular chain-rule factor.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, inf, isfinite
@@ -49,6 +58,7 @@ DEFAULT_N_MAX = 200
 TAIL_RTOL = 1e-12
 GROWTH_WINDOW = 20  # trailing coefficients that set a window end's growth rate
 VANISHING_TOL = 1e-13  # normalize_at refuses a center where |K(z, zeta)| < VANISHING_TOL nearby
+_UNGUARDED = nullcontext()  # the context of sums that cannot overflow
 
 
 def _check_inner_radius(inner_radius) -> None:
@@ -104,6 +114,21 @@ class SeriesKernel:
         """Constant rows of the live window for the highest order built so far;
         filled by :func:`_rows`."""
         return []
+
+    @cached_property
+    def _sum_store(self) -> dict:
+        """Constant parts of the diagonal sums by order; filled by
+        :func:`_diagonal_rows`."""
+        return {}
+
+    @cached_property
+    def _tilde(self) -> "SeriesKernel":
+        """The series of :func:`tilde_kernel`, built once: b_0 = a_0, b_n = a_n - a_(n-1)."""
+        a = self.coeffs
+        b = np.empty_like(a)
+        b[0] = a[0]
+        b[1:] = a[1:] - a[:-1]
+        return SeriesKernel(self.ns, b, signed=True)
 
     @cached_property
     def _tail_growth(self) -> tuple:
@@ -252,23 +277,66 @@ def _phase_rows(kernel: SeriesKernel, units) -> np.ndarray:
     return rows if rows.shape[-1] == ns.size else rows[..., ns - lo]
 
 
+def _diagonal_rows(kernel: SeriesKernel, order: int) -> tuple:
+    """Constant parts of the diagonal sums of ``order``, kept on the kernel:
+    (e, G, scale, low, guarded).
+
+    e = exps[order] is the exponent row of the one power row x = |w|^e.  Row
+    i of G is F_p F_q for the i-th pair (p >= q, p then q ascending) on the
+    columns where F_order(n) != 0 and 0 elsewhere, and scale[i] = 2 order - p - q.
+    low lists (i, a_k F_p(n_k) F_q(n_k), 2 n_k - p - q) for the at most
+    ``order`` live columns with 0 <= n_k < order, whose terms are summed
+    exactly.  ``guarded`` is False only for a disc window with
+    max |a| sum (1 + n)^(2 order) < 1e300, where no power, product or sum
+    can overflow, so its sums need no floating-point guard.
+    """
+    store = kernel._sum_store
+    if order not in store:
+        fall, exps = _rows(kernel, order)
+        ns, a = kernel._live
+        pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
+        p, q = map(list, zip(*pairs))
+        lo, hi = np.searchsorted(ns, (0, order)).tolist()  # the columns 0 <= n_k < order
+        with np.errstate(over="ignore"):  # a high order overflows to inf, which guards
+            G = fall[p] * fall[q]
+            bound = (float(np.abs(a).max(initial=0.0))
+                     * float(((1.0 + ns) ** (2 * order)).sum()))
+        low = [(i, c * f, 2 * n - pi - qi)
+               for i, (pi, qi, row) in enumerate(zip(p, q, G[:, lo:hi].tolist()))
+               for n, c, f in zip(ns[lo:hi].tolist(), a[lo:hi].tolist(), row) if f]
+        G[:, lo:hi] = 0.0
+        store[order] = (exps[order], G, [2 * order - i - j for i, j in pairs], low,
+                        kernel.n_min < 0 or not bound < 1e300)
+    return store[order]
+
+
 def _diagonal_sums(kernel: SeriesKernel, w: complex, order: int) -> list:
-    """S[p][q] = sum_k a_k F_p(n_k) F_q(n_k) |w|^(n_k - p) |w|^(n_k - q) for
-    p, q <= order, nested Python floats: the moment block at z = w without its
-    phase.  Each a_k sits between the two powers of |w|, so a small a_k at a
-    negative n_k (inner end of a Laurent window) keeps a sum finite where a
-    power alone would overflow."""
-    fall, exps = _rows(kernel, order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = fall * abs(w) ** exps
-        sums = ((M * kernel._live[1]) @ M.T).tolist()  # item access on numpy costs more
-    for p in range(order + 1):
-        for q in range(p + 1):
-            if not isfinite(sums[p][q]):
-                w = complex(w)
-                at = (f"K(w, w) is not finite at w = {w}" if order
-                      else f"K(z, w) is not finite at z = {w}, w = {w}")
-                raise NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
+    """The real sums S_pq = sum_k a_k F_p(n_k) F_q(n_k) |w|^(2 n_k - p - q) for
+    q <= p <= order, the moment block at z = w without its phase, as Python
+    floats packed row by row: S_pq is entry p (p + 1) / 2 + q, so order 1
+    gives [S00, S10, S11].
+
+    One power row x = |w|^e serves every pair (:func:`_diagonal_rows`).
+    a multiplies x before x multiplies again, and stays out of the cached
+    rows G = F_p F_q: on a disc window every partial sum of G_pq @ (a x) x is
+    then at most the largest true sum S_(order, order), where cached rows
+    a F_p F_q would overflow for coefficients near the double limit.
+    """
+    e, G, scale, low, guarded = _diagonal_rows(kernel, order)
+    r = float(abs(w))  # Python floats below: an overflow gives inf or nan, never a warning
+    with np.errstate(over="ignore", invalid="ignore") if guarded else _UNGUARDED:
+        x = r ** e
+        sums = G.dot((kernel._live[1] * x) * x).tolist()  # item access on numpy costs more
+    sums = [r ** k * s for k, s in zip(scale, sums)]
+    for i, c, k in low:
+        sums[i] += c * r ** k
+    if not all(map(isfinite, sums)):
+        pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
+        p, q = next(pq for pq, s in zip(pairs, sums) if not isfinite(s))
+        w = complex(w)
+        at = (f"K(w, w) is not finite at w = {w}" if order
+              else f"K(z, w) is not finite at z = {w}, w = {w}")
+        raise NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
     return sums
 
 
@@ -284,8 +352,8 @@ def _moment_block(kernel: SeriesKernel, z: complex, w: complex, order: int) -> n
         phase = [1.0 + 0j]
         for _ in range(order):
             phase.append(phase[-1] * unit)
-        return np.array([[phase[p - q] * sums[p][q] if q < p
-                          else (phase[q - p] * sums[q][p]).conjugate()
+        return np.array([[phase[p - q] * sums[p * (p + 1) // 2 + q] if q < p
+                          else (phase[q - p] * sums[q * (q + 1) // 2 + p]).conjugate()
                           for q in range(order + 1)] for p in range(order + 1)])
     fall, exps = _rows(kernel, order)
     ez, ew = _unit(z), _unit(w)
@@ -389,13 +457,10 @@ def tilde_kernel(kernel: SeriesKernel) -> SeriesKernel:
 
     The result may have non-positive coefficients; it is returned as a
     signed series, and ``positivity.contraction_check`` judges its signs.
+    It is built once per kernel and kept on it, with its own constant rows.
     """
     require_disc(kernel, "the tilde transform")
-    a = kernel.coeffs
-    b = np.empty_like(a)
-    b[0] = a[0]
-    b[1:] = a[1:] - a[:-1]
-    return SeriesKernel(kernel.ns, b, signed=True)
+    return kernel._tilde
 
 
 def _congruence(kernel, phi, factor, scale=1.0) -> ClosedFormKernel:

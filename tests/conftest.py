@@ -22,9 +22,9 @@ def counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls

@@ -9,7 +9,9 @@ import pytest
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import ci_slack, curvature_scalar
-from rkhs_lab.errors import ConfigError, NotLogHarmonic, QuadratureFailure
+from rkhs_lab.errors import (ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic,
+                             QuadratureFailure, TruncationTailTooLarge)
+from tests.conftest import counting
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +248,39 @@ def test_extremal_value_disc_hardy_control():
     hardy = kc.SeriesKernel.disc(np.full(201, 1.0 / (2.0 * np.pi)))
     assert an.extremal_problem_value(hardy, 0.0) == pytest.approx(2.0 * np.pi)
     assert an.extremal_problem_ls(hardy, 0.0) == pytest.approx(2.0 * np.pi)
+
+
+def test_extremal_value_reads_one_set_of_diagonal_sums(monkeypatch, spec):
+    kern = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(1.0))
+    w = 0.7 - 0.1j
+    expected = 1.0 / (kc.eval_kernel(kern, w, w).real * -curvature_scalar(kern, w))
+    sums = counting(monkeypatch, kc, "_diagonal_sums")
+    assert an.extremal_problem_value(kern, w) == pytest.approx(expected, rel=1e-14)
+    assert [order for _, _, order in sums] == [1]
+
+
+def refusal(exc_type, fn, *args):
+    with pytest.raises(exc_type) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_extremal_value_keeps_the_refusals_of_its_parts():
+    # the tail test of eval_kernel on K(w, w)
+    short = kc.SeriesKernel.disc(np.ones(20))
+    assert (refusal(TruncationTailTooLarge, an.extremal_problem_value, short, 0.85)
+            == refusal(TruncationTailTooLarge, kc.eval_kernel, short, 0.85, 0.85))
+    # K(w, w) <= 0, and dd-bar log K <= 0 where the curvature is positive
+    negative = kc.SeriesKernel(np.arange(3), [-1.0, 0.0, 0.0], signed=True)
+    assert (refusal(DegenerateJet, an.extremal_problem_value, negative, 0)
+            == "K(w, w) = -1.0 at w = 0")
+    positive = kc.SeriesKernel(np.arange(201), [1.0, -0.5] + [0.0] * 199, signed=True)
+    assert (refusal(DegenerateJet, an.extremal_problem_value, positive, 0.5)
+            == f"dd-bar log K = {-curvature_scalar(positive, 0.5)} at w = 0.5")
+    # the curvature's own refusal: S11 / S00 = 1 / 1e-310 at w = 0
+    tiny = kc.SeriesKernel.disc([1e-310, 1.0, 1.0])
+    assert (refusal(NonFiniteValue, an.extremal_problem_value, tiny, 0)
+            == refusal(NonFiniteValue, curvature_scalar, tiny, 0))
 
 
 def test_szego_kernel_is_built_once_per_spec(monkeypatch):

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import re
 
 import mpmath
@@ -113,6 +114,18 @@ def test_pipeline_unit_weights_pass_everywhere():
         assert rep.passed, rep.failed_step
         assert rep.failed_step is None
         assert "polynomial-density" in rep.assumptions
+
+
+@pytest.mark.parametrize("kernel, zeta", [
+    (geometric(), 0.3),
+    (bergman(), 0.0),
+    (kc.SeriesKernel.disc(np.linspace(2.0, 1.0, 201)), 0.3),
+], ids=["geometric", "bergman", "non-contractive"])
+def test_pipeline_steps_report_python_bools(kernel, zeta):
+    # the steps that compare numpy scalars held a numpy bool, which json refuses
+    rep = uniqueness_pipeline_check(kernel, zeta)
+    assert all(type(step.passed) is bool for step in rep.steps)
+    json.dumps([(step.name, step.passed) for step in rep.steps])
 
 
 def test_pipeline_bergman_fails_at_curvature_equality():

@@ -13,7 +13,7 @@ from rkhs_lab.curvature import curvature_scalar
 from rkhs_lab.errors import (ConfigError, KernelVanishesNearCenter, NonFiniteValue,
                              PointOutsideDomain, TruncationTailTooLarge, UnsupportedJetOrder)
 from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
-from tests.conftest import disc_kernel
+from tests.conftest import counting, disc_kernel
 
 
 def geometric(n_max=200):
@@ -70,6 +70,11 @@ def test_tilde_kernel_coefficients():
     kt = kc.tilde_kernel(kc.SeriesKernel.disc(a))
     assert np.allclose(kt.coeffs, [1.0, 1.0, 0.5, 1.5])
     assert kt.signed
+
+
+def test_the_tilde_kernel_is_built_once_per_kernel():
+    k = disc_kernel("n+1")
+    assert kc.tilde_kernel(k) is kc.tilde_kernel(k)
 
 
 def test_tilde_kernel_value_identity():
@@ -584,3 +589,97 @@ def test_normalize_at_checks_sample_points_of_series_kernels():
         kc.normalize_at(short, 0.85)
     with pytest.raises(PointOutsideDomain):
         kc.normalize_at(geometric(), 0.95)
+
+
+def row_formula_sums(kernel, w, order):
+    """The diagonal sums by the two-row formula, M[p, k] = F_p(n_k) |w|^(n_k - p)
+    (power 0 where F_p(n_k) = 0) and S = (M * a) @ M.T, with their tolerances:
+    1e-14 times the sums of the term moduli, (|M| * |a|) @ |M|.T, plus the
+    subnormal floor of mp_series for each term whose power |w|^(2 n_k - p - q)
+    is below the normal range."""
+    ns, a = kernel._live
+    fall = np.ones((order + 1, ns.size))
+    for p in range(1, order + 1):
+        fall[p] = fall[p - 1] * (ns - (p - 1))
+    exps = np.where(fall != 0.0, ns - np.arange(order + 1.0)[:, None], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = fall * abs(w) ** exps
+        subnormal = abs(w) ** (exps[:, None] + exps[None, :]) < np.finfo(float).tiny
+        terms = np.where(subnormal, 1.0 + np.abs(a * fall[:, None] * fall), 0.0)
+        floor = SUBNORMAL_FLOOR * terms.sum(-1)
+        return (M * a) @ M.T, 1e-14 * (np.abs(M) * np.abs(a)) @ np.abs(M).T + floor
+
+
+@st.composite
+def diagonal_cases(draw):
+    """Disc rules 1, n+1 and (n+1)^3 on short and production windows, their
+    coefficients rescaled up to the double limit; signed tilde windows with
+    zero and negative coefficients; Laurent windows r in [0.05, 0.2],
+    b in [3, 60], with points at the inner edge of the band."""
+    disc_radii = st.one_of(st.just(0.0), st.floats(0.0, 0.97))
+    family = draw(st.sampled_from(["1", "n+1", "(n+1)^3", "tilde", "laurent"]))
+    if family == "tilde":
+        runs = draw(st.lists(st.tuples(st.floats(0.1, 10.0), st.integers(1, 8)),
+                             min_size=1, max_size=40))
+        coeffs = [a for a, length in runs for _ in range(length)]
+        return kc.tilde_kernel(kc.SeriesKernel.disc(coeffs)), draw(disc_radii)
+    if family == "laurent":
+        spec = an.AnnulusSpec(r=draw(st.floats(0.05, 0.2)), N=200)
+        kernel = an.weighted_bergman_kernel(
+            spec, an.RadialWeight.power_law(draw(st.floats(3.0, 60.0))))
+        inner = spec.r + kc.BOUNDARY_MARGIN + 1e-3
+        return kernel, draw(st.one_of(st.just(inner), st.floats(inner, inner + 0.02),
+                                      st.floats(inner, 0.97)))
+    n_max = draw(st.one_of(st.sampled_from([0, 1, 2, 200]), st.integers(0, 200)))
+    coeffs = (np.arange(n_max + 1.0) + 1.0) ** {"1": 0, "n+1": 1, "(n+1)^3": 3}[family]
+    top = draw(st.sampled_from([None, 1e290, 1e300, 1.7e308]))
+    if top is not None:
+        coeffs = coeffs * (top / coeffs.max())
+    return kc.SeriesKernel.disc(coeffs), draw(disc_radii)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_cases(), st.floats(0.0, 2.0 * np.pi))
+@example((disc_kernel("n+1"), 0.0), 0.0)
+@example((disc_kernel("n+1"), 5e-324), 0.0)
+@example((disc_kernel("(n+1)^s", s=3.0), 1e-200), 1.0)
+@example((kc.tilde_kernel(kc.SeriesKernel.disc([1.0, 1.0, 2.0, 0.5])), 1e-200), 0.0)
+# |w|^2 is subnormal: (a x) x and 4 |w|^2 round to different units of 2^-1074
+@example((kc.SeriesKernel([0, 1, 2], [1.0, 0.0, 1.0], signed=True), 5.0809357702531545e-161), 0.0)
+# a_n ~ 1e-300 at n = -142, where |w|^(2n) alone overflows a double; J00 ~ 1.6e58
+@example((THIN_STEEP, 0.075), 0.0)
+# coefficients at the double limit: the sums are finite at 0.3 up to order 1 and overflow at 0.9
+@example((kc.SeriesKernel.disc([1e308] * 201), 0.3), 0.5)
+@example((kc.SeriesKernel.disc([1e308] * 201), 0.9), 0.0)
+def test_diagonal_sums_match_the_row_formula(case, theta):
+    kernel, radius = case
+    w = radius * np.exp(1j * theta)
+    for order in range(3):
+        ref, tol = row_formula_sums(kernel, w, order)
+        if not np.isfinite(ref).all():
+            with pytest.raises(NonFiniteValue):
+                kc._diagonal_sums(kernel, w, order)
+            continue
+        sums = kc._diagonal_sums(kernel, w, order)
+        for p in range(order + 1):
+            for q in range(p + 1):
+                assert abs(sums[p * (p + 1) // 2 + q] - ref[p, q]) <= tol[p, q], (order, p, q)
+
+
+def test_diagonal_sums_enter_the_floating_point_guard_only_where_a_sum_can_overflow(
+        monkeypatch):
+    bergman, limit = disc_kernel("n+1"), kc.SeriesKernel.disc([1e308] * 201)
+    for kernel in (bergman, limit):
+        curvature_scalar(kernel, 0.1)  # each kernel computes its constant rows once, here
+    entered = counting(monkeypatch, np, "errstate")
+    curvature_scalar(bergman, 0.3 + 0.2j)
+    curvature_scalar(bergman, 0.9)
+    assert entered == []
+    # the returns and the refusal of the near-limit tests, each under the guard
+    for w in (0.3 + 0.2j, 0):
+        assert curvature_scalar(limit, w) == pytest.approx(-(1.0 - abs(w) ** 2) ** -2,
+                                                           rel=1e-15)
+    with pytest.raises(NonFiniteValue) as exc:
+        curvature_scalar(limit, 0.9)
+    assert str(exc.value) == "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.9+0j)"
+    assert len(entered) == 3
