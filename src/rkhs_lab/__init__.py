@@ -7,7 +7,7 @@ from .annulus import (AnnulusSpec, Character, RadialWeight, character_equivalenc
                       szego_annulus, szego_kernel, weighted_bergman_kernel)
 from .caratheodory import cara_norm_ball, cara_norm_polydisc, generalized_ci_check, szego_disc
 from .curvature import (curvature_matrix, curvature_scalar, curvature_scalar_fd,
-                        mobius_rule_check)
+                        curvature_values, mobius_rule_check)
 from .extremality import (classify_shift, dependence_test, fk_value,
                           uniqueness_pipeline_check)
 from .kernels import (ClosedFormKernel, SeriesKernel, eval_kernel, jet,

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels as kc
-from .curvature import ci_slack, curvature_of_sums, curvature_scalar, order1_sums
+from .curvature import _is_grid, ci_slack, curvature_of_sums, curvature_values, order1_sums
 from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, QuadratureFailure
 
 QUAD_RTOL = 1e-12  # error estimate a profile norm integral must meet
@@ -237,21 +237,33 @@ def extremal_problem_ls(kernel: kc.SeriesKernel, w: complex) -> float:
 # ---------------------------------------------------------------------------
 # strict curvature inequality
 
-def strict_ci_check(spec: AnnulusSpec, weight: RadialWeight, w: complex,
-                    kernel: Optional[kc.SeriesKernel] = None) -> float:
+def strict_ci_check(spec: AnnulusSpec, weight: RadialWeight, w,
+                    kernel: Optional[kc.SeriesKernel] = None):
     """Slack dd-bar log K - 4 pi^2 S(w, w)^2 of the weighted Bergman kernel, or of
-    ``kernel`` prebuilt for it; one on another annulus is refused with ConfigError."""
+    ``kernel`` prebuilt for it, at w or at each of an array of points w; a kernel
+    on another annulus is refused with ConfigError."""
     if kernel is None:
         kernel = weighted_bergman_kernel(spec, weight)
     elif kernel.inner_radius != spec.r:
         raise ConfigError(f"argument 'kernel' must be on the annulus r = {spec.r} of the "
                           f"spec, got inner radius {kernel.inner_radius}")
-    return float(ci_slack(kernel, w, szego_annulus(spec, w, w).real)[2])
+    return _strict_slack(spec, kernel, w)
 
 
-def hardy_ci_slack(spec: AnnulusSpec, w: complex) -> float:
+def hardy_ci_slack(spec: AnnulusSpec, w):
     """Slack of the Szego (Hardy) kernel itself; strictly positive on the annulus."""
-    return float(ci_slack(_szego(spec), w, szego_annulus(spec, w, w).real)[2])
+    return _strict_slack(spec, _szego(spec), w)
+
+
+def _strict_slack(spec: AnnulusSpec, kernel: kc.SeriesKernel, w):
+    """The slack of :func:`curvature.ci_slack` with the Szego values of the spec,
+    a float at one point, an array over an array of points: one curvature grid,
+    and S(w, w) per point through ``eval_kernel`` with its tail test."""
+    if _is_grid(w):
+        w = np.asarray(w, dtype=complex)
+        szego = [szego_annulus(spec, x, x).real for x in w.ravel().tolist()]
+        return ci_slack(kernel, w, np.reshape(szego, w.shape))[2]
+    return float(ci_slack(kernel, w, szego_annulus(spec, w, w).real)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -286,24 +298,36 @@ class EquivalenceVerdict:
         return self.predicted == self.measured
 
 
+def _band(spec: AnnulusSpec, grid_points: int) -> np.ndarray:
+    """The radii of a curvature grid: ``grid_points`` (an int >= 1) evenly spaced
+    over the safely-converged band [r + 0.05, 0.9], which r > 0.85 leaves empty;
+    either is refused with ConfigError naming its field."""
+    if (isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer))
+            or grid_points < 1):
+        raise ConfigError(f"field 'grid_points' must be an integer >= 1, got {grid_points!r}")
+    lo, hi = spec.r + 0.05, min(0.9, 1.0 - kc.BOUNDARY_MARGIN - 0.05)
+    if lo > hi:
+        raise ConfigError(f"field 'r' = {spec.r} leaves no curvature band: "
+                          f"r + 0.05 exceeds {hi}")
+    return np.linspace(lo, hi, grid_points)
+
+
 def curvature_grid(spec: AnnulusSpec, kernel: kc.SeriesKernel,
-                   points: int = 20) -> np.ndarray:
-    """Curvature along a radial grid in the safely-converged band of the annulus."""
-    lo = spec.r + 0.05
-    hi = min(0.9, 1.0 - kc.BOUNDARY_MARGIN - 0.05)
-    radii = np.linspace(lo, hi, points)
-    return np.array([curvature_scalar(kernel, complex(x)) for x in radii])
+                   grid_points: int = 20) -> np.ndarray:
+    """Curvature along a radial grid in the safely-converged band of the annulus,
+    one :func:`curvature.curvature_values` call."""
+    return curvature_values(kernel, _band(spec, grid_points))
 
 
 def character_equivalence(spec: AnnulusSpec, b1: float, b2: float,
                           grid_points: int = 20) -> EquivalenceVerdict:
     """Unitary equivalence of the two weighted Bergman multiplications:
     predicted by equal characters, measured by equal curvature grids."""
+    radii = _band(spec, grid_points)  # refused before any kernel is built
     w1, w2 = RadialWeight.power_law(b1), RadialWeight.power_law(b2)
     predicted = character_of_weight(spec, w1).matches(character_of_weight(spec, w2))
-    k1, k2 = weighted_bergman_kernel(spec, w1), weighted_bergman_kernel(spec, w2)
-    diff = float(np.abs(curvature_grid(spec, k1, grid_points)
-                        - curvature_grid(spec, k2, grid_points)).max())
+    g1, g2 = (curvature_values(weighted_bergman_kernel(spec, w), radii) for w in (w1, w2))
+    diff = float(np.abs(g1 - g2).max())
     return EquivalenceVerdict(predicted=predicted, measured=diff <= EQUIVALENCE_TOL,
                               max_curvature_diff=diff)
 

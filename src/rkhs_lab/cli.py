@@ -23,7 +23,7 @@ import numpy as np
 
 from . import annulus as an
 from . import kernels as kc
-from .curvature import ci_slack, curvature_scalar
+from .curvature import ci_slack, curvature_scalar, curvature_values
 from .errors import ConfigError, KernelLabError
 from .extremality import classify_shift
 from .localop import canonical_form, jet_gram, verify_tt_identity_gram
@@ -160,7 +160,7 @@ def curvature(kernel, grid, fmt):
     """Curvature along a radial grid."""
     kern = load_kernel(kernel)
     radii = _parse_grid(grid)
-    rows = [(r, curvature_scalar(kern, complex(r))) for r in radii]
+    rows = zip(radii, curvature_values(kern, radii))
     return _rows(["abs_w", "curvature"], rows, fmt), EXIT_PASS
 
 
@@ -276,13 +276,12 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
         raise _contradiction("--r", r, "kind", kind)
     elif weight is not None:
         raise _contradiction("--weight", weight, "kind", kind)
-    rows = []
-    for x in radii:
-        s = an.szego_annulus(aspec, complex(x), complex(x)).real if annulus else None
-        rows.append((x, *ci_slack(kern, complex(x), s), "with4pi2"))
-    violated = any(slack < -tol for _, _, _, slack, _ in rows)
+    szego = ([an.szego_annulus(aspec, complex(x), complex(x)).real for x in radii]
+             if annulus else None)
+    curv, bound, slack = ci_slack(kern, radii, szego)
+    rows = [(*row, "with4pi2") for row in zip(radii, curv, bound, slack)]
     return (_rows(["abs_w", "curvature", "bound", "slack", "normalization"], rows, fmt),
-            EXIT_VIOLATION if violated else EXIT_PASS)
+            EXIT_VIOLATION if (slack < -tol).any() else EXIT_PASS)
 
 
 @main.command()
@@ -316,15 +315,13 @@ def annulus(r, weight, task, grid, fmt):
         header = ["abs_w", "szego_diag", "normalization"]
     elif task == "bergman":
         kern = an.weighted_bergman_kernel(spec, wobj)
-        for x in radii:
-            rows.append((x, kc.eval_kernel(kern, complex(x), complex(x)).real,
-                         curvature_scalar(kern, complex(x))))
+        diag = [kc.eval_kernel(kern, complex(x), complex(x)).real for x in radii]
+        rows = zip(radii, diag, curvature_values(kern, radii))
         header = ["abs_w", "kernel_diag", "curvature"]
     else:
         kern = an.weighted_bergman_kernel(spec, wobj)
-        for x in radii:
-            rows.append((x, an.strict_ci_check(spec, wobj, complex(x), kernel=kern),
-                         "with4pi2"))
+        slack = an.strict_ci_check(spec, wobj, radii, kernel=kern)
+        rows = [(x, s, "with4pi2") for x, s in zip(radii, slack)]
         header = ["abs_w", "slack", "normalization"]
     violated = task == "strict-ci" and any(slack <= 0.0 for _, slack, _ in rows)
     return _rows(header, rows, fmt), EXIT_VIOLATION if violated else EXIT_PASS

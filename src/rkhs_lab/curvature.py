@@ -130,16 +130,70 @@ def curvature_of_sums(j00: float, j01: float, j11: float, w: complex) -> float:
     return curv
 
 
-def ci_slack(kernel, w: complex, szego_value=None) -> tuple:
-    """(curvature, bound, slack = bound - curvature) of the curvature inequality at w;
-    the bound is -(1 - |w|^2)^-2, or -4 pi^2 S(w, w)^2 given the Szego value S(w, w).
+def curvature_values(kernel: kc.SeriesKernel, points) -> np.ndarray:
+    """:func:`curvature_scalar` of a series kernel at each of an array of points.
+
+    The curvature of a diagonal kernel is radial, so the order-1 sums are taken
+    at |w|, for all points in one blocked product (``kernels._grid_sums``), and
+    the rank-1 quotient is applied to them elementwise.  A grid refuses at the
+    first point where curvature_scalar would, with the same error: the domain,
+    a sum that is not finite, S00 <= 0 or a curvature that is not finite.  The
+    values may differ from curvature_scalar's in the last bits, since the
+    product sums in another order.  A closed form is refused with ConfigError.
+    """
+    if not isinstance(kernel, kc.SeriesKernel):
+        raise ConfigError("argument 'kernel' of curvature_values must be a series kernel")
+    w = np.asarray(points, dtype=complex)
+    flat = w.ravel()
+    r = _moduli(flat)
+    outside = ~(r <= 1.0 - kc.BOUNDARY_MARGIN)  # NaN and inf too, as in check_point
+    if kernel.inner_radius is not None:
+        outside |= r < kernel.inner_radius + kc.BOUNDARY_MARGIN
+    stop = int(outside.argmax()) if outside.any() else r.size
+    sums = kc._grid_sums(kernel, r[:stop], 1)
+    s00, s10, s11 = sums.T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        slope = s10 / s00
+        curv = slope * slope - s11 / s00
+    bad = ~(np.isfinite(sums).all(axis=1) & (s00 > 0.0) & np.isfinite(curv))
+    first = int(bad.argmax()) if bad.any() else stop
+    if first < flat.size:  # refused by the checks of the one-point path
+        at = flat[first]
+        kc.check_point(kernel, at)
+        if not np.isfinite(sums[first]).all():
+            raise kc._non_finite_sum(sums[first].tolist(), 1, at)
+        curvature_of_sums(*sums[first].tolist(), at)
+    return curv.reshape(w.shape)
+
+
+def _moduli(points) -> np.ndarray:
+    """|w| of each point by libm's hypot, bit for bit the abs of one point (numpy's
+    abs of a complex array can differ from it in the last bit)."""
+    w = np.asarray(points, dtype=complex)
+    return np.hypot(w.real, w.imag)
+
+
+def _is_grid(w) -> bool:
+    """Whether w is an array of points (a numpy array, list or tuple), not one point."""
+    return isinstance(w, (np.ndarray, list, tuple))
+
+
+def ci_slack(kernel, w, szego_value=None) -> tuple:
+    """(curvature, bound, slack = bound - curvature) of the curvature inequality at w,
+    or at each of an array of points w (:func:`curvature_values`), elementwise;
+    the bound is -(1 - |w|^2)^-2, or -4 pi^2 S(w, w)^2 given the Szego value
+    S(w, w), an array of them for an array of points.
     A kernel on the annulus without a Szego value is refused with ConfigError."""
     if szego_value is None and kernel.inner_radius is not None:
         raise ConfigError(f"argument 'szego_value' is required for a kernel on the "
                           f"annulus r = {kernel.inner_radius}")
-    curv = curvature_scalar(kernel, w)
-    if szego_value is None:
-        bound = -((1.0 - abs(w) * abs(w)) ** -2)
+    if _is_grid(w):
+        curv, r = curvature_values(kernel, w), _moduli(w)
+        szego_value = None if szego_value is None else np.asarray(szego_value, dtype=float)
+    else:
+        curv, r = curvature_scalar(kernel, w), abs(w)
+    if szego_value is None:  # libm's pow, as Python's ** at one point; numpy's may round apart
+        bound = -np.float_power(1.0 - r * r, -2)
     else:
         bound = -4.0 * np.pi ** 2 * szego_value ** 2
     return curv, bound, bound - curv

@@ -12,7 +12,15 @@ take one power row per point (``_diagonal_sums``): with x = |w|^(n_k - order),
 S_pq = |w|^(2 order - p - q) (F_p F_q) @ (a x) x, plus the exact terms of
 the at most ``order`` columns 0 <= n_k < order.  The jet is
 S_pq (conj(w) / |w|)^(p - q), and the phase-free local invariants read S
-alone.  A point cloud (a sampled Gram) is one product
+alone.
+A grid of points needs the sums at each |w| only, and takes them for all
+its radii in one blocked product (``_grid_sums``): the power rows of a block
+of radii form the matrix X[i, k] = r_i^(e_k), and the sums of the block are
+((a X) X) @ G^T with the same cached G, then scaled and completed by the
+low terms as for one point.  A block holds at most ``_GRID_BLOCK`` doubles,
+so a grid of any length needs bounded memory.  One point keeps the one-row
+path, which costs less than a grid of one.
+A point cloud (a sampled Gram) is one product
 ((M_z o E_z) diag(a)) (M_w o E_w)^H of the order-0 rows and the phase rows
 E_x of each point's unit x / |x|.  Every path puts a_n between the two real
 powers, so a small a_n at the inner end of a Laurent window keeps a sum
@@ -59,6 +67,7 @@ TAIL_RTOL = 1e-12
 GROWTH_WINDOW = 20  # trailing coefficients that set a window end's growth rate
 VANISHING_TOL = 1e-13  # normalize_at refuses a center where |K(z, zeta)| < VANISHING_TOL nearby
 _UNGUARDED = nullcontext()  # the context of sums that cannot overflow
+_GRID_BLOCK = 2 ** 15  # doubles of power rows per block of _grid_sums
 
 
 def _check_inner_radius(inner_radius) -> None:
@@ -331,12 +340,42 @@ def _diagonal_sums(kernel: SeriesKernel, w: complex, order: int) -> list:
     for i, c, k in low:
         sums[i] += c * r ** k
     if not all(map(isfinite, sums)):
-        pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
-        p, q = next(pq for pq, s in zip(pairs, sums) if not isfinite(s))
-        w = complex(w)
-        at = (f"K(w, w) is not finite at w = {w}" if order
-              else f"K(z, w) is not finite at z = {w}, w = {w}")
-        raise NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
+        raise _non_finite_sum(sums, order, w)
+    return sums
+
+
+def _non_finite_sum(sums, order: int, w: complex) -> NonFiniteValue:
+    """The refusal of the first diagonal sum at w that is not finite, in the
+    packing of :func:`_diagonal_sums`."""
+    pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
+    p, q = next(pq for pq, s in zip(pairs, sums) if not isfinite(s))
+    w = complex(w)
+    at = (f"K(w, w) is not finite at w = {w}" if order
+          else f"K(z, w) is not finite at z = {w}, w = {w}")
+    return NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
+
+
+def _grid_sums(kernel: SeriesKernel, radii: np.ndarray, order: int) -> np.ndarray:
+    """The sums of :func:`_diagonal_sums` at each of an array of radii, already
+    checked against the domain, as rows of an array in the same packing.
+
+    The radii go in blocks of at most _GRID_BLOCK doubles of power rows
+    X[i, k] = r_i^(e_k), with the constants of :func:`_diagonal_rows`: the
+    sums of a block are ((a X) X) @ G^T, a still between the two powers, then
+    scaled by r^(2 order - p - q), with the exact low terms added.  A sum that
+    is not finite is returned as it is, for the caller to refuse.
+    """
+    e, G, scale, low, guarded = _diagonal_rows(kernel, order)
+    a, r, scale = kernel._live[1], np.asarray(radii, dtype=float), np.array(scale, dtype=float)
+    sums = np.empty((r.size, scale.size))
+    step = max(1, _GRID_BLOCK // e.size)
+    with np.errstate(over="ignore", invalid="ignore") if guarded else _UNGUARDED:
+        for start in range(0, r.size, step):
+            block = r[start:start + step, None]
+            x = block ** e
+            sums[start:start + step] = (((a * x) * x) @ G.T) * block ** scale
+        for i, c, k in low:
+            sums[:, i] += c * r ** k
     return sums
 
 

@@ -19,6 +19,7 @@ SAMPLE_RADIUS = 0.9
 # hyponormal and 2-hypercontraction checks compare their minima against it as is
 CHECK_TOL = 1e-10
 COND_LIMIT = 1e10  # inverse_factor refuses a Gram whose bound ||G||_F tr(G^-1) exceeds it
+_TRIANGULAR_BLOCK = 32  # inverse_factor inverts blocks of at most this many rows with inv
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,9 @@ def psd_check(gram: np.ndarray) -> CheckResult:
 
 def inverse_factor(gram: np.ndarray) -> np.ndarray:
     """The definite test: P = inv(conj(L)^t) from one Cholesky factor G = L conj(L)^t,
-    so P conj(P)^t = G^-1; LU does not pivot on a triangular matrix, so P is
-    exactly upper triangular with a real positive diagonal.
+    so P conj(P)^t = G^-1, inverted by triangular blocks (:func:`_upper_inverse`);
+    LU does not pivot on a triangular block, so P is exactly upper triangular
+    with a real positive diagonal.
 
     Raises NotPositiveDefinite when the factorization fails or unless the bound
     ||G||_F tr(G^-1) = ||G||_F ||P||_F^2, in Python floats (no overflow warning),
@@ -78,11 +80,26 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Gram is not positive definite") from exc
-    P = np.linalg.inv(L.conj().T)
+    P = _upper_inverse(L.conj().T)
     bound = float(np.vdot(G, G).real) ** 0.5 * float(np.vdot(P, P).real)
     if not bound <= COND_LIMIT:
         raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) = {bound:.2e} "
                                   f"exceeds {COND_LIMIT:.0e}")
+    return P
+
+
+def _upper_inverse(U: np.ndarray) -> np.ndarray:
+    """Inverse of an upper triangular U by 2 x 2 blocks, [[A, B], [0, D]]^-1 =
+    [[A^-1, -A^-1 B D^-1], [0, D^-1]], with ``np.linalg.inv`` on blocks of at
+    most _TRIANGULAR_BLOCK rows; the block below the diagonal stays exactly 0."""
+    size = U.shape[0]
+    if size <= _TRIANGULAR_BLOCK:
+        return np.linalg.inv(U)
+    k = size // 2
+    A, D = _upper_inverse(U[:k, :k]), _upper_inverse(U[k:, k:])
+    P = np.zeros_like(U)
+    P[:k, :k], P[k:, k:] = A, D
+    P[:k, k:] = -(A @ U[:k, k:]) @ D
     return P
 
 

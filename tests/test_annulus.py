@@ -201,6 +201,27 @@ def test_ci_slack_refuses_an_annulus_kernel_without_its_szego_value(spec):
     assert ci_slack(kernel, 0.7, szego)[2] == an.strict_ci_check(spec, weight, 0.7, kernel)
 
 
+def test_the_slack_of_a_grid_is_the_slack_at_each_point(spec):
+    weight = an.RadialWeight.power_law(1.0)
+    kernel = an.weighted_bergman_kernel(spec, weight)
+    points = np.linspace(0.55, 0.9, 30) * np.exp(1j * np.linspace(0.0, 3.0, 30))
+    scale = 1e-14 * np.abs(np.array([curvature_scalar(kernel, w) for w in points])).max()
+    grid = an.strict_ci_check(spec, weight, points, kernel)
+    assert grid.shape == (30,)
+    loop = [an.strict_ci_check(spec, weight, w, kernel) for w in points]
+    assert np.abs(grid - loop).max() <= scale
+    hardy = an.hardy_ci_slack(spec, list(points))
+    assert np.abs(hardy - [an.hardy_ci_slack(spec, w) for w in points]).max() <= scale
+    # one point stays a float
+    assert type(an.strict_ci_check(spec, weight, points[0], kernel)) is float
+    # the disc bound, elementwise, and to the bit
+    disc = kc.SeriesKernel.disc(np.arange(1.0, 202.0))
+    rows = np.array(ci_slack(disc, points.reshape(5, 6))).reshape(3, -1).T
+    loop = np.array([ci_slack(disc, w) for w in points])
+    assert np.allclose(rows, loop, rtol=1e-14, atol=0.0)
+    assert np.array_equal(rows[:, 1], loop[:, 1])
+
+
 def test_strict_ci_refuses_a_kernel_of_another_annulus(spec):
     # the r = 0.3 kernel under the r = 0.5 spec would pair its curvature with
     # the Szego value of r = 0.5, a slack of 0.298 at 0.7 against its own 5.408
@@ -233,6 +254,55 @@ def test_curvature_agrees_for_equivalent_weights(spec):
     assert verdict.predicted
     assert verdict.measured
     assert verdict.max_curvature_diff < 1e-10
+
+
+@pytest.mark.parametrize("grid_points", [0, -1, 2.5, True, "20"])
+def test_a_curvature_grid_refuses_a_point_count_that_is_not_a_positive_integer(spec,
+                                                                              grid_points):
+    kernel = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(1.0))
+    with pytest.raises(ConfigError, match="'grid_points'"):
+        an.curvature_grid(spec, kernel, grid_points)
+    with pytest.raises(ConfigError, match="'grid_points'"):
+        an.character_equivalence(spec, 0.0, 2.0, grid_points)
+
+
+@pytest.mark.parametrize("r", [0.86, 0.87, 0.88, 0.95])
+def test_a_curvature_grid_refuses_an_annulus_without_a_band(monkeypatch, r):
+    # the band [r + 0.05, 0.9] is empty for r > 0.85: no grid runs backwards,
+    # and no radius that the grid chose itself is refused as outside the domain
+    thin = an.AnnulusSpec(r=r)
+    kernel = an.weighted_bergman_kernel(thin, an.RadialWeight.power_law(1.0))
+    with pytest.raises(ConfigError, match="'r'"):
+        an.curvature_grid(thin, kernel)
+    builds = counting(monkeypatch, an, "weighted_bergman_kernel")
+    with pytest.raises(ConfigError, match="'r'"):
+        an.character_equivalence(thin, 0.0, 2.0)
+    assert builds == []
+
+
+def test_the_widest_annulus_with_a_band_has_one_radius():
+    edge = an.AnnulusSpec(r=0.85)
+    kernel = an.weighted_bergman_kernel(edge, an.RadialWeight.power_law(1.0))
+    grid = an.curvature_grid(edge, kernel, 3)
+    assert grid[0] == grid[1] == grid[2] == pytest.approx(curvature_scalar(kernel, 0.9),
+                                                          rel=1e-14)
+
+
+def test_character_equivalence_is_two_blocked_products(monkeypatch, spec):
+    products = counting(monkeypatch, kc, "_grid_sums")
+    sums = counting(monkeypatch, kc, "_diagonal_sums")
+    verdict = an.character_equivalence(spec, 1.0, 3.0, grid_points=100)
+    assert [radii.size for _, radii, _ in products] == [100, 100]
+    assert sums == []
+    # each grid is the per-radius curvature to the last bits
+    radii = np.linspace(0.55, 0.9, 100)
+    grids = []
+    for b in (1.0, 3.0):
+        kernel = an.weighted_bergman_kernel(spec, an.RadialWeight(b))
+        grids.append(an.curvature_grid(spec, kernel, 100))
+        loop = np.array([curvature_scalar(kernel, x) for x in radii])
+        assert np.abs(grids[-1] / loop - 1.0).max() <= 1e-14
+    assert verdict.max_curvature_diff == np.abs(grids[0] - grids[1]).max()
 
 
 def test_period_matrix_closed_form(spec):

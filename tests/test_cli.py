@@ -23,6 +23,7 @@ from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.cli import MAX_GRID_STEPS, main
 from rkhs_lab.extremality import fk_value as fk_value_of
+from tests.conftest import counting
 
 
 @pytest.fixture()
@@ -276,6 +277,26 @@ def test_non_finite_values_are_refused(runner, argv, quantity):
     diag = json.loads(res.stderr)
     assert diag["error"] == "NonFiniteValue"
     assert quantity in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "n+1"})],
+    ["curvature", "--kernel", json.dumps({"kind": "annulus_laurent", "r": 0.5, "weight_b": 1})],
+    ["ci-check", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "n+1"})],
+    ["ci-check", "--kernel", json.dumps({"kind": "annulus_laurent", "r": 0.5, "weight_b": 1})],
+    ["annulus", "--task", "bergman", "--weight", "rho"],
+    ["annulus", "--task", "strict-ci", "--weight", "rho"],
+], ids=["curvature-disc", "curvature-annulus", "ci-check-disc", "ci-check-annulus",
+        "annulus-bergman", "annulus-strict-ci"])
+def test_a_grid_command_is_one_blocked_curvature_product(runner, monkeypatch, argv):
+    products = counting(monkeypatch, kc, "_grid_sums")
+    sums = counting(monkeypatch, kc, "_diagonal_sums")
+    res = runner.invoke(main, argv + ["--grid", "0.6:0.9:7"])
+    assert res.exit_code == 0, res.output
+    assert [radii.tolist() for _, radii, _ in products] == [np.linspace(0.6, 0.9, 7).tolist()]
+    # kernel values stay per point, through eval_kernel's order-0 sums
+    assert all(order == 0 for *_, order in sums)
+    assert len(res.stdout.splitlines()) == 8
 
 
 def test_curvature_of_coefficients_near_the_double_limit(runner):

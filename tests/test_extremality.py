@@ -271,16 +271,29 @@ def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
     # Gram-decrease check; the pipeline forms no inverse or condition number itself
     assert ex.inverse_factor is ps.inverse_factor
     assert ex.gram_decrease_check is ps.gram_decrease_check
-    factors = counting(monkeypatch, ex, "inverse_factor")
+    factors, inside = [], []
+
+    def factor(G):
+        factors.append(G)
+        inside.append(G)
+        try:
+            return ps.inverse_factor(G)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ex, "inverse_factor", factor)
     decreases = counting(monkeypatch, ex, "gram_decrease_check")
-    inverses = counting(monkeypatch, np.linalg, "inv")
+    inv = np.linalg.inv
+    inverses = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(bool(inside)) or inv(a))
     eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
     assert uniqueness_pipeline_check(geometric(), zeta).passed
     assert (len(factors), len(decreases)) == (1, 1)
-    # the triangular inverse inside the factor, the eigensolve inside psd_check
-    assert (len(inverses), len(eigensolves)) == (1, 1)
+    # the triangular inverse (its blocks) inside the one factor, the eigensolve inside psd_check
+    assert inverses and all(inverses)
+    assert len(eigensolves) == 1
     # a complex zeta replays at |zeta|, so both run in real LAPACK
-    assert factors[0][0].dtype == eigensolves[0][0].dtype == np.float64
+    assert factors[0].dtype == eigensolves[0][0].dtype == np.float64
 
 
 def test_pipeline_refusal_of_the_factor_fails_the_monomial_gram_step(monkeypatch):

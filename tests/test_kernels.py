@@ -1,5 +1,7 @@
 """Series evaluation, jets, tilde kernels, normalization, Mobius pullbacks."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import curvature_scalar
-from rkhs_lab.errors import (ConfigError, KernelVanishesNearCenter, NonFiniteValue,
-                             PointOutsideDomain, TruncationTailTooLarge, UnsupportedJetOrder)
+from rkhs_lab.curvature import curvature_scalar, curvature_values
+from rkhs_lab.errors import (ConfigError, DegenerateKernel, KernelLabError,
+                             KernelVanishesNearCenter, NonFiniteValue, PointOutsideDomain,
+                             TruncationTailTooLarge, UnsupportedJetOrder)
 from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
+from rkhs_lab.specio import load_kernel
 from tests.conftest import counting, disc_kernel
 
 
@@ -348,12 +352,13 @@ def test_deriv2_and_jet_match_mpmath(case):
             assert abs(J[p, q] - diagonal[p][q]) <= diagonal_tol[p, q]
 
 
-def assert_curvature_matches_mpmath(kernel, w):
-    """curvature_scalar against -(J00 J11 - |J01|^2) / J00^2 of the 40-digit
-    diagonal sums.  The bound carries the entry tolerances e of mp_series
-    through the quotient (numerator to first order plus the e01^2 and e00 e11
-    terms, denominator over J00 - e00) and adds four roundings of the double
-    quotient at the size of its terms."""
+def assert_curvature_matches_mpmath(kernel, w, value=None):
+    """curvature_scalar at w, or the ``value`` under test given for it, against
+    -(J00 J11 - |J01|^2) / J00^2 of the 40-digit diagonal sums.  The bound
+    carries the entry tolerances e of mp_series through the quotient
+    (numerator to first order plus the e01^2 and e00 e11 terms, denominator
+    over J00 - e00) and adds four roundings of the double quotient at the
+    size of its terms."""
     J, tol = mp_series(kernel, w, w, order=1)
     with mpmath.workdps(40):
         j00, j11 = mpmath.mpf(J[0][0].real), mpmath.mpf(J[1][1].real)
@@ -366,7 +371,7 @@ def assert_curvature_matches_mpmath(kernel, w):
                  + abs(num) * (2 * j00 * e00 + e00 ** 2) / j00 ** 2
                  + 4 * mpmath.eps * ((j00 + e00) * (abs(j11) + e11) + (a01 + e01) ** 2)) / lo ** 2
         try:
-            curv = curvature_scalar(kernel, w)
+            curv = curvature_scalar(kernel, w) if value is None else value
         except NonFiniteValue:
             # only where a sum or the curvature itself leaves the double range
             assert max(j00, abs(j11), a01, abs(num) / j00 ** 2) > 1.7e308
@@ -387,6 +392,96 @@ THIN_STEEP = an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05), an.RadialWeight.
 def test_curvature_matches_mpmath(case):
     kernel, _, w = case
     assert_curvature_matches_mpmath(kernel, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows_and_points())
+# the thin steep window at the inner edge of its band, where a_n ~ 1e-300 at n = -142
+@example((THIN_STEEP, 0.071 + 0j, 0.075j))
+@example((disc_kernel("n+1"), 0j, 0.97j))
+def test_curvature_grid_values_match_mpmath(case):
+    # one blocked product for the grid; every value within the bound of the one-point path
+    kernel, z, w = case
+    points = np.array([z, w, *np.linspace(abs(z), abs(w), 3)])
+    for x, value in zip(points, curvature_values(kernel, points)):
+        assert_curvature_matches_mpmath(kernel, x, value)
+
+
+def refusal(fn, *args):
+    """(type, message) of the library error that fn(*args) raises."""
+    with pytest.raises(KernelLabError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("kernel, points, error", [
+    (disc_kernel("n+1"), [0.5, 1.2j, 0.3, 1.5], PointOutsideDomain),
+    (load_kernel({"kind": "annulus_laurent", "r": 0.05, "weight_b": 1e300}), [0.5, 0.9],
+     NonFiniteValue),
+    # S11 / S00 = 1 / 1e-310 at w = 0
+    (kc.SeriesKernel.disc([1e-310, 1.0, 1.0]), [0.5, 0.0, 0.2], NonFiniteValue),
+    # S00 = -1 + 4 |w|^4 is positive at 0.8 only, and 0 at w = 0 for [0, 1, 1]
+    (kc.SeriesKernel(np.arange(3), [-1.0, 0.0, 4.0], signed=True), [0.8, 0.5j, 0.9],
+     DegenerateKernel),
+    (kc.SeriesKernel(np.arange(3), [0.0, 1.0, 1.0], signed=True), [0.5, 0.0], DegenerateKernel),
+], ids=["outside", "overflowing-annulus", "curvature-quotient", "negative-s00", "zero-s00"])
+def test_a_grid_refuses_at_the_first_point_the_loop_refuses(kernel, points, error):
+    points = np.asarray(points, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = refusal(lambda: [curvature_scalar(kernel, w) for w in points])
+        assert expected[0] is error
+        assert refusal(curvature_values, kernel, points) == expected
+        # and as a 2-D array of the same points
+        assert refusal(curvature_values, kernel, points.reshape(1, -1)) == expected
+
+
+def test_a_grid_is_the_loop_to_the_last_bits():
+    # the sums differ in their summation order only; where the quotient cancels
+    # far more (THIN_STEEP), the mpmath bound holds both paths instead
+    kernel = disc_kernel("n+1")
+    radii = np.linspace(0.0, 0.97, 2000)
+    points = radii * np.exp(1j * np.linspace(0.0, 6.0, 2000))
+    loop = np.array([curvature_scalar(kernel, w) for w in points])
+    assert np.abs(curvature_values(kernel, points) / loop - 1.0).max() <= 1e-14
+    # the curvature is radial: the same values at |w|
+    assert np.array_equal(curvature_values(kernel, points),
+                          curvature_values(kernel, [abs(w) for w in points]))
+    assert curvature_values(kernel, points.reshape(40, 50)).shape == (40, 50)
+    assert curvature_values(kernel, []).shape == (0,)
+
+
+def test_a_grid_is_one_blocked_product(monkeypatch):
+    kernel = disc_kernel("n+1")
+    radii = np.linspace(0.0, 0.9, 1000)
+    whole = kc._grid_sums(kernel, radii, 2)
+    products = counting(monkeypatch, kc, "_grid_sums")
+    points = counting(monkeypatch, kc, "_diagonal_sums")
+    curvature_values(kernel, radii)
+    assert len(products) == 1 and points == []
+    # blocks of 7 radii give the same sums as blocks of 163, the default for 201 terms
+    monkeypatch.setattr(kc, "_GRID_BLOCK", 7 * 201)
+    assert np.allclose(kc._grid_sums(kernel, radii, 2), whole, rtol=1e-15, atol=0.0)
+
+
+def test_grid_sums_enter_the_floating_point_guard_only_where_a_sum_can_overflow(monkeypatch):
+    bergman, limit = disc_kernel("n+1"), kc.SeriesKernel.disc([1e308] * 201)
+    radii = np.array([0.0, 0.3, 0.9])
+    for kernel in (bergman, limit):
+        kc._grid_sums(kernel, radii, 1)  # each kernel computes its constant rows once, here
+    entered = counting(monkeypatch, np, "errstate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kc._grid_sums(bergman, radii, 1)
+        assert entered == []
+        sums = kc._grid_sums(limit, radii, 1)
+    assert len(entered) == 1
+    assert np.isfinite(sums[:2]).all() and not np.isfinite(sums[2]).all()
+
+
+def test_curvature_values_refuses_a_closed_form():
+    with pytest.raises(ConfigError, match="'kernel'"):
+        curvature_values(kc.normalize_at(disc_kernel("n+1"), 0.2), [0.1, 0.3])
 
 
 @pytest.mark.parametrize("kernel", [
@@ -652,18 +747,23 @@ def diagonal_cases(draw):
 @example((kc.SeriesKernel.disc([1e308] * 201), 0.3), 0.5)
 @example((kc.SeriesKernel.disc([1e308] * 201), 0.9), 0.0)
 def test_diagonal_sums_match_the_row_formula(case, theta):
+    # for one point and for a grid
     kernel, radius = case
     w = radius * np.exp(1j * theta)
     for order in range(3):
         ref, tol = row_formula_sums(kernel, w, order)
+        grid = kc._grid_sums(kernel, [abs(w)] * 2, order)[1]  # the grid path at |w|
         if not np.isfinite(ref).all():
             with pytest.raises(NonFiniteValue):
                 kc._diagonal_sums(kernel, w, order)
+            assert not np.isfinite(grid).all()
             continue
         sums = kc._diagonal_sums(kernel, w, order)
         for p in range(order + 1):
             for q in range(p + 1):
-                assert abs(sums[p * (p + 1) // 2 + q] - ref[p, q]) <= tol[p, q], (order, p, q)
+                i = p * (p + 1) // 2 + q
+                assert abs(sums[i] - ref[p, q]) <= tol[p, q], (order, p, q)
+                assert abs(grid[i] - ref[p, q]) <= tol[p, q], (order, p, q)
 
 
 def test_diagonal_sums_enter_the_floating_point_guard_only_where_a_sum_can_overflow(
