@@ -3,11 +3,10 @@ to verify the inequalities and classifications built on them."""
 
 from .annulus import (AnnulusSpec, Character, RadialWeight, character_equivalence,
                       character_of_weight, extremal_problem_ls,
-                      extremal_problem_value, period_matrix, strict_ci_check,
-                      szego_annulus, szego_kernel, weighted_bergman_kernel)
+                      extremal_problem_value, strict_ci_check, szego_annulus,
+                      szego_kernel, weighted_bergman_kernel)
 from .caratheodory import cara_norm_ball, cara_norm_polydisc, generalized_ci_check, szego_disc
-from .curvature import (curvature_matrix, curvature_scalar, curvature_scalar_fd,
-                        curvature_values, mobius_rule_check)
+from .curvature import curvature_matrix, curvature_scalar, curvature_values, mobius_rule_check
 from .extremality import (classify_shift, dependence_test, fk_value,
                           uniqueness_pipeline_check)
 from .kernels import (ClosedFormKernel, SeriesKernel, eval_kernel, jet,

@@ -33,8 +33,9 @@ class AnnulusSpec:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"field 'r' must lie in (0, 1), got {self.r}")
-        if self.N < MIN_N:
-            raise ConfigError(f"field 'N' must be at least {MIN_N}, got {self.N}")
+        if (isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer))
+                or self.N < MIN_N):
+            raise ConfigError(f"field 'N' must be an integer of at least {MIN_N}, got {self.N!r}")
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,14 @@ class Character:
         return abs(self.gamma - other.gamma) <= CHARACTER_TOL
 
 
-def _trim_window(ns: np.ndarray, coeffs: np.ndarray):
-    """Drop the contiguous underflowed margin (thin annuli kill negative n)."""
+def _trimmed_kernel(spec: AnnulusSpec, coeffs: np.ndarray) -> kc.SeriesKernel:
+    """The kernel of the coefficients of n = -N..N on the annulus of ``spec``,
+    without their contiguous underflowed margin (thin annuli kill negative n)."""
     good = np.isfinite(coeffs) & (coeffs > 0.0)
     if not good.any():
         raise QuadratureFailure("no representable Laurent coefficients")
     lo, hi = int(np.argmax(good)), int(len(good) - np.argmax(good[::-1]))
-    return ns[lo:hi], coeffs[lo:hi]
+    return kc.SeriesKernel(lo - spec.N, coeffs[lo:hi], spec.r)
 
 
 def szego_kernel(spec: AnnulusSpec) -> kc.SeriesKernel:
@@ -90,8 +92,7 @@ def szego_kernel(spec: AnnulusSpec) -> kc.SeriesKernel:
     ns = np.arange(-spec.N, spec.N + 1)
     with np.errstate(over="ignore"):
         coeffs = 1.0 / (2.0 * np.pi * (1.0 + spec.r ** (2.0 * ns + 1.0)))
-    ns, coeffs = _trim_window(ns, coeffs)
-    return kc.SeriesKernel(ns, coeffs, spec.r)
+    return _trimmed_kernel(spec, coeffs)
 
 
 @lru_cache(maxsize=8)
@@ -198,8 +199,7 @@ def weighted_bergman_kernel(spec: AnnulusSpec, weight: RadialWeight) -> kc.Serie
     ns = np.arange(-spec.N, spec.N + 1)
     with np.errstate(divide="ignore"):  # zero norms give inf, trimmed below
         coeffs = 1.0 / _norms_sq(spec, weight, ns)
-    ns, coeffs = _trim_window(ns, coeffs)
-    return kc.SeriesKernel(ns, coeffs, spec.r)
+    return _trimmed_kernel(spec, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +290,11 @@ def character_of_weight(spec: AnnulusSpec, weight: RadialWeight) -> Character:
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     predicted: bool
-    measured: bool
     max_curvature_diff: float
+
+    @property
+    def measured(self) -> bool:
+        return self.max_curvature_diff <= EQUIVALENCE_TOL
 
     @property
     def agree(self) -> bool:
@@ -327,15 +330,4 @@ def character_equivalence(spec: AnnulusSpec, b1: float, b2: float,
     w1, w2 = RadialWeight.power_law(b1), RadialWeight.power_law(b2)
     predicted = character_of_weight(spec, w1).matches(character_of_weight(spec, w2))
     g1, g2 = (curvature_values(weighted_bergman_kernel(spec, w), radii) for w in (w1, w2))
-    diff = float(np.abs(g1 - g2).max())
-    return EquivalenceVerdict(predicted=predicted, measured=diff <= EQUIVALENCE_TOL,
-                              max_curvature_diff=diff)
-
-
-def period_matrix(spec: AnnulusSpec) -> np.ndarray:
-    """1x1 period matrix of the harmonic measure of the inner circle.
-
-    omega_1 = log rho / log r; the flux through the inner circle, signed so
-    the energy form is positive, is 2 pi r / (r |log r|) = 2 pi / |log r|.
-    """
-    return np.array([[2.0 * math.pi / abs(math.log(spec.r))]])
+    return EquivalenceVerdict(predicted=predicted, max_curvature_diff=float(np.abs(g1 - g2).max()))

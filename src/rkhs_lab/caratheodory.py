@@ -69,9 +69,12 @@ def cara_norm_polydisc(V, z) -> float:
 
 @dataclass(frozen=True)
 class CIVerdict:
-    passed: bool
     worst_margin: float
     worst_vector: np.ndarray
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_margin <= CI_TOL
 
     def __bool__(self) -> bool:
         return self.passed
@@ -94,8 +97,7 @@ def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1) -> CIVerdict
     H = (K + K.conj().T) / 2.0
     tops = [np.linalg.eigh(H + D) for D in _cara_forms(domain, w, dim // n, n)]
     vals, vecs = max(tops, key=lambda t: t[0][-1])
-    return CIVerdict(passed=bool(vals[-1] <= CI_TOL), worst_margin=float(vals[-1]),
-                     worst_vector=vecs[:, -1])
+    return CIVerdict(worst_margin=float(vals[-1]), worst_vector=vecs[:, -1])
 
 
 def szego_disc(z: complex, w: complex) -> complex:

@@ -25,9 +25,9 @@ from . import annulus as an
 from . import kernels as kc
 from .curvature import ci_slack, curvature_scalar, curvature_values
 from .errors import ConfigError, KernelLabError
-from .extremality import classify_shift
+from .extremality import FK_RTOL, classify_shift
 from .localop import canonical_form, jet_gram, verify_tt_identity_gram
-from .positivity import (contraction_check, hyponormal_check,
+from .positivity import (DEFAULT_SEED, contraction_check, hyponormal_check,
                          two_hypercontraction_check)
 from .specio import annulus_from_spec, kernel_from_spec, load_kernel, load_spec
 
@@ -190,7 +190,7 @@ def local_op(kernel, at, tol):
 @main.command()
 @click.option("--kernel", required=True)
 @click.option("--tests", default="contraction,hyponormal,2hyper", show_default=True)
-@click.option("--seed", default=2024, show_default=True)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True)
 @click.option("--out", default="-", show_default=True)
 @_command
 def check(kernel, tests, seed):
@@ -218,7 +218,7 @@ def check(kernel, tests, seed):
 @main.command()
 @click.option("--kernel", required=True)
 @click.option("--at", default="0", show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=FK_RTOL, show_default=True)
 @click.option("--out", default="-", show_default=True)
 @_command
 def extremal(kernel, at, tol):

@@ -18,8 +18,6 @@ from . import kernels as kc
 from .errors import (ConfigError, DegenerateKernel, DimensionMismatch, NonFiniteValue,
                      NotPositiveDefinite)
 
-FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
-
 
 @dataclass(frozen=True)
 class JetGram:
@@ -55,11 +53,6 @@ class CurvatureMatrix:
     """The mn x mn curvature matrix, in n x n blocks indexed by derivative."""
 
     matrix: np.ndarray
-
-    def as_scalar(self) -> float:
-        if self.matrix.shape != (1, 1):
-            raise ValueError("curvature matrix is not 1x1")
-        return float(self.matrix[0, 0].real)
 
 
 def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
@@ -197,21 +190,6 @@ def ci_slack(kernel, w, szego_value=None) -> tuple:
     else:
         bound = -4.0 * np.pi ** 2 * szego_value ** 2
     return curv, bound, bound - curv
-
-
-def curvature_scalar_fd(kernel, w: complex) -> float:
-    """Finite-difference cross-check: -1/4 Laplacian of log K(z, z), step FD_STEP."""
-
-    def logk(z: complex) -> float:
-        return float(np.log(kc.eval_kernel(kernel, z, z).real))
-
-    def lap(h: float) -> float:
-        return (logk(w + h) + logk(w - h) + logk(w + 1j * h) + logk(w - 1j * h)
-                - 4.0 * logk(w)) / h ** 2
-
-    # one Richardson extrapolation level
-    d = (4.0 * lap(FD_STEP / 2.0) - lap(FD_STEP)) / 3.0
-    return -0.25 * d
 
 
 def mobius_rule_check(kernel, a: complex, z: complex) -> float:

@@ -12,6 +12,7 @@ t(w) conj(t(w))^t = (-curvature(w))^-1.  numpy is the only dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,17 @@ class LocalOperatorForm:
     the t_l of the nilpotent parts, and R = t conj(t)^t."""
 
     t: np.ndarray  # mn x mn, the lower-right block of P
-    R: np.ndarray  # mn x mn, the lower-right block of G^-1
     m: int
     n: int
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """mn x mn, the lower-right block of G^-1: P is block upper triangular,
+        so the lower-right block of P P^H is t t^H."""
+        R = self.t @ self.t.conj().T
+        # its diagonal is real; a fused multiply-add in the product leaves roundoff there
+        np.fill_diagonal(R, R.diagonal().real)
+        return R
 
 
 def jet_gram(kernel, w: complex) -> JetGram:
@@ -42,14 +51,8 @@ def jet_gram(kernel, w: complex) -> JetGram:
 
 def canonical_form(gram: JetGram) -> LocalOperatorForm:
     """Orthonormalize the jet basis and extract the canonical blocks."""
-    m, n = gram.m, gram.n
     # P_11 = I because the top-left block of G is the identity
-    t = inverse_factor(gram.G)[n:, n:]
-    # P is block upper triangular, so the lower-right block of P P^H is t t^H
-    R = t @ t.conj().T
-    # its diagonal is real; a fused multiply-add in the product leaves roundoff there
-    np.fill_diagonal(R, R.diagonal().real)
-    return LocalOperatorForm(t=t, R=R, m=m, n=n)
+    return LocalOperatorForm(t=inverse_factor(gram.G)[gram.n:, gram.n:], m=gram.m, n=gram.n)
 
 
 def verify_tt_identity_gram(gram: JetGram, form: LocalOperatorForm) -> float:

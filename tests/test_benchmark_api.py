@@ -1,7 +1,8 @@
 """Every library name that the benchmark in perfbench/ traces or calls exists,
-and every library call it makes binds to its callee's signature, so removing
-a name or changing a signature fails here rather than in a benchmark run.
-The benchmark files are parsed, not imported."""
+every library call it makes binds to its callee's signature, and a real result
+of each call has the attributes it reads off that result, so removing a name,
+an attribute or changing a signature fails here rather than in a benchmark
+run.  The benchmark files are parsed, not imported."""
 
 import ast
 import importlib
@@ -9,7 +10,15 @@ import inspect
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rkhs_lab import annulus as an
+from rkhs_lab import caratheodory as ca
+from rkhs_lab import curvature as cv
+from rkhs_lab import extremality as ex
+from rkhs_lab import positivity as ps
+from rkhs_lab import specio
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: the module aliases of perfbench/workloads.py
@@ -90,3 +99,46 @@ def test_benchmark_calls_cover_the_library_calls():
     assert {("an", "strict_ci_check"), ("an", "AnnulusSpec"),
             ("an", "RadialWeight.power_law"), ("specio", "load_kernel")} <= calls
     assert len(calls) >= 20
+
+
+def bergman():
+    return specio.load_kernel({"kind": "disc_diagonal", "coeff_rule": "n+1"})
+
+
+#: the attributes that workloads.py reads off the result of each library call
+RESULTS = {
+    "ca.generalized_ci_check": (lambda: ca.generalized_ci_check(np.array([[-2.0]]), "ball", [0.3]),
+                                ("passed", "worst_margin")),
+    "an.character_equivalence": (lambda: an.character_equivalence(an.AnnulusSpec(r=0.5), 1.0, 3.0,
+                                                                  grid_points=4),
+                                 ("predicted", "measured", "agree", "max_curvature_diff")),
+    "ex.classify_shift": (lambda: ex.classify_shift(bergman(), 0.3), ("classification",)),
+    "ex.uniqueness_pipeline_check": (lambda: ex.uniqueness_pipeline_check(bergman(), 0.0),
+                                     ("failed_step",)),
+    "ps.contraction_check": (lambda: ps.contraction_check(bergman(), seed=7), ("passed",)),
+    "ps.hyponormal_check": (lambda: ps.hyponormal_check(bergman()), ("passed",)),
+    "ps.two_hypercontraction_check": (lambda: ps.two_hypercontraction_check(bergman()),
+                                      ("passed",)),
+    "cv.curvature_matrix": (lambda: cv.curvature_matrix(cv.frame_from_jet(bergman(), 0.3)),
+                            ("matrix",)),
+    "an.weighted_bergman_kernel": (
+        lambda: an.weighted_bergman_kernel(an.AnnulusSpec(r=0.5, N=50),
+                                           an.RadialWeight.from_profile(lambda rho: rho)),
+        ("ns", "coeffs")),
+}
+
+
+@pytest.mark.parametrize("call", RESULTS)
+def test_benchmark_results_have_the_attributes_it_reads(call):
+    make, attributes = RESULTS[call]
+    result = make()
+    for name in attributes:
+        assert hasattr(result, name), f"{call} result has no {name}"
+
+
+def test_the_result_attributes_are_the_ones_workloads_read():
+    read = {node.attr for node in ast.walk(WORKLOADS) if isinstance(node, ast.Attribute)}
+    calls = {f"{alias}.{'.'.join(path)}" for alias, path, _, _ in CALLS}
+    for call, (_, attributes) in RESULTS.items():
+        assert call in calls
+        assert set(attributes) <= read, call

@@ -22,7 +22,9 @@ import rkhs_lab
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.cli import MAX_GRID_STEPS, main
+from rkhs_lab.extremality import FK_RTOL
 from rkhs_lab.extremality import fk_value as fk_value_of
+from rkhs_lab.positivity import DEFAULT_SEED
 from tests.conftest import counting
 
 
@@ -127,6 +129,14 @@ def test_ci_check_rows_carry_normalization_tag(runner, berg_spec):
     assert res.exit_code == 0
     for line in res.output.strip().splitlines()[1:]:
         assert line.endswith(",with4pi2")
+
+
+def test_cli_defaults_are_the_library_constants():
+    def default(command, option):
+        return next(p.default for p in main.commands[command].params if p.name == option)
+
+    assert default("extremal", "tol") == FK_RTOL
+    assert default("check", "seed") == DEFAULT_SEED
 
 
 def test_annulus_character(runner):

@@ -5,10 +5,26 @@ import pytest
 
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import (_inv_sqrt_hermitian, curvature_matrix, curvature_scalar,
-                                curvature_scalar_fd, frame_from_jet,
-                                mobius_rule_check)
+                                frame_from_jet, mobius_rule_check)
 from rkhs_lab.errors import NotPositiveDefinite, PointOutsideDomain
 from tests.conftest import disc_kernel, random_contractive_kernel
+
+FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
+
+
+def curvature_scalar_fd(kernel, w: complex) -> float:
+    """Finite-difference cross-check: -1/4 Laplacian of log K(z, z), step FD_STEP."""
+
+    def logk(z: complex) -> float:
+        return float(np.log(kc.eval_kernel(kernel, z, z).real))
+
+    def lap(h: float) -> float:
+        return (logk(w + h) + logk(w - h) + logk(w + 1j * h) + logk(w - 1j * h)
+                - 4.0 * logk(w)) / h ** 2
+
+    # one Richardson extrapolation level
+    d = (4.0 * lap(FD_STEP / 2.0) - lap(FD_STEP)) / 3.0
+    return -0.25 * d
 
 
 def test_geometric_kernel_closed_form():
@@ -47,7 +63,7 @@ def test_curvature_matrix_reduces_to_scalar():
     frame = frame_from_jet(k, w)
     K = curvature_matrix(frame)
     assert K.matrix.shape == (1, 1)
-    assert K.as_scalar() == pytest.approx(curvature_scalar(k, w), rel=1e-10)
+    assert K.matrix[0, 0].real == pytest.approx(curvature_scalar(k, w), rel=1e-10)
 
 
 def test_mobius_rule_geometric_exact():
