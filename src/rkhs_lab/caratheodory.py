@@ -67,7 +67,7 @@ def cara_norm_polydisc(V, z) -> float:
     return _cara_norm("polydisc", V, z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CIVerdict:
     worst_margin: float
     worst_vector: np.ndarray

@@ -19,7 +19,7 @@ from .errors import (ConfigError, DegenerateKernel, DimensionMismatch, NonFinite
                      NotPositiveDefinite)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JetGram:
     """(m+1)n x (m+1)n Gram matrix of (frame, d_1 frame, ..., d_m frame), of the
     frame made orthonormal at the point.
@@ -48,7 +48,7 @@ class JetGram:
         object.__setattr__(self, "G", (s @ blocks @ s).swapaxes(1, 2).reshape(size, size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureMatrix:
     """The mn x mn curvature matrix, in n x n blocks indexed by derivative."""
 

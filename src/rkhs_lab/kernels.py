@@ -20,7 +20,7 @@ of radii form the matrix X[i, k] = r_i^(e_k), and the sums of the block are
 low terms as for one point.  A block holds at most ``_GRID_BLOCK`` doubles,
 so a grid of any length needs bounded memory.  One point keeps the one-row
 path, which costs less than a grid of one.
-A point cloud (a sampled Gram) is one product
+Values over two arrays of points (``kernel_matrix``) are one product
 ((M_z o E_z) diag(a)) (M_w o E_w)^H of the order-0 rows and the phase rows
 E_x of each point's unit x / |x|.  Every path puts a_n between the two real
 powers, so a small a_n at the inner end of a Laurent window keeps a sum
@@ -75,7 +75,7 @@ def _check_inner_radius(inner_radius) -> None:
         raise ConfigError(f"field 'inner_radius' must lie in (0, 1), got {inner_radius}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesKernel:
     """Diagonal power/Laurent kernel with a finite truncation window.
 
@@ -442,20 +442,19 @@ def _refuse_tail(tail: float, scale: float, z, w) -> None:
 
 def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
     """Matrix K(z_i, w_j) of a series kernel over two arrays of points, the
-    cloud product of the module docstring.  Every point is checked against
-    the domain, and the truncation tail bound against the largest |K| of the
-    matrix, the scale of a Gram's eigenvalue tolerance; the bound is convex
-    in rho = |z_i| |w_j|, so it is taken at the smallest and largest rho.
+    product of the module docstring.  Every point is checked against the
+    domain, and the truncation tail bound against the largest |K| of the
+    matrix; the bound is convex in rho = |z_i| |w_j|, so it is taken at the
+    smallest and largest rho.
     """
-    same = w is z
     z, w = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (z, w))
-    for xi in z if same else np.concatenate((z, w)):
+    for xi in np.concatenate((z, w)):
         check_point(kernel, xi)
     rz, rw = np.abs(z), np.abs(w)
     exps = _rows(kernel, 0)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         Ez = rz[:, None] ** exps * _phase_rows(kernel, _unit(z))
-        Ew = Ez if same else rw[:, None] ** exps * _phase_rows(kernel, _unit(w))
+        Ew = rw[:, None] ** exps * _phase_rows(kernel, _unit(w))
         K = (Ez * kernel._live[1]) @ Ew.conj().T
     if not np.isfinite(K).all():
         i, j = np.argwhere(~np.isfinite(K))[0]
@@ -498,7 +497,7 @@ def tilde_kernel(kernel: SeriesKernel) -> SeriesKernel:
     """Coefficients of (1 - z wbar) K(z, w): b_0 = a_0, b_n = a_n - a_{n-1}.
 
     The result may have non-positive coefficients; it is returned as a
-    signed series, and ``positivity.contraction_check`` judges its signs.
+    signed series, and ``positivity.is_contraction`` judges its signs.
     It is built once per kernel and kept on it, with its own constant rows.
     """
     require_disc(kernel, "the tilde transform")

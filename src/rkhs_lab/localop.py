@@ -21,7 +21,7 @@ from .errors import DimensionMismatch
 from .positivity import inverse_factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperatorForm:
     """The canonical local-operator representation: t, whose n-row blocks are
     the t_l of the nilpotent parts, and R = t conj(t)^t."""

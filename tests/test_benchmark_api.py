@@ -1,8 +1,9 @@
 """Every library name that the benchmark in perfbench/ traces or calls exists,
-every library call it makes binds to its callee's signature, and a real result
-of each call has the attributes it reads off that result, so removing a name,
-an attribute or changing a signature fails here rather than in a benchmark
-run.  The benchmark files are parsed, not imported."""
+every library call it makes binds to its callee's signature, a real result
+of each call has the attributes it reads off that result, and every option it
+passes to a CLI command is declared by that command, so removing a name, an
+attribute or an option or changing a signature fails here rather than in a
+benchmark run.  The benchmark files are parsed, not imported."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ from rkhs_lab import curvature as cv
 from rkhs_lab import extremality as ex
 from rkhs_lab import positivity as ps
 from rkhs_lab import specio
+from rkhs_lab.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: the module aliases of perfbench/workloads.py
@@ -142,3 +144,32 @@ def test_the_result_attributes_are_the_ones_workloads_read():
     for call, (_, attributes) in RESULTS.items():
         assert call in calls
         assert set(attributes) <= read, call
+
+
+def workload_cli_options():
+    """(command, option) of every "--option" string in an argv list literal of
+    workloads.py whose first element names a CLI command."""
+    options = set()
+    for node in ast.walk(WORKLOADS):
+        if (isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in main.commands):
+            options.update((node.elts[0].value, elt.value) for elt in node.elts[1:]
+                           if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                           and elt.value.startswith("--"))
+    return sorted(options)
+
+
+CLI_OPTIONS = workload_cli_options()
+
+
+def test_benchmark_cli_options_cover_every_command():
+    assert {command for command, _ in CLI_OPTIONS} == set(main.commands)
+    assert len(CLI_OPTIONS) >= 20
+
+
+@pytest.mark.parametrize("command, option", CLI_OPTIONS,
+                         ids=[f"{c}/{o}" for c, o in CLI_OPTIONS])
+def test_benchmark_cli_options_are_declared(command, option):
+    declared = {opt for param in main.commands[command].params
+                for opt in param.opts + param.secondary_opts}
+    assert option in declared, f"rkhs-lab {command} declares no {option}"

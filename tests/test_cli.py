@@ -24,7 +24,8 @@ from rkhs_lab import kernels as kc
 from rkhs_lab.cli import MAX_GRID_STEPS, main
 from rkhs_lab.extremality import FK_RTOL
 from rkhs_lab.extremality import fk_value as fk_value_of
-from rkhs_lab.positivity import DEFAULT_SEED
+from rkhs_lab.positivity import contraction_check
+from rkhs_lab.specio import load_kernel
 from tests.conftest import counting
 
 
@@ -120,7 +121,20 @@ def test_check_verdicts_and_violation_exit(runner, tmp_path):
     payload = json.loads(res.output)
     assert payload["verdicts"]["contraction"]["passed"]
     assert not payload["verdicts"]["hyponormal"]["passed"]
-    assert payload["seed"] == 2024
+    assert set(payload) == {"verdicts"}
+
+
+def test_check_seed_has_no_effect(runner, berg_spec):
+    outputs = [runner.invoke(main, ["check", "--kernel", berg_spec, "--seed", seed])
+               for seed in ("1", "99")]
+    assert [res.exit_code for res in outputs] == [0, 0]
+    assert outputs[0].stdout_bytes == outputs[1].stdout_bytes
+    assert outputs[0].stderr_bytes == outputs[1].stderr_bytes == b""
+    kernel = load_kernel(berg_spec)
+    assert contraction_check(kernel, seed=1) == contraction_check(kernel, seed=2)
+    res = runner.invoke(main, ["check", "--kernel", berg_spec, "--seed", "-1"])
+    assert res.exit_code == 1
+    assert "option --seed " in json.loads(res.stderr)["message"]
 
 
 def test_ci_check_rows_carry_normalization_tag(runner, berg_spec):
@@ -136,7 +150,6 @@ def test_cli_defaults_are_the_library_constants():
         return next(p.default for p in main.commands[command].params if p.name == option)
 
     assert default("extremal", "tol") == FK_RTOL
-    assert default("check", "seed") == DEFAULT_SEED
 
 
 def test_annulus_character(runner):
@@ -365,29 +378,19 @@ def test_oversized_requests_are_refused(runner, geo_spec, argv, names):
     assert names in diag["message"]
 
 
-def test_contraction_default_cloud_resolves_a_growing_short_list(runner):
-    # the tilde coefficients (1, 3, 12, 0, 0, 0) grow at the end of a short
-    # window; the default cloud must sit where that tail is resolved
-    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
-                       "coeffs": [1, 4, 16, 16, 16, 16]})
+@pytest.mark.parametrize("coeffs, min_tilde", [
+    # tilde coefficients (1, 3, 12, 0, 0, 0): growing at the end of a short window
+    ([1, 4, 16, 16, 16, 16], 0.0),
+    # tilde coefficients from 1.48e-3 to 20.7
+    ([1.48e-3, 2.73e-2, 0.133, 0.144, 0.254, 1.28, 1.44, 12.1, 14.6, 30.8, 52.0, 70.1],
+     1.48e-3),
+], ids=["growing-tail", "near-cancelling"])
+def test_contraction_verdict_of_a_short_list(runner, coeffs, min_tilde):
+    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list", "coeffs": coeffs})
     res = runner.invoke(main, ["check", "--kernel", spec, "--tests", "contraction"])
     assert res.exit_code == 0, res.stderr
     verdict = json.loads(res.stdout)["verdicts"]["contraction"]
-    assert verdict["passed"]
-    assert abs(verdict["min_eigenvalue"]) < 1e-10
-
-
-def test_contraction_gram_with_a_near_cancelling_entry(runner):
-    # ten off-diagonal entries of the tilde Gram partly cancel (|K| of 0.8-1.5e-3)
-    # and have tail bounds above 1e-12 |K|; against the largest |K| of the
-    # matrix, 2.5e-3, the largest tail bound, 2.4e-15, is within 1e-12, and the
-    # eigenvalue tolerance scales with the matrix, so the Gram is not refused
-    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
-                       "coeffs": [1.48e-3, 2.73e-2, 0.133, 0.144, 0.254, 1.28, 1.44,
-                                  12.1, 14.6, 30.8, 52.0, 70.1]})
-    res = runner.invoke(main, ["check", "--kernel", spec, "--tests", "contraction"])
-    assert res.exit_code == 0, res.stderr
-    assert json.loads(res.stdout)["verdicts"]["contraction"]["passed"]
+    assert verdict == {"passed": True, "min_tilde_coeff": pytest.approx(min_tilde, rel=1e-12)}
 
 
 def test_ci_check_reads_the_kernel_file(runner, tmp_path):

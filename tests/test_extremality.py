@@ -314,16 +314,9 @@ def test_pipeline_curvature_step_is_the_rank1_quotient(monkeypatch):
 
 
 def test_shift_verdicts_build_no_sampled_gram(monkeypatch):
-    # contractivity preconditions use the tilde-coefficient signs; only
-    # contraction_check samples the tilde Gram, once
-    calls = []
-    kernel_matrix = kc.kernel_matrix
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return kernel_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(kc, "kernel_matrix", counting)
+    # every contractivity verdict, contraction_check's included, is the sign
+    # rule on the tilde coefficients; none samples the tilde Gram
+    calls = counting(monkeypatch, kc, "kernel_matrix")
     for zeta in (0.0, 0.3):
         classify_shift(geometric(), zeta)
         uniqueness_pipeline_check(geometric(), zeta)
@@ -331,8 +324,9 @@ def test_shift_verdicts_build_no_sampled_gram(monkeypatch):
         dependence_test(geometric(), zeta)
     two_hypercontraction_check(geometric())
     assert len(calls) == 0
+    grams = counting(monkeypatch, ps, "psd_check"), counting(monkeypatch, np.linalg, "eigvalsh")
     contraction_check(geometric())
-    assert len(calls) == 1
+    assert [len(c) for c in (calls, *grams)] == [0, 0, 0]
 
 
 def test_classification_evaluates_no_curvature(monkeypatch):

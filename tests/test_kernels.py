@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import curvature_scalar, curvature_values
+from rkhs_lab.caratheodory import generalized_ci_check
+from rkhs_lab.curvature import (curvature_matrix, curvature_scalar, curvature_values,
+                                frame_from_jet)
 from rkhs_lab.errors import (ConfigError, DegenerateKernel, KernelLabError,
                              KernelVanishesNearCenter, NonFiniteValue, PointOutsideDomain,
                              TruncationTailTooLarge, UnsupportedJetOrder)
-from rkhs_lab.positivity import contraction_check, psd_check, sample_cloud
+from rkhs_lab.localop import canonical_form
+from rkhs_lab.positivity import contraction_check, psd_check
 from rkhs_lab.specio import load_kernel
-from tests.conftest import counting, disc_kernel
+from tests.conftest import counting, disc_kernel, random_contractive_coeffs
 
 
 def geometric(n_max=200):
@@ -608,27 +611,48 @@ def test_kernel_matrix_matches_mpmath_on_an_annulus_cloud():
                     assert abs(K[i, j] - complex(total)) <= 1e-13 * float(scale), (i, j)
 
 
+def sample_cloud(seed=2024, radius=0.6, count=50):
+    """A seeded cloud of ``count`` points with |z| <= radius, uniform in area."""
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.uniform(0, 1, count))
+    return r * np.exp(2j * np.pi * rng.uniform(0, 1, count))
+
+
 @pytest.mark.parametrize("coeffs", [np.linspace(1.0, 3.0, 201),
                                     np.array([1.0, 0.5] + [0.6] * 100)])
 def test_contraction_gram_matches_elementwise_kernel(coeffs):
     k = kc.SeriesKernel.disc(coeffs)
     kt = kc.tilde_kernel(k)
-    pts = sample_cloud(radius=0.6)
+    pts = sample_cloud()
     G = np.array([[kc.eval_kernel(kt, zi, zj) for zj in pts] for zi in pts])
     norm = np.linalg.norm(G, ord=2)
     assert np.abs(kc.kernel_matrix(kt, pts, pts) - G).max() <= 1e-12 * norm
-    res = contraction_check(k, sample_points=pts)
-    ref = psd_check(G)
-    assert res.info["gram_test"] == ref.passed
-    assert abs(res.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * norm
+    assert psd_check(G).passed == contraction_check(k).passed
+
+
+@pytest.mark.parametrize("contractive", [True, False], ids=["contractive", "dip"])
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_tilde_gram_agrees_with_the_sign_rule(seed, contractive):
+    # the tilde Gram on a cloud is positive semidefinite exactly when no tilde
+    # coefficient is negative; a dip a_k < a_(k-1) at a low k makes it indefinite
+    rng = np.random.default_rng(seed)
+    coeffs = random_contractive_coeffs(rng)
+    if not contractive:
+        k = int(rng.integers(1, 4))
+        coeffs[k] = coeffs[k - 1] - rng.uniform(0.01, 0.1)
+    kernel = kc.SeriesKernel.disc(coeffs)
+    pts = sample_cloud(seed)
+    gram = psd_check(kc.kernel_matrix(kc.tilde_kernel(kernel), pts, pts))
+    verdict = contraction_check(kernel)
+    assert gram.passed == verdict.passed == contractive
 
 
 def test_contraction_gram_refuses_unresolved_or_outside_points():
-    short = kc.SeriesKernel.disc(np.linspace(1.0, 2.0, 20))
+    kt = kc.tilde_kernel(kc.SeriesKernel.disc(np.linspace(1.0, 2.0, 20)))
     with pytest.raises(TruncationTailTooLarge):
-        contraction_check(short, sample_points=[0.2, 0.9])
+        kc.kernel_matrix(kt, [0.2, 0.9], [0.2, 0.9])
     with pytest.raises(PointOutsideDomain):
-        contraction_check(short, sample_points=[0.2, 0.99])
+        kc.kernel_matrix(kt, [0.2, 0.99], [0.2, 0.99])
 
 
 def test_every_series_path_checks_the_domain():
@@ -785,3 +809,19 @@ def test_diagonal_sums_enter_the_floating_point_guard_only_where_a_sum_can_overf
         curvature_scalar(limit, 0.9)
     assert str(exc.value) == "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.9+0j)"
     assert len(entered) == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kc.SeriesKernel.disc([1.0, 2.0]),
+    lambda: frame_from_jet(geometric(), 0.3),
+    lambda: curvature_matrix(frame_from_jet(geometric(), 0.3)),
+    lambda: canonical_form(frame_from_jet(geometric(), 0.3)),
+    lambda: generalized_ci_check(np.array([[-2.0]]), "ball", [0.3]),
+], ids=["SeriesKernel", "JetGram", "CurvatureMatrix", "LocalOperatorForm", "CIVerdict"])
+def test_array_types_compare_by_identity(make):
+    # a type that holds a numpy array compares and hashes as an object: the
+    # generated field-wise __eq__ and __hash__ would raise on the array
+    x, copy = make(), make()
+    assert x == x
+    assert (x == copy) is False
+    assert len({x, copy, x}) == 2
