@@ -138,9 +138,13 @@ def _series_inverse(u: np.ndarray) -> np.ndarray:
 
 
 def _toeplitz(row: np.ndarray) -> np.ndarray:
-    """Lower triangular T[i, j] = row[i - j], so T x is the truncated product row * x."""
-    padded = np.concatenate([np.zeros(row.size - 1, dtype=row.dtype), row])
-    return np.lib.stride_tricks.sliding_window_view(padded, row.size)[:, ::-1]
+    """Lower triangular T[i, j] = row[i - j], so T x is the truncated product row * x:
+    a read-only view, with strides (s, -s), of the row after row.size - 1 zeros."""
+    size = row.size
+    padded = np.concatenate([np.zeros(size - 1, dtype=row.dtype), row])
+    step = padded.strides[0]
+    return np.lib.stride_tricks.as_strided(padded[size - 1:], (size, size), (step, -step),
+                                           writeable=False)
 
 
 def _power_rows(psi: np.ndarray, count: int) -> np.ndarray:
@@ -197,9 +201,10 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
     contractivity, the 2-hypercontraction inequality, curvature equality at
     0, the jet-vector norms, and the Gram-decrease chain that forces the
     monomials to be orthonormal, on the first DEFAULT_TRUNCATION + 1
-    coefficients (fewer away from 0).  Polynomial density is recorded as an
-    assumption, never verified.  A zeta off the disc is refused with
-    PointOutsideDomain.
+    coefficients (fewer away from 0).  The curvature and norm steps read the
+    corner C[:2, :2] alone, so the full C is built only once they pass.
+    Polynomial density is recorded as an assumption, never verified.  A zeta
+    off the disc is refused with PointOutsideDomain.
     """
     kernel = shift_kernel(kernel)
     kc.check_point(kernel, zeta)
@@ -223,15 +228,18 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
                  "min of 1/a_n - 2/a_(n+1) + 1/a_(n+2) = "
                  f"{hyper.info['min_expression']:.3e}")
     if ok:
-        C = _pullback_at_modulus(kernel, zeta, truncation)
-        curv0 = cv.rank1_curvature(C[0, 0], C[0, 1], C[1, 1], 0.0)
+        # F is lower triangular, so the corner C[:2, :2] that the next two
+        # steps read is the pullback at truncation 1; the full C waits for them
+        (c00, c01), (_, c11) = _pullback_at_modulus(kernel, zeta, 1).tolist()
+        curv0 = cv.rank1_curvature(c00, c01, c11, 0.0)
         ok = run("curvature-equality-at-zero", abs(curv0 + 1.0) <= STEP_TOL,
                  f"curvature at 0 after conjugation = {curv0:.12f}")
     if ok:
-        ok = run("jet-vector-norms", abs(C[0, 0] - 1.0) <= NORMALIZATION_TOL
-                 and abs(C[1, 1] - 1.0) <= STEP_TOL,
-                 f"|V0|^2 = {C[0, 0]:.12f}, |V1|^2 = {C[1, 1]:.12f}")
+        ok = run("jet-vector-norms", abs(c00 - 1.0) <= NORMALIZATION_TOL
+                 and abs(c11 - 1.0) <= STEP_TOL,
+                 f"|V0|^2 = {c00:.12f}, |V1|^2 = {c11:.12f}")
     if ok:
+        C = _pullback_at_modulus(kernel, zeta, truncation)
         try:
             P = inverse_factor(C)
         except NotPositiveDefinite as exc:

@@ -141,6 +141,17 @@ class SeriesKernel:
         return SeriesKernel(self.n_min, b, signed=True)
 
     @cached_property
+    def _shift(self) -> Optional["SeriesKernel"]:
+        """The kernel of ``positivity.shift_kernel`` when it pads, built once:
+        the coefficients continued by the last one up to n = DEFAULT_N_MAX.
+        None when there is nothing to pad; the kernel itself would make a
+        reference cycle, which only the cyclic garbage collector frees."""
+        a = self.coeffs
+        if a.size > DEFAULT_N_MAX:
+            return None
+        return SeriesKernel.disc(np.concatenate([a, np.full(DEFAULT_N_MAX + 1 - a.size, a[-1])]))
+
+    @cached_property
     def _tail_growth(self) -> tuple:
         """(growth, envelope) of |a_n| at the outer end of the window and, for a
         Laurent window, at the inner end; see :func:`_sustained_growth`."""

@@ -37,16 +37,19 @@ def _float_or_complex(matrix) -> np.ndarray:
 def psd_check(gram: np.ndarray) -> CheckResult:
     """Pass iff the smallest eigenvalue of a Hermitian matrix is >= -tol, with
     tol = CHECK_TOL * max(1, ||G||_2); the same ``eigvalsh`` gives the spectral
-    norm, reported as ``info["norm"]``.  An entry of G - G^H above tol is
-    refused with NonHermitianInput; an empty, non-square or non-2-D input with
-    DimensionMismatch."""
+    norm, reported as ``info["norm"]``.  An empty, non-square or non-2-D input
+    is refused with DimensionMismatch, an infinite or NaN entry with
+    NonFiniteValue, and an entry of G - G^H above tol with NonHermitianInput."""
     G = _float_or_complex(gram)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {G.shape}")
-    eigs = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
+    if not np.isfinite(G).all():
+        raise NonFiniteValue("matrix has a non-finite entry")
+    GH = G.conj().T
+    eigs = np.linalg.eigvalsh((G + GH) / 2.0)
     norm = float(np.abs(eigs).max())
     tol = CHECK_TOL * max(1.0, norm)
-    if not np.allclose(G, G.conj().T, rtol=0.0, atol=tol):
+    if np.abs(G - GH).max() > tol:
         raise NonHermitianInput("matrix is not Hermitian")
     min_eig = float(eigs.min())
     return CheckResult(passed=min_eig >= -tol, min_eigenvalue=min_eig,
@@ -115,12 +118,12 @@ def shift_weights(kernel: kc.SeriesKernel) -> np.ndarray:
 
 def shift_kernel(kernel: kc.SeriesKernel) -> kc.SeriesKernel:
     """The shift of a kernel, its coefficients continued by the last one up to
-    n = DEFAULT_N_MAX, so the weights beyond the list are 1."""
-    a = shift_coeffs(kernel)
-    if a.size > kc.DEFAULT_N_MAX:
-        return kernel
-    pad = np.full(kc.DEFAULT_N_MAX + 1 - a.size, a[-1])
-    return kc.SeriesKernel.disc(np.concatenate([a, pad]))
+    n = DEFAULT_N_MAX, so the weights beyond the list are 1; the kernel itself
+    when it is that long.  The padded kernel is built once and kept on the
+    kernel."""
+    shift_coeffs(kernel)
+    padded = kernel._shift
+    return kernel if padded is None else padded
 
 
 def is_contraction(kernel: kc.SeriesKernel) -> bool:

@@ -124,6 +124,20 @@ def test_check_verdicts_and_violation_exit(runner, tmp_path):
     assert set(payload) == {"verdicts"}
 
 
+@pytest.mark.parametrize("tests", [None, "2hyper"], ids=["default", "2hyper"])
+def test_check_on_a_non_contraction_is_a_violation(runner, tests):
+    # 2-hypercontraction is defined on contractions only: on any other
+    # shift its verdict fails with the contraction's witness, exit 2
+    spec = json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
+                       "coeffs": [1, 0.5, 0.25]})
+    res = runner.invoke(main, ["check", "--kernel", spec] + (["--tests", tests] if tests else []))
+    assert res.exit_code == 2
+    assert res.stderr == ""
+    verdicts = json.loads(res.stdout)["verdicts"]
+    assert set(verdicts) == ({"2hyper"} if tests else {"contraction", "hyponormal", "2hyper"})
+    assert verdicts["2hyper"] == {"passed": False, "min_tilde_coeff": -0.5}
+
+
 def test_check_seed_has_no_effect(runner, berg_spec):
     outputs = [runner.invoke(main, ["check", "--kernel", berg_spec, "--seed", seed])
                for seed in ("1", "99")]

@@ -162,6 +162,9 @@ def test_normalized_pullback_matches_closed_form_transforms(coeffs, zeta):
     fact = np.array([1.0, 1.0, 2.0])
     oracle = kc.jet(L, 0.0, 2) / np.outer(fact, fact)
     assert np.abs(C[:3, :3] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    # F is lower triangular, so truncation 1 gives the corner the pipeline reads first
+    corner = normalized_pullback_coeffs(kernel, zeta, 1)
+    assert np.abs(corner - C[:2, :2]).max() <= 1e-15 * np.abs(C[:2, :2]).max()
 
 
 def reference_pullback(coeffs, zeta, truncation):
@@ -311,6 +314,39 @@ def test_pipeline_curvature_step_is_the_rank1_quotient(monkeypatch):
         uniqueness_pipeline_check(kernel, 0.3)
     assert len(quotients) == 2
     assert all(w == 0.0 for *_, w in quotients)
+
+
+@pytest.mark.parametrize("zeta", [0.3, 0.5])
+@pytest.mark.parametrize("kernel", [bergman(), disc_kernel("(n+1)^s", s=0.6)],
+                         ids=["bergman", "power-0.6"])
+def test_a_pipeline_stopped_by_the_curvature_step_builds_only_the_corner(monkeypatch,
+                                                                         kernel, zeta):
+    # the corner C[:2, :2] decides the curvature step: two columns of psi^n
+    rows = counting(monkeypatch, ex, "_power_rows")
+    assert uniqueness_pipeline_check(kernel, zeta).failed_step == "curvature-equality-at-zero"
+    assert [psi.size for psi, _ in rows] == [2]
+
+
+def test_a_passing_pipeline_builds_one_full_pullback_per_point(monkeypatch):
+    pullbacks = counting(monkeypatch, ex, "_pullback_at_modulus")
+    for zeta in (0.0, 0.3, 0.5, 0.2 + 0.25j):
+        pullbacks.clear()
+        rep = uniqueness_pipeline_check(geometric(), zeta)
+        assert rep.passed
+        assert [truncation for *_, truncation in pullbacks] == [1, rep.truncation]
+
+
+@pytest.mark.parametrize("row", [np.array([2.0]), np.arange(1.0, 6.0),
+                                 np.array([1.0, 2j, -0.5 + 1j])], ids=["1", "5", "complex"])
+def test_toeplitz_is_the_read_only_lower_triangular_matrix_of_the_row(row):
+    T = ex._toeplitz(row)
+    size = row.size
+    explicit = np.array([[row[i - j] if j <= i else 0.0 for j in range(size)]
+                         for i in range(size)])
+    assert T.dtype == row.dtype and np.array_equal(T, explicit)
+    assert not T.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 0] = 0.0
 
 
 def test_shift_verdicts_build_no_sampled_gram(monkeypatch):

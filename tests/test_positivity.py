@@ -1,6 +1,8 @@
 """Contractivity, hyponormality, 2-hypercontraction, Gram-decrease tests."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
-from rkhs_lab.errors import (DimensionMismatch, NonHermitianInput, NotAContraction,
-                             NotPositiveDefinite)
+from rkhs_lab.errors import (DimensionMismatch, NonFiniteValue, NonHermitianInput,
+                             NotAContraction, NotPositiveDefinite)
 from rkhs_lab.positivity import (contraction_check, gram_decrease_check,
                                  hyponormal_check, inverse_factor, psd_check,
                                  shift_kernel, two_hypercontraction_check)
@@ -48,6 +50,17 @@ def test_psd_check_rejects_non_hermitian():
 def test_psd_check_refuses_bad_shapes(matrix):
     with pytest.raises(DimensionMismatch):
         psd_check(matrix)
+
+
+@pytest.mark.parametrize("check", [psd_check, lambda G: gram_decrease_check(G, np.eye(2))],
+                         ids=["psd_check", "gram_decrease_check"])
+@pytest.mark.parametrize("matrix", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+                                    [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["inf-diagonal", "inf-off-diagonal", "nan"])
+def test_a_non_finite_matrix_is_refused(matrix, check):
+    # refused before the eigensolve, which would give a NaN verdict
+    with pytest.raises(NonFiniteValue):
+        check(np.array(matrix))
 
 
 def test_contraction_check_geometric():
@@ -203,3 +216,26 @@ def test_a_real_non_symmetric_matrix_is_refused():
 def test_contractive_weights_give_contraction(weights):
     # w_n <= 1 for all n is exactly contractivity of the shift
     assert contraction_check(shift_kernel(shift_from_weights(weights))).passed
+
+
+def test_the_shift_kernel_of_a_short_list_is_built_once():
+    short = kc.SeriesKernel.disc([1.0, 2.0, 3.0])
+    padded = shift_kernel(short)
+    assert padded is shift_kernel(short)
+    assert padded.coeffs.size == kc.DEFAULT_N_MAX + 1
+    full = kc.SeriesKernel.disc(np.ones(kc.DEFAULT_N_MAX + 1))
+    assert shift_kernel(full) is full
+
+
+def test_a_full_kernel_keeps_no_reference_to_itself():
+    # with the cyclic collector off, only reference counting frees the
+    # kernel: a cached reference to itself would keep it alive
+    kernel = kc.SeriesKernel.disc(np.ones(kc.DEFAULT_N_MAX + 1))
+    assert shift_kernel(kernel) is kernel
+    ref = weakref.ref(kernel)
+    gc.disable()
+    try:
+        del kernel
+        assert ref() is None
+    finally:
+        gc.enable()
