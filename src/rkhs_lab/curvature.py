@@ -138,7 +138,7 @@ def curvature_values(kernel: kc.SeriesKernel, points) -> np.ndarray:
         raise ConfigError("argument 'kernel' of curvature_values must be a series kernel")
     w = np.asarray(points, dtype=complex)
     flat = w.ravel()
-    r = _moduli(flat)
+    r = kc._moduli(flat)
     outside = ~(r <= 1.0 - kc.BOUNDARY_MARGIN)  # NaN and inf too, as in check_point
     if kernel.inner_radius is not None:
         outside |= r < kernel.inner_radius + kc.BOUNDARY_MARGIN
@@ -159,13 +159,6 @@ def curvature_values(kernel: kc.SeriesKernel, points) -> np.ndarray:
     return curv.reshape(w.shape)
 
 
-def _moduli(points) -> np.ndarray:
-    """|w| of each point by libm's hypot, bit for bit the abs of one point (numpy's
-    abs of a complex array can differ from it in the last bit)."""
-    w = np.asarray(points, dtype=complex)
-    return np.hypot(w.real, w.imag)
-
-
 def _is_grid(w) -> bool:
     """Whether w is an array of points (a numpy array, list or tuple), not one point."""
     return isinstance(w, (np.ndarray, list, tuple))
@@ -181,7 +174,7 @@ def ci_slack(kernel, w, szego_value=None) -> tuple:
         raise ConfigError(f"argument 'szego_value' is required for a kernel on the "
                           f"annulus r = {kernel.inner_radius}")
     if _is_grid(w):
-        curv, r = curvature_values(kernel, w), _moduli(w)
+        curv, r = curvature_values(kernel, w), kc._moduli(w)
         szego_value = None if szego_value is None else np.asarray(szego_value, dtype=float)
     else:
         curv, r = curvature_scalar(kernel, w), abs(w)

@@ -170,12 +170,17 @@ def _pullback_at_modulus(kernel: kc.SeriesKernel, zeta: complex, truncation: int
     # rows P[n] = psi^n, so C = sum_n a_n P[n]^T P[n] is one product
     P = _power_rows(psi, a.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        C = (P.T * a) @ P
+        C = _finite((P.T * a) @ P, zeta, "pullback")
+        # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
+        F = _toeplitz(_series_inverse(C[:, 0]))
+        return _finite(C[0, 0] * (F @ C @ F.T), zeta, "normalized pullback")
+
+
+def _finite(C: np.ndarray, zeta: complex, stage: str) -> np.ndarray:
+    """C, refused with NonFiniteValue naming the stage and zeta unless every entry is finite."""
     if not np.isfinite(C).all():
-        raise NonFiniteValue(f"pullback coefficients at zeta = {zeta} leave the double range")
-    # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
-    F = _toeplitz(_series_inverse(C[:, 0]))
-    return C[0, 0] * (F @ C @ F.T)
+        raise NonFiniteValue(f"{stage} coefficients at zeta = {zeta} leave the double range")
+    return C
 
 
 def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,

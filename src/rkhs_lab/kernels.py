@@ -274,12 +274,23 @@ def _rows(kernel: SeriesKernel, order: int):
     return store[0][:order + 1], store[1][:order + 1]
 
 
+def _moduli(points) -> np.ndarray:
+    """|w| of each of an array of points by libm's hypot, bit for bit Python's
+    abs of one point (numpy's abs of a complex array can differ from it in
+    the last bit)."""
+    w = np.asarray(points, dtype=complex)
+    return np.hypot(w.real, w.imag)
+
+
 def _unit(x):
     """x / |x| for a complex x or an array of them, the unit of 0 taken as 1.
     x is first scaled by 2^600, exactly for a point of the domain, so that a
     subnormal x loses no bits to |x| and its unit stays unimodular."""
     x = x * 2.0 ** 600 + (x == 0)
-    return x / abs(x)
+    if not isinstance(x, np.ndarray):
+        return x / abs(x)
+    r = _moduli(x)  # each part divided by it, as Python divides a complex by a float
+    return x.real / r + 1j * (x.imag / r)
 
 
 def _phase_rows(kernel: SeriesKernel, units) -> np.ndarray:
@@ -461,7 +472,7 @@ def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
     z, w = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (z, w))
     for xi in np.concatenate((z, w)):
         check_point(kernel, xi)
-    rz, rw = np.abs(z), np.abs(w)
+    rz, rw = _moduli(z), _moduli(w)
     exps = _rows(kernel, 0)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         Ez = rz[:, None] ** exps * _phase_rows(kernel, _unit(z))

@@ -6,7 +6,10 @@ d_1 frame, ..., d_m frame) and factors it once,
 :func:`positivity.inverse_factor`.  Its P, exactly upper triangular with a
 real diagonal, P_11 = I and P conj(P)^t = G^-1, gives t = P_22 and the
 lower-right block R = t conj(t)^t of G^-1, which is the identity
-t(w) conj(t(w))^t = (-curvature(w))^-1.  numpy is the only dependency.
+t(w) conj(t(w))^t = (-curvature(w))^-1.  Each step selects its method by
+shape: a 2 x 2 Gram (rank 1, m = 1, every kernel point's) is factored and a
+1 x 1 curvature is checked in closed form, in Python scalars; any other size
+takes LAPACK's Cholesky, inverse and eigensolve.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -58,8 +61,16 @@ def canonical_form(gram: JetGram) -> LocalOperatorForm:
 def verify_tt_identity_gram(gram: JetGram, form: LocalOperatorForm) -> float:
     """Relative spectral-norm residual of t conj(t)^t = (-curvature)^-1 for the
     canonical form of ``gram``, the target formed from :func:`curvature_matrix`,
-    not from the factor behind t; one eigensolve gives both spectra."""
-    target = np.linalg.inv(-curvature_matrix(gram).matrix)
+    not from the factor behind t; one eigensolve gives both spectra.  A 1 x 1
+    curvature, every kernel point's, takes eigvalsh's values in closed form:
+    the real parts of R - target and of the target."""
+    curvature = curvature_matrix(gram).matrix
+    if curvature.shape == (1, 1):
+        (c,), = curvature.tolist()
+        (r,), = form.R.tolist()
+        target = 1.0 / -c.real
+        return abs(r.real - target) / abs(target)
+    target = np.linalg.inv(-curvature)
     resid, scale = np.abs(np.linalg.eigvalsh(np.stack((form.R - target, target)))).max(axis=1)
     return float(resid / scale)
 

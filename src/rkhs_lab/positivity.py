@@ -60,23 +60,53 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
     """The definite test: P = inv(conj(L)^t) from one Cholesky factor G = L conj(L)^t,
     so P conj(P)^t = G^-1, inverted by triangular blocks (:func:`_upper_inverse`);
     LU does not pivot on a triangular block, so P is exactly upper triangular
-    with a real positive diagonal.
+    with a real positive diagonal.  A 2 x 2 Gram, every kernel jet Gram's,
+    takes both steps in closed form (:func:`_factor_2x2`).
 
     Raises NotPositiveDefinite when the factorization fails or unless the bound
     ||G||_F tr(G^-1) = ||G||_F ||P||_F^2, in Python floats (no overflow warning),
     is <= COND_LIMIT; it exceeds cond_2(G) by at most size^(3/2); inf and NaN fail it.
     """
     G = _float_or_complex(gram)
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Gram is not positive definite") from exc
-    P = _upper_inverse(L.conj().T)
-    bound = float(np.vdot(G, G).real) ** 0.5 * float(np.vdot(P, P).real)
+    if G.shape == (2, 2):
+        P, bound = _factor_2x2(G)
+    else:
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("Gram is not positive definite") from exc
+        P = _upper_inverse(L.conj().T)
+        bound = float(np.vdot(G, G).real) ** 0.5 * float(np.vdot(P, P).real)
     if not bound <= COND_LIMIT:
         raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) = {bound:.2e} "
                                   f"exceeds {COND_LIMIT:.0e}")
     return P
+
+
+def _factor_2x2(G: np.ndarray) -> tuple:
+    """(P, ||G||_F ||P||_F^2) of a 2 x 2 Gram in Python scalars.
+
+    l00 = sqrt(G00), l10 = G10 (1 / l00) and l11 = sqrt(G11 - |l10|^2) read the
+    lower triangle and the real diagonal, as the Cholesky factor does, and
+    P = [[1 / l00, -(conj(l10) (1 / l11)) (1 / l00)], [0, 1 / l11]]: the order
+    of operations of the LAPACK route, which multiplies by reciprocal pivots.
+    A pivot <= 0 fails the factor, as it fails there; a NaN one passes on to
+    the bound, which is then NaN and refused, as there.
+    """
+    (g00, g01), (g10, g11) = G.tolist()
+    if g00.real <= 0.0:
+        raise NotPositiveDefinite("Gram is not positive definite")
+    # np.sqrt rounds correctly, as LAPACK's sqrt does; Python's ** 0.5 may not
+    r0 = 1.0 / float(np.sqrt(g00.real))
+    l10 = g10 * r0
+    pivot = g11.real - (l10.real * l10.real + l10.imag * l10.imag)
+    if pivot <= 0.0:
+        raise NotPositiveDefinite("Gram is not positive definite")
+    r1 = 1.0 / float(np.sqrt(pivot))
+    p01 = -(l10.conjugate() * r1) * r0
+    norm_sq = sum(x.real * x.real + x.imag * x.imag for x in (g00, g01, g10, g11))
+    bound = norm_sq ** 0.5 * (r0 * r0 + (p01.real * p01.real + p01.imag * p01.imag) + r1 * r1)
+    return np.array([[r0, p01], [0.0, r1]], dtype=G.dtype), bound
 
 
 def _upper_inverse(U: np.ndarray) -> np.ndarray:

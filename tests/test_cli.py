@@ -690,3 +690,18 @@ def test_readme_cli_examples_run_as_documented(runner):
                 header, *rows = csv.reader(io.StringIO(res.stdout))
                 assert rows and all(len(row) == len(header) for row in rows)
                 assert all(np.isfinite(float(row[0])) for row in rows)
+
+
+def test_readme_local_op_example_prints_the_quoted_values(runner):
+    # README quotes the R that its local-op example prints; t's diagonal is exactly real
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.search(r"at `--at 0\.3` on `n\+1` it prints\s+(\S+)", readme).group(1)
+    _, examples = readme_cli_examples()
+    (argv,) = [argv for argv, _, _ in examples if argv[0] == "local-op"]
+    assert argv[argv.index("--at") + 1] == "0.3" and '"n+1"' in argv[argv.index("--kernel") + 1]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert quoted == "0.41405000000000014"
+    assert payload["R"] == [[f"({quoted}+0j)"]]
+    assert payload["t"][0][0].endswith("+0j)")

@@ -268,6 +268,14 @@ def test_pipeline_refusal_names_the_callers_zeta(zeta):
         uniqueness_pipeline_check(kernel, zeta)
 
 
+def test_pipeline_refuses_a_normalization_past_the_double_range():
+    # at zeta = 0.05 the sums of C stay finite, but C[0, 0] F C F^T does not:
+    # a typed refusal, not an overflow warning and a failed monomial-gram step
+    kernel = kc.SeriesKernel.disc(np.concatenate([[1.0], np.full(200, 1.7e308)]))
+    with pytest.raises(NonFiniteValue, match="normalized pullback coefficients at zeta = 0.05 "):
+        uniqueness_pipeline_check(kernel, 0.05)
+
+
 @pytest.mark.parametrize("zeta", [0.0, 0.3, 0.2 + 0.25j])
 def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
     # the library's definite test gives G = C^-1, and the chain is its

@@ -655,6 +655,15 @@ def test_contraction_gram_refuses_unresolved_or_outside_points():
         kc.kernel_matrix(kt, [0.2, 0.99], [0.2, 0.99])
 
 
+def test_one_modulus_rule_for_a_point_and_an_array():
+    # numpy's abs of a complex array, and its division of a complex by a float,
+    # can differ from Python's (libm's hypot, a division of each part) in the
+    # last bit; an array of points takes the modulus and the unit of each point
+    points = sample_cloud(count=10_000, radius=0.95)
+    assert np.array_equal(kc._unit(points), [kc._unit(w) for w in points.tolist()])
+    assert np.array_equal(kc._moduli(points), [abs(w) for w in points.tolist()])
+
+
 def test_every_series_path_checks_the_domain():
     k = an.szego_kernel(an.AnnulusSpec(r=0.5))
     with pytest.raises(PointOutsideDomain):

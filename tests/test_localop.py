@@ -1,5 +1,6 @@
 """Canonical local forms: block Cholesky, the t tbar^t = -curvature^-1 identity."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar, fram
 from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite
 from rkhs_lab.localop import (canonical_form, function_of_local, jet_gram,
                               verify_tt_identity, verify_tt_identity_gram)
+from rkhs_lab.specio import load_kernel
 from tests.conftest import (counting, disc_kernel, random_contractive_kernel,
                             synthetic_normalized_gram)
 
@@ -160,14 +162,21 @@ def test_one_frame_normalization_per_local_point(monkeypatch):
     assert len(calls) == 2
 
 
-def test_a_scalar_local_point_costs_one_factor_two_inverses_one_eigensolve(monkeypatch):
-    # the 1 x 1 metric root needs no eigh; the residual reads the spectra of
-    # R - target and of the target from one eigvalsh
+def test_a_scalar_local_point_makes_no_lapack_call(monkeypatch):
+    # a rank-1 point takes the 1 x 1 metric root, the 2 x 2 factor and the
+    # 1 x 1 residual in closed form; an m = 2, n = 2 Gram still factors through
+    # LAPACK: one eigh for its metric root, one cholesky and one inv for its
+    # factor, one inv and one eigvalsh for its residual
     calls = {name: counting(monkeypatch, np.linalg, name)
              for name in ("eigh", "cholesky", "inv", "eigvalsh")}
     assert verify_tt_identity(disc_kernel("n+1"), 0.3 + 0.2j) < 1e-12
     assert {name: len(c) for name, c in calls.items()} == {
-        "eigh": 0, "cholesky": 1, "inv": 2, "eigvalsh": 1}
+        "eigh": 0, "cholesky": 0, "inv": 0, "eigvalsh": 0}
+    rng = np.random.default_rng(2)  # the shared rng fixture keeps its draws for other tests
+    gram = JetGram(synthetic_normalized_gram(rng, m=2, n=2), 2, 2)
+    assert verify_tt_identity_gram(gram, canonical_form(gram)) < 1e-8
+    assert {name: len(c) for name, c in calls.items()} == {
+        "eigh": 1, "cholesky": 1, "inv": 2, "eigvalsh": 1}
 
 
 def test_canonical_form_is_one_call_of_the_definite_test(monkeypatch):
@@ -207,3 +216,35 @@ def test_curvature_from_local_form_matches_scalar():
     form = canonical_form(jet_gram(k, w))
     # R = -1/curvature in the rank-1 case
     assert form.R[0, 0].real == pytest.approx(-1.0 / curvature_scalar(k, w), rel=1e-10)
+
+
+def _mp_local_form(kernel, w):
+    """(t, R) of the rank-1 local form at w from the 40-digit diagonal sums of
+    the kernel's own window: the Cholesky factor of the 2 x 2 jet Gram made
+    orthonormal at w has l11^2 = (J00 J11 - |J01|^2) / J00^2, and t = 1 / l11."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(abs(w))
+        terms = [(mpmath.mpf(a), int(n)) for a, n in zip(kernel.coeffs, kernel.ns)]
+        j00 = mpmath.fsum(a * r ** (2 * n) for a, n in terms)
+        j01 = mpmath.fsum(a * n * r ** (2 * n - 1) for a, n in terms)
+        j11 = mpmath.fsum(a * n * n * r ** (2 * n - 2) for a, n in terms)
+        t = j00 / mpmath.sqrt(j00 * j11 - j01 ** 2)
+        return t, t * t
+
+
+@pytest.mark.parametrize("kernel, radii", [
+    (disc_kernel("n+1"), (0.0, 0.85)),
+    (disc_kernel("(n+1)^s", s=1.7), (0.0, 0.85)),
+    (load_kernel({"kind": "annulus_laurent", "r": 0.5, "weight_b": 1}), (0.55, 0.9)),
+], ids=["n+1", "(n+1)^1.7", "annulus-b1"])
+def test_rank1_local_form_matches_a_40_digit_cholesky(kernel, radii):
+    # t itself, against an independent factor: the tt* residual cannot see an
+    # error of t, since t and its target come from the same normalized Gram
+    rng = np.random.default_rng(29)
+    radius = rng.uniform(*radii, 30)
+    for w in radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 30)):
+        form = canonical_form(jet_gram(kernel, w))
+        t, R = _mp_local_form(kernel, w)
+        assert form.t.imag == 0.0 and form.R.imag == 0.0
+        assert abs(form.t[0, 0].real - t) <= 1e-13 * t, w
+        assert abs(form.R[0, 0].real - R) <= 1e-13 * R, w

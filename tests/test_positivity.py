@@ -169,12 +169,63 @@ def test_inverse_factor_refuses_an_overflowing_bound_without_a_warning():
             inverse_factor(G)
 
 
-@pytest.mark.parametrize("G", [np.diag([1.0, -1e-3]), np.diag([1.0, 0.0]),
-                               np.diag([1.0, 1e-11]), np.diag([1.0, np.nan])],
-                         ids=["indefinite", "singular", "ill-conditioned", "nan"])
+def _two_by_two(entry, where):
+    G = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+    G[where] = entry
+    return G
+
+
+def _rotated(values, dtype):
+    # U diag(values) U^H for a fixed rotation U, real or complex
+    c, s = np.cos(0.7), np.sin(0.7) * (1j if dtype is complex else 1.0)
+    U = np.array([[c, -np.conj(s)], [s, c]])
+    return (U * values) @ U.conj().T
+
+
+# a 2 x 2 Gram is factored in closed form; it refuses what the LAPACK route refuses
+@pytest.mark.parametrize("G", [
+    np.diag([1.0, -1e-3]), np.diag([1.0, 0.0]), np.diag([1.0, 1e-11]), np.diag([1.0, np.nan]),
+    np.array([[-1.0, 0.5], [0.5, 2.0]]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+    _rotated([1.0, -0.5], complex), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2)),
+    *(_two_by_two(entry, where) for entry in (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
+      for where in ((0, 0), (0, 1), (1, 0), (1, 1))),
+], ids=["indefinite", "singular", "ill-conditioned", "nan",
+        "negative-first-pivot", "negative-second-pivot", "indefinite-complex", "singular-full",
+        "zero", *(f"{name}-{where}" for name in ("nan", "inf", "-inf", "nan-imag")
+                  for where in ("00", "01", "10", "11"))])
 def test_inverse_factor_refuses_what_is_not_safely_definite(G):
     with pytest.raises(NotPositiveDefinite):
         inverse_factor(G)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_2x2_definite_test_holds_the_conditioning_rule_on_either_side(dtype):
+    # ||G||_F tr(G^-1) = sqrt(1 + d^2) (1 + 1 / d) is a congruence invariant
+    # of U diag(1, d) U^H; it crosses COND_LIMIT = 1e10 near d = 1e-10
+    for d, accepted in ((1.2e-10, True), (1.001e-10, True), (0.999e-10, False), (0.8e-10, False)):
+        for G in (np.diag([1.0, d]).astype(dtype), _rotated([1.0, d], dtype)):
+            if accepted:
+                assert inverse_factor(G).dtype == dtype
+            else:
+                with pytest.raises(NotPositiveDefinite, match="exceeds 1e\\+10"):
+                    inverse_factor(G)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_2x2_definite_test_is_the_lapack_factor_at_every_scale(dtype):
+    rng = np.random.default_rng(2)  # the shared rng fixture keeps its draws for other tests
+    eps = np.finfo(float).eps
+    for scale in (1e-150, 1e-75, 1e-20, 1.0, 1e20, 1e75, 1e150):
+        for _ in range(50):
+            B = rng.normal(size=(2, 2)).astype(dtype)
+            if dtype is complex:
+                B += 1j * rng.normal(size=(2, 2))
+            G = scale * (B @ B.conj().T + 0.1 * np.eye(2))
+            P = inverse_factor(G)
+            lapack = np.linalg.inv(np.linalg.cholesky(G).conj().T)
+            assert P.dtype == G.dtype and P[1, 0] == 0.0
+            assert np.all(P.diagonal().imag == 0.0) and np.all(P.diagonal().real > 0.0)
+            assert np.all(np.abs(P - lapack) <= 4 * eps * np.abs(lapack)), (scale, G)
 
 
 def test_a_real_gram_gives_the_verdicts_of_its_complex_cast(rng):
