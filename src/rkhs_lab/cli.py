@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import errno
 import functools
-import io
 import json
 import math
 import os
@@ -68,22 +67,29 @@ def _write_out(text: str, out: str) -> None:
         raise
 
 
-def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(c) if isinstance(c, (int, float, complex))
-                           else str(c) for c in row) + "\n")
-    return buf.getvalue()
+def _cells(column) -> list:
+    """The CSV text of a column's cells.  A column that numpy reads as real
+    numbers is formatted as float64 values, a column at a time; any other one
+    cell by cell, a number by :func:`_fmt` and anything else by ``str``."""
+    values = np.asarray(column)
+    if values.dtype.kind in "iuf":
+        return list(map(repr, values.astype(float).tolist()))
+    return [_fmt(c) if isinstance(c, (int, float, complex)) else str(c) for c in column]
+
+
+def _csv(header, columns) -> str:
+    lines = map(",".join, zip(*map(_cells, columns)))
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _rows(header, rows, fmt: str) -> str:
-    return (_csv(header, rows) if fmt == "csv" else
-            _json({"rows": [dict(zip(header, row)) for row in rows]}))
+def _rows(header, columns, fmt: str) -> str:
+    """The table of equal-length columns under ``header``, as CSV or JSON rows."""
+    return (_csv(header, columns) if fmt == "csv" else
+            _json({"rows": [dict(zip(header, row)) for row in zip(*columns)]}))
 
 
 def _parse_grid(grid: str):
@@ -159,8 +165,7 @@ def curvature(kernel, grid, fmt):
     """Curvature along a radial grid."""
     kern = load_kernel(kernel)
     radii = _parse_grid(grid)
-    rows = zip(radii, curvature_values(kern, radii))
-    return _rows(["abs_w", "curvature"], rows, fmt), EXIT_PASS
+    return _rows(["abs_w", "curvature"], [radii, curvature_values(kern, radii)], fmt), EXIT_PASS
 
 
 @main.command("local-op")
@@ -287,8 +292,8 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
     szego = ([an.szego_annulus(aspec, complex(x), complex(x)).real for x in radii]
              if annulus else None)
     curv, bound, slack = ci_slack(kern, radii, szego)
-    rows = [(*row, "with4pi2") for row in zip(radii, curv, bound, slack)]
-    return (_rows(["abs_w", "curvature", "bound", "slack", "normalization"], rows, fmt),
+    columns = [radii, curv, bound, slack, ["with4pi2"] * radii.size]
+    return (_rows(["abs_w", "curvature", "bound", "slack", "normalization"], columns, fmt),
             EXIT_VIOLATION if (slack < -tol).any() else EXIT_PASS)
 
 
@@ -315,24 +320,24 @@ def annulus(r, weight, task, grid, fmt):
         }
         return _json(payload), EXIT_PASS
     radii = _parse_grid(grid)
-    rows = []
+    violated = False
     if task == "szego":
         kern = an.szego_kernel(spec)
-        for x in radii:
-            rows.append((x, kc.eval_kernel(kern, complex(x), complex(x)).real, "1/(2pi)"))
+        diag = [kc.eval_kernel(kern, complex(x), complex(x)).real for x in radii]
+        columns = [radii, diag, ["1/(2pi)"] * radii.size]
         header = ["abs_w", "szego_diag", "normalization"]
     elif task == "bergman":
         kern = an.weighted_bergman_kernel(spec, wobj)
         diag = [kc.eval_kernel(kern, complex(x), complex(x)).real for x in radii]
-        rows = zip(radii, diag, curvature_values(kern, radii))
+        columns = [radii, diag, curvature_values(kern, radii)]
         header = ["abs_w", "kernel_diag", "curvature"]
     else:
         kern = an.weighted_bergman_kernel(spec, wobj)
         slack = an.strict_ci_check(spec, wobj, radii, kernel=kern)
-        rows = [(x, s, "with4pi2") for x, s in zip(radii, slack)]
+        columns = [radii, slack, ["with4pi2"] * radii.size]
         header = ["abs_w", "slack", "normalization"]
-    violated = task == "strict-ci" and any(slack <= 0.0 for _, slack, _ in rows)
-    return _rows(header, rows, fmt), EXIT_VIOLATION if violated else EXIT_PASS
+        violated = any(s <= 0.0 for s in slack)
+    return _rows(header, columns, fmt), EXIT_VIOLATION if violated else EXIT_PASS
 
 
 if __name__ == "__main__":

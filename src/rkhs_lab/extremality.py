@@ -12,7 +12,8 @@ import numpy as np
 from . import curvature as cv
 from . import kernels as kc
 from .errors import NonFiniteValue, NotAContraction, NotPositiveDefinite
-from .positivity import (gram_decrease_check, hyponormal_check, inverse_factor,
+from .positivity import (diagonal_decrease_check, diagonal_inverse_factor,
+                         gram_decrease_check, hyponormal_check, inverse_factor,
                          is_contraction, shift_kernel, shift_weights,
                          two_hypercontraction_check)
 
@@ -207,7 +208,10 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
     0, the jet-vector norms, and the Gram-decrease chain that forces the
     monomials to be orthonormal, on the first DEFAULT_TRUNCATION + 1
     coefficients (fewer away from 0).  The curvature and norm steps read the
-    corner C[:2, :2] alone, so the full C is built only once they pass.
+    corner C[:2, :2] alone, so the full C is built only once they pass.  At
+    zeta = 0, C = diag(a_n / a_0), and the Gram steps replay on its diagonal
+    in O(n) (:func:`diagonal_inverse_factor`, :func:`diagonal_decrease_check`),
+    with the same rules and the same reports as the dense route.
     Polynomial density is recorded as an assumption, never verified.  A zeta
     off the disc is refused with PointOutsideDomain.
     """
@@ -246,18 +250,28 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
     if ok:
         C = _pullback_at_modulus(kernel, zeta, truncation)
         try:
-            P = inverse_factor(C)
+            if zeta:
+                P = inverse_factor(C)
+            else:
+                # C = diag(a_n / a_0) at the origin, so P, G = C^-1 and the
+                # chain are diagonal: the Gram steps replay on the vector g
+                p = diagonal_inverse_factor(np.diagonal(C))
         except NotPositiveDefinite as exc:
             ok = run("monomial-gram", False, str(exc))
     if ok:
-        G = P @ P.T  # C^-1
         k = truncation - 1
-        dec = gram_decrease_check(G[:k, :k], G[1:k + 1, 1:k + 1])
+        if zeta:
+            G = P @ P.T  # C^-1
+            g = np.diagonal(G)
+            dec = gram_decrease_check(G[:k, :k], G[1:k + 1, 1:k + 1])
+        else:
+            g = p * p
+            dec = diagonal_decrease_check(g[:k], g[1:k + 1])
         ok = run("gram-decrease-chain", dec.passed,
                  f"min eig of G_v - G_Av = {dec.min_eigenvalue:.3e}")
     if ok:
-        norms = np.abs(np.diag(G) - 1.0).max()
-        off = float(np.abs(G - np.diag(np.diag(G))).max())
+        norms = np.abs(g - 1.0).max()
+        off = float(np.abs(G - np.diag(g)).max()) if zeta else 0.0
         ok = run("monomial-orthonormality", norms <= STEP_TOL and off <= STEP_TOL,
                  f"max |norm-1| = {norms:.3e}, max off-diagonal = {off:.3e}")
     return PipelineReport(steps=steps, truncation=truncation)

@@ -46,11 +46,17 @@ def psd_check(gram: np.ndarray) -> CheckResult:
     if not np.isfinite(G).all():
         raise NonFiniteValue("matrix has a non-finite entry")
     GH = G.conj().T
-    eigs = np.linalg.eigvalsh((G + GH) / 2.0)
+    result = _semidefinite(np.linalg.eigvalsh((G + GH) / 2.0))
+    if np.abs(G - GH).max() > result.info["tol"]:
+        raise NonHermitianInput("matrix is not Hermitian")
+    return result
+
+
+def _semidefinite(eigs: np.ndarray) -> CheckResult:
+    """The semidefinite rule on a Hermitian matrix's eigenvalues: the smallest
+    is >= -tol, tol = CHECK_TOL * max(1, the largest magnitude)."""
     norm = float(np.abs(eigs).max())
     tol = CHECK_TOL * max(1.0, norm)
-    if np.abs(G - GH).max() > tol:
-        raise NonHermitianInput("matrix is not Hermitian")
     min_eig = float(eigs.min())
     return CheckResult(passed=min_eig >= -tol, min_eigenvalue=min_eig,
                        info={"tol": tol, "norm": norm})
@@ -77,6 +83,23 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
             raise NotPositiveDefinite("Gram is not positive definite") from exc
         P = _upper_inverse(L.conj().T)
         bound = float(np.vdot(G, G).real) ** 0.5 * float(np.vdot(P, P).real)
+    return _conditioned(P, bound)
+
+
+def diagonal_inverse_factor(c: np.ndarray) -> np.ndarray:
+    """:func:`inverse_factor` of diag(c) in O(n): the diagonal p = 1 / sqrt(c)
+    of P, bit for bit the LAPACK route's.  A pivot c_j <= 0 or NaN fails, as
+    Cholesky fails; the bound ||c||_2 ||p||_2^2, summed over the vectors, may
+    differ from the dense sum in its last bit."""
+    if not (c > 0.0).all():
+        raise NotPositiveDefinite("Gram is not positive definite")
+    p = 1.0 / np.sqrt(c)
+    return _conditioned(p, float(np.dot(c, c)) ** 0.5 * float(np.dot(p, p)))
+
+
+def _conditioned(P: np.ndarray, bound: float) -> np.ndarray:
+    """The conditioning rule: P, unless the bound ||G||_F tr(G^-1) exceeds
+    COND_LIMIT (inf and NaN exceed it), which NotPositiveDefinite refuses."""
     if not bound <= COND_LIMIT:
         raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) = {bound:.2e} "
                                   f"exceeds {COND_LIMIT:.0e}")
@@ -203,3 +226,9 @@ def gram_decrease_check(G_v: np.ndarray, G_Av: np.ndarray) -> CheckResult:
     if G_v.shape != G_Av.shape:
         raise DimensionMismatch(f"shapes {G_v.shape} and {G_Av.shape} differ")
     return psd_check(G_v - G_Av)
+
+
+def diagonal_decrease_check(g_v: np.ndarray, g_Av: np.ndarray) -> CheckResult:
+    """:func:`gram_decrease_check` of diag(g_v) and diag(g_Av) in O(n): the
+    eigenvalues of the diagonal difference are its entries."""
+    return _semidefinite(np.subtract(g_v, g_Av))

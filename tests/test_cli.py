@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import rkhs_lab
 from rkhs_lab import annulus as an
+from rkhs_lab import cli
 from rkhs_lab import kernels as kc
 from rkhs_lab.cli import MAX_GRID_STEPS, main
 from rkhs_lab.extremality import FK_RTOL
@@ -46,6 +47,45 @@ def berg_spec(tmp_path):
     p = tmp_path / "berg.json"
     p.write_text(json.dumps({"kind": "disc_diagonal", "coeff_rule": "n+1"}))
     return str(p)
+
+
+def per_cell_csv(header, rows):
+    """CSV text formatted one cell at a time: a number by repr of its float
+    (of itself when complex), anything else by str."""
+    def cell(c):
+        if isinstance(c, complex):
+            return repr(c)
+        return repr(float(c)) if isinstance(c, (int, float)) else str(c)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def test_csv_columns_format_as_the_per_cell_rule():
+    # a real column is formatted a column at a time, as float64 values; the
+    # text is the per-cell rule's, byte for byte
+    tiny = [5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308]
+    columns = {
+        "ints": [0, 1, -3, 7, 2 ** 53 + 1, -(2 ** 63), 12],
+        "mixed": [0, -0.0, 1, 0.1, -2, 1e300, 2 ** 63 + 5],
+        "array": np.array([-0.0, 0.0, *tiny, np.pi]),
+        "subnormals": [*tiny, -0.0, 1.0 / 3.0, float("inf")],
+        "big-ints": [10 ** 20, 0, 1, 2, 3, 4, 5],
+        "complex": [1 + 2j, -0.0j, complex(5e-324, -0.0), complex(-1.5, 1e-320), 0j, 2j, 1j],
+        "labels": ["with4pi2", "1/(2pi)", "", "x", "rho^2", "-0.0", "a b"],
+        "bools": [True, False, True, False, True, False, True],
+    }
+    header = list(columns)
+    rows = list(zip(*columns.values()))
+    # the first four are read as real numbers, the rest cell by cell
+    kinds = [np.asarray(c).dtype.kind for c in columns.values()]
+    assert [kind in "iuf" for kind in kinds] == [True] * 4 + [False] * 4
+    assert cli._csv(header, columns.values()) == per_cell_csv(header, rows)
+    assert cli._csv(header, [c[:0] for c in columns.values()]) == per_cell_csv(header, [])
+    radii = np.linspace(0.0, 0.9, 1001)
+    values = -(1.0 - radii * radii) ** -2
+    labels = ["with4pi2"] * radii.size
+    assert (cli._csv(["abs_w", "curvature", "n"], [radii, values, labels])
+            == per_cell_csv(["abs_w", "curvature", "n"], zip(radii, values, labels)))
 
 
 def test_curvature_csv_matches_closed_form(runner, geo_spec):

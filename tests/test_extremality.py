@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,7 +16,8 @@ from rkhs_lab import curvature as cv
 from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
 from rkhs_lab import positivity as ps
-from rkhs_lab.errors import NonFiniteValue, NotAContraction, PointOutsideDomain
+from rkhs_lab.errors import (NonFiniteValue, NotAContraction, NotPositiveDefinite,
+                             PointOutsideDomain)
 from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
                                   normalized_pullback_coeffs,
                                   uniqueness_pipeline_check)
@@ -282,6 +284,21 @@ def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
     # Gram-decrease check; the pipeline forms no inverse or condition number itself
     assert ex.inverse_factor is ps.inverse_factor
     assert ex.gram_decrease_check is ps.gram_decrease_check
+    if not zeta:
+        # C = diag(a_n / a_0) at the origin: one diagonal factor and one
+        # diagonal decrease check, and no LAPACK call at all
+        assert ex.diagonal_inverse_factor is ps.diagonal_inverse_factor
+        assert ex.diagonal_decrease_check is ps.diagonal_decrease_check
+        diagonal = [counting(monkeypatch, ex, name) for name in
+                    ("diagonal_inverse_factor", "diagonal_decrease_check")]
+        dense = [counting(monkeypatch, ex, name) for name in
+                 ("inverse_factor", "gram_decrease_check")]
+        dense += [counting(monkeypatch, np.linalg, name) for name in
+                  ("cholesky", "inv", "eigvalsh")]
+        assert uniqueness_pipeline_check(geometric(), zeta).passed
+        assert [len(calls) for calls in diagonal] == [1, 1]
+        assert [len(calls) for calls in dense] == [0] * 5
+        return
     factors, inside = [], []
 
     def factor(G):
@@ -342,6 +359,135 @@ def test_a_passing_pipeline_builds_one_full_pullback_per_point(monkeypatch):
         rep = uniqueness_pipeline_check(geometric(), zeta)
         assert rep.passed
         assert [truncation for *_, truncation in pullbacks] == [1, rep.truncation]
+
+
+def gram_step_coeffs(rng, i):
+    """Seeded coefficients that reach the Gram steps of the pipeline at 0: they
+    pass contraction, 2-hypercontraction and the corner (a_1 = a_0 to 1e-8)."""
+    n = np.arange(201.0)
+    kind = i % 4
+    if kind == 0:  # 1/a convex: the orthonormality step passes or fails
+        return 1.0 + 10 ** rng.uniform(-14, -9) * n ** rng.uniform(0.3, 1.0)
+    if kind == 3:  # a short list, continued by its last coefficient
+        return 1.0 + 10 ** rng.uniform(-13, -9) * n[:rng.integers(3, 120)] ** 0.5
+    # at a_0 >= 1e10 the 2-hypercontraction tolerance is slack, and a jump of a
+    # lets a_n fall by up to 1e-10 of it: the chain fails; a jump past 1e10
+    # fails the condition bound instead
+    a = np.ones(201)
+    jump = 10 ** rng.uniform(2, 4) if kind == 1 else 10 ** rng.uniform(6, 12)
+    if kind == 1:
+        a[2:] -= rng.uniform(0.0, 0.9) * 1e-10 * (jump - 1.0)
+    a[rng.integers(2, 200):] = jump
+    return 10 ** rng.uniform(10, 13) * a
+
+
+def dense_gram_steps(c):
+    """The Gram steps on the dense C = diag(c): the LAPACK factor, the dense
+    decrease check and the orthonormality rule on G = P P^T."""
+    try:
+        P = ps.inverse_factor(np.diag(c))
+    except NotPositiveDefinite as exc:
+        return [("monomial-gram", False, str(exc))]
+    G = P @ P.T
+    k = c.size - 2
+    dec = ps.gram_decrease_check(G[:k, :k], G[1:k + 1, 1:k + 1])
+    steps = [("gram-decrease-chain", dec.passed,
+              f"min eig of G_v - G_Av = {dec.min_eigenvalue:.3e}")]
+    if dec.passed:
+        norms = np.abs(np.diag(G) - 1.0).max()
+        off = float(np.abs(G - np.diag(np.diag(G))).max())
+        steps.append(("monomial-orthonormality", bool(norms <= ex.STEP_TOL and off <= ex.STEP_TOL),
+                      f"max |norm-1| = {norms:.3e}, max off-diagonal = {off:.3e}"))
+    return steps
+
+
+def origin_diagonal(kernel):
+    """The diagonal c = a_n / a_0 of the pipeline's C at 0."""
+    return np.diagonal(normalized_pullback_coeffs(shift_kernel(kernel), 0.0))
+
+
+@pytest.mark.parametrize("cond_limit", [ps.COND_LIMIT, 1.0], ids=["default", "limit-1"])
+def test_the_gram_steps_at_the_origin_report_as_the_dense_route(monkeypatch, cond_limit):
+    # at zeta = 0 the pipeline factors and checks C = diag(c) on its diagonal;
+    # every step reports what the LAPACK route on the dense C reports
+    monkeypatch.setattr(ps, "COND_LIMIT", cond_limit)
+    rng = np.random.default_rng(30)
+    kernels = [geometric(), kc.SeriesKernel.disc(1.0 + np.arange(201.0) * 1e-10)]
+    kernels += [kc.SeriesKernel.disc(gram_step_coeffs(rng, i)) for i in range(200)]
+    outcomes = []
+    for kernel in kernels:
+        want = dense_gram_steps(origin_diagonal(kernel))
+        for zeta in (0.0, 0j, -0.0):
+            steps = [(s.name, s.passed, s.detail)
+                     for s in uniqueness_pipeline_check(kernel, zeta).steps]
+            assert [passed for _, passed, _ in steps[:4]] == [True] * 4
+            assert steps[4:] == want
+        outcomes.append(steps[-1][0] if not steps[-1][1] else "passed")
+    if cond_limit == 1.0:
+        assert set(outcomes) == {"monomial-gram"}
+    else:
+        # a_n = 1 + n 1e-10 fails orthonormality: max |1/a_n - 1| = 1.5e-8
+        assert outcomes[:2] == ["passed", "monomial-orthonormality"]
+        assert set(outcomes) == {"passed", "monomial-orthonormality", "gram-decrease-chain",
+                                 "monomial-gram"}
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.ones(201), np.arange(1.0, 202.0), np.arange(1.0, 202.0) ** 0.6,
+    random_contractive_coeffs(np.random.default_rng(31)),
+    [1.0, 1.0] + [2.0 * 2 ** k for k in range(60)], [2.0, 3.0, 5.0]],
+    ids=["geometric", "bergman", "power-0.6", "seeded", "case-2", "short"])
+@pytest.mark.parametrize("truncation", [150, 10])
+def test_the_pullback_at_the_origin_is_the_diagonal_of_the_coefficients(coeffs, truncation):
+    # the premise of the diagonal route: C(0) = diag(a_n / a_0), exactly, its
+    # diagonal padded with zeros past a list shorter than the window
+    a = np.asarray(coeffs, dtype=float)
+    c = np.zeros(truncation + 1)
+    c[:min(a.size, c.size)] = a[:truncation + 1] / a[0]
+    for zeta in (0.0, 0j, -0.0):
+        C = normalized_pullback_coeffs(kc.SeriesKernel.disc(a), zeta, truncation)
+        assert C.dtype == np.float64 and np.array_equal(C, np.diag(c))
+
+
+def returned(monkeypatch, name):
+    """The results of ``ex.name``, recorded through a monkeypatched wrapper."""
+    results, original = [], getattr(ex, name)
+
+    def wrapper(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ex, name, wrapper)
+    return results
+
+
+def test_the_gram_steps_at_the_origin_hold_to_an_exact_rational_oracle(monkeypatch):
+    # min over n < k of 1/c_n - 1/c_(n+1) and max |1/c_n - 1|, in exact
+    # rationals of the float c_n, within 4 ulps of the largest 1/c_n
+    factors = returned(monkeypatch, "diagonal_inverse_factor")
+    chains = returned(monkeypatch, "diagonal_decrease_check")
+    rng = np.random.default_rng(32)
+    kernels = [geometric(), kc.SeriesKernel.disc(1.0 + np.arange(201.0) * 1e-10)]
+    kernels += [kc.SeriesKernel.disc(gram_step_coeffs(rng, i)) for i in range(24)
+                if i % 4 != 2]  # not the condition refusals, which stop before the chain
+    for kernel in kernels:
+        factors.clear()
+        chains.clear()
+        steps = {s.name: s.detail for s in uniqueness_pipeline_check(kernel, 0.0).steps}
+        g = [1 / Fraction(c) for c in origin_diagonal(kernel).tolist()]
+        k = len(g) - 2
+        least = min(g[n] - g[n + 1] for n in range(k))
+        ulps = 4 * Fraction(float(np.spacing(float(max(g)))))
+        (chain,), (p,) = chains, factors
+        assert abs(Fraction(chain.min_eigenvalue) - least) <= ulps
+        assert (steps["gram-decrease-chain"]
+                == f"min eig of G_v - G_Av = {chain.min_eigenvalue:.3e}")
+        if "monomial-orthonormality" in steps:
+            worst = max(abs(x - 1) for x in g)
+            norms = float(np.abs(p * p - 1.0).max())  # max |g - 1| of the reported g = p p
+            assert abs(Fraction(norms) - worst) <= ulps
+            assert steps["monomial-orthonormality"] == (f"max |norm-1| = {norms:.3e}, "
+                                                        "max off-diagonal = 0.000e+00")
 
 
 @pytest.mark.parametrize("row", [np.array([2.0]), np.arange(1.0, 6.0),

@@ -13,9 +13,9 @@ from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
 from rkhs_lab.errors import (DimensionMismatch, NonFiniteValue, NonHermitianInput,
                              NotAContraction, NotPositiveDefinite)
-from rkhs_lab.positivity import (contraction_check, gram_decrease_check,
-                                 hyponormal_check, inverse_factor, psd_check,
-                                 shift_kernel, two_hypercontraction_check)
+from rkhs_lab.positivity import (contraction_check, diagonal_inverse_factor,
+                                 gram_decrease_check, hyponormal_check, inverse_factor,
+                                 psd_check, shift_kernel, two_hypercontraction_check)
 from tests.conftest import counting, disc_kernel, random_contractive_kernel
 
 
@@ -154,7 +154,18 @@ def test_inverse_factor_is_exactly_upper_triangular_with_a_real_diagonal(dtype, 
 def test_the_pipeline_factor_is_exactly_upper_triangular_with_a_real_diagonal(monkeypatch,
                                                                              zeta):
     factors = counting(monkeypatch, ex, "inverse_factor")
+    diagonal = counting(monkeypatch, ex, "diagonal_inverse_factor")
     assert ex.uniqueness_pipeline_check(kc.SeriesKernel.disc(np.ones(201)), zeta).passed
+    if not zeta:
+        # C = diag(c) at the origin is factored on its diagonal: the dense
+        # factor of diag(c) is diag(p), bit for bit
+        assert factors == []
+        (c,), = diagonal
+        assert c.dtype == np.float64 and c.size > 50
+        _assert_exact_upper_factor(np.diag(c))
+        assert np.array_equal(inverse_factor(np.diag(c)), np.diag(diagonal_inverse_factor(c)))
+        return
+    assert diagonal == []
     (C,), = factors  # the real C of the geometric shift
     assert C.dtype == np.float64 and C.shape[0] > 50
     _assert_exact_upper_factor(C)
