@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels as kc
-from .curvature import _is_grid, ci_slack, curvature_of_sums, curvature_values, order1_sums
+from .curvature import ci_slack, curvature_of_sums, curvature_values, order1_sums
 from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, QuadratureFailure
 
 QUAD_RTOL = 1e-12  # error estimate a profile norm integral must meet
@@ -99,10 +99,6 @@ def szego_kernel(spec: AnnulusSpec) -> kc.SeriesKernel:
 def _szego(spec: AnnulusSpec) -> kc.SeriesKernel:
     """The Szego kernel of a spec, built once and shared (its arrays are read-only)."""
     return szego_kernel(spec)
-
-
-def szego_annulus(spec: AnnulusSpec, z: complex, w: complex) -> complex:
-    return kc.eval_kernel(_szego(spec), z, w)
 
 
 def _norms_sq(spec: AnnulusSpec, weight: RadialWeight, ns) -> np.ndarray:
@@ -240,30 +236,15 @@ def extremal_problem_ls(kernel: kc.SeriesKernel, w: complex) -> float:
 def strict_ci_check(spec: AnnulusSpec, weight: RadialWeight, w,
                     kernel: Optional[kc.SeriesKernel] = None):
     """Slack dd-bar log K - 4 pi^2 S(w, w)^2 of the weighted Bergman kernel, or of
-    ``kernel`` prebuilt for it, at w or at each of an array of points w; a kernel
-    on another annulus is refused with ConfigError."""
+    ``kernel`` prebuilt for it, at w or at each of an array of points w: the slack
+    of :func:`curvature.ci_slack` with the values of the Szego kernel of the spec,
+    built once per spec.  A kernel on another annulus is refused with ConfigError."""
     if kernel is None:
         kernel = weighted_bergman_kernel(spec, weight)
     elif kernel.inner_radius != spec.r:
         raise ConfigError(f"argument 'kernel' must be on the annulus r = {spec.r} of the "
                           f"spec, got inner radius {kernel.inner_radius}")
-    return _strict_slack(spec, kernel, w)
-
-
-def hardy_ci_slack(spec: AnnulusSpec, w):
-    """Slack of the Szego (Hardy) kernel itself; strictly positive on the annulus."""
-    return _strict_slack(spec, _szego(spec), w)
-
-
-def _strict_slack(spec: AnnulusSpec, kernel: kc.SeriesKernel, w):
-    """The slack of :func:`curvature.ci_slack` with the Szego values of the spec,
-    a float at one point, an array over an array of points: one curvature grid,
-    and S(w, w) per point through ``eval_kernel`` with its tail test."""
-    if _is_grid(w):
-        w = np.asarray(w, dtype=complex)
-        szego = [szego_annulus(spec, x, x).real for x in w.ravel().tolist()]
-        return ci_slack(kernel, w, np.reshape(szego, w.shape))[2]
-    return float(ci_slack(kernel, w, szego_annulus(spec, w, w).real)[2])
+    return ci_slack(kernel, w, kc.diagonal_values(_szego(spec), w))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +294,6 @@ def _band(spec: AnnulusSpec, grid_points: int) -> np.ndarray:
         raise ConfigError(f"field 'r' = {spec.r} leaves no curvature band: "
                           f"r + 0.05 exceeds {hi}")
     return np.linspace(lo, hi, grid_points)
-
-
-def curvature_grid(spec: AnnulusSpec, kernel: kc.SeriesKernel,
-                   grid_points: int = 20) -> np.ndarray:
-    """Curvature along a radial grid in the safely-converged band of the annulus,
-    one :func:`curvature.curvature_values` call."""
-    return curvature_values(kernel, _band(spec, grid_points))
 
 
 def character_equivalence(spec: AnnulusSpec, b1: float, b2: float,

@@ -40,7 +40,11 @@ def _cara_forms(domain: str, z, m: int, n: int) -> list:
     raise ConfigError(f"domain must be 'ball' or 'polydisc', got {domain!r}")
 
 
-def _cara_norm(domain: str, V, z) -> float:
+def cara_norm(domain: str, V, z) -> float:
+    """Caratheodory norm at z of an m x n tangent vector V (row j the block of
+    coordinate j) on the ``domain`` 'ball' or 'polydisc': on the ball the HS
+    norm at 0, transported by the involutive automorphism sending z to 0; on
+    the polydisc max_j |V_j| / (1 - |z_j|^2) over its rows V_j."""
     try:
         V = np.asarray(V, dtype=complex)
     except ValueError as exc:  # ragged rows
@@ -52,19 +56,6 @@ def _cara_norm(domain: str, V, z) -> float:
         raise NonFiniteValue("tangent vector has a non-finite entry")
     v = V.ravel()
     return float(np.sqrt(max(np.vdot(v, D @ v).real for D in _cara_forms(domain, z, *V.shape))))
-
-
-def cara_norm_ball(V, z) -> float:
-    """Caratheodory norm on the Euclidean ball of an m x n tangent vector V
-    (row j the block of coordinate j): HS norm at 0, transported by the
-    involutive automorphism sending z to 0 elsewhere."""
-    return _cara_norm("ball", V, z)
-
-
-def cara_norm_polydisc(V, z) -> float:
-    """Caratheodory norm on the polydisc of an m x n tangent vector V:
-    max_j |V_j| / (1 - |z_j|^2) over its rows V_j."""
-    return _cara_norm("polydisc", V, z)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,6 +34,8 @@ EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 #: most points a --grid may ask for; each costs a kernel evaluation or more
 MAX_GRID_STEPS = 100_000
+LOCAL_OP_TOL = 1e-8  # default local-op --tol: the tt* residual passes while at most this
+CI_CHECK_TOL = 1e-8  # default ci-check --tol: a slack below -tol violates the inequality
 
 
 def _fmt(x) -> str:
@@ -171,7 +173,7 @@ def curvature(kernel, grid, fmt):
 @main.command("local-op")
 @click.option("--kernel", required=True)
 @click.option("--at", default="0", show_default=True)
-@click.option("--tol", default=1e-8, show_default=True)
+@click.option("--tol", default=LOCAL_OP_TOL, show_default=True)
 @click.option("--out", default="-", show_default=True)
 @_command
 def local_op(kernel, at, tol):
@@ -262,7 +264,7 @@ def _contradiction(option: str, value, field: str, spec_value) -> ConfigError:
 @click.option("--r", type=float, default=None, help="must match the spec's r")
 @click.option("--weight", default=None, help="must match the spec's weight_b")
 @click.option("--grid", default="0:0.9:20", show_default=True)
-@click.option("--tol", default=1e-8, show_default=True)
+@click.option("--tol", default=CI_CHECK_TOL, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default="-", show_default=True)
 @_command
@@ -289,8 +291,7 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
         raise _contradiction("--r", r, "kind", kind)
     elif weight is not None:
         raise _contradiction("--weight", weight, "kind", kind)
-    szego = ([an.szego_annulus(aspec, complex(x), complex(x)).real for x in radii]
-             if annulus else None)
+    szego = kc.diagonal_values(an.szego_kernel(aspec), radii) if annulus else None
     curv, bound, slack = ci_slack(kern, radii, szego)
     columns = [radii, curv, bound, slack, ["with4pi2"] * radii.size]
     return (_rows(["abs_w", "curvature", "bound", "slack", "normalization"], columns, fmt),
@@ -322,14 +323,12 @@ def annulus(r, weight, task, grid, fmt):
     radii = _parse_grid(grid)
     violated = False
     if task == "szego":
-        kern = an.szego_kernel(spec)
-        diag = [kc.eval_kernel(kern, complex(x), complex(x)).real for x in radii]
-        columns = [radii, diag, ["1/(2pi)"] * radii.size]
+        columns = [radii, kc.diagonal_values(an.szego_kernel(spec), radii),
+                   ["1/(2pi)"] * radii.size]
         header = ["abs_w", "szego_diag", "normalization"]
     elif task == "bergman":
         kern = an.weighted_bergman_kernel(spec, wobj)
-        diag = [kc.eval_kernel(kern, complex(x), complex(x)).real for x in radii]
-        columns = [radii, diag, curvature_values(kern, radii)]
+        columns = [radii, kc.diagonal_values(kern, radii), curvature_values(kern, radii)]
         header = ["abs_w", "kernel_diag", "curvature"]
     else:
         kern = an.weighted_bergman_kernel(spec, wobj)

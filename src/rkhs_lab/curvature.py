@@ -159,21 +159,18 @@ def curvature_values(kernel: kc.SeriesKernel, points) -> np.ndarray:
     return curv.reshape(w.shape)
 
 
-def _is_grid(w) -> bool:
-    """Whether w is an array of points (a numpy array, list or tuple), not one point."""
-    return isinstance(w, (np.ndarray, list, tuple))
-
-
 def ci_slack(kernel, w, szego_value=None) -> tuple:
     """(curvature, bound, slack = bound - curvature) of the curvature inequality at w,
     or at each of an array of points w (:func:`curvature_values`), elementwise;
     the bound is -(1 - |w|^2)^-2, or -4 pi^2 S(w, w)^2 given the Szego value
-    S(w, w), an array of them for an array of points.
+    S(w, w), an array of them for an array of points (the
+    :func:`kernels.diagonal_values` of a Szego kernel).  It is the one slack
+    routine: ``ci-check`` and ``annulus.strict_ci_check`` read it.
     A kernel on the annulus without a Szego value is refused with ConfigError."""
     if szego_value is None and kernel.inner_radius is not None:
         raise ConfigError(f"argument 'szego_value' is required for a kernel on the "
                           f"annulus r = {kernel.inner_radius}")
-    if _is_grid(w):
+    if kc._is_grid(w):
         curv, r = curvature_values(kernel, w), kc._moduli(w)
         szego_value = None if szego_value is None else np.asarray(szego_value, dtype=float)
     else:

@@ -83,23 +83,6 @@ def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float]:
     return j00 * j11 - j01 * j01, relative
 
 
-def fk_value(kernel: kc.SeriesKernel, zeta: complex) -> float:
-    """Ktilde(z, z)^2 * dd-bar log Ktilde at zeta; zero iff curvature equality.
-
-    Equals the Gram determinant of (Ktilde_zeta, dbar Ktilde_zeta), hence
-    non-negative for contractions.  Its products may leave the double range
-    (inf or nan) where the scale-free ratio that decides the class does not.
-    """
-    return _tilde_minor(kernel, zeta)[0]
-
-
-def dependence_test(kernel: kc.SeriesKernel, zeta: complex) -> bool:
-    """Cauchy-Schwarz equality on the tilde jet: the two jet vectors are
-    dependent, |F_K| <= FK_RTOL Ktilde(zeta, zeta)^2, the rule of
-    :func:`classify_shift`."""
-    return abs(_tilde_minor(kernel, zeta)[1]) <= FK_RTOL
-
-
 def classify_shift(kernel: kc.SeriesKernel, zeta: complex,
                    rtol: float = FK_RTOL) -> ExtremalityReport:
     """Trichotomy for contractive diagonal shifts at a point.
@@ -163,14 +146,15 @@ def _power_rows(psi: np.ndarray, count: int) -> np.ndarray:
 def _pullback_at_modulus(kernel: kc.SeriesKernel, zeta: complex, truncation: int) -> np.ndarray:
     """:func:`normalized_pullback_coeffs` at r = |zeta|, in float64; a refusal names zeta."""
     size = truncation + 1
-    a = kernel.coeffs / kernel.coeffs[0]  # C is normalized; this keeps its sums in range
-    if not zeta:
-        return np.diag(np.concatenate([a[:size], np.zeros(size - a[:size].size)]))
-    # psi = inverse of the conjugated automorphism: psi(z) = (z + r) / (1 + r z), r = |zeta|
-    psi = np.convolve([abs(zeta), 1.0], np.power(-abs(zeta), np.arange(size)))[:size]
-    # rows P[n] = psi^n, so C = sum_n a_n P[n]^T P[n] is one product
-    P = _power_rows(psi, a.size)
     with np.errstate(over="ignore", invalid="ignore"):
+        # C is normalized, so its sums take a / a_0, refused where that overflows
+        a = _finite(kernel.coeffs / kernel.coeffs[0], zeta, "a_n / a_0")
+        if not zeta:
+            return np.diag(np.concatenate([a[:size], np.zeros(size - a[:size].size)]))
+        # psi = inverse of the conjugated automorphism: psi(z) = (z + r) / (1 + r z), r = |zeta|
+        psi = np.convolve([abs(zeta), 1.0], np.power(-abs(zeta), np.arange(size)))[:size]
+        # rows P[n] = psi^n, so C = sum_n a_n P[n]^T P[n] is one product
+        P = _power_rows(psi, a.size)
         C = _finite((P.T * a) @ P, zeta, "pullback")
         # normalize at 0: divide by f(z) = L(z, 0) on both slots, scale to 1 at 0
         F = _toeplitz(_series_inverse(C[:, 0]))
@@ -192,7 +176,8 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     matrix of the jet vectors V_j = dbar^j L(., 0) / j!.  The kernel is rotation
     invariant, so C at zeta = r e^(i theta) is the real C(r) rotated, d_i C[i, j]
     conj(d_j) with d_i = e^(i i theta): real when zeta is.  Raises
-    NonFiniteValue where the coefficients over a_0 overflow its sums.
+    NonFiniteValue, naming zeta, where the coefficients over a_0 or its sums
+    leave the double range.
     """
     phase = complex(zeta) / abs(zeta) if zeta else 1.0
     d = np.power(phase if phase.imag else phase.real, np.arange(truncation + 1))

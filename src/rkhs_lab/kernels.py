@@ -496,6 +496,21 @@ def eval_kernel(kernel, z: complex, w: complex) -> complex:
     return value
 
 
+def _is_grid(w) -> bool:
+    """Whether w is an array of points (a numpy array, list or tuple), not one point."""
+    return isinstance(w, (np.ndarray, list, tuple))
+
+
+def diagonal_values(kernel, w):
+    """K(w, w).real at w, a float, or at each of an array of points w, an array
+    of its shape: the one place where kernel values on a grid are taken, each
+    through :func:`eval_kernel` and its tail test."""
+    if not _is_grid(w):
+        return eval_kernel(kernel, w, w).real
+    w = np.asarray(w, dtype=complex)
+    return np.reshape([eval_kernel(kernel, x, x).real for x in w.ravel().tolist()], w.shape)
+
+
 def deriv2(kernel, z: complex, w: complex, p: int, q: int) -> complex:
     """Two-point mixed derivative d^p_z d^q_wbar K(z, w)."""
     if min(p, q) < 0:

@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .curvature import JetGram, curvature_matrix, frame_from_jet
-from .errors import DimensionMismatch
 from .positivity import inverse_factor
 
 
@@ -79,21 +78,3 @@ def verify_tt_identity(kernel, w: complex) -> float:
     """Kernel route of the identity check (rank 1, m = 1)."""
     gram = jet_gram(kernel, w)
     return verify_tt_identity_gram(gram, canonical_form(gram))
-
-
-def function_of_local(form: LocalOperatorForm, f_value: complex, f_gradient) -> np.ndarray:
-    """Matrix of f applied to the local operator tuple at the point w of ``form``.
-
-    Returns [[f(w) I_n, grad f . t(w)], [0, f(w) I_mn]], where grad f . t(w)
-    is sum_l d_l f(w) t_l over the n-row blocks t_l of t; the nilpotent part
-    N_l is the matrix of f = z_l - w_l.
-    """
-    grad = np.asarray(f_gradient, dtype=complex).ravel()
-    if grad.size != form.m:
-        raise DimensionMismatch(f"gradient length {grad.size} != m = {form.m}")
-    m, n = form.m, form.n
-    out = np.zeros(((m + 1) * n, (m + 1) * n), dtype=complex)
-    out[:n, :n] = f_value * np.eye(n)
-    out[:n, n:] = np.tensordot(grad, form.t.reshape(m, n, m * n), axes=1)
-    out[n:, n:] = f_value * np.eye(m * n)
-    return out

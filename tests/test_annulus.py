@@ -8,7 +8,7 @@ import pytest
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import ci_slack, curvature_scalar
+from rkhs_lab.curvature import ci_slack, curvature_scalar, curvature_values
 from rkhs_lab.errors import (ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic,
                              QuadratureFailure, TruncationTailTooLarge)
 from tests.conftest import counting
@@ -31,7 +31,7 @@ def test_annulus_spec_names_offending_field(fields, name):
 
 def test_szego_degenerates_to_disc():
     thin = an.AnnulusSpec(r=1e-6)
-    val = an.szego_annulus(thin, 0.5, 0.5).real
+    val = kc.diagonal_values(an.szego_kernel(thin), 0.5)
     disc = 1.0 / (2.0 * np.pi * (1.0 - 0.25))
     assert val == pytest.approx(disc, rel=1e-4)
 
@@ -145,9 +145,15 @@ def test_strict_ci_positive_for_weighted_bergman(spec):
         assert min(slacks) > 0.0
 
 
+def hardy_slack(spec, w):
+    """The curvature-inequality slack of the Szego (Hardy) kernel itself."""
+    szego = an.szego_kernel(spec)
+    return ci_slack(szego, w, kc.diagonal_values(szego, w))[2]
+
+
 def test_hardy_kernel_strict_slack(spec):
     grid = np.linspace(0.55, 0.9, 20)
-    assert min(an.hardy_ci_slack(spec, complex(x)) for x in grid) > 0.0
+    assert min(hardy_slack(spec, complex(x)) for x in grid) > 0.0
 
 
 def test_character_values(spec):
@@ -196,7 +202,7 @@ def test_ci_slack_refuses_an_annulus_kernel_without_its_szego_value(spec):
     for k in (kernel, kc.normalize_at(kernel, 0.7)):
         with pytest.raises(ConfigError, match="'szego_value'"):
             ci_slack(k, 0.7)
-    szego = an.szego_annulus(spec, 0.7, 0.7).real
+    szego = kc.diagonal_values(an.szego_kernel(spec), 0.7)
     assert ci_slack(kernel, 0.7, szego)[2] == an.strict_ci_check(spec, weight, 0.7, kernel)
 
 
@@ -209,8 +215,8 @@ def test_the_slack_of_a_grid_is_the_slack_at_each_point(spec):
     assert grid.shape == (30,)
     loop = [an.strict_ci_check(spec, weight, w, kernel) for w in points]
     assert np.abs(grid - loop).max() <= scale
-    hardy = an.hardy_ci_slack(spec, list(points))
-    assert np.abs(hardy - [an.hardy_ci_slack(spec, w) for w in points]).max() <= scale
+    hardy = hardy_slack(spec, list(points))
+    assert np.abs(hardy - [hardy_slack(spec, w) for w in points]).max() <= scale
     # one point stays a float
     assert type(an.strict_ci_check(spec, weight, points[0], kernel)) is float
     # the disc bound, elementwise, and to the bit
@@ -260,7 +266,7 @@ def test_a_curvature_grid_refuses_a_point_count_that_is_not_a_positive_integer(s
                                                                               grid_points):
     kernel = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(1.0))
     with pytest.raises(ConfigError, match="'grid_points'"):
-        an.curvature_grid(spec, kernel, grid_points)
+        curvature_values(kernel, an._band(spec, grid_points))
     with pytest.raises(ConfigError, match="'grid_points'"):
         an.character_equivalence(spec, 0.0, 2.0, grid_points)
 
@@ -272,7 +278,7 @@ def test_a_curvature_grid_refuses_an_annulus_without_a_band(monkeypatch, r):
     thin = an.AnnulusSpec(r=r)
     kernel = an.weighted_bergman_kernel(thin, an.RadialWeight.power_law(1.0))
     with pytest.raises(ConfigError, match="'r'"):
-        an.curvature_grid(thin, kernel)
+        curvature_values(kernel, an._band(thin, 20))
     builds = counting(monkeypatch, an, "weighted_bergman_kernel")
     with pytest.raises(ConfigError, match="'r'"):
         an.character_equivalence(thin, 0.0, 2.0)
@@ -282,7 +288,7 @@ def test_a_curvature_grid_refuses_an_annulus_without_a_band(monkeypatch, r):
 def test_the_widest_annulus_with_a_band_has_one_radius():
     edge = an.AnnulusSpec(r=0.85)
     kernel = an.weighted_bergman_kernel(edge, an.RadialWeight.power_law(1.0))
-    grid = an.curvature_grid(edge, kernel, 3)
+    grid = curvature_values(kernel, an._band(edge, 3))
     assert grid[0] == grid[1] == grid[2] == pytest.approx(curvature_scalar(kernel, 0.9),
                                                           rel=1e-14)
 
@@ -298,7 +304,7 @@ def test_character_equivalence_is_two_blocked_products(monkeypatch, spec):
     grids = []
     for b in (1.0, 3.0):
         kernel = an.weighted_bergman_kernel(spec, an.RadialWeight(b))
-        grids.append(an.curvature_grid(spec, kernel, 100))
+        grids.append(curvature_values(kernel, an._band(spec, 100)))
         loop = np.array([curvature_scalar(kernel, x) for x in radii])
         assert np.abs(grids[-1] / loop - 1.0).max() <= 1e-14
     assert verdict.max_curvature_diff == np.abs(grids[0] - grids[1]).max()
@@ -350,15 +356,17 @@ def test_szego_kernel_is_built_once_per_spec(monkeypatch):
     expected = [float(-curvature_scalar(fresh, complex(x))
                       - 4.0 * np.pi ** 2 * kc.eval_kernel(fresh, x, x).real ** 2)
                 for x in (0.6, 0.75)]
-    an.szego_annulus(spec, 0.6, 0.6)  # fills the shared kernel
+    weight = an.RadialWeight.power_law(1.0)
+    kern = an.weighted_bergman_kernel(spec, weight)
+    an.strict_ci_check(spec, weight, 0.6, kernel=kern)  # fills the shared kernel
     builds = []
     real = an.szego_kernel
     monkeypatch.setattr(an, "szego_kernel", lambda s: builds.append(s) or real(s))
-    weight = an.RadialWeight.power_law(1.0)
-    kern = an.weighted_bergman_kernel(spec, weight)
     for x in (0.6, 0.75):
         an.strict_ci_check(spec, weight, complex(x), kernel=kern)
-    assert [an.hardy_ci_slack(spec, complex(x)) for x in (0.6, 0.75)] == expected
+        an.strict_ci_check(spec, weight, [complex(x)], kernel=kern)
     assert builds == []
+    # the slack of the Szego kernel through ci_slack and its diagonal values
+    assert [hardy_slack(spec, complex(x)) for x in (0.6, 0.75)] == expected
     # the public builder still returns a new kernel on every call
     assert an.szego_kernel(spec) is not an.szego_kernel(spec)

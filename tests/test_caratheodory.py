@@ -6,61 +6,66 @@ import pytest
 from rkhs_lab import caratheodory as ca
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import ci_slack, curvature_scalar
-from rkhs_lab.errors import (DimensionMismatch, NonFiniteValue, PointOutsideBall,
+from rkhs_lab.errors import (ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideBall,
                              PointOutsidePolydisc)
 from tests.conftest import random_contractive_kernel
 
 
 def test_ball_norm_at_origin_is_hilbert_schmidt():
     V = [[3.0], [4.0]]
-    assert ca.cara_norm_ball(V, [0.0, 0.0]) == pytest.approx(5.0)
+    assert ca.cara_norm("ball", V, [0.0, 0.0]) == pytest.approx(5.0)
 
 
 def test_ball_norm_radial_blowup():
     V = [[1.0], [0.0]]
     z = [0.6, 0.0]
     # V parallel to z: the P-block scaling 1/(1-|z|^2) applies
-    assert ca.cara_norm_ball(V, z) == pytest.approx(1.0 / (1.0 - 0.36))
+    assert ca.cara_norm("ball", V, z) == pytest.approx(1.0 / (1.0 - 0.36))
     W = [[0.0], [1.0]]
     # V orthogonal to z: only the sqrt factor
-    assert ca.cara_norm_ball(W, z) == pytest.approx(1.0 / np.sqrt(1.0 - 0.36))
+    assert ca.cara_norm("ball", W, z) == pytest.approx(1.0 / np.sqrt(1.0 - 0.36))
 
 
 def test_ball_norm_rejects_outside_point():
     V = [[1.0]]
     with pytest.raises(PointOutsideBall):
-        ca.cara_norm_ball(V, [1.2])
+        ca.cara_norm("ball", V, [1.2])
 
 
 def test_polydisc_norm_blockwise_max():
     V = np.array([[1.0], [2.0]])
-    assert ca.cara_norm_polydisc(V, [0.0, 0.0]) == pytest.approx(2.0)
-    assert ca.cara_norm_polydisc(V, [0.0, 0.5]) == pytest.approx(2.0 / 0.75)
+    assert ca.cara_norm("polydisc", V, [0.0, 0.0]) == pytest.approx(2.0)
+    assert ca.cara_norm("polydisc", V, [0.0, 0.5]) == pytest.approx(2.0 / 0.75)
     with pytest.raises(PointOutsidePolydisc):
-        ca.cara_norm_polydisc(V, [0.0, 1.0])
+        ca.cara_norm("polydisc", V, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("V", [[[1.0], [2.0, 3.0]], [], [[]], [1.0, 2.0], np.ones((1, 1, 1))],
                          ids=["ragged", "empty", "empty-row", "1-D", "3-D"])
 def test_norms_refuse_a_tangent_vector_that_is_not_an_m_by_n_array(V):
-    for norm in (ca.cara_norm_ball, ca.cara_norm_polydisc):
+    for domain in ("ball", "polydisc"):
         with pytest.raises(DimensionMismatch):
-            norm(V, [0.0])
+            ca.cara_norm(domain, V, [0.0])
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)],
                          ids=["nan", "inf", "complex-inf"])
 def test_norms_refuse_a_non_finite_tangent_vector(entry):
-    for norm in (ca.cara_norm_ball, ca.cara_norm_polydisc):
+    for domain in ("ball", "polydisc"):
         with pytest.raises(NonFiniteValue, match="tangent vector"):
-            norm([[1.0], [entry]], [0.0, 0.3])
+            ca.cara_norm(domain, [[1.0], [entry]], [0.0, 0.3])
+
+
+def test_cara_norm_refuses_an_unknown_domain():
+    with pytest.raises(ConfigError, match="'ball' or 'polydisc'"):
+        ca.cara_norm("disc", [[1.0]], [0.0])
 
 
 def test_disc_norms_coincide_for_m1():
     V = [[1.0 + 1.0j]]
     for z in [0.0, 0.3, 0.7]:
-        assert ca.cara_norm_ball(V, [z]) == pytest.approx(
-            ca.cara_norm_polydisc(V, [z]))
+        assert ca.cara_norm("ball", V, [z]) == pytest.approx(
+            ca.cara_norm("polydisc", V, [z]))
 
 
 def test_generalized_ci_backward_shift_tight():
@@ -124,9 +129,6 @@ def test_planar_ci_is_the_generalized_verdict_on_the_disc(coeffs):
 # ---------------------------------------------------------------------------
 # the generalized check's supremum over tangent vectors is exact
 
-CARA = {"ball": ca.cara_norm_ball, "polydisc": ca.cara_norm_polydisc}
-
-
 def cara_forms(domain, w, n):
     """Hermitian matrices D with C(v)^2 = max over D of v^H D v."""
     w = np.asarray(w, dtype=complex)
@@ -152,7 +154,7 @@ def complex_normal(rng, *shape):
 
 def margin_of(K, domain, w, n, v):
     """<K v, v> + C(v)^2 for a unit vector v, through the Caratheodory norm."""
-    return float(np.vdot(v, K @ v).real) + CARA[domain](v.reshape(len(w), n), w) ** 2
+    return float(np.vdot(v, K @ v).real) + ca.cara_norm(domain, v.reshape(len(w), n), w) ** 2
 
 
 @pytest.mark.parametrize("domain", ["ball", "polydisc"])

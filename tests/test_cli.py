@@ -24,7 +24,6 @@ from rkhs_lab import cli
 from rkhs_lab import kernels as kc
 from rkhs_lab.cli import MAX_GRID_STEPS, main
 from rkhs_lab.extremality import FK_RTOL
-from rkhs_lab.extremality import fk_value as fk_value_of
 from rkhs_lab.positivity import contraction_check
 from rkhs_lab.specio import load_kernel
 from tests.conftest import counting
@@ -402,7 +401,10 @@ def test_extremal_reports_the_scale_free_fk(runner, scale, fk_value):
 
     base = run([1.0, 2.0, 3.0])
     scaled = run([scale, 2.0 * scale, 3.0 * scale])
-    assert base["fk_value"] == fk_value_of(kc.SeriesKernel.disc(np.array([1.0, 2.0, 3.0])), 0.3)
+    # F_K is the Gram determinant of the order-1 tilde jet at zeta
+    jet = kc.jet(kc.tilde_kernel(kc.SeriesKernel.disc(np.array([1.0, 2.0, 3.0]))), 0.3, 1)
+    det = (jet[0, 0] * jet[1, 1] - abs(jet[0, 1]) ** 2).real
+    assert base["fk_value"] == pytest.approx(det, rel=1e-12)
     assert scaled["fk_value"] == fk_value
     assert scaled["fk_relative"] == pytest.approx(base["fk_relative"], rel=1e-12)
     assert scaled["classification"] == base["classification"] == "NotExtremal"

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -18,8 +19,7 @@ from rkhs_lab import kernels as kc
 from rkhs_lab import positivity as ps
 from rkhs_lab.errors import (NonFiniteValue, NotAContraction, NotPositiveDefinite,
                              PointOutsideDomain)
-from rkhs_lab.extremality import (classify_shift, dependence_test, fk_value,
-                                  normalized_pullback_coeffs,
+from rkhs_lab.extremality import (FK_RTOL, classify_shift, normalized_pullback_coeffs,
                                   uniqueness_pipeline_check)
 from rkhs_lab.localop import canonical_form, jet_gram
 from rkhs_lab.positivity import (contraction_check, shift_kernel,
@@ -41,6 +41,11 @@ def case2():
                                                        for k in range(60)]))
 
 
+def fk_value(kernel, zeta):
+    """F_K of the shift kernel at zeta, as classify_shift reports it."""
+    return classify_shift(kernel, zeta).fk_value
+
+
 def test_fk_vanishes_only_for_equality():
     assert abs(fk_value(geometric(), 0.0)) < 1e-12
     assert abs(fk_value(geometric(), 0.4 + 0.2j)) < 1e-10
@@ -53,25 +58,26 @@ def test_fk_requires_contraction():
 
 
 def test_dependence_against_fk():
-    # both verdicts are scale-free, although F_K underflows for a small kernel
+    # the dependence of the tilde jet vectors, |F_K| <= FK_RTOL Ktilde^2, is
+    # scale-free, although F_K underflows for a small kernel
     for scale, (make, dependent) in itertools.product(
             (1e-200, 1.0, 1e100), ((geometric, True), (bergman, False), (case2, False))):
         kernel = kc.SeriesKernel.disc(make().coeffs * scale)
-        assert dependence_test(kernel, 0.3) == dependent
-        classification = classify_shift(kernel, 0.3).classification
-        assert (classification == "ExtremalEverywhere") == dependent
+        report = classify_shift(kernel, 0.3)
+        assert (abs(report.fk_relative) <= FK_RTOL) == dependent
+        assert (report.classification == "ExtremalEverywhere") == dependent
 
 
 def test_dependence_applies_the_rule_of_the_classification():
     # F_K / Ktilde^2 = 5.9e-8 is above FK_RTOL although it is small against
-    # j11 / j00 = 144: both verdicts read |F_K| <= FK_RTOL Ktilde^2
+    # j11 / j00 = 144: the verdict reads |F_K| <= FK_RTOL Ktilde^2
     a = np.ones(201)
     a[6:] = 1e13
     kernel = kc.SeriesKernel.disc(a)
     report = classify_shift(kernel, 0.5)
     assert report.fk_relative == pytest.approx(5.898e-8, rel=1e-3)
+    assert report.fk_relative > FK_RTOL
     assert report.classification == "NotExtremal"
-    assert not dependence_test(kernel, 0.5)
 
 
 def test_trichotomy_backward_shift():
@@ -262,6 +268,18 @@ def test_pipeline_refuses_pullback_sums_past_the_double_range():
         uniqueness_pipeline_check(kernel, 0.3)
 
 
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+def test_the_pullback_refuses_coefficients_over_a0_past_the_double_range(zeta):
+    # a_1 / a_0 = 1e310 overflows before any sum is taken: a typed refusal
+    # naming zeta, with no overflow warning, on both branches
+    kernel = kc.SeriesKernel.disc([1e-300, 1e10, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=re.escape(f"a_n / a_0 coefficients at "
+                                                           f"zeta = {zeta} ")):
+            normalized_pullback_coeffs(kernel, zeta, 2)
+
+
 @pytest.mark.parametrize("zeta", [-0.3, 0.2 + 0.25j])
 def test_pipeline_refusal_names_the_callers_zeta(zeta):
     # C is built at |zeta|; the refusal still names the point asked about
@@ -362,23 +380,32 @@ def test_a_passing_pipeline_builds_one_full_pullback_per_point(monkeypatch):
 
 
 def gram_step_coeffs(rng, i):
-    """Seeded coefficients that reach the Gram steps of the pipeline at 0: they
-    pass contraction, 2-hypercontraction and the corner (a_1 = a_0 to 1e-8)."""
+    """Seeded coefficients that pass contraction and the corner (a_1 = a_0 to
+    1e-8); kinds 0 and 3 pass 2-hypercontraction too, kinds 1 and 2, whose
+    jumps of a let the Gram steps fail, do not (:func:`past_two_hyper`)."""
     n = np.arange(201.0)
     kind = i % 4
     if kind == 0:  # 1/a convex: the orthonormality step passes or fails
         return 1.0 + 10 ** rng.uniform(-14, -9) * n ** rng.uniform(0.3, 1.0)
     if kind == 3:  # a short list, continued by its last coefficient
         return 1.0 + 10 ** rng.uniform(-13, -9) * n[:rng.integers(3, 120)] ** 0.5
-    # at a_0 >= 1e10 the 2-hypercontraction tolerance is slack, and a jump of a
-    # lets a_n fall by up to 1e-10 of it: the chain fails; a jump past 1e10
-    # fails the condition bound instead
+    # a jump of a lets a_n fall by up to 1e-10 of it under the contraction
+    # rule: the chain fails; a jump past 1e10 fails the condition bound instead
     a = np.ones(201)
     jump = 10 ** rng.uniform(2, 4) if kind == 1 else 10 ** rng.uniform(6, 12)
     if kind == 1:
         a[2:] -= rng.uniform(0.0, 0.9) * 1e-10 * (jump - 1.0)
     a[rng.integers(2, 200):] = jump
     return 10 ** rng.uniform(10, 13) * a
+
+
+def past_two_hyper(monkeypatch):
+    """Let every kernel past the 2-hypercontraction step.  With a_1 = a_0 and
+    1/a convex, a contraction is constant, so under the scale-free rule no
+    kernel whose Gram steps fail reaches them; the jumps of gram_step_coeffs
+    stop at that step, and reach the Gram steps only with it passed."""
+    passed = ps.CheckResult(passed=True, info={"min_expression": 0.0})
+    monkeypatch.setattr(ex, "two_hypercontraction_check", lambda kernel: passed)
 
 
 def dense_gram_steps(c):
@@ -414,6 +441,9 @@ def test_the_gram_steps_at_the_origin_report_as_the_dense_route(monkeypatch, con
     rng = np.random.default_rng(30)
     kernels = [geometric(), kc.SeriesKernel.disc(1.0 + np.arange(201.0) * 1e-10)]
     kernels += [kc.SeriesKernel.disc(gram_step_coeffs(rng, i)) for i in range(200)]
+    stops = [uniqueness_pipeline_check(k, 0.0).failed_step for k in kernels[2:]]
+    assert {stop for i, stop in enumerate(stops) if i % 4 in (1, 2)} == {"two-hypercontraction"}
+    past_two_hyper(monkeypatch)
     outcomes = []
     for kernel in kernels:
         want = dense_gram_steps(origin_diagonal(kernel))
@@ -470,6 +500,7 @@ def test_the_gram_steps_at_the_origin_hold_to_an_exact_rational_oracle(monkeypat
     kernels = [geometric(), kc.SeriesKernel.disc(1.0 + np.arange(201.0) * 1e-10)]
     kernels += [kc.SeriesKernel.disc(gram_step_coeffs(rng, i)) for i in range(24)
                 if i % 4 != 2]  # not the condition refusals, which stop before the chain
+    past_two_hyper(monkeypatch)
     for kernel in kernels:
         factors.clear()
         chains.clear()
@@ -510,8 +541,6 @@ def test_shift_verdicts_build_no_sampled_gram(monkeypatch):
     for zeta in (0.0, 0.3):
         classify_shift(geometric(), zeta)
         uniqueness_pipeline_check(geometric(), zeta)
-        fk_value(geometric(), zeta)
-        dependence_test(geometric(), zeta)
     two_hypercontraction_check(geometric())
     assert len(calls) == 0
     grams = counting(monkeypatch, ps, "psd_check"), counting(monkeypatch, np.linalg, "eigvalsh")

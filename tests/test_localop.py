@@ -11,8 +11,8 @@ from rkhs_lab import localop as lo
 from rkhs_lab import positivity as ps
 from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar, frame_from_jet
 from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite
-from rkhs_lab.localop import (canonical_form, function_of_local, jet_gram,
-                              verify_tt_identity, verify_tt_identity_gram)
+from rkhs_lab.localop import (canonical_form, jet_gram, verify_tt_identity,
+                              verify_tt_identity_gram)
 from rkhs_lab.specio import load_kernel
 from tests.conftest import (counting, disc_kernel, random_contractive_kernel,
                             synthetic_normalized_gram)
@@ -34,12 +34,10 @@ def test_tt_identity_random_kernels(rng):
 def test_canonical_form_shape_and_triangularity():
     k = disc_kernel("n+1")
     form = canonical_form(jet_gram(k, 0.25))
-    # m = 1, n = 1: single 2x2 nilpotent block, strictly upper triangular
-    N1 = function_of_local(form, 0.0, [1.0])
-    assert N1.shape == (2, 2)
-    assert N1[1, 1] == 0
-    assert N1[1, 0] == 0
-    assert abs(N1[0, 1]) > 0
+    # m = 1, n = 1: the nilpotent part N1 = [[0, t], [0, 0]] is one 2x2
+    # strictly upper triangular block, nonzero where t is
+    assert form.t.shape == (1, 1)
+    assert abs(form.t[0, 0]) > 0
 
 
 @pytest.mark.parametrize("w", [0.0, 0.3, 0.3 + 0.2j, -0.5j, 0.7])
@@ -193,19 +191,6 @@ def test_canonical_form_is_one_call_of_the_definite_test(monkeypatch):
     gram = jet_gram(disc_kernel("n+1"), 0.3)
     canonical_form(gram)
     assert len(calls) == 1 and calls[0] is gram.G
-
-
-def test_function_of_local_block_structure():
-    k = kc.SeriesKernel.disc(np.ones(201))
-    w = 0.3
-    form = canonical_form(jet_gram(k, w))
-    # f(N_w) for f(z) = z^2 has f(w) I on the diagonal and f'(w) t off it
-    f_val, df_val = w ** 2, 2 * w
-    F = function_of_local(form, f_val, [df_val])
-    assert F[0, 0] == pytest.approx(f_val)
-    assert F[1, 1] == pytest.approx(f_val)
-    assert F[1, 0] == 0
-    assert F[0, 1] == pytest.approx(df_val * form.t[0, 0])
 
 
 def test_curvature_from_local_form_matches_scalar():

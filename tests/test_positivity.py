@@ -112,6 +112,28 @@ def test_two_hypercontraction_counterexample():
     assert res.info["argmin"] == 0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e12, 1e200])
+def test_the_shift_rules_judge_c_k_as_k(scale):
+    # c K defines the shift of K: the weights sqrt(a_n / a_(n+1)) do not see c,
+    # and neither do the tolerances, which scale with what each rule compares
+    halving = kc.SeriesKernel.disc(scale * np.array([1.0, 0.5, 0.25]))  # first weight sqrt 2
+    res = contraction_check(halving)
+    assert not res.passed
+    assert res.info["min_tilde_coeff"] == -0.5 * scale
+    with pytest.raises(NotAContraction):
+        ex.classify_shift(halving, 0.0)
+    # 1/a_1 - 2/a_2 + 1/a_3 = -0.25 / c
+    res = two_hypercontraction_check(kc.SeriesKernel.disc(scale * np.array([1.0, 1.5, 1.6,
+                                                                            3.0, 3.1])))
+    assert not res.passed
+    assert res.info["min_expression"] == pytest.approx(-0.25 / scale, rel=1e-12)
+    assert res.info["argmin"] == 1
+    bergman = kc.SeriesKernel.disc(scale * np.arange(1.0, 202.0))
+    assert contraction_check(bergman).passed
+    assert two_hypercontraction_check(bergman).passed
+    assert ex.classify_shift(bergman, 0.0).classification == "NotExtremal"
+
+
 def test_gram_decrease_on_monomials():
     # G_v for monomials (1, z, ..., z^k) in the Hardy model is the identity;
     # applying the shift drops the last basis vector, again an identity Gram
