@@ -79,10 +79,13 @@ def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1) -> CIVerdict
     v^H D v of :func:`_cara_forms`, the supremum of <K v, v> + C(v)^2 over
     unit v is the largest top eigenvalue of Herm(K) + D, at its eigenvector.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"n must be an integer >= 1, got {n!r}")
     K = np.asarray(K, dtype=complex)
+    if K.ndim != 2 or K.size == 0 or K.shape[0] != K.shape[1] or K.shape[0] % n != 0:
+        raise DimensionMismatch(f"curvature matrix K must be a non-empty mn x mn matrix, "
+                                f"got shape {K.shape}")
     dim = K.shape[0]
-    if K.shape != (dim, dim) or dim % n != 0:
-        raise DimensionMismatch("curvature matrix must be mn x mn")
     if not np.isfinite(K).all():
         raise NonFiniteValue("curvature matrix has a non-finite entry")
     H = (K + K.conj().T) / 2.0

@@ -26,8 +26,9 @@ class JetGram:
 
     Built from the Gram G of any frame: the frame change gamma -> gamma s,
     s = h^-1/2 with h the top-left block, takes every n x n block G_ij to
-    s G_ij s, so the top-left block of ``G`` is I.  A non-finite entry is
-    refused with NonFiniteValue, a metric h that is not positive definite with
+    s G_ij s, so the top-left block of ``G`` is I.  An m or n that is not an
+    integer >= 1 is refused with DimensionMismatch, a non-finite entry with
+    NonFiniteValue, a metric h that is not positive definite with
     NotPositiveDefinite.
     """
 
@@ -37,6 +38,9 @@ class JetGram:
 
     def __post_init__(self):
         m, n = self.m, self.n
+        for name, value in (("m", m), ("n", n)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise DimensionMismatch(f"{name} must be an integer >= 1, got {value!r}")
         G = np.asarray(self.G, dtype=complex)
         size = (m + 1) * n
         if G.shape != (size, size):
@@ -185,9 +189,12 @@ def ci_slack(kernel, w, szego_value=None) -> tuple:
 def mobius_rule_check(kernel, a: complex, z: complex) -> float:
     """Residual of the curvature transformation rule under phi_a.
 
-    Returns |K_curv(pullback, phi_a(z)) - K_curv(K, z) |phi_a'(z)|^-2|.
+    Returns |K_curv(pullback, phi_a(z)) - K_curv(K, z) |phi_a'(z)|^-2|.  A
+    center a off the disc is refused with CenterOutsideDisc, and a z off the
+    kernel's domain with PointOutsideDomain, before phi_a(z) is formed.
     """
     pulled = kc.mobius_pullback(kernel, a)
+    kc.check_point(kernel, z)
     lhs = curvature_scalar(pulled, kc.mobius_map(a, z))
     rhs = curvature_scalar(kernel, z) * abs(kc.mobius_deriv(a, z)) ** -2
     return abs(lhs - rhs)

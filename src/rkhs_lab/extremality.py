@@ -11,9 +11,8 @@ import numpy as np
 
 from . import curvature as cv
 from . import kernels as kc
-from .errors import NonFiniteValue, NotAContraction, NotPositiveDefinite
-from .positivity import (diagonal_decrease_check, diagonal_inverse_factor,
-                         gram_decrease_check, hyponormal_check, inverse_factor,
+from .errors import ConfigError, NonFiniteValue, NotAContraction, NotPositiveDefinite
+from .positivity import (gram_decrease_check, hyponormal_check, inverse_factor,
                          is_contraction, shift_kernel, shift_weights,
                          two_hypercontraction_check)
 
@@ -177,8 +176,15 @@ def normalized_pullback_coeffs(kernel: kc.SeriesKernel, zeta: complex,
     invariant, so C at zeta = r e^(i theta) is the real C(r) rotated, d_i C[i, j]
     conj(d_j) with d_i = e^(i i theta): real when zeta is.  Raises
     NonFiniteValue, naming zeta, where the coefficients over a_0 or its sums
-    leave the double range.
+    leave the double range; a kernel on the annulus or a ``truncation`` that
+    is not an integer >= 0 with ConfigError, a zeta off the disc with
+    PointOutsideDomain.
     """
+    kc.require_disc(kernel, "the normalized pullback")
+    kc.check_point(kernel, zeta)
+    if (isinstance(truncation, bool) or not isinstance(truncation, (int, np.integer))
+            or truncation < 0):
+        raise ConfigError(f"field 'truncation' must be an integer >= 0, got {truncation!r}")
     phase = complex(zeta) / abs(zeta) if zeta else 1.0
     d = np.power(phase if phase.imag else phase.real, np.arange(truncation + 1))
     return d[:, None] * _pullback_at_modulus(kernel, zeta, truncation) * d.conj()
@@ -195,8 +201,8 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
     coefficients (fewer away from 0).  The curvature and norm steps read the
     corner C[:2, :2] alone, so the full C is built only once they pass.  At
     zeta = 0, C = diag(a_n / a_0), and the Gram steps replay on its diagonal
-    in O(n) (:func:`diagonal_inverse_factor`, :func:`diagonal_decrease_check`),
-    with the same rules and the same reports as the dense route.
+    in O(n): :func:`inverse_factor` and :func:`gram_decrease_check` take a
+    vector for the diagonal matrix, with the same rules and reports.
     Polynomial density is recorded as an assumption, never verified.  A zeta
     off the disc is refused with PointOutsideDomain.
     """
@@ -234,29 +240,28 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
                  f"|V0|^2 = {c00:.12f}, |V1|^2 = {c11:.12f}")
     if ok:
         C = _pullback_at_modulus(kernel, zeta, truncation)
+        if not zeta:
+            # C = diag(a_n / a_0) at the origin, and so are P and G = C^-1:
+            # the Gram steps take the diagonal for the matrix it stands for
+            C = np.diagonal(C)
         try:
-            if zeta:
-                P = inverse_factor(C)
-            else:
-                # C = diag(a_n / a_0) at the origin, so P, G = C^-1 and the
-                # chain are diagonal: the Gram steps replay on the vector g
-                p = diagonal_inverse_factor(np.diagonal(C))
+            P = inverse_factor(C)
         except NotPositiveDefinite as exc:
             ok = run("monomial-gram", False, str(exc))
     if ok:
-        k = truncation - 1
-        if zeta:
+        if P.ndim == 2:
             G = P @ P.T  # C^-1
             g = np.diagonal(G)
-            dec = gram_decrease_check(G[:k, :k], G[1:k + 1, 1:k + 1])
+            off = float(np.abs(G - np.diag(g)).max())
         else:
-            g = p * p
-            dec = diagonal_decrease_check(g[:k], g[1:k + 1])
+            G = g = P * P
+            off = 0.0
+        lead, trail = (np.s_[:truncation - 1],) * G.ndim, (np.s_[1:truncation],) * G.ndim
+        dec = gram_decrease_check(G[lead], G[trail])
         ok = run("gram-decrease-chain", dec.passed,
                  f"min eig of G_v - G_Av = {dec.min_eigenvalue:.3e}")
     if ok:
         norms = np.abs(g - 1.0).max()
-        off = float(np.abs(G - np.diag(g)).max()) if zeta else 0.0
         ok = run("monomial-orthonormality", norms <= STEP_TOL and off <= STEP_TOL,
                  f"max |norm-1| = {norms:.3e}, max off-diagonal = {off:.3e}")
     return PipelineReport(steps=steps, truncation=truncation)

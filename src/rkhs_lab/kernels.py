@@ -595,8 +595,8 @@ def mobius_pullback(kernel, a: complex) -> ClosedFormKernel:
 
     By the chain rule its factor is A = [[1, 0, 0], [0, psi', 0], [0, psi'', psi'^2]].
     """
-    if abs(a) >= 1.0:
-        raise CenterOutsideDisc(f"|a| = {abs(a):.4f} >= 1")
+    if not abs(a) < 1.0:  # a NaN center is refused too
+        raise CenterOutsideDisc(f"|a| = {abs(a):.4f} is not below 1")
     require_disc(kernel, "the Mobius pullback", "a kernel on the annulus")
     ab = np.conjugate(a)
     s = 1.0 - abs(a) ** 2

@@ -45,20 +45,21 @@ def psd_check(gram: np.ndarray) -> CheckResult:
     G = _float_or_complex(gram)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {G.shape}")
+    return _semidefinite(G)
+
+
+def _semidefinite(G: np.ndarray) -> CheckResult:
+    """The semidefinite rule past :func:`psd_check`'s shape test, on a square
+    G or on diag(G) for a vector G, whose eigenvalues are its real parts: the
+    smallest is >= -tol, tol = CHECK_TOL * max(1, the largest magnitude)."""
     if not np.isfinite(G).all():
         raise NonFiniteValue("matrix has a non-finite entry")
     GH = G.conj().T
-    result = _semidefinite(np.linalg.eigvalsh((G + GH) / 2.0))
-    if np.abs(G - GH).max() > result.info["tol"]:
-        raise NonHermitianInput("matrix is not Hermitian")
-    return result
-
-
-def _semidefinite(eigs: np.ndarray) -> CheckResult:
-    """The semidefinite rule on a Hermitian matrix's eigenvalues: the smallest
-    is >= -tol, tol = CHECK_TOL * max(1, the largest magnitude)."""
+    eigs = np.linalg.eigvalsh((G + GH) / 2.0) if G.ndim == 2 else G.real
     norm = float(np.abs(eigs).max())
     tol = CHECK_TOL * max(1.0, norm)
+    if np.abs(G - GH).max() > tol:
+        raise NonHermitianInput("matrix is not Hermitian")
     min_eig = float(eigs.min())
     return CheckResult(passed=min_eig >= -tol, min_eigenvalue=min_eig,
                        info={"tol": tol, "norm": norm})
@@ -69,15 +70,24 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
     so P conj(P)^t = G^-1, inverted by triangular blocks (:func:`_upper_inverse`);
     LU does not pivot on a triangular block, so P is exactly upper triangular
     with a real positive diagonal.  A 2 x 2 Gram, every kernel jet Gram's,
-    takes both steps in closed form (:func:`_factor_2x2`).
+    takes both steps in closed form (:func:`_factor_2x2`), and a vector c, which
+    stands for diag(c), in O(n): P = 1 / sqrt(c), bit for bit the diagonal of
+    the LAPACK route's P, with the bound ||c||_2 ||P||_2^2.
 
-    Raises NotPositiveDefinite when the factorization fails or unless the bound
-    ||G||_F tr(G^-1) = ||G||_F ||P||_F^2, in Python floats (no overflow warning),
-    is <= COND_LIMIT; it exceeds cond_2(G) by at most size^(3/2); inf and NaN fail it.
+    Raises NotPositiveDefinite when the factorization fails (a pivot <= 0 or
+    NaN) or unless the bound ||G||_F tr(G^-1) = ||G||_F ||P||_F^2, in Python
+    floats (no overflow warning), is <= COND_LIMIT; it exceeds cond_2(G) by at
+    most size^(3/2); inf and NaN fail it.
     """
     G = _float_or_complex(gram)
     if G.shape == (2, 2):
         P, bound = _factor_2x2(G)
+    elif G.ndim == 1:
+        c = G.real  # the real diagonal, which the Cholesky factor reads
+        if not (c > 0.0).all():
+            raise NotPositiveDefinite("Gram is not positive definite")
+        P = 1.0 / np.sqrt(c)
+        bound = float(np.dot(c, c)) ** 0.5 * float(np.dot(P, P))
     else:
         try:
             L = np.linalg.cholesky(G)
@@ -85,23 +95,6 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
             raise NotPositiveDefinite("Gram is not positive definite") from exc
         P = _upper_inverse(L.conj().T)
         bound = float(np.vdot(G, G).real) ** 0.5 * float(np.vdot(P, P).real)
-    return _conditioned(P, bound)
-
-
-def diagonal_inverse_factor(c: np.ndarray) -> np.ndarray:
-    """:func:`inverse_factor` of diag(c) in O(n): the diagonal p = 1 / sqrt(c)
-    of P, bit for bit the LAPACK route's.  A pivot c_j <= 0 or NaN fails, as
-    Cholesky fails; the bound ||c||_2 ||p||_2^2, summed over the vectors, may
-    differ from the dense sum in its last bit."""
-    if not (c > 0.0).all():
-        raise NotPositiveDefinite("Gram is not positive definite")
-    p = 1.0 / np.sqrt(c)
-    return _conditioned(p, float(np.dot(c, c)) ** 0.5 * float(np.dot(p, p)))
-
-
-def _conditioned(P: np.ndarray, bound: float) -> np.ndarray:
-    """The conditioning rule: P, unless the bound ||G||_F tr(G^-1) exceeds
-    COND_LIMIT (inf and NaN exceed it), which NotPositiveDefinite refuses."""
     if not bound <= COND_LIMIT:
         raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) = {bound:.2e} "
                                   f"exceeds {COND_LIMIT:.0e}")
@@ -225,14 +218,15 @@ def two_hypercontraction_check(kernel: kc.SeriesKernel) -> CheckResult:
 
 
 def gram_decrease_check(G_v: np.ndarray, G_Av: np.ndarray) -> CheckResult:
-    """Contractivity of a linear map through its Gram matrices: G_Av <= G_v."""
+    """Contractivity of a linear map through its Gram matrices: G_Av <= G_v, by
+    :func:`psd_check` of G_v - G_Av.  Two vectors stand for diagonal Grams and
+    are checked in O(n), under psd_check's refusals: the eigenvalues of their
+    difference are its entries."""
     G_v, G_Av = _float_or_complex(G_v), _float_or_complex(G_Av)
     if G_v.shape != G_Av.shape:
         raise DimensionMismatch(f"shapes {G_v.shape} and {G_Av.shape} differ")
-    return psd_check(G_v - G_Av)
-
-
-def diagonal_decrease_check(g_v: np.ndarray, g_Av: np.ndarray) -> CheckResult:
-    """:func:`gram_decrease_check` of diag(g_v) and diag(g_Av) in O(n): the
-    eigenvalues of the diagonal difference are its entries."""
-    return _semidefinite(np.subtract(g_v, g_Av))
+    if G_v.ndim != 1:
+        return psd_check(G_v - G_Av)
+    if G_v.size == 0:
+        raise DimensionMismatch("expected non-empty diagonals, got shape (0,)")
+    return _semidefinite(G_v - G_Av)

@@ -68,9 +68,9 @@ def annulus_from_spec(spec: dict) -> tuple[an.AnnulusSpec, an.RadialWeight]:
                           f"annulus_laurent, got {n_max}")
     annulus = an.AnnulusSpec(r=_float("r", _require(spec, "r", (int, float))), N=n_max)
     b = spec.get("weight_b", 0.0)
-    if not _is_number(b):
-        raise ConfigError(f"field 'weight_b' must be a number, got {b!r}")
-    return annulus, an.RadialWeight.power_law(_float("weight_b", b))
+    if not _is_number(b) or not np.isfinite(_float("weight_b", b)):
+        raise ConfigError(f"field 'weight_b' must be a finite number, got {b!r}")
+    return annulus, an.RadialWeight.power_law(float(b))
 
 
 def kernel_from_spec(spec: dict) -> kc.SeriesKernel:

@@ -332,6 +332,13 @@ def refusal(exc_type, fn, *args):
     return str(exc.value)
 
 
+def test_an_extremal_value_of_positive_curvature_is_degenerate():
+    # dd-bar log K < 0 at 0.5: the extremal problem has no finite value
+    kernel = kc.SeriesKernel(0, [1.0, -0.5] + [0.0] * 199, signed=True)
+    with pytest.raises(DegenerateJet, match="dd-bar log K = "):
+        an.extremal_problem_value(kernel, 0.5)
+
+
 def test_extremal_value_keeps_the_refusals_of_its_parts():
     # the tail test of eval_kernel on K(w, w)
     short = kc.SeriesKernel.disc(np.ones(20))

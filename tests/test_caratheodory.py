@@ -212,3 +212,13 @@ def test_generalized_ci_refusals():
         ca.generalized_ci_check(-np.eye(2), "ball", [0.2, np.nan])
     with pytest.raises(PointOutsidePolydisc):
         ca.generalized_ci_check(-np.eye(2), "polydisc", [np.nan, 0.2])
+
+
+@pytest.mark.parametrize("K, n, named", [
+    (-np.eye(2), 0, "^n must"), (-np.eye(2), -1, "^n must"), (-np.eye(2), True, "^n must"),
+    (-np.eye(2), 1.0, "^n must"), (np.zeros((0, 0)), 1, "matrix K "),
+    (np.zeros(0), 1, "matrix K "), (np.array(-1.0), 1, "matrix K ")],
+    ids=["n-0", "n-negative", "n-bool", "n-float", "empty", "empty-vector", "scalar"])
+def test_generalized_ci_refuses_an_empty_curvature_or_a_block_size_below_one(K, n, named):
+    with pytest.raises(DimensionMismatch, match=named):
+        ca.generalized_ci_check(K, "ball", [0.0], n=n)

@@ -479,6 +479,16 @@ def test_ci_check_accepts_flags_that_agree_with_spec(runner):
     assert plain.stdout == flagged.stdout
 
 
+@pytest.mark.parametrize("weight_b", ["1e400", "NaN"])
+def test_a_spec_weight_exponent_off_the_doubles_is_a_config_error(runner, weight_b):
+    spec = f'{{"kind": "annulus_laurent", "r": 0.5, "weight_b": {weight_b}}}'
+    res = runner.invoke(main, ["curvature", "--kernel", spec])
+    assert res.exit_code == 1 and res.stdout == ""
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert "'weight_b'" in diag["message"]
+
+
 @pytest.mark.parametrize("spec, flags, field", [
     (README_ANNULUS, ["--domain", "disc"], "'kind'"),
     (README_ANNULUS, ["--r", "0.6"], "'r'"),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import (_inv_sqrt_hermitian, curvature_matrix, curvature_scalar,
-                                frame_from_jet, mobius_rule_check)
-from rkhs_lab.errors import NotPositiveDefinite, PointOutsideDomain
+from rkhs_lab.curvature import (JetGram, _inv_sqrt_hermitian, curvature_matrix,
+                                curvature_scalar, frame_from_jet, mobius_rule_check)
+from rkhs_lab.errors import (CenterOutsideDisc, DimensionMismatch, NotPositiveDefinite,
+                             PointOutsideDomain)
 from tests.conftest import disc_kernel, random_contractive_kernel
 
 FD_STEP = 1e-4  # finite-difference step; one Richardson level on top
@@ -77,6 +78,25 @@ def test_mobius_rule_random_kernels(rng):
         a = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         assert mobius_rule_check(k, a, z) < 1e-6
+
+
+@pytest.mark.parametrize("a, z, error", [
+    (np.nan, 0.1, CenterOutsideDisc), (1.0, 0.1, CenterOutsideDisc),
+    (0.1, np.nan, PointOutsideDomain), (0.1, complex(np.nan, 0.2), PointOutsideDomain),
+    (0.1, 1.0, PointOutsideDomain)], ids=["nan-a", "a-on-circle", "nan-z", "nan-imag-z", "z-1"])
+def test_the_mobius_rule_refuses_a_center_or_point_off_the_disc(a, z, error):
+    # refused before phi_a(z) is formed, not by a warning inside the curvature
+    with pytest.raises(error):
+        mobius_rule_check(kc.SeriesKernel.disc(np.ones(201)), a, z)
+
+
+@pytest.mark.parametrize("G, m, n, name", [
+    (np.eye(0), 1, 0, "n"), (np.eye(0), -1, 1, "m"), (np.eye(1), 0, 1, "m"),
+    (np.eye(2), True, 1, "m"), (np.eye(2), 1, True, "n"), (np.eye(2), 1.0, 1, "m")],
+    ids=["n-0", "m-negative", "m-0", "m-bool", "n-bool", "m-float"])
+def test_a_jet_gram_refuses_a_dimension_below_one(G, m, n, name):
+    with pytest.raises(DimensionMismatch, match=f"^{name} must be an integer >= 1"):
+        JetGram(G, m, n)
 
 
 def _eigh_inv_sqrt(h):

@@ -17,13 +17,14 @@ from rkhs_lab import curvature as cv
 from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
 from rkhs_lab import positivity as ps
-from rkhs_lab.errors import (NonFiniteValue, NotAContraction, NotPositiveDefinite,
+from rkhs_lab.errors import (ConfigError, NonFiniteValue, NotAContraction, NotPositiveDefinite,
                              PointOutsideDomain)
 from rkhs_lab.extremality import (FK_RTOL, classify_shift, normalized_pullback_coeffs,
                                   uniqueness_pipeline_check)
 from rkhs_lab.localop import canonical_form, jet_gram
 from rkhs_lab.positivity import (contraction_check, shift_kernel,
                                 two_hypercontraction_check)
+from rkhs_lab.specio import load_kernel
 from tests.conftest import counting, disc_kernel, random_contractive_coeffs
 
 
@@ -280,6 +281,23 @@ def test_the_pullback_refuses_coefficients_over_a0_past_the_double_range(zeta):
             normalized_pullback_coeffs(kernel, zeta, 2)
 
 
+@pytest.mark.parametrize("truncation", [-1, 2.5, True, np.float64(3.0)])
+def test_the_pullback_refuses_a_truncation_that_is_not_a_count(truncation):
+    with pytest.raises(ConfigError, match="'truncation'"):
+        normalized_pullback_coeffs(geometric(), 0.3, truncation)
+
+
+def test_the_pullback_runs_the_entry_checks_of_the_pipeline():
+    # a Laurent kernel would have its a_(n_min) read as a_0; 1.5 is off the disc
+    annulus = load_kernel({"kind": "annulus_laurent", "r": 0.5})
+    with pytest.raises(ConfigError, match="'kind'"):
+        normalized_pullback_coeffs(annulus, 0.7)
+    for zeta in (1.5, np.nan):
+        with pytest.raises(PointOutsideDomain):
+            normalized_pullback_coeffs(geometric(), zeta)
+    assert normalized_pullback_coeffs(geometric(), 0.3, np.int64(0)).shape == (1, 1)
+
+
 @pytest.mark.parametrize("zeta", [-0.3, 0.2 + 0.25j])
 def test_pipeline_refusal_names_the_callers_zeta(zeta):
     # C is built at |zeta|; the refusal still names the point asked about
@@ -303,19 +321,16 @@ def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
     assert ex.inverse_factor is ps.inverse_factor
     assert ex.gram_decrease_check is ps.gram_decrease_check
     if not zeta:
-        # C = diag(a_n / a_0) at the origin: one diagonal factor and one
-        # diagonal decrease check, and no LAPACK call at all
-        assert ex.diagonal_inverse_factor is ps.diagonal_inverse_factor
-        assert ex.diagonal_decrease_check is ps.diagonal_decrease_check
+        # C = diag(a_n / a_0) at the origin: one factor and one decrease check,
+        # each of the diagonal vectors, and no LAPACK call at all
         diagonal = [counting(monkeypatch, ex, name) for name in
-                    ("diagonal_inverse_factor", "diagonal_decrease_check")]
-        dense = [counting(monkeypatch, ex, name) for name in
-                 ("inverse_factor", "gram_decrease_check")]
-        dense += [counting(monkeypatch, np.linalg, name) for name in
-                  ("cholesky", "inv", "eigvalsh")]
+                    ("inverse_factor", "gram_decrease_check")]
+        dense = [counting(monkeypatch, np.linalg, name) for name in
+                 ("cholesky", "inv", "eigvalsh")]
         assert uniqueness_pipeline_check(geometric(), zeta).passed
         assert [len(calls) for calls in diagonal] == [1, 1]
-        assert [len(calls) for calls in dense] == [0] * 5
+        assert all(arg.ndim == 1 for calls in diagonal for arg in calls[0])
+        assert [len(calls) for calls in dense] == [0] * 3
         return
     factors, inside = [], []
 
@@ -494,8 +509,8 @@ def returned(monkeypatch, name):
 def test_the_gram_steps_at_the_origin_hold_to_an_exact_rational_oracle(monkeypatch):
     # min over n < k of 1/c_n - 1/c_(n+1) and max |1/c_n - 1|, in exact
     # rationals of the float c_n, within 4 ulps of the largest 1/c_n
-    factors = returned(monkeypatch, "diagonal_inverse_factor")
-    chains = returned(monkeypatch, "diagonal_decrease_check")
+    factors = returned(monkeypatch, "inverse_factor")
+    chains = returned(monkeypatch, "gram_decrease_check")
     rng = np.random.default_rng(32)
     kernels = [geometric(), kc.SeriesKernel.disc(1.0 + np.arange(201.0) * 1e-10)]
     kernels += [kc.SeriesKernel.disc(gram_step_coeffs(rng, i)) for i in range(24)
@@ -510,6 +525,7 @@ def test_the_gram_steps_at_the_origin_hold_to_an_exact_rational_oracle(monkeypat
         least = min(g[n] - g[n + 1] for n in range(k))
         ulps = 4 * Fraction(float(np.spacing(float(max(g)))))
         (chain,), (p,) = chains, factors
+        assert p.ndim == 1  # the factor of the diagonal, as a vector
         assert abs(Fraction(chain.min_eigenvalue) - least) <= ulps
         assert (steps["gram-decrease-chain"]
                 == f"min eig of G_v - G_Av = {chain.min_eigenvalue:.3e}")

@@ -14,7 +14,7 @@ from rkhs_lab import kernels as kc
 from rkhs_lab.caratheodory import generalized_ci_check
 from rkhs_lab.curvature import (curvature_matrix, curvature_scalar, curvature_values,
                                 frame_from_jet)
-from rkhs_lab.errors import (ConfigError, DegenerateKernel, KernelLabError,
+from rkhs_lab.errors import (CenterOutsideDisc, ConfigError, DegenerateKernel, KernelLabError,
                              KernelVanishesNearCenter, NonFiniteValue, PointOutsideDomain,
                              TruncationTailTooLarge, UnsupportedJetOrder)
 from rkhs_lab.localop import canonical_form
@@ -118,6 +118,20 @@ def test_mobius_pullback_composes_with_inverse_map():
     psi_z, psi_w = kc.mobius_map(-a, z), kc.mobius_map(-a, w)
     expected = 1.0 / (1.0 - psi_z * np.conjugate(psi_w))
     assert abs(kc.eval_kernel(pk, z, w) - expected) < 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("a", [np.nan, complex(0.0, np.nan), 1.0, 0.6 + 0.8j, -1.5],
+                         ids=["nan", "nan-imag", "one", "unit-circle", "outside"])
+def test_a_mobius_center_off_the_disc_is_refused(a):
+    # a NaN center is off the disc too, not a NaN kernel for the curvature to meet
+    with pytest.raises(CenterOutsideDisc):
+        kc.mobius_pullback(geometric(), a)
+
+
+def test_a_kernel_negative_on_the_diagonal_is_degenerate():
+    # K(0.9, 0.9) = 1 - 3 (0.81) < 0: no curvature
+    with pytest.raises(DegenerateKernel, match="K\\(w, w\\) = "):
+        curvature_scalar(kc.SeriesKernel(0, [1.0, -3.0], signed=True), 0.9)
 
 
 def test_mobius_pullback_derivative_consistent_with_finite_difference():

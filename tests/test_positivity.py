@@ -13,9 +13,9 @@ from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
 from rkhs_lab.errors import (DimensionMismatch, NonFiniteValue, NonHermitianInput,
                              NotAContraction, NotPositiveDefinite)
-from rkhs_lab.positivity import (contraction_check, diagonal_inverse_factor,
-                                 gram_decrease_check, hyponormal_check, inverse_factor,
-                                 psd_check, shift_kernel, two_hypercontraction_check)
+from rkhs_lab.positivity import (contraction_check, gram_decrease_check, hyponormal_check,
+                                 inverse_factor, psd_check, shift_kernel,
+                                 two_hypercontraction_check)
 from tests.conftest import counting, disc_kernel, random_contractive_kernel
 
 
@@ -61,6 +61,33 @@ def test_a_non_finite_matrix_is_refused(matrix, check):
     # refused before the eigensolve, which would give a NaN verdict
     with pytest.raises(NonFiniteValue):
         check(np.array(matrix))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 151])
+def test_a_vector_stands_for_its_diagonal_matrix(size):
+    # the definite and the decrease test of diag(c) by its diagonal, in O(n):
+    # the factor and the verdict are the dense route's, bit for bit
+    rng = np.random.default_rng(size)  # the shared rng fixture keeps its draws for other tests
+    for _ in range(20):
+        c = 10 ** rng.uniform(-3, 3, size)
+        u = c * rng.uniform(0.5, 1.5, size)
+        assert np.array_equal(inverse_factor(c), np.diagonal(inverse_factor(np.diag(c))))
+        for G_v, G_Av in ((c, u), (u, c), (c, c)):
+            vector = gram_decrease_check(G_v, G_Av)
+            dense = gram_decrease_check(np.diag(G_v), np.diag(G_Av))
+            assert (vector.passed, vector.min_eigenvalue) == (dense.passed, dense.min_eigenvalue)
+
+
+@pytest.mark.parametrize("G_v, G_Av, error", [
+    (np.zeros(0), np.zeros(0), DimensionMismatch), (np.ones(2), np.ones(3), DimensionMismatch),
+    (np.ones(2), np.eye(2), DimensionMismatch),
+    (np.array([1.0, np.nan]), np.ones(2), NonFiniteValue),
+    (np.ones(2), np.array([np.inf, 0.0]), NonFiniteValue),
+    (np.array([1.0, 1.0 + 1j]), np.ones(2), NonHermitianInput)],
+    ids=["empty", "lengths", "vector-and-matrix", "nan", "inf", "complex-diagonal"])
+def test_the_decrease_test_of_vectors_keeps_the_refusals_of_psd_check(G_v, G_Av, error):
+    with pytest.raises(error):
+        gram_decrease_check(G_v, G_Av)
 
 
 def test_contraction_check_geometric():
@@ -176,19 +203,18 @@ def test_inverse_factor_is_exactly_upper_triangular_with_a_real_diagonal(dtype, 
 def test_the_pipeline_factor_is_exactly_upper_triangular_with_a_real_diagonal(monkeypatch,
                                                                              zeta):
     factors = counting(monkeypatch, ex, "inverse_factor")
-    diagonal = counting(monkeypatch, ex, "diagonal_inverse_factor")
     assert ex.uniqueness_pipeline_check(kc.SeriesKernel.disc(np.ones(201)), zeta).passed
+    (C,), = factors
     if not zeta:
         # C = diag(c) at the origin is factored on its diagonal: the dense
         # factor of diag(c) is diag(p), bit for bit
-        assert factors == []
-        (c,), = diagonal
-        assert c.dtype == np.float64 and c.size > 50
+        c = C
+        assert c.ndim == 1 and c.dtype == np.float64 and c.size > 50
         _assert_exact_upper_factor(np.diag(c))
-        assert np.array_equal(inverse_factor(np.diag(c)), np.diag(diagonal_inverse_factor(c)))
+        assert np.array_equal(inverse_factor(np.diag(c)), np.diag(inverse_factor(c)))
         return
-    assert diagonal == []
-    (C,), = factors  # the real C of the geometric shift
+    # the real C of the geometric shift
+    assert C.ndim == 2
     assert C.dtype == np.float64 and C.shape[0] > 50
     _assert_exact_upper_factor(C)
 
@@ -215,17 +241,22 @@ def _rotated(values, dtype):
     return (U * values) @ U.conj().T
 
 
-# a 2 x 2 Gram is factored in closed form; it refuses what the LAPACK route refuses
+# a 2 x 2 Gram is factored in closed form, and a vector for its diagonal matrix
+# in O(n); each refuses what the LAPACK route refuses
 @pytest.mark.parametrize("G", [
     np.diag([1.0, -1e-3]), np.diag([1.0, 0.0]), np.diag([1.0, 1e-11]), np.diag([1.0, np.nan]),
     np.array([[-1.0, 0.5], [0.5, 2.0]]), np.array([[1.0, 2.0], [2.0, 1.0]]),
     _rotated([1.0, -0.5], complex), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2)),
     *(_two_by_two(entry, where) for entry in (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
       for where in ((0, 0), (0, 1), (1, 0), (1, 1))),
+    np.array([1.0, 0.0, 2.0]), np.array([1.0, -1e-3]), np.array([np.nan, 1.0]),
+    np.array([1.0, 1e-11]), np.array([1e154, 1e-160]),
 ], ids=["indefinite", "singular", "ill-conditioned", "nan",
         "negative-first-pivot", "negative-second-pivot", "indefinite-complex", "singular-full",
         "zero", *(f"{name}-{where}" for name in ("nan", "inf", "-inf", "nan-imag")
-                  for where in ("00", "01", "10", "11"))])
+                  for where in ("00", "01", "10", "11")),
+        "vector-zero", "vector-negative", "vector-nan", "vector-ill-conditioned",
+        "vector-overflowing-bound"])
 def test_inverse_factor_refuses_what_is_not_safely_definite(G):
     with pytest.raises(NotPositiveDefinite):
         inverse_factor(G)

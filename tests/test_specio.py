@@ -83,6 +83,14 @@ def test_diagnostics_name_offending_field(spec, field):
     assert field in str(exc.value)
 
 
+@pytest.mark.parametrize("weight_b", ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400])
+def test_a_weight_exponent_off_the_doubles_is_refused(weight_b):
+    # JSON 1e400 parses to inf and NaN to nan; neither is a power law rho^b
+    spec = f'{{"kind": "annulus_laurent", "r": 0.5, "weight_b": {weight_b}}}'
+    with pytest.raises(ConfigError, match="'weight_b'"):
+        load_kernel(spec)
+
+
 def test_invalid_json_rejected():
     with pytest.raises(ConfigError):
         load_kernel("{not json")
