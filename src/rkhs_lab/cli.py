@@ -5,6 +5,9 @@ classification check failed, 1 = operational error (bad config or option
 text, IO, domain).  Click's own parser errors (a missing required option, a
 value of the wrong type) keep click's exit code 2.
 Outputs are written atomically and are bit-identical for identical configs.
+A command imports the library modules it runs, and numpy with them, only
+after it has read its kernel spec (``specio`` loads no numpy), so a spec
+that is not JSON is refused before numpy loads.
 """
 
 from __future__ import annotations
@@ -18,15 +21,8 @@ import sys
 import tempfile
 
 import click
-import numpy as np
 
-from . import annulus as an
-from . import kernels as kc
-from .curvature import ci_slack, curvature_scalar, curvature_values
 from .errors import ConfigError, KernelLabError, NotAContraction
-from .extremality import FK_RTOL, classify_shift
-from .localop import canonical_form, jet_gram, verify_tt_identity_gram
-from .positivity import contraction_check, hyponormal_check, two_hypercontraction_check
 from .specio import annulus_from_spec, kernel_from_spec, load_kernel, load_spec
 
 EXIT_PASS = 0
@@ -36,6 +32,7 @@ EXIT_VIOLATION = 2
 MAX_GRID_STEPS = 100_000
 LOCAL_OP_TOL = 1e-8  # default local-op --tol: the tt* residual passes while at most this
 CI_CHECK_TOL = 1e-8  # default ci-check --tol: a slack below -tol violates the inequality
+EXTREMAL_TOL = 1e-9  # default extremal --tol: extremality.FK_RTOL, stated here to load no numpy
 
 
 def _fmt(x) -> str:
@@ -73,6 +70,8 @@ def _cells(column) -> list:
     """The CSV text of a column's cells.  A column that numpy reads as real
     numbers is formatted as float64 values, a column at a time; any other one
     cell by cell, a number by :func:`_fmt` and anything else by ``str``."""
+    import numpy as np
+
     values = np.asarray(column)
     if values.dtype.kind in "iuf":
         return list(map(repr, values.astype(float).tolist()))
@@ -103,6 +102,8 @@ def _parse_grid(grid: str):
     if not 1 <= steps <= MAX_GRID_STEPS:
         raise ConfigError(f"option --grid steps must be between 1 and {MAX_GRID_STEPS}, "
                           f"got '{grid}'")
+    import numpy as np
+
     return np.linspace(start, stop, steps)
 
 
@@ -114,11 +115,14 @@ def _parse_at(at: str) -> complex:
 
 
 def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol >= 0.0):
+    if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"option --tol must be a finite number >= 0, got {tol}")
 
 
-def _parse_weight(weight: str) -> an.RadialWeight:
+def _parse_weight(weight: str):
+    """The power-law weight rho^b that ``weight`` names."""
+    from .annulus import RadialWeight
+
     w = weight.strip()
     b = {"1": 0.0, "": 0.0, "rho": 1.0}.get(w)
     if b is None and w.startswith("rho^"):
@@ -126,10 +130,10 @@ def _parse_weight(weight: str) -> an.RadialWeight:
             b = float(w[4:])
         except ValueError:
             pass
-    if b is None or not np.isfinite(b):
+    if b is None or not math.isfinite(b):
         raise ConfigError(f"option --weight must be '1', 'rho' or 'rho^<b>' with a "
                           f"finite b, got '{weight}'")
-    return an.RadialWeight.power_law(b)
+    return RadialWeight.power_law(b)
 
 
 def _command(compute):
@@ -167,6 +171,8 @@ def curvature(kernel, grid, fmt):
     """Curvature along a radial grid."""
     kern = load_kernel(kernel)
     radii = _parse_grid(grid)
+    from .curvature import curvature_values
+
     return _rows(["abs_w", "curvature"], [radii, curvature_values(kern, radii)], fmt), EXIT_PASS
 
 
@@ -181,6 +187,9 @@ def local_op(kernel, at, tol):
     _check_tol(tol)
     kern = load_kernel(kernel)
     w = _parse_at(at)
+    from .curvature import curvature_scalar
+    from .localop import canonical_form, jet_gram, verify_tt_identity_gram
+
     gram = jet_gram(kern, w)
     form = canonical_form(gram)
     residual = verify_tt_identity_gram(gram, form)
@@ -196,6 +205,8 @@ def local_op(kernel, at, tol):
 def _two_hyper_verdict(kern):
     """The 2-hypercontraction verdict; a non-contraction, which the test
     refuses, fails it with the contraction verdict and its min_tilde_coeff."""
+    from .positivity import contraction_check, two_hypercontraction_check
+
     try:
         return two_hypercontraction_check(kern)
     except NotAContraction:
@@ -210,14 +221,16 @@ def _two_hyper_verdict(kern):
 @_command
 def check(kernel, tests, seed):
     """Positivity / contractivity verdicts."""
+    if seed < 0:
+        raise ConfigError(f"option --seed must be >= 0, got {seed}")
+    kern = load_kernel(kernel)
+    from .positivity import contraction_check, hyponormal_check
+
     runners = {
         "contraction": contraction_check,
         "hyponormal": hyponormal_check,
         "2hyper": _two_hyper_verdict,
     }
-    if seed < 0:
-        raise ConfigError(f"option --seed must be >= 0, got {seed}")
-    kern = load_kernel(kernel)
     verdicts = {}
     for name in tests.split(","):
         name = name.strip()
@@ -233,7 +246,7 @@ def check(kernel, tests, seed):
 @main.command()
 @click.option("--kernel", required=True)
 @click.option("--at", default="0", show_default=True)
-@click.option("--tol", default=FK_RTOL, show_default=True)
+@click.option("--tol", default=EXTREMAL_TOL, show_default=True)
 @click.option("--out", default="-", show_default=True)
 @_command
 def extremal(kernel, at, tol):
@@ -241,6 +254,8 @@ def extremal(kernel, at, tol):
     _check_tol(tol)
     kern = load_kernel(kernel)
     zeta = _parse_at(at)
+    from .extremality import classify_shift
+
     report = classify_shift(kern, zeta, rtol=tol)
     payload = {
         "classification": report.classification,
@@ -291,7 +306,14 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
         raise _contradiction("--r", r, "kind", kind)
     elif weight is not None:
         raise _contradiction("--weight", weight, "kind", kind)
-    szego = kc.diagonal_values(an.szego_kernel(aspec), radii) if annulus else None
+    szego = None
+    if annulus:
+        from .annulus import szego_kernel
+        from .kernels import diagonal_values
+
+        szego = diagonal_values(szego_kernel(aspec), radii)
+    from .curvature import ci_slack
+
     curv, bound, slack = ci_slack(kern, radii, szego)
     columns = [radii, curv, bound, slack, ["with4pi2"] * radii.size]
     return (_rows(["abs_w", "curvature", "bound", "slack", "normalization"], columns, fmt),
@@ -309,6 +331,10 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
 @_command
 def annulus(r, weight, task, grid, fmt):
     """Annulus kernels, strict inequality slack, and weight characters."""
+    from . import annulus as an
+    from .curvature import curvature_values
+    from .kernels import diagonal_values
+
     spec = an.AnnulusSpec(r=r)
     wobj = _parse_weight(weight)
     if task == "character":
@@ -323,12 +349,12 @@ def annulus(r, weight, task, grid, fmt):
     radii = _parse_grid(grid)
     violated = False
     if task == "szego":
-        columns = [radii, kc.diagonal_values(an.szego_kernel(spec), radii),
+        columns = [radii, diagonal_values(an.szego_kernel(spec), radii),
                    ["1/(2pi)"] * radii.size]
         header = ["abs_w", "szego_diag", "normalization"]
     elif task == "bergman":
         kern = an.weighted_bergman_kernel(spec, wobj)
-        columns = [radii, kc.diagonal_values(kern, radii), curvature_values(kern, radii)]
+        columns = [radii, diagonal_values(kern, radii), curvature_values(kern, radii)]
         header = ["abs_w", "kernel_diag", "curvature"]
     else:
         kern = an.weighted_bergman_kernel(spec, wobj)

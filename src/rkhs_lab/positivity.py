@@ -74,14 +74,18 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
     stands for diag(c), in O(n): P = 1 / sqrt(c), bit for bit the diagonal of
     the LAPACK route's P, with the bound ||c||_2 ||P||_2^2.
 
-    Raises NotPositiveDefinite when the factorization fails (a pivot <= 0 or
-    NaN) or unless the bound ||G||_F tr(G^-1) = ||G||_F ||P||_F^2, in Python
-    floats (no overflow warning), is <= COND_LIMIT; it exceeds cond_2(G) by at
-    most size^(3/2); inf and NaN fail it.
+    Raises DimensionMismatch unless G is a non-empty square matrix or a
+    non-empty vector, and NotPositiveDefinite when the factorization fails (a
+    pivot <= 0 or NaN) or unless the bound ||G||_F tr(G^-1) = ||G||_F ||P||_F^2,
+    in Python floats (no overflow warning), is <= COND_LIMIT; it exceeds
+    cond_2(G) by at most size^(3/2); inf and NaN fail it.
     """
     G = _float_or_complex(gram)
     if G.shape == (2, 2):
         P, bound = _factor_2x2(G)
+    elif G.size == 0 or G.ndim not in (1, 2) or G.shape[0] != G.shape[-1]:
+        raise DimensionMismatch("expected a non-empty square matrix or vector, "
+                                f"got shape {G.shape}")
     elif G.ndim == 1:
         c = G.real  # the real diagonal, which the Cholesky factor reads
         if not (c > 0.0).all():

@@ -13,13 +13,14 @@ Schema:
 from __future__ import annotations
 
 import json
-from typing import Union
+import math
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
-
-from . import annulus as an
-from . import kernels as kc
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from . import annulus as an
+    from . import kernels as kc
 
 KINDS = ("disc_diagonal", "annulus_laurent")
 #: longest truncation window a spec may ask for (n_max, or the number of coeffs
@@ -51,7 +52,9 @@ def _float(field: str, value) -> float:
 
 
 def _n_max(spec: dict) -> int:
-    n_max = spec.get("n_max", kc.DEFAULT_N_MAX)
+    from .kernels import DEFAULT_N_MAX
+
+    n_max = spec.get("n_max", DEFAULT_N_MAX)
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ConfigError(f"field 'n_max' must be a positive integer, got {n_max!r}")
     if n_max > MAX_N_MAX:
@@ -62,13 +65,15 @@ def _n_max(spec: dict) -> int:
 def annulus_from_spec(spec: dict) -> tuple[an.AnnulusSpec, an.RadialWeight]:
     """Annulus (r and truncation N = n_max) and power-law weight of an
     annulus_laurent spec."""
+    from . import annulus as an
+
     n_max = _n_max(spec)
     if n_max < an.MIN_N:
         raise ConfigError(f"field 'n_max' must be at least {an.MIN_N} for "
                           f"annulus_laurent, got {n_max}")
     annulus = an.AnnulusSpec(r=_float("r", _require(spec, "r", (int, float))), N=n_max)
     b = spec.get("weight_b", 0.0)
-    if not _is_number(b) or not np.isfinite(_float("weight_b", b)):
+    if not _is_number(b) or not math.isfinite(_float("weight_b", b)):
         raise ConfigError(f"field 'weight_b' must be a finite number, got {b!r}")
     return annulus, an.RadialWeight.power_law(float(b))
 
@@ -80,11 +85,17 @@ def kernel_from_spec(spec: dict) -> kc.SeriesKernel:
 
     n_max = _n_max(spec)
     if kind == "annulus_laurent":
-        return an.weighted_bergman_kernel(*annulus_from_spec(spec))
+        from .annulus import weighted_bergman_kernel
+
+        return weighted_bergman_kernel(*annulus_from_spec(spec))
 
     rule = _require(spec, "coeff_rule", str)
     if rule not in RULES:
         raise ConfigError(f"field 'coeff_rule' must be one of {RULES}, got '{rule}'")
+
+    import numpy as np
+
+    from . import kernels as kc
 
     n = np.arange(n_max + 1, dtype=float)
     if rule == "1":
@@ -115,17 +126,23 @@ def kernel_from_spec(spec: dict) -> kc.SeriesKernel:
 
 
 def load_spec(source: Union[str, dict]) -> dict:
-    """Read a spec from a dict, a JSON string, or a path to a JSON file."""
+    """Read a spec from a dict, a JSON string, or a path to a UTF-8 JSON file.
+    Loads no numpy, so a spec that is not JSON is refused before it loads."""
     if isinstance(source, dict):
         return source
     text = source
     if not text.lstrip().startswith("{"):
-        with open(source, "r") as fh:
-            text = fh.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"spec file is not UTF-8 text: {exc}")
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply to parse")
     if not isinstance(spec, dict):
         raise ConfigError("kernel spec must be a JSON object")
     return spec

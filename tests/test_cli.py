@@ -701,6 +701,30 @@ def test_cli_contract_on_generated_specs(case):
         assert (written if "OUT-file" in argv else res.stdout).strip()
 
 
+#: spec files json cannot read, with the diagnostic's words: bytes that are
+#: not UTF-8, and nesting deeper than the parser's recursion limit (inline
+#: too, as text that starts with "{")
+UNREADABLE = {"not-utf-8": (b"\xff\xfe{bad", "not UTF-8"),
+              "nested-too-deep": (b'{"a":' + b"[" * 100_000, "nested too deeply")}
+
+
+@pytest.mark.parametrize("name, how", [("not-utf-8", "file"), ("nested-too-deep", "file"),
+                                       ("nested-too-deep", "inline")])
+@pytest.mark.parametrize("command", ["curvature", "check", "extremal", "local-op", "ci-check"])
+def test_an_unreadable_spec_exits_1_with_json(runner, tmp_path, command, name, how):
+    text, words = UNREADABLE[name]
+    p = tmp_path / "spec.json"
+    p.write_bytes(text)
+    res = runner.invoke(main, [command, "--kernel", text.decode() if how == "inline" else str(p)])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    assert res.stdout == ""
+    diag = json.loads(res.stderr)
+    assert diag["error"] == "ConfigError"
+    assert words in diag["message"]
+
+
 # ---------------------------------------------------------------------------
 # README's CLI block, run as written
 

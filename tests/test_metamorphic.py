@@ -1,0 +1,111 @@
+"""Metamorphic properties: transformations of the input that must leave a
+verdict or a value unchanged, checked on generated kernels and points.
+
+* Scaling a kernel by c > 0 changes no shift verdict and, up to rounding,
+  no curvature: every rule is scale-free.
+* Rotating the point, w -> e^(i theta) w, changes neither the curvature nor
+  the curvature-inequality slack of a diagonal kernel, on the disc and on
+  the annulus.
+"""
+
+import cmath
+import math
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rkhs_lab import annulus as an
+from rkhs_lab import curvature as cv
+from rkhs_lab import extremality as ex
+from rkhs_lab import kernels as kc
+from rkhs_lab import positivity as ps
+from rkhs_lab.errors import KernelLabError
+
+SCALES = (1e-200, 1e-12, 1e12, 1e200)
+#: relative agreement of two values that differ by rounding only
+ROUNDING_RTOL = 1e-12
+ANNULUS_R = (0.3, 0.5)
+
+
+@st.composite
+def coefficient_windows(draw):
+    """Coefficients a_0 = 1, a_n = a_(n-1) (1 + s_n) with steps s_n on the grid
+    k / 16, |k| <= 4: steps >= 0 give a contraction, a negative step breaks it.
+
+    On this grid every rule the verdicts read is either exactly 0 or far from
+    its threshold: a tilde coefficient is a_(n-1) s_n, a 2-hypercontraction
+    term 1/a_n - 2/a_(n+1) + 1/a_(n+2) is (s_1 - s_2 + s_1 s_2) / a_(n+2), whose
+    numerator is 0 only when both steps are, and the relative minor at 0 is
+    s_1.  Off the grid a verdict can sit within rounding of its threshold, and
+    the cancellation in the 2-hypercontraction term makes that band about
+    1e-5 of CHECK_TOL wide, so there scaling may flip it, as it may any fixed
+    rule's."""
+    size = draw(st.integers(2, 20))
+    low = draw(st.sampled_from([0, -4]))
+    steps = draw(st.lists(st.integers(low, 4), min_size=size - 1, max_size=size - 1))
+    return np.concatenate([[1.0], np.cumprod(1.0 + np.array(steps) / 16.0)])
+
+
+def disc_points(radius=0.8):
+    return st.builds(cmath.rect, st.floats(0.0, radius), st.floats(-math.pi, math.pi))
+
+
+def outcome(fn):
+    """fn()'s value, or the name of the library error it raised."""
+    try:
+        return fn()
+    except KernelLabError as exc:
+        return type(exc).__name__
+
+
+def verdicts(kernel):
+    return {"contraction": ps.contraction_check(kernel).passed,
+            "two_hyper": outcome(lambda: ps.two_hypercontraction_check(kernel).passed),
+            "class_at_0": outcome(lambda: ex.classify_shift(kernel, 0.0).classification)}
+
+
+def rounding(kernel, w):
+    """How far rounding may move the curvature at w: ROUNDING_RTOL times the
+    size of the two terms (S10 / S00)^2 and S11 / S00 whose difference it is."""
+    s00, s10, s11 = cv.order1_sums(kernel, w)
+    return ROUNDING_RTOL * ((s10 / s00) ** 2 + s11 / s00)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_windows(), st.sampled_from(SCALES), disc_points())
+def test_scaling_the_kernel_changes_no_verdict_and_no_curvature(a, c, w):
+    k, scaled = kc.SeriesKernel.disc(a), kc.SeriesKernel.disc(c * a)
+    assert verdicts(scaled) == verdicts(k)
+    assert abs(cv.curvature_scalar(scaled, w) - cv.curvature_scalar(k, w)) <= rounding(k, w)
+
+
+@lru_cache(maxsize=None)
+def annulus_case(r, b):
+    spec, weight = an.AnnulusSpec(r=r), an.RadialWeight.power_law(float(b))
+    return spec, weight, an.weighted_bergman_kernel(spec, weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_windows(), disc_points(0.9), st.floats(-math.pi, math.pi))
+def test_rotating_the_point_on_the_disc_changes_no_curvature_and_no_slack(a, w, theta):
+    k, turned = kc.SeriesKernel.disc(a), w * cmath.exp(1j * theta)
+    (curv, bound, slack), turned_values = cv.ci_slack(k, w), cv.ci_slack(k, turned)
+    tol = rounding(k, w) + ROUNDING_RTOL * abs(bound)
+    assert np.allclose(turned_values, (curv, bound, slack), rtol=0.0, atol=tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ANNULUS_R), st.integers(-2, 3), st.floats(0.0, 1.0),
+       st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+def test_rotating_the_point_on_the_annulus_changes_no_curvature_and_no_slack(
+        r, b, t, phase, theta):
+    spec, weight, k = annulus_case(r, b)
+    w = cmath.rect(r + 0.06 + t * (0.9 - r - 0.06), phase)
+    turned = w * cmath.exp(1j * theta)
+    curv = cv.curvature_scalar(k, w)
+    slack = an.strict_ci_check(spec, weight, w, kernel=k)
+    tol = rounding(k, w) + ROUNDING_RTOL * abs(slack + curv)  # the bound's size
+    assert abs(cv.curvature_scalar(k, turned) - curv) <= tol
+    assert abs(an.strict_ci_check(spec, weight, turned, kernel=k) - slack) <= tol

@@ -219,6 +219,17 @@ def test_the_pipeline_factor_is_exactly_upper_triangular_with_a_real_diagonal(mo
     _assert_exact_upper_factor(C)
 
 
+@pytest.mark.parametrize("gram", [np.zeros((0, 0)), np.zeros(0), np.zeros((2, 0)),
+                                  np.ones((2, 3)), np.array(2.0),
+                                  np.broadcast_to(np.eye(3), (2, 3, 3)),
+                                  np.broadcast_to(np.eye(2), (1, 2, 2))],
+                         ids=["empty-square", "empty-vector", "empty-non-square", "non-square",
+                              "scalar", "3-D-stack", "3-D-stack-of-one-2x2"])
+def test_inverse_factor_refuses_bad_shapes(gram):
+    with pytest.raises(DimensionMismatch):
+        inverse_factor(gram)
+
+
 def test_inverse_factor_refuses_an_overflowing_bound_without_a_warning():
     # ||G||_F = 1e154 and ||P||_F^2 = tr(G^-1) = 1e160 are finite; their product is not
     G = np.diag([1e154, 1e-160])
