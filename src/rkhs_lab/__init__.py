@@ -13,9 +13,8 @@ _HOMES = {
     "annulus": ("AnnulusSpec", "Character", "RadialWeight", "character_equivalence",
                 "character_of_weight", "extremal_problem_ls", "extremal_problem_value",
                 "strict_ci_check", "szego_kernel", "weighted_bergman_kernel"),
-    "caratheodory": ("cara_norm", "generalized_ci_check", "szego_disc"),
-    "curvature": ("curvature_matrix", "curvature_scalar", "curvature_values",
-                  "mobius_rule_check"),
+    "caratheodory": ("cara_norm", "generalized_ci_check"),
+    "curvature": ("curvature_matrix", "curvature_scalar", "mobius_rule_check"),
     "extremality": ("classify_shift", "uniqueness_pipeline_check"),
     "kernels": ("ClosedFormKernel", "SeriesKernel", "eval_kernel", "jet", "mobius_map",
                 "mobius_pullback", "normalize_at", "tilde_kernel"),

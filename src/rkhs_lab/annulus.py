@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels as kc
-from .curvature import ci_slack, curvature_of_sums, curvature_values, order1_sums
+from .curvature import ci_slack, curvature_scalar, order1_sums, rank1_curvature
 from .errors import ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic, QuadratureFailure
 
 QUAD_RTOL = 1e-12  # error estimate a profile norm integral must meet
@@ -212,7 +212,7 @@ def extremal_problem_value(kernel, w: complex) -> float:
         kc._refuse_tail(kc._series_tail_bound(kernel, abs(w) * abs(w)), abs(k_ww), w, w)
     if k_ww <= 0.0:
         raise DegenerateJet(f"K(w, w) = {k_ww} at w = {w}")
-    dd = -curvature_of_sums(k_ww, j01, j11, w)
+    dd = -rank1_curvature(k_ww, j01, j11, w)
     if dd <= 0.0:
         raise DegenerateJet(f"dd-bar log K = {dd} at w = {w}")
     return 1.0 / (k_ww * dd)
@@ -303,5 +303,5 @@ def character_equivalence(spec: AnnulusSpec, b1: float, b2: float,
     radii = _band(spec, grid_points)  # refused before any kernel is built
     w1, w2 = RadialWeight.power_law(b1), RadialWeight.power_law(b2)
     predicted = character_of_weight(spec, w1).matches(character_of_weight(spec, w2))
-    g1, g2 = (curvature_values(weighted_bergman_kernel(spec, w), radii) for w in (w1, w2))
+    g1, g2 = (curvature_scalar(weighted_bergman_kernel(spec, w), radii) for w in (w1, w2))
     return EquivalenceVerdict(predicted=predicted, max_curvature_diff=float(np.abs(g1 - g2).max()))

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideBall,
                      PointOutsidePolydisc)
 
-SZEGO_DISC_FACTOR = 1.0 / (2.0 * np.pi)
 CI_TOL = 1e-10  # a verdict passes while its worst margin is at most CI_TOL
 
 
@@ -92,8 +91,3 @@ def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1) -> CIVerdict
     tops = [np.linalg.eigh(H + D) for D in _cara_forms(domain, w, dim // n, n)]
     vals, vecs = max(tops, key=lambda t: t[0][-1])
     return CIVerdict(worst_margin=float(vals[-1]), worst_vector=vecs[:, -1])
-
-
-def szego_disc(z: complex, w: complex) -> complex:
-    """Szego kernel of the unit disc, 1 / (2 pi (1 - z conj(w)))."""
-    return SZEGO_DISC_FACTOR / (1.0 - z * np.conjugate(w))

@@ -7,7 +7,8 @@ value of the wrong type) keep click's exit code 2.
 Outputs are written atomically and are bit-identical for identical configs.
 A command imports the library modules it runs, and numpy with them, only
 after it has read its kernel spec (``specio`` loads no numpy), so a spec
-that is not JSON is refused before numpy loads.
+that is not JSON, or an annulus spec given to a shift command, is refused
+before numpy loads.
 """
 
 from __future__ import annotations
@@ -171,9 +172,9 @@ def curvature(kernel, grid, fmt):
     """Curvature along a radial grid."""
     kern = load_kernel(kernel)
     radii = _parse_grid(grid)
-    from .curvature import curvature_values
+    from .curvature import curvature_scalar
 
-    return _rows(["abs_w", "curvature"], [radii, curvature_values(kern, radii)], fmt), EXIT_PASS
+    return _rows(["abs_w", "curvature"], [radii, curvature_scalar(kern, radii)], fmt), EXIT_PASS
 
 
 @main.command("local-op")
@@ -202,6 +203,17 @@ def local_op(kernel, at, tol):
     return _json(payload), EXIT_PASS if residual <= tol else EXIT_VIOLATION
 
 
+def _shift_kernel(source):
+    """The kernel of a spec for the shift commands, ``check`` and ``extremal``.
+    An annulus spec is refused by its kind, with the diagnostic of
+    ``kernels.require_disc`` for shift weights, before its window is built."""
+    spec = load_spec(source)
+    if spec.get("kind") == "annulus_laurent":
+        raise ConfigError("field 'kind' must be 'disc_diagonal' for shift weights, "
+                          "got 'annulus_laurent'")
+    return kernel_from_spec(spec)
+
+
 def _two_hyper_verdict(kern):
     """The 2-hypercontraction verdict; a non-contraction, which the test
     refuses, fails it with the contraction verdict and its min_tilde_coeff."""
@@ -223,7 +235,7 @@ def check(kernel, tests, seed):
     """Positivity / contractivity verdicts."""
     if seed < 0:
         raise ConfigError(f"option --seed must be >= 0, got {seed}")
-    kern = load_kernel(kernel)
+    kern = _shift_kernel(kernel)
     from .positivity import contraction_check, hyponormal_check
 
     runners = {
@@ -252,7 +264,7 @@ def check(kernel, tests, seed):
 def extremal(kernel, at, tol):
     """Extremality classification of the shift at a point."""
     _check_tol(tol)
-    kern = load_kernel(kernel)
+    kern = _shift_kernel(kernel)
     zeta = _parse_at(at)
     from .extremality import classify_shift
 
@@ -332,7 +344,7 @@ def ci_check(kernel, domain, r, weight, grid, tol, fmt):
 def annulus(r, weight, task, grid, fmt):
     """Annulus kernels, strict inequality slack, and weight characters."""
     from . import annulus as an
-    from .curvature import curvature_values
+    from .curvature import curvature_scalar
     from .kernels import diagonal_values
 
     spec = an.AnnulusSpec(r=r)
@@ -354,7 +366,7 @@ def annulus(r, weight, task, grid, fmt):
         header = ["abs_w", "szego_diag", "normalization"]
     elif task == "bergman":
         kern = an.weighted_bergman_kernel(spec, wobj)
-        columns = [radii, diagonal_values(kern, radii), curvature_values(kern, radii)]
+        columns = [radii, diagonal_values(kern, radii), curvature_scalar(kern, radii)]
         header = ["abs_w", "kernel_diag", "curvature"]
     else:
         kern = an.weighted_bergman_kernel(spec, wobj)

@@ -90,19 +90,57 @@ def rank1_curvature(s00: float, s10: float, s11: float, w: complex) -> float:
 
     Only ratios of the sums enter, so a kernel and a positive multiple of it
     have the same curvature, also where a product of two sums would leave the
-    double range.  Refuses DegenerateKernel unless S00 > 0.  The arithmetic is
-    in Python floats, so an overflow gives inf or nan, never a warning; the
-    caller refuses a value that is not finite.
+    double range.  Refuses DegenerateKernel unless S00 > 0, and NonFiniteValue
+    unless the curvature is finite.  The arithmetic is in Python floats, so an
+    overflow gives inf or nan, never a warning.
     """
     if not s00 > 0.0:
         raise DegenerateKernel(f"K(w, w) = {s00} at w = {w}")
     slope = s10 / s00
-    return slope * slope - s11 / s00
+    curv = slope * slope - s11 / s00
+    if not isfinite(curv):
+        raise NonFiniteValue(f"curvature is not finite at w = {w} (K(w, w) = {s00:.3e})")
+    return curv
 
 
-def curvature_scalar(kernel, w: complex) -> float:
-    """-d d-bar log K(w, w) = (|J01| / J00)^2 - J11 / J00 from the order-1 jet."""
-    return curvature_of_sums(*order1_sums(kernel, w), w)
+def curvature_scalar(kernel, w):
+    """-d d-bar log K(w, w) = (|J01| / J00)^2 - J11 / J00 from the order-1 jet
+    at w, or, for a series kernel, at each of an array of points w.
+
+    The curvature of a diagonal kernel is radial, so an array takes the
+    order-1 sums at |w|, for all points in one blocked product
+    (``kernels._grid_sums``), and the rank-1 quotient elementwise.  At its
+    first bad point it runs the one-point path, which raises its own error
+    there: the domain, a sum that is not finite, S00 <= 0 or a curvature that
+    is not finite; a NonFiniteValue follows only where that point's sums are
+    finite and the blocked ones are not.  The values may differ from the
+    one-point path's in the last bits, since the product sums in another
+    order.  An array of points on a closed form is refused with ConfigError.
+    """
+    if not kc._is_grid(w):
+        return rank1_curvature(*order1_sums(kernel, w), w)
+    if not isinstance(kernel, kc.SeriesKernel):
+        raise ConfigError("argument 'kernel' of curvature_scalar must be a series kernel "
+                          "for an array of points")
+    points = np.asarray(w, dtype=complex)
+    flat = points.ravel()
+    r = kc._moduli(flat)
+    outside = ~(r <= 1.0 - kc.BOUNDARY_MARGIN)  # NaN and inf too, as in check_point
+    if kernel.inner_radius is not None:
+        outside |= r < kernel.inner_radius + kc.BOUNDARY_MARGIN
+    stop = int(outside.argmax()) if outside.any() else r.size
+    sums = kc._grid_sums(kernel, r[:stop], 1)
+    s00, s10, s11 = sums.T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        slope = s10 / s00
+        curv = slope * slope - s11 / s00
+    bad = ~(np.isfinite(sums).all(axis=1) & (s00 > 0.0) & np.isfinite(curv))
+    first = int(bad.argmax()) if bad.any() else stop
+    if first < flat.size:
+        at = flat[first]
+        curvature_scalar(kernel, at)  # raises the one-point error, if there is one
+        raise NonFiniteValue(f"the blocked sums give no finite curvature at w = {at}")
+    return curv.reshape(points.shape)
 
 
 def order1_sums(kernel, w: complex) -> tuple:
@@ -118,54 +156,9 @@ def order1_sums(kernel, w: complex) -> tuple:
     return j00.real, abs(j01), j11.real
 
 
-def curvature_of_sums(j00: float, j01: float, j11: float, w: complex) -> float:
-    """:func:`rank1_curvature` of the sums of :func:`order1_sums` at w,
-    refused with NonFiniteValue unless it is finite."""
-    curv = rank1_curvature(j00, j01, j11, w)
-    if not isfinite(curv):
-        raise NonFiniteValue(f"curvature is not finite at w = {w} (K(w, w) = {j00:.3e})")
-    return curv
-
-
-def curvature_values(kernel: kc.SeriesKernel, points) -> np.ndarray:
-    """:func:`curvature_scalar` of a series kernel at each of an array of points.
-
-    The curvature of a diagonal kernel is radial, so the order-1 sums are taken
-    at |w|, for all points in one blocked product (``kernels._grid_sums``), and
-    the rank-1 quotient is applied to them elementwise.  A grid refuses at the
-    first point where curvature_scalar would, with the same error: the domain,
-    a sum that is not finite, S00 <= 0 or a curvature that is not finite.  The
-    values may differ from curvature_scalar's in the last bits, since the
-    product sums in another order.  A closed form is refused with ConfigError.
-    """
-    if not isinstance(kernel, kc.SeriesKernel):
-        raise ConfigError("argument 'kernel' of curvature_values must be a series kernel")
-    w = np.asarray(points, dtype=complex)
-    flat = w.ravel()
-    r = kc._moduli(flat)
-    outside = ~(r <= 1.0 - kc.BOUNDARY_MARGIN)  # NaN and inf too, as in check_point
-    if kernel.inner_radius is not None:
-        outside |= r < kernel.inner_radius + kc.BOUNDARY_MARGIN
-    stop = int(outside.argmax()) if outside.any() else r.size
-    sums = kc._grid_sums(kernel, r[:stop], 1)
-    s00, s10, s11 = sums.T
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        slope = s10 / s00
-        curv = slope * slope - s11 / s00
-    bad = ~(np.isfinite(sums).all(axis=1) & (s00 > 0.0) & np.isfinite(curv))
-    first = int(bad.argmax()) if bad.any() else stop
-    if first < flat.size:  # refused by the checks of the one-point path
-        at = flat[first]
-        kc.check_point(kernel, at)
-        if not np.isfinite(sums[first]).all():
-            raise kc._non_finite_sum(sums[first].tolist(), 1, at)
-        curvature_of_sums(*sums[first].tolist(), at)
-    return curv.reshape(w.shape)
-
-
 def ci_slack(kernel, w, szego_value=None) -> tuple:
     """(curvature, bound, slack = bound - curvature) of the curvature inequality at w,
-    or at each of an array of points w (:func:`curvature_values`), elementwise;
+    or at each of an array of points w (:func:`curvature_scalar`), elementwise;
     the bound is -(1 - |w|^2)^-2, or -4 pi^2 S(w, w)^2 given the Szego value
     S(w, w), an array of them for an array of points (the
     :func:`kernels.diagonal_values` of a Szego kernel).  It is the one slack
@@ -174,11 +167,12 @@ def ci_slack(kernel, w, szego_value=None) -> tuple:
     if szego_value is None and kernel.inner_radius is not None:
         raise ConfigError(f"argument 'szego_value' is required for a kernel on the "
                           f"annulus r = {kernel.inner_radius}")
+    curv = curvature_scalar(kernel, w)
     if kc._is_grid(w):
-        curv, r = curvature_values(kernel, w), kc._moduli(w)
+        r = kc._moduli(w)
         szego_value = None if szego_value is None else np.asarray(szego_value, dtype=float)
     else:
-        curv, r = curvature_scalar(kernel, w), abs(w)
+        r = abs(w)
     if szego_value is None:  # libm's pow, as Python's ** at one point; numpy's may round apart
         bound = -np.float_power(1.0 - r * r, -2)
     else:

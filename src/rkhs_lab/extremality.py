@@ -4,7 +4,6 @@ numerical replay of the uniqueness argument for curvature-extremal contractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -66,20 +65,14 @@ def _tilde_minor(kernel: kc.SeriesKernel, zeta: complex) -> tuple[float, float]:
     (:func:`curvature.rank1_curvature` of its real diagonal sums): scale-free,
     where the determinant's own products underflow or overflow.
 
-    Raises NotAContraction unless :func:`is_contraction` holds, and
-    NonFiniteValue when the ratio, which decides every verdict, is not
-    finite.  The arithmetic is in Python floats, so an overflow gives inf or
-    nan, never a warning.
+    Raises NotAContraction unless :func:`is_contraction` holds, and the
+    refusals of :func:`curvature.rank1_curvature`, NonFiniteValue among them
+    when the ratio, which decides every verdict, is not finite.
     """
     if not is_contraction(kernel):
         raise NotAContraction("kernel coefficients must be non-decreasing")
-    tilde = kc.tilde_kernel(kernel)
-    kc.check_point(tilde, zeta)
-    j00, j01, j11 = kc._diagonal_sums(tilde, zeta, 1)
-    relative = -cv.rank1_curvature(j00, j01, j11, zeta)
-    if not isfinite(relative):
-        raise NonFiniteValue(f"tilde Gram minor ratio is not finite at zeta = {zeta}")
-    return j00 * j11 - j01 * j01, relative
+    j00, j01, j11 = cv.order1_sums(kc.tilde_kernel(kernel), zeta)
+    return j00 * j11 - j01 * j01, -cv.rank1_curvature(j00, j01, j11, zeta)
 
 
 def classify_shift(kernel: kc.SeriesKernel, zeta: complex,

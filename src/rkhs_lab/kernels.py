@@ -364,20 +364,14 @@ def _diagonal_sums(kernel: SeriesKernel, w: complex, order: int) -> list:
     sums = [r ** k * s for k, s in zip(scale, sums)]
     for i, c, k in low:
         sums[i] += c * r ** k
-    if not all(map(isfinite, sums)):
-        raise _non_finite_sum(sums, order, w)
+    if not all(map(isfinite, sums)):  # refuse the first sum that is not finite
+        pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
+        p, q = next(pq for pq, s in zip(pairs, sums) if not isfinite(s))
+        w = complex(w)
+        at = (f"K(w, w) is not finite at w = {w}" if order
+              else f"K(z, w) is not finite at z = {w}, w = {w}")
+        raise NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
     return sums
-
-
-def _non_finite_sum(sums, order: int, w: complex) -> NonFiniteValue:
-    """The refusal of the first diagonal sum at w that is not finite, in the
-    packing of :func:`_diagonal_sums`."""
-    pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
-    p, q = next(pq for pq, s in zip(pairs, sums) if not isfinite(s))
-    w = complex(w)
-    at = (f"K(w, w) is not finite at w = {w}" if order
-          else f"K(z, w) is not finite at z = {w}, w = {w}")
-    return NonFiniteValue(f"moment sum d^{p} d^{q}bar {at}")
 
 
 def _grid_sums(kernel: SeriesKernel, radii: np.ndarray, order: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
-from rkhs_lab.curvature import ci_slack, curvature_scalar, curvature_values
+from rkhs_lab.curvature import ci_slack, curvature_scalar
 from rkhs_lab.errors import (ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic,
                              QuadratureFailure, TruncationTailTooLarge)
 from tests.conftest import counting
@@ -227,6 +227,15 @@ def test_the_slack_of_a_grid_is_the_slack_at_each_point(spec):
     assert np.array_equal(rows[:, 1], loop[:, 1])
 
 
+def test_strict_ci_builds_the_weighted_bergman_kernel_without_a_prebuilt_one(spec):
+    weight = an.RadialWeight.power_law(1.0)
+    kernel = an.weighted_bergman_kernel(spec, weight)
+    points = np.array([0.56, 0.7j, -0.6 + 0.5j])
+    built = an.strict_ci_check(spec, weight, points)
+    assert np.array_equal(built, an.strict_ci_check(spec, weight, points, kernel=kernel))
+    assert an.strict_ci_check(spec, weight, 0.7) == an.strict_ci_check(spec, weight, 0.7, kernel)
+
+
 def test_strict_ci_refuses_a_kernel_of_another_annulus(spec):
     # the r = 0.3 kernel under the r = 0.5 spec would pair its curvature with
     # the Szego value of r = 0.5, a slack of 0.298 at 0.7 against its own 5.408
@@ -266,7 +275,7 @@ def test_a_curvature_grid_refuses_a_point_count_that_is_not_a_positive_integer(s
                                                                               grid_points):
     kernel = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(1.0))
     with pytest.raises(ConfigError, match="'grid_points'"):
-        curvature_values(kernel, an._band(spec, grid_points))
+        curvature_scalar(kernel, an._band(spec, grid_points))
     with pytest.raises(ConfigError, match="'grid_points'"):
         an.character_equivalence(spec, 0.0, 2.0, grid_points)
 
@@ -278,7 +287,7 @@ def test_a_curvature_grid_refuses_an_annulus_without_a_band(monkeypatch, r):
     thin = an.AnnulusSpec(r=r)
     kernel = an.weighted_bergman_kernel(thin, an.RadialWeight.power_law(1.0))
     with pytest.raises(ConfigError, match="'r'"):
-        curvature_values(kernel, an._band(thin, 20))
+        curvature_scalar(kernel, an._band(thin, 20))
     builds = counting(monkeypatch, an, "weighted_bergman_kernel")
     with pytest.raises(ConfigError, match="'r'"):
         an.character_equivalence(thin, 0.0, 2.0)
@@ -288,7 +297,7 @@ def test_a_curvature_grid_refuses_an_annulus_without_a_band(monkeypatch, r):
 def test_the_widest_annulus_with_a_band_has_one_radius():
     edge = an.AnnulusSpec(r=0.85)
     kernel = an.weighted_bergman_kernel(edge, an.RadialWeight.power_law(1.0))
-    grid = curvature_values(kernel, an._band(edge, 3))
+    grid = curvature_scalar(kernel, an._band(edge, 3))
     assert grid[0] == grid[1] == grid[2] == pytest.approx(curvature_scalar(kernel, 0.9),
                                                           rel=1e-14)
 
@@ -304,7 +313,7 @@ def test_character_equivalence_is_two_blocked_products(monkeypatch, spec):
     grids = []
     for b in (1.0, 3.0):
         kernel = an.weighted_bergman_kernel(spec, an.RadialWeight(b))
-        grids.append(curvature_values(kernel, an._band(spec, 100)))
+        grids.append(curvature_scalar(kernel, an._band(spec, 100)))
         loop = np.array([curvature_scalar(kernel, x) for x in radii])
         assert np.abs(grids[-1] / loop - 1.0).max() <= 1e-14
     assert verdict.max_curvature_diff == np.abs(grids[0] - grids[1]).max()

@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -23,7 +24,8 @@ from rkhs_lab import annulus as an
 from rkhs_lab import cli
 from rkhs_lab import kernels as kc
 from rkhs_lab.cli import MAX_GRID_STEPS, main
-from rkhs_lab.extremality import FK_RTOL
+from rkhs_lab.errors import ConfigError
+from rkhs_lab.extremality import FK_RTOL, classify_shift
 from rkhs_lab.positivity import contraction_check
 from rkhs_lab.specio import load_kernel
 from tests.conftest import counting
@@ -140,6 +142,11 @@ def test_shift_commands_refuse_annulus_spec(runner, command):
     diag = json.loads(res.stderr)
     assert diag["error"] == "ConfigError"
     assert "'kind'" in diag["message"]
+    # the CLI refuses the spec by its kind, with the library's diagnostic for its kernel
+    library = contraction_check if command == "check" else lambda k: classify_shift(k, 0j)
+    with pytest.raises(ConfigError) as exc:
+        library(load_kernel(spec))
+    assert diag["message"] == str(exc.value)
 
 
 def test_local_op_json_payload(runner, geo_spec):
@@ -337,7 +344,7 @@ OVERFLOWING_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.05, "weight_
       "--grid", "0:0.5:2"], "curvature is not finite at w = 0j"),
     (["extremal", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                           "coeffs": [1e-310, 1, 1]}),
-      "--at", "0"], "tilde Gram minor ratio is not finite at zeta = 0j"),
+      "--at", "0"], "curvature is not finite at w = 0j (K(w, w) = 1.000e-310)"),
     (["check", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                        "coeffs": [1e-310, 1, 1]}),
       "--tests", "2hyper"], "is not finite at n = 0"),
@@ -489,21 +496,40 @@ def test_a_spec_weight_exponent_off_the_doubles_is_a_config_error(runner, weight
     assert "'weight_b'" in diag["message"]
 
 
-@pytest.mark.parametrize("spec, flags, field", [
-    (README_ANNULUS, ["--domain", "disc"], "'kind'"),
-    (README_ANNULUS, ["--r", "0.6"], "'r'"),
-    (README_ANNULUS, ["--weight", "rho"], "'weight_b'"),
-    (json.dumps({"kind": "disc_diagonal", "coeff_rule": "1"}), ["--domain", "annulus"],
-     "'kind'"),
-    (json.dumps({"kind": "disc_diagonal", "coeff_rule": "1"}), ["--r", "0.5"], "'kind'"),
-], ids=["annulus-domain", "annulus-r", "annulus-weight", "disc-domain", "disc-r"])
-def test_ci_check_refuses_flags_that_contradict_spec(runner, spec, flags, field):
-    res = runner.invoke(main, ["ci-check", "--kernel", spec, "--grid", "0.6:0.8:2"]
-                        + flags)
-    assert res.exit_code == 1
-    diag = json.loads(res.stderr)
-    assert diag["error"] == "ConfigError"
-    assert field in diag["message"]
+DISC_SPEC = json.dumps({"kind": "disc_diagonal", "coeff_rule": "1"})
+
+
+@pytest.mark.parametrize("spec, flags, message", [
+    (README_ANNULUS, ["--domain", "disc"], "--domain disc contradicts field 'kind' = "
+                                           "'annulus_laurent'"),
+    (README_ANNULUS, ["--r", "0.6"], "--r 0.6 contradicts field 'r' = 0.5"),
+    (README_ANNULUS, ["--weight", "rho"], "--weight rho contradicts field 'weight_b' = 0.0"),
+    (DISC_SPEC, ["--domain", "annulus"], "--domain annulus contradicts field 'kind' = "
+                                         "'disc_diagonal'"),
+    (DISC_SPEC, ["--r", "0.5"], "--r 0.5 contradicts field 'kind' = 'disc_diagonal'"),
+    (DISC_SPEC, ["--weight", "rho"], "--weight rho contradicts field 'kind' = 'disc_diagonal'"),
+], ids=["annulus-domain", "annulus-r", "annulus-weight", "disc-domain", "disc-r",
+        "disc-weight"])
+def test_ci_check_refuses_flags_that_contradict_spec(runner, spec, flags, message):
+    res = runner.invoke(main, ["ci-check", "--kernel", spec, "--grid", "0.6:0.8:2"] + flags)
+    assert res.exit_code == 1 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "ConfigError",
+                                      "message": f"option {message} of the kernel spec"}
+
+
+def test_annulus_szego_task_matches_mpmath(runner):
+    # S(w, w) = sum_n |w|^(2n) / (2 pi (1 + r^(2n+1))) over n = -N..N, N = 200, r = 0.5
+    res = runner.invoke(main, ["annulus", "--task", "szego", "--grid", "0.55:0.9:3"])
+    assert res.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert [row["normalization"] for row in rows] == ["1/(2pi)"] * 3
+    with mpmath.workdps(40):
+        r = mpmath.mpf("0.5")
+        for row in rows:
+            x = mpmath.mpf(row["abs_w"])
+            exact = mpmath.fsum(x ** (2 * n) / (2 * mpmath.pi * (1 + r ** (2 * n + 1)))
+                                for n in range(-200, 201))
+            assert float(row["szego_diag"]) == pytest.approx(float(exact), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

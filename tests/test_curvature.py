@@ -99,6 +99,11 @@ def test_a_jet_gram_refuses_a_dimension_below_one(G, m, n, name):
         JetGram(G, m, n)
 
 
+def test_a_jet_gram_refuses_a_gram_of_another_size():
+    with pytest.raises(DimensionMismatch, match="^Gram must be 2 x 2$"):
+        JetGram(np.eye(3), 1, 1)
+
+
 def _eigh_inv_sqrt(h):
     vals, vecs = np.linalg.eigh(h)
     return (vecs * vals ** -0.5) @ vecs.conj().T

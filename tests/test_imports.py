@@ -15,6 +15,7 @@ import rkhs_lab
 
 SRC = str(Path(rkhs_lab.__file__).resolve().parents[1])
 GEOMETRIC = json.dumps({"kind": "disc_diagonal", "coeff_rule": "1"})
+ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.5, "weight_b": 1})
 
 #: runs a CLI call, then prints numpy and the rkhs_lab modules loaded as the
 #: last line of stdout; sys.exit runs the atexit hook
@@ -62,6 +63,17 @@ def test_a_spec_error_exits_1_with_json_before_numpy_loads(case, error, tmp_path
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == error
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("command", ["check", "extremal"])
+def test_a_shift_command_refuses_an_annulus_spec_before_numpy_loads(command):
+    code, out, err, loaded = cli_call(command, "--kernel", ANNULUS)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": "field 'kind' must be 'disc_diagonal' for shift "
+                                          "weights, got 'annulus_laurent'"}
     assert "numpy" not in loaded
 
 

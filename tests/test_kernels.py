@@ -1,5 +1,6 @@
 """Series evaluation, jets, tilde kernels, normalization, Mobius pullbacks."""
 
+import math
 import warnings
 
 import mpmath
@@ -12,8 +13,7 @@ from hypothesis import strategies as st
 from rkhs_lab import annulus as an
 from rkhs_lab import kernels as kc
 from rkhs_lab.caratheodory import generalized_ci_check
-from rkhs_lab.curvature import (curvature_matrix, curvature_scalar, curvature_values,
-                                frame_from_jet)
+from rkhs_lab.curvature import curvature_matrix, curvature_scalar, frame_from_jet
 from rkhs_lab.errors import (CenterOutsideDisc, ConfigError, DegenerateKernel, KernelLabError,
                              KernelVanishesNearCenter, NonFiniteValue, PointOutsideDomain,
                              TruncationTailTooLarge, UnsupportedJetOrder)
@@ -424,7 +424,7 @@ def test_curvature_grid_values_match_mpmath(case):
     # one blocked product for the grid; every value within the bound of the one-point path
     kernel, z, w = case
     points = np.array([z, w, *np.linspace(abs(z), abs(w), 3)])
-    for x, value in zip(points, curvature_values(kernel, points)):
+    for x, value in zip(points, curvature_scalar(kernel, points)):
         assert_curvature_matches_mpmath(kernel, x, value)
 
 
@@ -435,25 +435,29 @@ def refusal(fn, *args):
     return type(exc.value), str(exc.value)
 
 
-@pytest.mark.parametrize("kernel, points, error", [
-    (disc_kernel("n+1"), [0.5, 1.2j, 0.3, 1.5], PointOutsideDomain),
-    (load_kernel({"kind": "annulus_laurent", "r": 0.05, "weight_b": 1e300}), [0.5, 0.9],
+@pytest.mark.parametrize("kernel, points, first, error", [
+    (disc_kernel("n+1"), [0.5, 1.2j, 0.3, 1.5], 1, PointOutsideDomain),
+    (disc_kernel("n+1"), [0.5, 0.2, complex("nan"), 1.5], 2, PointOutsideDomain),
+    (load_kernel({"kind": "annulus_laurent", "r": 0.05, "weight_b": 1e300}), [0.5, 0.9], 0,
      NonFiniteValue),
     # S11 / S00 = 1 / 1e-310 at w = 0
-    (kc.SeriesKernel.disc([1e-310, 1.0, 1.0]), [0.5, 0.0, 0.2], NonFiniteValue),
+    (kc.SeriesKernel.disc([1e-310, 1.0, 1.0]), [0.5, 0.0, 0.2], 1, NonFiniteValue),
     # S00 = -1 + 4 |w|^4 is positive at 0.8 only, and 0 at w = 0 for [0, 1, 1]
-    (kc.SeriesKernel(0, [-1.0, 0.0, 4.0], signed=True), [0.8, 0.5j, 0.9], DegenerateKernel),
-    (kc.SeriesKernel(0, [0.0, 1.0, 1.0], signed=True), [0.5, 0.0], DegenerateKernel),
-], ids=["outside", "overflowing-annulus", "curvature-quotient", "negative-s00", "zero-s00"])
-def test_a_grid_refuses_at_the_first_point_the_loop_refuses(kernel, points, error):
+    (kc.SeriesKernel(0, [-1.0, 0.0, 4.0], signed=True), [0.8, 0.5j, 0.9], 1, DegenerateKernel),
+    (kc.SeriesKernel(0, [0.0, 1.0, 1.0], signed=True), [0.5, 0.0], 1, DegenerateKernel),
+], ids=["outside", "nan", "overflowing-annulus", "curvature-quotient", "negative-s00",
+        "zero-s00"])
+def test_a_grid_refuses_at_the_first_point_the_loop_refuses(kernel, points, first, error):
+    # an array raises the error of the one-point path at its first bad point
     points = np.asarray(points, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        expected = refusal(lambda: [curvature_scalar(kernel, w) for w in points])
+        expected = refusal(curvature_scalar, kernel, points[first])
         assert expected[0] is error
-        assert refusal(curvature_values, kernel, points) == expected
+        assert refusal(lambda: [curvature_scalar(kernel, w) for w in points]) == expected
+        assert refusal(curvature_scalar, kernel, points) == expected
         # and as a 2-D array of the same points
-        assert refusal(curvature_values, kernel, points.reshape(1, -1)) == expected
+        assert refusal(curvature_scalar, kernel, points.reshape(1, -1)) == expected
 
 
 def test_a_grid_is_the_loop_to_the_last_bits():
@@ -463,12 +467,12 @@ def test_a_grid_is_the_loop_to_the_last_bits():
     radii = np.linspace(0.0, 0.97, 2000)
     points = radii * np.exp(1j * np.linspace(0.0, 6.0, 2000))
     loop = np.array([curvature_scalar(kernel, w) for w in points])
-    assert np.abs(curvature_values(kernel, points) / loop - 1.0).max() <= 1e-14
+    assert np.abs(curvature_scalar(kernel, points) / loop - 1.0).max() <= 1e-14
     # the curvature is radial: the same values at |w|
-    assert np.array_equal(curvature_values(kernel, points),
-                          curvature_values(kernel, [abs(w) for w in points]))
-    assert curvature_values(kernel, points.reshape(40, 50)).shape == (40, 50)
-    assert curvature_values(kernel, []).shape == (0,)
+    assert np.array_equal(curvature_scalar(kernel, points),
+                          curvature_scalar(kernel, [abs(w) for w in points]))
+    assert curvature_scalar(kernel, points.reshape(40, 50)).shape == (40, 50)
+    assert curvature_scalar(kernel, []).shape == (0,)
 
 
 def test_a_grid_is_one_blocked_product(monkeypatch):
@@ -477,7 +481,7 @@ def test_a_grid_is_one_blocked_product(monkeypatch):
     whole = kc._grid_sums(kernel, radii, 2)
     products = counting(monkeypatch, kc, "_grid_sums")
     points = counting(monkeypatch, kc, "_diagonal_sums")
-    curvature_values(kernel, radii)
+    curvature_scalar(kernel, radii)
     assert len(products) == 1 and points == []
     # blocks of 7 radii give the same sums as blocks of 163, the default for 201 terms
     monkeypatch.setattr(kc, "_GRID_BLOCK", 7 * 201)
@@ -499,9 +503,9 @@ def test_grid_sums_enter_the_floating_point_guard_only_where_a_sum_can_overflow(
     assert np.isfinite(sums[:2]).all() and not np.isfinite(sums[2]).all()
 
 
-def test_curvature_values_refuses_a_closed_form():
+def test_curvature_of_an_array_refuses_a_closed_form():
     with pytest.raises(ConfigError, match="'kernel'"):
-        curvature_values(kc.normalize_at(disc_kernel("n+1"), 0.2), [0.1, 0.3])
+        curvature_scalar(kc.normalize_at(disc_kernel("n+1"), 0.2), [0.1, 0.3])
 
 
 @pytest.mark.parametrize("kernel", [
@@ -535,6 +539,26 @@ def test_curvature_refuses_overflowing_sums(w, message):
     with pytest.raises(NonFiniteValue) as exc:
         curvature_scalar(kc.SeriesKernel.disc([1e308] * 201), w)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fn, message", [
+    (lambda k: kc.eval_kernel(k, 0.9, 0.8), "moment sum d^0 d^0bar K(z, w)"),
+    (lambda k: kc.deriv2(k, 0.9, 0.8, 1, 0), "moment sum d^0 d^0bar K(z, w)"),
+    (lambda k: kc.kernel_matrix(k, [0.9], [0.8]), "series sum K(z, w)"),
+], ids=["eval_kernel", "deriv2", "kernel_matrix"])
+def test_two_point_sums_that_overflow_are_refused(fn, message):
+    # 1e308 (1 + 0.72 + ...) leaves the doubles at z = 0.9, w = 0.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue) as exc:
+            fn(kc.SeriesKernel.disc([1e308] * 201))
+    assert str(exc.value) == f"{message} is not finite at z = (0.9+0j), w = (0.8+0j)"
+
+
+def test_a_tail_bound_whose_power_overflows_is_infinite():
+    # rho^n_min = 0.0064^-400 has no double: Python's pow raises OverflowError
+    kernel = kc.SeriesKernel(-400, np.ones(801), inner_radius=0.05)
+    assert kc._series_tail_bound(kernel, 0.0064) == math.inf
 
 
 @pytest.mark.parametrize("w", [0.3 + 0.2j, 0])

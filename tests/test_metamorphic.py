@@ -6,10 +6,15 @@ verdict or a value unchanged, checked on generated kernels and points.
 * Rotating the point, w -> e^(i theta) w, changes neither the curvature nor
   the curvature-inequality slack of a diagonal kernel, on the disc and on
   the annulus.
+* Every curvature routine returns finite numbers or refuses with a library
+  error, without a warning, on windows whose coefficients span 1e-300 to
+  1e300 and at points near either circle; an array of points refuses with
+  the error of its first bad point.
 """
 
 import cmath
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -109,3 +114,54 @@ def test_rotating_the_point_on_the_annulus_changes_no_curvature_and_no_slack(
     tol = rounding(k, w) + ROUNDING_RTOL * abs(slack + curv)  # the bound's size
     assert abs(cv.curvature_scalar(k, turned) - curv) <= tol
     assert abs(an.strict_ci_check(spec, weight, turned, kernel=k) - slack) <= tol
+
+
+@st.composite
+def wide_windows_and_points(draw):
+    """A disc or annulus window whose coefficients 10^e_n take exponents e_n in
+    [-300, 300], and 1 to 5 points: each within 0.03 of the outer edge
+    1 - BOUNDARY_MARGIN, of the inner edge r + BOUNDARY_MARGIN (the center on
+    the disc) or of |w| = 0.5, at any phase, so some fall outside the domain.
+    An annulus window holds n = 0, which keeps K(w, w) above 1e-300."""
+    size = draw(st.integers(1, 24))
+    a = 10.0 ** np.array(draw(st.lists(st.floats(-300.0, 300.0), min_size=size,
+                                       max_size=size)))
+    inner = draw(st.sampled_from([None, *ANNULUS_R]))
+    n_min = 0 if inner is None else draw(st.integers(1 - size, 0))
+    edges = (1.0 - kc.BOUNDARY_MARGIN, 0.5, 0.0 if inner is None else inner + kc.BOUNDARY_MARGIN)
+    point = st.builds(lambda edge, t, phase: cmath.rect(max(0.0, edge + t), phase),
+                      st.sampled_from(edges), st.floats(-0.03, 0.03), st.floats(-math.pi, math.pi))
+    points = draw(st.lists(point, min_size=1, max_size=5))
+    return kc.SeriesKernel(n_min, a, inner), inner, points
+
+
+def refusal_or_value(fn):
+    """("value", fn()) or (error type, message) of the library error fn() raised."""
+    try:
+        return "value", fn()
+    except KernelLabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_windows_and_points())
+def test_the_curvature_routines_return_finite_values_or_refuse(case):
+    kernel, inner, points = case
+    szego = None if inner is None else an._szego(an.AnnulusSpec(r=inner))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        singles = [refusal_or_value(lambda: cv.curvature_scalar(kernel, w)) for w in points]
+        array = refusal_or_value(lambda: cv.curvature_scalar(kernel, np.array(points)))
+        first = next((s for s in singles if s[0] != "value"), None)
+        if first is None:
+            assert array[0] == "value" and np.isfinite(array[1]).all()
+            assert all(math.isfinite(value) for _, value in singles)
+        else:
+            assert array == first
+        for w in [*points, np.array(points)]:
+            values = refusal_or_value(lambda: cv.ci_slack(
+                kernel, w, None if szego is None else kc.diagonal_values(szego, w)))
+            assert values[0] != "value" or np.isfinite(values[1]).all()
+        for w in points:
+            value = refusal_or_value(lambda: an.extremal_problem_value(kernel, w))
+            assert value[0] != "value" or math.isfinite(value[1])
