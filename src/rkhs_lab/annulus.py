@@ -206,7 +206,8 @@ def extremal_problem_value(kernel, w: complex) -> float:
 
     K(w, w) and the curvature are read off one order-1 jet, the diagonal sums
     of a series kernel, whose K(w, w) gets the truncation tail test of
-    :func:`kernels.eval_kernel`."""
+    :func:`kernels.eval_kernel`.  A value that is not finite, where
+    K(w, w) dd-bar log K underflows, is refused with NonFiniteValue."""
     k_ww, j01, j11 = order1_sums(kernel, w)
     if isinstance(kernel, kc.SeriesKernel):
         kc._refuse_tail(kc._series_tail_bound(kernel, abs(w) * abs(w)), abs(k_ww), w, w)
@@ -215,7 +216,11 @@ def extremal_problem_value(kernel, w: complex) -> float:
     dd = -rank1_curvature(k_ww, j01, j11, w)
     if dd <= 0.0:
         raise DegenerateJet(f"dd-bar log K = {dd} at w = {w}")
-    return 1.0 / (k_ww * dd)
+    value = 1.0 / (k_ww * dd)
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"extremal problem value [K(w, w) dd-bar log K]^-1 = {value} "
+                             f"at w = {w} is not finite")
+    return value
 
 
 def extremal_problem_ls(kernel: kc.SeriesKernel, w: complex) -> float:

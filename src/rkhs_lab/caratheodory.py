@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideBall,
-                     PointOutsidePolydisc)
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideDomain
 
 CI_TOL = 1e-10  # a verdict passes while its worst margin is at most CI_TOL
 
@@ -25,7 +24,8 @@ def _cara_forms(domain: str, z, m: int, n: int) -> list:
     if domain == "ball":
         r2 = float(np.vdot(zv, zv).real)
         if not r2 < 1.0:  # a NaN point is outside too
-            raise PointOutsideBall(f"|z|^2 = {r2:.4f} >= 1")
+            raise PointOutsideDomain(f"point {zv.tolist()} is outside the ball: "
+                                     f"|z|^2 = {r2:.4f} >= 1")
         A = np.eye(m)
         if r2 > 0.0:
             P = np.outer(zv, zv.conj()) / r2
@@ -33,7 +33,8 @@ def _cara_forms(domain: str, z, m: int, n: int) -> list:
         return [np.kron(A @ A, np.eye(n))]
     if domain == "polydisc":
         if not np.all(np.abs(zv) < 1.0):
-            raise PointOutsidePolydisc("some |z_j| >= 1")
+            raise PointOutsideDomain(f"point {zv.tolist()} is outside the polydisc: "
+                                     "some |z_j| >= 1")
         gaps = 1.0 - np.abs(zv) ** 2
         return [np.diag(np.repeat(np.arange(m) == j, n) / gaps[j] ** 2) for j in range(m)]
     raise ConfigError(f"domain must be 'ball' or 'polydisc', got {domain!r}")
@@ -65,9 +66,6 @@ class CIVerdict:
     @property
     def passed(self) -> bool:
         return self.worst_margin <= CI_TOL
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def generalized_ci_check(K: np.ndarray, domain: str, w, n: int = 1) -> CIVerdict:

@@ -250,7 +250,7 @@ def check(kernel, tests, seed):
             raise ConfigError(f"option --tests names unknown test '{name}'; "
                               f"choose from {', '.join(runners)}")
         res = runners[name](kern)
-        verdicts[name] = {"passed": bool(res), **res.info}
+        verdicts[name] = {"passed": res.passed, **res.info}
     passed = all(v["passed"] for v in verdicts.values())
     return _json({"verdicts": verdicts}), EXIT_PASS if passed else EXIT_VIOLATION
 

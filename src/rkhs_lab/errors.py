@@ -10,7 +10,8 @@ class ConfigError(KernelLabError):
 
 
 class PointOutsideDomain(KernelLabError):
-    pass
+    """A point outside the domain it is taken on: the disc, the annulus, the
+    ball or the polydisc."""
 
 
 class TruncationTailTooLarge(KernelLabError):
@@ -58,14 +59,6 @@ class NotLogHarmonic(KernelLabError):
 
 
 class QuadratureFailure(KernelLabError):
-    pass
-
-
-class PointOutsideBall(KernelLabError):
-    pass
-
-
-class PointOutsidePolydisc(KernelLabError):
     pass
 
 

@@ -252,7 +252,7 @@ def uniqueness_pipeline_check(kernel: kc.SeriesKernel, zeta: complex = 0.0) -> P
         lead, trail = (np.s_[:truncation - 1],) * G.ndim, (np.s_[1:truncation],) * G.ndim
         dec = gram_decrease_check(G[lead], G[trail])
         ok = run("gram-decrease-chain", dec.passed,
-                 f"min eig of G_v - G_Av = {dec.min_eigenvalue:.3e}")
+                 f"min eig of G_v - G_Av = {dec.info['min_eigenvalue']:.3e}")
     if ok:
         norms = np.abs(g - 1.0).max()
         ok = run("monomial-orthonormality", norms <= STEP_TOL and off <= STEP_TOL,

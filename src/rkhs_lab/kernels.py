@@ -490,9 +490,12 @@ def eval_kernel(kernel, z: complex, w: complex) -> complex:
     return value
 
 
+_GRID_TYPES = (np.ndarray, list, tuple)
+
+
 def _is_grid(w) -> bool:
     """Whether w is an array of points (a numpy array, list or tuple), not one point."""
-    return isinstance(w, (np.ndarray, list, tuple))
+    return isinstance(w, _GRID_TYPES)
 
 
 def diagonal_values(kernel, w):

@@ -29,8 +29,6 @@ class LocalOperatorForm:
     the t_l of the nilpotent parts, and R = t conj(t)^t."""
 
     t: np.ndarray  # mn x mn, the lower-right block of P
-    m: int
-    n: int
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -54,7 +52,7 @@ def jet_gram(kernel, w: complex) -> JetGram:
 def canonical_form(gram: JetGram) -> LocalOperatorForm:
     """Orthonormalize the jet basis and extract the canonical blocks."""
     # P_11 = I because the top-left block of G is the identity
-    return LocalOperatorForm(t=inverse_factor(gram.G)[gram.n:, gram.n:], m=gram.m, n=gram.n)
+    return LocalOperatorForm(t=inverse_factor(gram.G)[gram.n:, gram.n:])
 
 
 def verify_tt_identity_gram(gram: JetGram, form: LocalOperatorForm) -> float:

@@ -3,7 +3,7 @@ criteria: contractivity, hyponormality, hypercontractivity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,17 +18,12 @@ from .errors import (ConfigError, DimensionMismatch, NonFiniteValue, NonHermitia
 # max 1 / a_n; hyponormality compares the scale-free weight steps with it as is
 CHECK_TOL = 1e-10
 COND_LIMIT = 1e10  # inverse_factor refuses a Gram whose bound ||G||_F tr(G^-1) exceeds it
-_TRIANGULAR_BLOCK = 32  # inverse_factor inverts blocks of at most this many rows with inv
 
 
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
-    min_eigenvalue: Optional[float] = None
-    info: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.passed
+    info: dict  # the numbers behind the verdict, by name
 
 
 def _float_or_complex(matrix) -> np.ndarray:
@@ -39,8 +34,9 @@ def _float_or_complex(matrix) -> np.ndarray:
 def psd_check(gram: np.ndarray) -> CheckResult:
     """Pass iff the smallest eigenvalue of a Hermitian matrix is >= -tol, with
     tol = CHECK_TOL * max(1, ||G||_2); the same ``eigvalsh`` gives the spectral
-    norm, reported as ``info["norm"]``.  An empty, non-square or non-2-D input
-    is refused with DimensionMismatch, an infinite or NaN entry with
+    norm.  ``info`` reports the smallest eigenvalue, tol and the norm as
+    ``min_eigenvalue``, ``tol`` and ``norm``.  An empty, non-square or non-2-D
+    input is refused with DimensionMismatch, an infinite or NaN entry with
     NonFiniteValue, and an entry of G - G^H above tol with NonHermitianInput."""
     G = _float_or_complex(gram)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
@@ -61,18 +57,18 @@ def _semidefinite(G: np.ndarray) -> CheckResult:
     if np.abs(G - GH).max() > tol:
         raise NonHermitianInput("matrix is not Hermitian")
     min_eig = float(eigs.min())
-    return CheckResult(passed=min_eig >= -tol, min_eigenvalue=min_eig,
-                       info={"tol": tol, "norm": norm})
+    return CheckResult(passed=min_eig >= -tol,
+                       info={"min_eigenvalue": min_eig, "tol": tol, "norm": norm})
 
 
 def inverse_factor(gram: np.ndarray) -> np.ndarray:
     """The definite test: P = inv(conj(L)^t) from one Cholesky factor G = L conj(L)^t,
-    so P conj(P)^t = G^-1, inverted by triangular blocks (:func:`_upper_inverse`);
-    LU does not pivot on a triangular block, so P is exactly upper triangular
-    with a real positive diagonal.  A 2 x 2 Gram, every kernel jet Gram's,
-    takes both steps in closed form (:func:`_factor_2x2`), and a vector c, which
-    stands for diag(c), in O(n): P = 1 / sqrt(c), bit for bit the diagonal of
-    the LAPACK route's P, with the bound ||c||_2 ||P||_2^2.
+    so P conj(P)^t = G^-1; LU does not pivot on a triangular matrix, so P is
+    exactly upper triangular with a real positive diagonal.  A 2 x 2 Gram,
+    every kernel jet Gram's, takes both steps in closed form
+    (:func:`_factor_2x2`), and a vector c, which stands for diag(c), in O(n):
+    P = 1 / sqrt(c), bit for bit the diagonal of the LAPACK route's P, with
+    the bound ||c||_2 ||P||_2^2.
 
     Raises DimensionMismatch unless G is a non-empty square matrix or a
     non-empty vector, and NotPositiveDefinite when the factorization fails (a
@@ -97,7 +93,7 @@ def inverse_factor(gram: np.ndarray) -> np.ndarray:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite("Gram is not positive definite") from exc
-        P = _upper_inverse(L.conj().T)
+        P = np.linalg.inv(L.conj().T)
         bound = float(np.vdot(G, G).real) ** 0.5 * float(np.vdot(P, P).real)
     if not bound <= COND_LIMIT:
         raise NotPositiveDefinite(f"Gram condition bound ||G||_F tr(G^-1) = {bound:.2e} "
@@ -129,21 +125,6 @@ def _factor_2x2(G: np.ndarray) -> tuple:
     norm_sq = sum(x.real * x.real + x.imag * x.imag for x in (g00, g01, g10, g11))
     bound = norm_sq ** 0.5 * (r0 * r0 + (p01.real * p01.real + p01.imag * p01.imag) + r1 * r1)
     return np.array([[r0, p01], [0.0, r1]], dtype=G.dtype), bound
-
-
-def _upper_inverse(U: np.ndarray) -> np.ndarray:
-    """Inverse of an upper triangular U by 2 x 2 blocks, [[A, B], [0, D]]^-1 =
-    [[A^-1, -A^-1 B D^-1], [0, D^-1]], with ``np.linalg.inv`` on blocks of at
-    most _TRIANGULAR_BLOCK rows; the block below the diagonal stays exactly 0."""
-    size = U.shape[0]
-    if size <= _TRIANGULAR_BLOCK:
-        return np.linalg.inv(U)
-    k = size // 2
-    A, D = _upper_inverse(U[:k, :k]), _upper_inverse(U[k:, k:])
-    P = np.zeros_like(U)
-    P[:k, :k], P[k:, k:] = A, D
-    P[:k, k:] = -(A @ U[:k, k:]) @ D
-    return P
 
 
 def shift_coeffs(kernel: kc.SeriesKernel) -> np.ndarray:

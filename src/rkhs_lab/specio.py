@@ -97,15 +97,13 @@ def kernel_from_spec(spec: dict) -> kc.SeriesKernel:
 
     from . import kernels as kc
 
-    n = np.arange(n_max + 1, dtype=float)
-    if rule == "1":
-        coeffs = np.ones(n_max + 1)
-    elif rule == "n+1":
-        coeffs = n + 1.0
-    elif rule == "(n+1)^s":
-        s = _require(spec, "s", (int, float))
+    if rule != "custom-list":
+        # "1" and "n+1" are the powers s = 0 and s = 1 of (n+1)^s, bit for bit
+        s = {"1": 0, "n+1": 1}.get(rule)
+        if s is None:
+            s = _require(spec, "s", (int, float))
         with np.errstate(over="ignore"):
-            coeffs = (n + 1.0) ** _float("s", s)
+            coeffs = np.arange(1.0, n_max + 2.0) ** _float("s", s)
         if not np.all(np.isfinite(coeffs) & (coeffs > 0.0)):
             raise ConfigError(f"field 's' = {s} gives coefficients that are not "
                               "finite and positive")

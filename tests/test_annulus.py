@@ -366,6 +366,13 @@ def test_extremal_value_keeps_the_refusals_of_its_parts():
             == refusal(NonFiniteValue, curvature_scalar, tiny, 0))
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, 5e-324], [0.4, 5e-324], [3.0, 1e-323]])
+def test_an_extremal_value_that_overflows_is_refused_naming_w(coeffs):
+    # K(w, w) dd-bar log K is subnormal at 0, so its reciprocal is inf
+    with pytest.raises(NonFiniteValue, match=r"at w = 0 is not finite"):
+        an.extremal_problem_value(kc.SeriesKernel.disc(coeffs), 0)
+
+
 def test_szego_kernel_is_built_once_per_spec(monkeypatch):
     spec = an.AnnulusSpec(r=0.45, N=120)
     fresh = an.szego_kernel(spec)

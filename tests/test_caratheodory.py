@@ -6,8 +6,7 @@ import pytest
 from rkhs_lab import caratheodory as ca
 from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import ci_slack, curvature_scalar
-from rkhs_lab.errors import (ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideBall,
-                             PointOutsidePolydisc)
+from rkhs_lab.errors import ConfigError, DimensionMismatch, NonFiniteValue, PointOutsideDomain
 from tests.conftest import random_contractive_kernel
 
 
@@ -28,7 +27,7 @@ def test_ball_norm_radial_blowup():
 
 def test_ball_norm_rejects_outside_point():
     V = [[1.0]]
-    with pytest.raises(PointOutsideBall):
+    with pytest.raises(PointOutsideDomain, match="outside the ball"):
         ca.cara_norm("ball", V, [1.2])
 
 
@@ -36,7 +35,7 @@ def test_polydisc_norm_blockwise_max():
     V = np.array([[1.0], [2.0]])
     assert ca.cara_norm("polydisc", V, [0.0, 0.0]) == pytest.approx(2.0)
     assert ca.cara_norm("polydisc", V, [0.0, 0.5]) == pytest.approx(2.0 / 0.75)
-    with pytest.raises(PointOutsidePolydisc):
+    with pytest.raises(PointOutsideDomain, match="outside the polydisc"):
         ca.cara_norm("polydisc", V, [0.0, 1.0])
 
 
@@ -208,14 +207,14 @@ def test_generalized_ci_refusals():
         ca.generalized_ci_check(np.eye(3), "ball", [0.0, 0.0, 0.0], n=2)
     with pytest.raises(DimensionMismatch):
         ca.generalized_ci_check(-np.eye(4), "polydisc", [0.0, 0.0, 0.0], n=2)
-    with pytest.raises(PointOutsideBall):
+    with pytest.raises(PointOutsideDomain, match="outside the ball"):
         ca.generalized_ci_check(-np.eye(2), "ball", [0.8, 0.7])
-    with pytest.raises(PointOutsidePolydisc):
+    with pytest.raises(PointOutsideDomain, match="outside the polydisc"):
         ca.generalized_ci_check(-np.eye(2), "polydisc", [0.2, 1.0])
     # a NaN point is outside either domain, not a NaN margin
-    with pytest.raises(PointOutsideBall):
+    with pytest.raises(PointOutsideDomain, match="outside the ball"):
         ca.generalized_ci_check(-np.eye(2), "ball", [0.2, np.nan])
-    with pytest.raises(PointOutsidePolydisc):
+    with pytest.raises(PointOutsideDomain, match="outside the polydisc"):
         ca.generalized_ci_check(-np.eye(2), "polydisc", [np.nan, 0.2])
 
 

@@ -441,6 +441,42 @@ def test_oversized_requests_are_refused(runner, geo_spec, argv, names):
     assert names in diag["message"]
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ('{"kind": "disc_diagonal", "coeff_rule": "custom-list", "coeffs": [1, 1%s]}' % ("0" * 400),
+     "ConfigError", "field 'coeffs' must contain only numbers that fit a double"),
+    ("[1, 2]", "ConfigError", "kernel spec must be a JSON object"),
+    ('{"kind": "annulus_laurent", "r": 0.5, "weight_b": -1e6}',
+     "QuadratureFailure", "no representable Laurent coefficients"),
+], ids=["integer-beyond-double", "not-an-object", "no-laurent-coefficients"])
+def test_a_spec_file_the_library_refuses_exits_1_with_json(runner, tmp_path, text, error,
+                                                           message):
+    p = tmp_path / "spec.json"
+    p.write_text(text)
+    res = runner.invoke(main, ["curvature", "--kernel", str(p), "--grid", "0.6:0.8:2"])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--kernel", "GEO", "--grid", "0:0.9:4"],
+    ["ci-check", "--kernel", "GEO", "--grid", "0:0.9:4"],
+    ["annulus", "--task", "bergman", "--grid", "0.6:0.9:4"],
+], ids=["curvature", "ci-check", "annulus-bergman"])
+def test_json_rows_are_the_csv_rows(runner, geo_spec, argv):
+    argv = [geo_spec if a == "GEO" else a for a in argv]
+    as_csv = runner.invoke(main, argv)
+    as_json = runner.invoke(main, argv + ["--format", "json"])
+    assert as_csv.exit_code == as_json.exit_code == 0
+    csv_rows = list(csv.DictReader(io.StringIO(as_csv.stdout)))
+    json_rows = json.loads(as_json.stdout)["rows"]
+    assert len(json_rows) == len(csv_rows) == 4
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert set(json_row) == set(csv_row)
+        for name, value in json_row.items():
+            assert (csv_row[name] == value if isinstance(value, str)
+                    else float(csv_row[name]) == value), name
+
+
 @pytest.mark.parametrize("coeffs, min_tilde", [
     # tilde coefficients (1, 3, 12, 0, 0, 0): growing at the end of a short window
     ([1, 4, 16, 16, 16, 16], 0.0),

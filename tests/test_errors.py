@@ -1,5 +1,6 @@
-"""Every library error is asserted by some test: each ``KernelLabError``
-subclass in ``errors.py`` appears in a ``pytest.raises(...)`` under tests/."""
+"""Every library error is raised and asserted: each ``KernelLabError``
+subclass in ``errors.py`` is raised somewhere under src/ and appears in a
+``pytest.raises(...)`` under tests/."""
 
 import ast
 import inspect
@@ -8,6 +9,7 @@ from pathlib import Path
 from rkhs_lab import errors
 
 TESTS = Path(__file__).resolve().parent
+SRC = Path(errors.__file__).resolve().parent
 
 
 def _names(node) -> set:
@@ -34,8 +36,25 @@ def raised_names() -> set:
     return names
 
 
+def src_raised_names() -> set:
+    """Names of the exceptions in every ``raise Name(...)`` under src/."""
+    return {node.exc.func.id for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)}
+
+
+def library_errors() -> set:
+    return {name for name, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, errors.KernelLabError) and cls is not errors.KernelLabError}
+
+
 def test_every_library_error_is_asserted_by_a_test():
-    library = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
-               if issubclass(cls, errors.KernelLabError) and cls is not errors.KernelLabError}
+    library = library_errors()
     assert len(library) >= 15
     assert library - raised_names() == set()
+
+
+def test_every_library_error_is_raised_in_src():
+    # a class merged away but still defined is an orphan
+    assert library_errors() - src_raised_names() == set()

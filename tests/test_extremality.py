@@ -350,7 +350,7 @@ def test_pipeline_runs_on_one_factor_and_one_decrease_check(monkeypatch, zeta):
     eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
     assert uniqueness_pipeline_check(geometric(), zeta).passed
     assert (len(factors), len(decreases)) == (1, 1)
-    # the triangular inverse (its blocks) inside the one factor, the eigensolve inside psd_check
+    # the triangular inverse inside the one factor, the eigensolve inside psd_check
     assert inverses and all(inverses)
     assert len(eigensolves) == 1
     # a complex zeta replays at |zeta|, so both run in real LAPACK
@@ -434,7 +434,7 @@ def dense_gram_steps(c):
     k = c.size - 2
     dec = ps.gram_decrease_check(G[:k, :k], G[1:k + 1, 1:k + 1])
     steps = [("gram-decrease-chain", dec.passed,
-              f"min eig of G_v - G_Av = {dec.min_eigenvalue:.3e}")]
+              f"min eig of G_v - G_Av = {dec.info['min_eigenvalue']:.3e}")]
     if dec.passed:
         norms = np.abs(np.diag(G) - 1.0).max()
         off = float(np.abs(G - np.diag(np.diag(G))).max())
@@ -526,9 +526,9 @@ def test_the_gram_steps_at_the_origin_hold_to_an_exact_rational_oracle(monkeypat
         ulps = 4 * Fraction(float(np.spacing(float(max(g)))))
         (chain,), (p,) = chains, factors
         assert p.ndim == 1  # the factor of the diagonal, as a vector
-        assert abs(Fraction(chain.min_eigenvalue) - least) <= ulps
+        assert abs(Fraction(chain.info["min_eigenvalue"]) - least) <= ulps
         assert (steps["gram-decrease-chain"]
-                == f"min eig of G_v - G_Av = {chain.min_eigenvalue:.3e}")
+                == f"min eig of G_v - G_Av = {chain.info['min_eigenvalue']:.3e}")
         if "monomial-orthonormality" in steps:
             worst = max(abs(x - 1) for x in g)
             norms = float(np.abs(p * p - 1.0).max())  # max |g - 1| of the reported g = p p

@@ -28,7 +28,7 @@ def test_psd_check_flags_indefinite():
     M = np.diag([1.0, -0.5])
     res = psd_check(M)
     assert not res.passed
-    assert res.min_eigenvalue == pytest.approx(-0.5)
+    assert res.info["min_eigenvalue"] == pytest.approx(-0.5)
 
 
 def test_psd_check_reports_spectral_norm(rng):
@@ -75,7 +75,8 @@ def test_a_vector_stands_for_its_diagonal_matrix(size):
         for G_v, G_Av in ((c, u), (u, c), (c, c)):
             vector = gram_decrease_check(G_v, G_Av)
             dense = gram_decrease_check(np.diag(G_v), np.diag(G_Av))
-            assert (vector.passed, vector.min_eigenvalue) == (dense.passed, dense.min_eigenvalue)
+            assert ((vector.passed, vector.info["min_eigenvalue"])
+                    == (dense.passed, dense.info["min_eigenvalue"]))
 
 
 @pytest.mark.parametrize("G_v, G_Av, error", [
@@ -312,8 +313,8 @@ def test_a_real_gram_gives_the_verdicts_of_its_complex_cast(rng):
                   gram_decrease_check(G.astype(complex), 0.5 * G.astype(complex)))]
         for real, cast in pairs:
             assert real.passed == cast.passed
-            assert (abs(real.min_eigenvalue - cast.min_eigenvalue)
-                    <= 1e-13 * abs(cast.min_eigenvalue))
+            assert (abs(real.info["min_eigenvalue"] - cast.info["min_eigenvalue"])
+                    <= 1e-13 * abs(cast.info["min_eigenvalue"]))
     G = B @ B.T + np.eye(8)
     P, P_cast = inverse_factor(G), inverse_factor(G.astype(complex))
     assert P.dtype == np.float64 and P_cast.dtype == np.complex128
@@ -324,7 +325,7 @@ def test_a_real_gram_gives_the_verdicts_of_its_complex_cast(rng):
 
 def test_an_integer_gram_is_accepted():
     G = np.array([[2, 1], [1, 2]])
-    assert psd_check(G).min_eigenvalue == pytest.approx(1.0)
+    assert psd_check(G).info["min_eigenvalue"] == pytest.approx(1.0)
     assert inverse_factor(G).dtype == np.float64
     assert gram_decrease_check(G, np.eye(2, dtype=int)).passed
     assert not gram_decrease_check(np.eye(2, dtype=int), G).passed
