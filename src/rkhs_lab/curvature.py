@@ -9,6 +9,7 @@ of its top-left block, which is then I.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from math import isfinite
 
@@ -27,9 +28,9 @@ class JetGram:
     Built from the Gram G of any frame: the frame change gamma -> gamma s,
     s = h^-1/2 with h the top-left block, takes every n x n block G_ij to
     s G_ij s, so the top-left block of ``G`` is I.  An m or n that is not an
-    integer >= 1 is refused with DimensionMismatch, a non-finite entry with
-    NonFiniteValue, a metric h that is not positive definite with
-    NotPositiveDefinite.
+    integer >= 1 is refused with DimensionMismatch, a non-finite entry (given
+    or normalized) with NonFiniteValue, a metric h that is not positive
+    definite with NotPositiveDefinite.
     """
 
     G: np.ndarray
@@ -45,11 +46,22 @@ class JetGram:
         size = (m + 1) * n
         if G.shape != (size, size):
             raise DimensionMismatch(f"Gram must be {size} x {size}")
-        if not np.isfinite(G).all():
+        entries = G.ravel().tolist()
+        if not all(map(cmath.isfinite, entries)):
             raise NonFiniteValue("Gram has a non-finite entry")
-        s = _inv_sqrt_hermitian(G[:n, :n])
-        blocks = G.reshape(m + 1, n, m + 1, n).swapaxes(1, 2)  # blocks[i, j] = G_ij
-        object.__setattr__(self, "G", (s @ blocks @ s).swapaxes(1, 2).reshape(size, size))
+        if n == 1:  # s G_ij s in Python scalars; + 0.0 signs a zero as that product does
+            s = float(_inv_sqrt_hermitian(entries[0].real))
+            entries = [g * s * s + 0.0 for g in entries]
+            G = np.array(entries).reshape(size, size)
+        else:
+            s = _inv_sqrt_hermitian(G[:n, :n])
+            blocks = G.reshape(m + 1, n, m + 1, n).swapaxes(1, 2)  # blocks[i, j] = G_ij
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = (s @ blocks @ s).swapaxes(1, 2).reshape(size, size)
+            entries = G.ravel().tolist()
+        if not all(map(cmath.isfinite, entries)):
+            raise NonFiniteValue("the normalized Gram has a non-finite entry")
+        object.__setattr__(self, "G", G)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +71,14 @@ class CurvatureMatrix:
     matrix: np.ndarray
 
 
-def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
-    """h^-1/2 of a Hermitian positive definite metric h; if 1 x 1, eigh's value in closed form."""
-    vals, vecs = (h.real[0], None) if h.shape == (1, 1) else np.linalg.eigh(h)  # ascending
+def _inv_sqrt_hermitian(h):
+    """h^-1/2 of a Hermitian positive definite metric h, an array, or a float h
+    whose root is eigh's value in closed form, by numpy's power as there (libm's
+    pow and 1 / sqrt can round apart from numpy's power loop)."""
+    vals, vecs = ((h,), None) if isinstance(h, float) else np.linalg.eigh(h)  # ascending
     if not vals[0] > 0.0:
         raise NotPositiveDefinite(f"metric not positive definite (min eig {vals[0]:.3e})")
-    return h.real ** -0.5 if vecs is None else (vecs * vals ** -0.5) @ vecs.conj().T
+    return np.power(h, -0.5) if vecs is None else (vecs * vals ** -0.5) @ vecs.conj().T
 
 
 def frame_from_jet(kernel, w: complex) -> JetGram:
@@ -78,8 +92,12 @@ def curvature_matrix(gram: JetGram) -> CurvatureMatrix:
     jet Gram H of the frame orthonormal at the point.
 
     Block (i, j) is -(dbar_i d_j h - (dbar_i h) h^-1 (d_j h)) for that frame.
+    A 2 x 2 Gram (rank 1, m = 1) is taken in Python scalars.
     """
     H, n = gram.G, gram.n
+    if H.shape == (2, 2):
+        (_, h01), (h10, h11) = H.tolist()
+        return CurvatureMatrix(matrix=np.array([[-(h11 - h10 * h01)]]))
     return CurvatureMatrix(matrix=-(H[n:, n:] - H[n:, :n] @ H[:n, n:]))
 
 

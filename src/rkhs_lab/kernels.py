@@ -26,8 +26,9 @@ E_x of each point's unit x / |x|.  Every path puts a_n between the two real
 powers, so a small a_n at the inner end of a Laurent window keeps a sum
 finite where a power alone would overflow, and no cached row holds a_n:
 a F_p F_q would overflow first for coefficients near the double limit.
-Sums are taken under ``np.errstate`` except the diagonal sums of a disc
-window that no power, product or sum can overflow, decided once per kernel.
+Sums are taken under ``np.errstate`` except the diagonal sums of a window
+that no power, product or sum can overflow at any admissible point, decided
+once per kernel by one bound at the two extreme admissible radii.
 Every path checks each point against the domain, refuses a sum that is not
 finite with ``NonFiniteValue``, and refuses a value whose truncation tail
 bound exceeds TAIL_RTOL |K| (the largest |K| of a matrix).  The constant
@@ -320,9 +321,12 @@ def _diagonal_rows(kernel: SeriesKernel, order: int) -> tuple:
     columns where F_order(n) != 0 and 0 elsewhere, and scale[i] = 2 order - p - q.
     low lists (i, a_k F_p(n_k) F_q(n_k), 2 n_k - p - q) for the at most
     ``order`` live columns with 0 <= n_k < order, whose terms are summed
-    exactly.  ``guarded`` is False only for a disc window with
-    max |a| sum (1 + n)^(2 order) < 1e300, where no power, product or sum
-    can overflow, so its sums need no floating-point guard.
+    exactly.  ``guarded`` is False only where no power, product or sum can
+    overflow at an admissible point, so the sums need no floating-point
+    guard: each power x_k^2 = |w|^(2 e_k) is monotone in |w|, so it is at
+    most 1 at |w| = 1 - BOUNDARY_MARGIN and at most lowest^(2 min(e, 0)) at
+    the inner edge lowest = inner + BOUNDARY_MARGIN, and every partial sum is
+    at most max(|G| @ |a|) lowest^(2 min(e, 0)) < 1e300.
     """
     store = kernel._sum_store
     if order not in store:
@@ -331,16 +335,17 @@ def _diagonal_rows(kernel: SeriesKernel, order: int) -> tuple:
         pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
         p, q = map(list, zip(*pairs))
         lo, hi = np.searchsorted(ns, (0, order)).tolist()  # the columns 0 <= n_k < order
+        lowest = 1.0 if kernel.inner_radius is None else kernel.inner_radius + BOUNDARY_MARGIN
         with np.errstate(over="ignore"):  # a high order overflows to inf, which guards
             G = fall[p] * fall[q]
-            bound = (float(np.abs(a).max(initial=0.0))
-                     * float(((1.0 + ns) ** (2 * order)).sum()))
+            bound = ((np.abs(G) @ np.abs(a)).max(initial=0.0)
+                     * np.power(lowest, 2.0 * exps[order].min(initial=0.0)))
         low = [(i, c * f, 2 * n - pi - qi)
                for i, (pi, qi, row) in enumerate(zip(p, q, G[:, lo:hi].tolist()))
                for n, c, f in zip(ns[lo:hi].tolist(), a[lo:hi].tolist(), row) if f]
         G[:, lo:hi] = 0.0
         store[order] = (exps[order], G, [2 * order - i - j for i, j in pairs], low,
-                        kernel.n_min < 0 or not bound < 1e300)
+                        not bound < 1e300)
     return store[order]
 
 
@@ -407,6 +412,10 @@ def _moment_block(kernel: SeriesKernel, z: complex, w: complex, order: int) -> n
     z, w = complex(z), complex(w)
     if z == w:
         sums, unit = _diagonal_sums(kernel, w, order), _unit(w).conjugate()
+        if order == 1:  # the rank-1 jet from its three sums, zero signs as below
+            s00, s10, s11 = sums
+            j10 = (1.0 + 0j) * unit * s10
+            return np.array([[complex(s00, -0.0), j10.conjugate()], [j10, complex(s11, -0.0)]])
         phase = [1.0 + 0j]
         for _ in range(order):
             phase.append(phase[-1] * unit)
@@ -483,8 +492,13 @@ def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
 
 def eval_kernel(kernel, z: complex, w: complex) -> complex:
     """Evaluate K(z, w); Hermitian in (z, w) by construction.  A series value
-    is refused where its truncation tail bound exceeds TAIL_RTOL * |K(z, w)|."""
-    value = complex(_block(kernel, z, w, 0)[0, 0])
+    is refused where its truncation tail bound exceeds TAIL_RTOL * |K(z, w)|.
+    On the diagonal a series value is its order-0 sum, with no block."""
+    if isinstance(kernel, SeriesKernel) and z == w:
+        check_point(kernel, w)
+        value = complex(_diagonal_sums(kernel, w, 0)[0], -0.0)  # the block's conj(S00 + 0j)
+    else:
+        value = complex(_block(kernel, z, w, 0)[0, 0])
     if isinstance(kernel, SeriesKernel):
         _refuse_tail(_series_tail_bound(kernel, abs(z) * abs(w)), abs(value), z, w)
     return value

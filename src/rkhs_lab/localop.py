@@ -7,8 +7,10 @@ d_1 frame, ..., d_m frame) and factors it once,
 real diagonal, P_11 = I and P conj(P)^t = G^-1, gives t = P_22 and the
 lower-right block R = t conj(t)^t of G^-1, which is the identity
 t(w) conj(t(w))^t = (-curvature(w))^-1.  Each step selects its method by
-shape: a 2 x 2 Gram (rank 1, m = 1, every kernel point's) is factored and a
-1 x 1 curvature is checked in closed form, in Python scalars; any other size
+shape.  A kernel point (rank 1, m = 1) takes every step in Python scalars,
+bit for bit the matrix route: the jet Gram scales its entries by the float
+h^-1/2 twice, the 2 x 2 Gram is factored in closed form, R = |t|^2, and the
+1 x 1 curvature and residual are taken from four numbers.  Any other size
 takes LAPACK's Cholesky, inverse and eigensolve.  numpy is the only dependency.
 """
 
@@ -33,7 +35,11 @@ class LocalOperatorForm:
     @cached_property
     def R(self) -> np.ndarray:
         """mn x mn, the lower-right block of G^-1: P is block upper triangular,
-        so the lower-right block of P P^H is t t^H."""
+        so the lower-right block of P P^H is t t^H.  A 1 x 1 t, every kernel
+        point's, gives |t|^2 in Python scalars."""
+        if self.t.shape == (1, 1):
+            (t,), = self.t.tolist()
+            return np.array([[(t * t.conjugate()).real]], dtype=self.t.dtype)
         R = self.t @ self.t.conj().T
         # its diagonal is real; a fused multiply-add in the product leaves roundoff there
         np.fill_diagonal(R, R.diagonal().real)

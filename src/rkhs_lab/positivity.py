@@ -3,6 +3,7 @@ criteria: contractivity, hyponormality, hypercontractivity."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,13 +115,13 @@ def _factor_2x2(G: np.ndarray) -> tuple:
     (g00, g01), (g10, g11) = G.tolist()
     if g00.real <= 0.0:
         raise NotPositiveDefinite("Gram is not positive definite")
-    # np.sqrt rounds correctly, as LAPACK's sqrt does; Python's ** 0.5 may not
-    r0 = 1.0 / float(np.sqrt(g00.real))
+    # math.sqrt rounds correctly, as LAPACK's sqrt does; Python's ** 0.5 may not
+    r0 = 1.0 / math.sqrt(g00.real)
     l10 = g10 * r0
     pivot = g11.real - (l10.real * l10.real + l10.imag * l10.imag)
     if pivot <= 0.0:
         raise NotPositiveDefinite("Gram is not positive definite")
-    r1 = 1.0 / float(np.sqrt(pivot))
+    r1 = 1.0 / math.sqrt(pivot)
     p01 = -(l10.conjugate() * r1) * r0
     norm_sq = sum(x.real * x.real + x.imag * x.imag for x in (g00, g01, g10, g11))
     bound = norm_sq ** 0.5 * (r0 * r0 + (p01.real * p01.real + p01.imag * p01.imag) + r1 * r1)

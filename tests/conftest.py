@@ -54,3 +54,33 @@ def synthetic_normalized_gram(rng, m, n, cond_scale=1.0):
     G = D @ G @ D.conj().T
     G[:n, :n] = np.eye(n)  # kill roundoff so the invariant holds exactly
     return G
+
+
+#: the kernels of the rank-1 parity tests: three disc rules and an annulus
+RANK1_SPECS = ({"kind": "disc_diagonal", "coeff_rule": "1"},
+               {"kind": "disc_diagonal", "coeff_rule": "n+1"},
+               {"kind": "disc_diagonal", "coeff_rule": "(n+1)^s", "s": 1.7},
+               {"kind": "annulus_laurent", "r": 0.5, "weight_b": 1})
+
+
+def rank1_points(seed, count):
+    """(kernel, w) pairs: ``count`` seeded points per kernel of RANK1_SPECS,
+    a few of them outside the domain, and the points on the axes, where the
+    sign of a zero shows."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for spec in RANK1_SPECS:
+        kernel = load_kernel(spec)
+        inner = spec.get("r", 0.0)
+        radii = rng.uniform(inner, 1.0, count)
+        points = [complex(x) for x in radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))]
+        axes = [complex(x) for r in (0.0, 0.55, 0.97) for x in (r, -r, r * 1j, -r * 1j)]
+        pairs += [(kernel, w) for w in points + axes]
+    return pairs
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays or numbers hold the same dtype, shape and bytes (so
+    -0.0 and 0.0 differ)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

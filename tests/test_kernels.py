@@ -20,7 +20,8 @@ from rkhs_lab.errors import (CenterOutsideDisc, ConfigError, DegenerateKernel, K
 from rkhs_lab.localop import canonical_form
 from rkhs_lab.positivity import contraction_check, psd_check
 from rkhs_lab.specio import load_kernel
-from tests.conftest import counting, disc_kernel, random_contractive_coeffs
+from tests.conftest import (counting, disc_kernel, random_contractive_coeffs, rank1_points,
+                            same_bits)
 
 
 def geometric(n_max=200):
@@ -856,6 +857,83 @@ def test_diagonal_sums_enter_the_floating_point_guard_only_where_a_sum_can_overf
         curvature_scalar(limit, 0.9)
     assert str(exc.value) == "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.9+0j)"
     assert len(entered) == 3
+
+
+def _guarded(kernel, order):
+    return kc._diagonal_rows(kernel, order)[4]
+
+
+def test_the_guard_rule_drops_the_guard_for_every_spec_window_from_r_0_3():
+    # one bound at the two extreme admissible radii decides it: for these windows
+    # no power, product or sum can overflow anywhere in the domain
+    kernels = [load_kernel({"kind": "annulus_laurent", "r": r, "weight_b": b})
+               for r in (0.3, 0.5, 0.7, 0.9) for b in range(-2, 4)]
+    kernels += [disc_kernel("1"), disc_kernel("n+1"), disc_kernel("(n+1)^s", s=0.3),
+                disc_kernel("(n+1)^s", s=3.0), disc_kernel("n+1", n_max=2000),
+                kc.SeriesKernel.disc(random_contractive_coeffs(np.random.default_rng(7)))]
+    for kernel in kernels:
+        inner = kernel.inner_radius
+        edges = [1.0 - kc.BOUNDARY_MARGIN] + ([] if inner is None else [inner + kc.BOUNDARY_MARGIN])
+        for order in (1, 2):
+            assert not _guarded(kernel, order), (inner, order)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for w in edges:
+                    assert all(map(math.isfinite, kc._diagonal_sums(kernel, w, order)))
+
+
+def test_the_guard_rule_keeps_the_guard_where_a_sum_can_overflow():
+    limit = kc.SeriesKernel.disc([1e300] * 201)
+    assert all(_guarded(limit, order) for order in (1, 2))
+    assert all(_guarded(THIN_STEEP, order) for order in (0, 1, 2))  # r = 0.05, b = 50
+    # a guarded sum that overflows is refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"^moment sum d\^2 d\^2bar K\(w, w\)"):
+            kc._diagonal_sums(limit, 0.98, 2)
+        with pytest.raises(NonFiniteValue):
+            curvature_scalar(kc.SeriesKernel.disc([1e308] * 201), [0.3, 0.9])
+
+
+def _outcome(fn):
+    """("value", the result) or (error type, message) of the library error fn() raised."""
+    try:
+        return "value", fn()
+    except KernelLabError as exc:
+        return type(exc), str(exc)
+
+
+def _block_value(kernel, w):
+    """K(w, w) by the general route: the order-0 moment block and the tail test."""
+    value = complex(kc._block(kernel, w, w, 0)[0, 0])
+    kc._refuse_tail(kc._series_tail_bound(kernel, abs(w) * abs(w)), abs(value), w, w)
+    return value
+
+
+def _block_jet(kernel, w):
+    """The order-1 jet by the general formula of the moment block: the sums
+    S_pq times the phase powers of conj(w) / |w|, conjugated above the diagonal."""
+    kc.check_point(kernel, w)
+    sums, unit = kc._diagonal_sums(kernel, w, 1), kc._unit(w).conjugate()
+    phase = [1.0 + 0j, (1.0 + 0j) * unit]
+    return np.array([[phase[p - q] * sums[p * (p + 1) // 2 + q] if q < p
+                      else (phase[q - p] * sums[q * (q + 1) // 2 + p]).conjugate()
+                      for q in range(2)] for p in range(2)])
+
+
+def test_a_kernel_points_jet_and_value_are_the_general_formulas_to_the_bit():
+    # the order-1 jet is built straight from its three sums, and K(w, w) of a
+    # series kernel from its order-0 sum: the same bits, zero signs included,
+    # and the same refusals as the general block route
+    for kernel, w in rank1_points(29, 75):
+        for fast, general in ((lambda: kc.jet(kernel, w, 1), lambda: _block_jet(kernel, w)),
+                              (lambda: kc.eval_kernel(kernel, w, w),
+                               lambda: _block_value(kernel, w)),
+                              (lambda: kc.diagonal_values(kernel, [w]),
+                               lambda: np.array([_block_value(kernel, w).real]))):
+            got, want = _outcome(fast), _outcome(general)
+            assert got[0] == want[0], w
+            assert same_bits(got[1], want[1]) if got[0] == "value" else got == want, w
 
 
 @pytest.mark.parametrize("make", [

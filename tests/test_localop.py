@@ -10,12 +10,12 @@ from rkhs_lab import kernels as kc
 from rkhs_lab import localop as lo
 from rkhs_lab import positivity as ps
 from rkhs_lab.curvature import JetGram, curvature_matrix, curvature_scalar, frame_from_jet
-from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite
+from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite, PointOutsideDomain
 from rkhs_lab.localop import (canonical_form, jet_gram, verify_tt_identity,
                               verify_tt_identity_gram)
 from rkhs_lab.specio import load_kernel
-from tests.conftest import (counting, disc_kernel, random_contractive_kernel,
-                            synthetic_normalized_gram)
+from tests.conftest import (counting, disc_kernel, random_contractive_kernel, rank1_points,
+                            same_bits, synthetic_normalized_gram)
 
 
 def test_geometric_tt_identity_exact():
@@ -158,6 +158,64 @@ def test_one_frame_normalization_per_local_point(monkeypatch):
     assert len(calls) == 1
     curvature_matrix(frame_from_jet(k, 0.3))
     assert len(calls) == 2
+
+
+def _matrix_route(jet):
+    """JetGram's G, the curvature matrix, t, R and the tt* residual of a kernel
+    point by the general numpy formulas: the block product s G_ij s, the Schur
+    complement, LAPACK's factor, t t* and eigvalsh of the stacked pair."""
+    s = jet[:1, :1].real ** -0.5
+    H = (s @ jet.reshape(2, 1, 2, 1).swapaxes(1, 2) @ s).swapaxes(1, 2).reshape(2, 2)
+    curvature = -(H[1:, 1:] - H[1:, :1] @ H[:1, 1:])
+    t = np.linalg.inv(np.linalg.cholesky(H).conj().T)[1:, 1:]
+    R = t @ t.conj().T
+    np.fill_diagonal(R, R.diagonal().real)
+    target = np.linalg.inv(-curvature)
+    resid, scale = np.abs(np.linalg.eigvalsh(np.stack((R - target, target)))).max(axis=1)
+    return H, curvature, t, R, float(resid / scale)
+
+
+def test_the_rank1_chain_is_the_general_formulas_to_the_bit():
+    # a kernel point's jet Gram, curvature matrix, t, R = t t* and residual are
+    # taken in Python scalars, with the bits of the matrix route, zero signs too
+    checked = 0
+    for kernel, w in rank1_points(29, 75):
+        try:
+            jet = kc.jet(kernel, w, 1)
+        except PointOutsideDomain:
+            continue
+        gram = JetGram(jet, 1, 1)
+        form = canonical_form(gram)
+        H, curvature, t, R, residual = _matrix_route(jet)
+        assert same_bits(gram.G, H), w
+        assert same_bits(curvature_matrix(gram).matrix, curvature), w
+        assert same_bits(form.t, t) and same_bits(form.R, R), w
+        assert verify_tt_identity_gram(gram, form) == residual, w
+        assert same_bits(jet_gram(kernel, w).G, H), w
+        checked += 1
+    assert checked > 250
+
+
+def test_a_rank1_jet_gram_of_more_variables_is_the_block_product_to_the_bit(rng):
+    # n = 1 scales every entry by the float s twice, for any m
+    for m in (1, 2, 3):
+        for _ in range(30):
+            B = rng.normal(size=(m + 1, m + 1)) + 1j * rng.normal(size=(m + 1, m + 1))
+            G = (B @ B.conj().T) * 10.0 ** rng.uniform(-100.0, 100.0)
+            s = G[:1, :1].real ** -0.5
+            blocks = G.reshape(m + 1, 1, m + 1, 1).swapaxes(1, 2)
+            want = (s @ blocks @ s).swapaxes(1, 2).reshape(m + 1, m + 1)
+            assert same_bits(JetGram(G, m, 1).G, want)
+
+
+def test_a_jet_gram_that_overflows_when_normalized_is_refused():
+    # h = 1e-245 makes s^2 = 1e245, and 1e64 s^2 is not a double
+    kernel = kc.SeriesKernel.disc([1e-245, 1e64])
+    for call in (lambda: jet_gram(kernel, 0.0), lambda: verify_tt_identity(kernel, 0.0),
+                 lambda: JetGram(np.diag([1e-245, 1e64]), 1, 1),
+                 lambda: JetGram(np.diag([1e-245, 1e-245, 1e64, 1e64]), 1, 2)):
+        with pytest.raises(NonFiniteValue, match="^the normalized Gram has a non-finite entry$"):
+            call()
 
 
 def test_a_scalar_local_point_makes_no_lapack_call(monkeypatch):

@@ -9,7 +9,7 @@ verdict or a value unchanged, checked on generated kernels and points.
 * Every curvature routine returns finite numbers or refuses with a library
   error, without a warning, on windows whose coefficients span 1e-300 to
   1e300 and at points near either circle; an array of points refuses with
-  the error of its first bad point.
+  the error of its first bad point.  So does the rank-1 local form.
 """
 
 import cmath
@@ -18,13 +18,14 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkhs_lab import annulus as an
 from rkhs_lab import curvature as cv
 from rkhs_lab import extremality as ex
 from rkhs_lab import kernels as kc
+from rkhs_lab import localop as lo
 from rkhs_lab import positivity as ps
 from rkhs_lab.errors import KernelLabError
 
@@ -165,3 +166,24 @@ def test_the_curvature_routines_return_finite_values_or_refuse(case):
         for w in points:
             value = refusal_or_value(lambda: an.extremal_problem_value(kernel, w))
             assert value[0] != "value" or math.isfinite(value[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_windows_and_points())
+# the normalized Gram overflows: s^2 = 1e245 times 1e64
+@example((kc.SeriesKernel.disc([1e-245, 1e64]), None, [0j]))
+def test_the_rank1_local_form_returns_finite_values_or_refuses(case):
+    # the scalar chain of a kernel point: the jet Gram, its factor t and R = t t*,
+    # the tt* residual and the curvature matrix; no OverflowError from a Python **
+    kernel, _, points = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in points:
+            form = refusal_or_value(lambda: lo.canonical_form(lo.jet_gram(kernel, w)))
+            assert form[0] != "value" or (np.isfinite(form[1].t).all()
+                                          and np.isfinite(form[1].R).all())
+            residual = refusal_or_value(lambda: lo.verify_tt_identity(kernel, w))
+            assert residual[0] != "value" or math.isfinite(residual[1])
+            curvature = refusal_or_value(
+                lambda: cv.curvature_matrix(cv.frame_from_jet(kernel, w)).matrix)
+            assert curvature[0] != "value" or np.isfinite(curvature[1]).all()
