@@ -1,6 +1,20 @@
 """Concrete computations on the annulus A_r = {r < |z| < 1}: Szego and
 weighted Bergman kernels, the extremal problem, the strict curvature
-inequality, periods and characters of log-harmonic radial weights."""
+inequality, periods and characters of log-harmonic radial weights.
+
+The Szego kernel and the weighted Bergman kernel of a power law rho^b are
+Laurent windows n = -N..N that carry the closed form of their diagonal
+(``kernels.SeriesKernel.dual``).  With L = ln(1/r), s = -2 ln|w| and
+u_k = (pi / 2L)(s + 2 pi i k), the Poisson-summed dual of the series is
+K_b(w, w) = |w|^-(2 + b) pi / (4 L^2) sum_k e^(i pi b k) csc^2 u_k and
+S(w, w) = |w|^-1 / (4L) sum_k (-1)^k csc u_k, whose terms fall off like
+q~^|k|, q~ = exp(-2 pi^2 / L) (sqrt(q~)^|k| for S); the k != 0 terms are
+summed in closed form, mode by mode, and no mode above 2^-60 of the k = 0
+term is left out.  K(w, w), its jets and every curvature, slack,
+extremal value and character grid come from it, exact to rounding up to
+the edges of the domain and independent of N.  Two-point values keep the
+window, and only they get its truncation tail test.  A profile weight
+keeps the window everywhere."""
 
 from __future__ import annotations
 
@@ -77,22 +91,24 @@ class Character:
         return abs(self.gamma - other.gamma) <= CHARACTER_TOL
 
 
-def _trimmed_kernel(spec: AnnulusSpec, coeffs: np.ndarray) -> kc.SeriesKernel:
+def _trimmed_kernel(spec: AnnulusSpec, coeffs: np.ndarray, dual=None) -> kc.SeriesKernel:
     """The kernel of the coefficients of n = -N..N on the annulus of ``spec``,
-    without their contiguous underflowed margin (thin annuli kill negative n)."""
+    without their contiguous underflowed margin (thin annuli kill negative n),
+    with the closed form ``dual`` of its diagonal, if any."""
     good = np.isfinite(coeffs) & (coeffs > 0.0)
     if not good.any():
         raise QuadratureFailure("no representable Laurent coefficients")
     lo, hi = int(np.argmax(good)), int(len(good) - np.argmax(good[::-1]))
-    return kc.SeriesKernel(lo - spec.N, coeffs[lo:hi], spec.r)
+    return kc.SeriesKernel(lo - spec.N, coeffs[lo:hi], spec.r, dual=dual)
 
 
 def szego_kernel(spec: AnnulusSpec) -> kc.SeriesKernel:
-    """Hardy-space kernel of the annulus: a_n = 1 / (2 pi (1 + r^(2n+1)))."""
+    """Hardy-space kernel of the annulus: a_n = 1 / (2 pi (1 + r^(2n+1))), with
+    the dual form of its diagonal (e = 1, b = -1)."""
     ns = np.arange(-spec.N, spec.N + 1)
     with np.errstate(over="ignore"):
         coeffs = 1.0 / (2.0 * np.pi * (1.0 + spec.r ** (2.0 * ns + 1.0)))
-    return _trimmed_kernel(spec, coeffs)
+    return _trimmed_kernel(spec, coeffs, dual=(1, -1.0))
 
 
 @lru_cache(maxsize=8)
@@ -191,11 +207,12 @@ def monomial_norm_sq(spec: AnnulusSpec, weight: RadialWeight, n: int) -> float:
 
 
 def weighted_bergman_kernel(spec: AnnulusSpec, weight: RadialWeight) -> kc.SeriesKernel:
-    """Laurent kernel with a_n = 1 / |z^n|^2 for the radial weight."""
+    """Laurent kernel with a_n = 1 / |z^n|^2 for the radial weight, with the
+    dual form of its diagonal (e = 2, b) for a power law rho^b."""
     ns = np.arange(-spec.N, spec.N + 1)
     with np.errstate(divide="ignore"):  # zero norms give inf, trimmed below
         coeffs = 1.0 / _norms_sq(spec, weight, ns)
-    return _trimmed_kernel(spec, coeffs)
+    return _trimmed_kernel(spec, coeffs, (2, float(weight.b)) if weight.profile is None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +222,12 @@ def extremal_problem_value(kernel, w: complex) -> float:
     """Closed form inf{|f|^2 : f(w) = 0, f'(w) = 1} = [K(w,w) dd-bar log K]^-1.
 
     K(w, w) and the curvature are read off one order-1 jet, the diagonal sums
-    of a series kernel, whose K(w, w) gets the truncation tail test of
-    :func:`kernels.eval_kernel`.  A value that is not finite, where
+    of a series kernel, whose K(w, w) from a window gets the truncation tail
+    test of :func:`kernels.eval_kernel`; a dual diagonal has no tail.  A
+    value that is not finite, where
     K(w, w) dd-bar log K underflows, is refused with NonFiniteValue."""
     k_ww, j01, j11 = order1_sums(kernel, w)
-    if isinstance(kernel, kc.SeriesKernel):
+    if isinstance(kernel, kc.SeriesKernel) and kernel.dual is None:
         kc._refuse_tail(kc._series_tail_bound(kernel, abs(w) * abs(w)), abs(k_ww), w, w)
     if k_ww <= 0.0:
         raise DegenerateJet(f"K(w, w) = {k_ww} at w = {w}")
@@ -224,11 +242,13 @@ def extremal_problem_value(kernel, w: complex) -> float:
 
 
 def extremal_problem_ls(kernel: kc.SeriesKernel, w: complex) -> float:
-    """Constrained least-squares oracle over the truncated monomial basis.
+    """Constrained least-squares oracle of :func:`extremal_problem_value`.
 
-    Minimizes sum |c_n|^2 / a_n subject to f(w) = 0 and f'(w) = 1.  The
-    normal matrix A diag(a) A^H of the constraint rows A = (w^n, n w^(n-1))
-    is the order-1 jet of K at w.
+    Minimizes sum |c_n|^2 / a_n subject to f(w) = 0 and f'(w) = 1: the normal
+    matrix A diag(a) A^H of the constraint rows A = (w^n, n w^(n-1)) is the
+    order-1 jet M of K at w, and the value is b^H M^-1 b, b = (0, 1).  For a
+    kernel with a dual form the jet is exact, so this checks one 2 x 2 solve
+    against the closed form, not a truncated basis.
     """
     M = kc.jet(kernel, w, 1)
     b = np.array([0.0, 1.0], dtype=complex)

@@ -29,10 +29,28 @@ a F_p F_q would overflow first for coefficients near the double limit.
 Sums are taken under ``np.errstate`` except the diagonal sums of a window
 that no power, product or sum can overflow at any admissible point, decided
 once per kernel by one bound at the two extreme admissible radii.
+The Szego kernel and the weighted Bergman kernel of rho^b on the annulus,
+as the ``annulus`` builders make them, carry the closed form of their
+diagonal (``SeriesKernel.dual``), and ``_diagonal_sums`` and ``_grid_sums``
+take their sums from it instead of the window (``_dual_sums``): the
+Poisson-summed dual of the Laurent series, with L = ln(1/r),
+s = -2 ln|w|, u_k = (pi / 2L)(s + 2 pi i k) and beta = 2 + b,
+K(w, w) = |w|^-beta pi / (4 L^2) sum_k e^(i pi b k) csc^2 u_k and
+S(w, w) = |w|^-1 / (4L) sum_k (-1)^k csc u_k: in one form
+c0 |w|^-beta sum_k gamma^k csc^e u_k, gamma = e^(i pi b), with
+(e, b, c0) = (2, b, pi / (4 L^2)) or (1, -1, 1 / (4L)).  The terms decay like
+q~^|k| (sqrt(q~)^|k| for S), q~ = exp(-2 pi^2 / L); the k != 0 terms are
+summed over k in closed form, one Fourier mode of csc^e at a time, and no
+mode above 2^-60 of the k = 0 term is left out (one mode at r = 0.5, ten
+to thirteen at r = 0.01).  So these sums, and every diagonal reader (the
+jet at z = w, K(w, w), the curvature), are exact to rounding up to the
+edges of the domain and do not depend on the window's length.  The window
+still serves two-point sums and ``kernel_matrix``.
 Every path checks each point against the domain, refuses a sum that is not
-finite with ``NonFiniteValue``, and refuses a value whose truncation tail
-bound exceeds TAIL_RTOL |K| (the largest |K| of a matrix).  The constant
-rows of a kernel are computed once and kept on it.
+finite with ``NonFiniteValue``, and refuses a window value whose truncation
+tail bound exceeds TAIL_RTOL |K| (the largest |K| of a matrix); a dual
+diagonal has no tail.  The constant rows of a kernel are computed once and
+kept on it.
 Closed-form kernels, as built by normalization and Mobius pullback, answer
 the same question through one callable, their derivative block
 B[p, q] = d^p_z d^q_wbar K(z, w) for p, q <= order <= 2; a higher order is
@@ -46,7 +64,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, inf, isfinite
+from math import comb, cos, exp, inf, isfinite, log, log1p, pi, sin
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,13 +103,18 @@ class SeriesKernel:
     ``ns`` = n_min, ..., n_max.  The kernel is on the annulus
     inner_radius < |z| < 1 exactly when ``inner_radius`` is set.  ``signed``
     marks series (such as tilde transforms) that may carry non-positive
-    coefficients.  Anything else is refused with ConfigError naming the field.
+    coefficients.  ``dual`` = (e, b), set on the annulus by the builders of the
+    Szego kernel (e = 1, b = -1) and of the weighted Bergman kernel of rho^b
+    (e = 2), makes the diagonal sums the closed form of :func:`_dual_sums`;
+    the window then serves two-point sums only.  Anything else is refused with
+    ConfigError naming the field.
     """
 
     n_min: int
     coeffs: np.ndarray
     inner_radius: Optional[float] = None
     signed: bool = False
+    dual: Optional[tuple[int, float]] = None
 
     def __post_init__(self):
         if isinstance(self.n_min, bool) or not isinstance(self.n_min, (int, np.integer)):
@@ -109,6 +132,12 @@ class SeriesKernel:
             raise ConfigError("field 'coeffs' must be finite")
         if not self.signed and not np.all(coeffs > 0.0):
             raise ConfigError("field 'coeffs' must be positive (use signed=True otherwise)")
+        if self.dual is not None and not (
+                self.inner_radius is not None and isinstance(self.dual, tuple)
+                and (self.dual == (1, -1.0) or len(self.dual) == 2 and self.dual[0] == 2
+                     and isinstance(self.dual[1], float) and isfinite(self.dual[1]))):
+            raise ConfigError(f"field 'dual' must be (1, -1.0) or (2, a finite float b) on "
+                              f"the annulus, got {self.dual!r}")
 
     @cached_property
     def _live(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,6 +159,11 @@ class SeriesKernel:
         so K(w, w) served from order-1 constants moves in its last bits (at 87
         of 200 radii in [0, 0.9] on the 201-term n + 1 kernel), and would
         depend on the order a kernel was first asked for."""
+        return {}
+
+    @cached_property
+    def _dual_store(self) -> dict:
+        """Constants of the dual diagonal sums by order; filled by :func:`_dual_rows`."""
         return {}
 
     @cached_property
@@ -349,6 +383,141 @@ def _diagonal_rows(kernel: SeriesKernel, order: int) -> tuple:
     return store[order]
 
 
+def _dual_rows(kernel: SeriesKernel, order: int) -> tuple:
+    """Constants of the dual diagonal sums of ``order``, kept on the kernel:
+    (inner, c, c0, beta, e, polys, modes, scale), scale[i] = p + q for the
+    i-th pair (p >= q, packed as in :func:`_diagonal_sums`).
+
+    The k-th term is gamma^k csc^e(u_k), u_k = a + i kappa k, c = pi / (2L),
+    kappa = pi^2 / L, and D = -beta/2 - d/ds acts on it as -beta/2 - c d/du.
+    In y = cot u, d/du P(y) = -(1 + y^2) P'(y) (P_0 = 1 + y^2 is csc^2 itself)
+    and d/du (csc u Q(y)) = -csc u (y Q + (1 + y^2) Q') (Q_0 = 1), so
+    F_p(D) F_q(D) of the k = 0 term is polys[i](cot a), descending, times
+    csc a for e = 1.  The k != 0 terms are summed over k in closed form, mode
+    by mode of csc^2 u = sum_(m >= 1) A_m e^(2imu), A_m = -4m, and
+    csc u = sum_(m >= 0) A_m e^(i(2m+1)u), A_m = -2i (Im u > 0), on which D is
+    z = -beta/2 - i c nu: with x = e^(-nu kappa) and g = gamma x / (1 - gamma x),
+    modes holds (nu, [C_i]), C_i = 2 A_m g F_p(z) F_q(z), and the k and -k
+    terms of mode nu add Re(C_i e^(i nu a)).  x is q~^m for e = 2 and
+    sqrt(q~)^(2m+1) for e = 1, and every mode left out, |A_m| nu^(2 order)
+    x / (1 - x) at most, is below 2^-60 of the k = 0 term csc^e(a) >= 1.
+    """
+    store = kernel._dual_store
+    if order not in store:
+        e, b = kernel.dual
+        inner = kernel.inner_radius
+        L = -log(inner)
+        c, kappa, beta = pi / (2.0 * L), pi * pi / L, 2.0 + b
+        odd = e % 2
+
+        def step(poly, i):  # (D - i) on csc^odd(u) poly(cot u), ascending
+            out = [-(beta / 2.0 + i) * x for x in poly] + [0.0]
+            for j, x in enumerate(poly):  # + c (odd y poly + (1 + y^2) poly')
+                out[j + 1] += c * (odd + j) * x
+                if j:
+                    out[j - 1] += c * j * x
+            return out
+
+        falling = [[1.0, 0.0, 1.0] if e == 2 else [1.0]]
+        for i in range(order):
+            falling.append(step(falling[-1], i))
+        pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
+        polys = []
+        for p, q in pairs:
+            poly = falling[p]
+            for i in range(q):
+                poly = step(poly, i)
+            polys.append(poly[::-1])
+        angle = pi * (b % 2.0)
+        gamma = complex(cos(angle), sin(angle))
+        modes, m = [], e - 1  # m = 1, 2, ... for e = 2 and 0, 1, ... for e = 1
+        while True:
+            nu = 2 * m + 2 - e
+            x = exp(-nu * kappa)
+            weight = -4.0 * m if e == 2 else -2j
+            if abs(weight) * nu ** (2 * order) * x / (1.0 - x) < 2.0 ** -60:
+                break
+            z, fall = complex(-beta / 2.0, -c * nu), [1.0]
+            for i in range(order):
+                fall.append(fall[-1] * (z - i))
+            g = 2.0 * weight * gamma * x / (1.0 - gamma * x)
+            modes.append((nu, [g * fall[p] * fall[q] for p, q in pairs]))
+            m += 1
+        store[order] = (inner, c, pi / (4.0 * L * L) if e == 2 else 1.0 / (4.0 * L),
+                        beta, e, polys, modes, [p + q for p, q in pairs])
+    return store[order]
+
+
+def _dual_sums(kernel: SeriesKernel, rho: float, order: int) -> list:
+    """The sums of :func:`_diagonal_sums` at rho = |w| from the dual form of
+    the module docstring, K(w, w) = c0 rho^-beta F(s), F = sum_k gamma^k csc^e u_k.
+
+    A factor n of a term a_n rho^(2n) is D = -beta/2 - d/ds applied to F, so
+    S_pq = c0 rho^(-beta - p - q) [F_p(D) F_q(D) F](s), F_p the falling
+    factorial (:func:`_dual_rows`).  Re u_0 lies in (0, pi); on the inner half
+    (rho^2 < r) it is taken as a = u_0 - pi = -(pi / L) ln(rho / r), from
+    log1p, which keeps its digits near the inner circle, with
+    csc^e(u) = (-1)^e csc^e(u - pi).  In Python floats: an overflow gives inf
+    or nan, never a warning, for the caller to refuse.
+    """
+    inner, c, c0, beta, e, polys, modes, scale = _dual_rows(kernel, order)
+    if rho * rho < inner:
+        a, sign = -2.0 * c * log1p((rho - inner) / inner), (-1.0) ** e
+    else:
+        a, sign = -2.0 * c * log(rho), 1.0
+    cos_a, sin_a = cos(a), sin(a)
+    y, lead, sums = cos_a / sin_a, (1.0 if e == 2 else 1.0 / sin_a), []
+    for poly in polys:
+        v = 0.0
+        for coef in poly:
+            v = v * y + coef
+        sums.append(v * lead)
+    if modes:
+        unit = complex(cos_a, sin_a)
+        step = unit * unit
+        power = step if e == 2 else unit
+        for _, row in modes:
+            for i, C in enumerate(row):
+                sums[i] += (C * power).real
+            power *= step
+    try:
+        factors = [sign * c0 * rho ** -beta]
+    except OverflowError:
+        factors = [inf]
+    for _ in range(2 * order):  # c0 rho^(-beta - k)
+        factors.append(factors[-1] / rho)
+    return [factors[k] * v for k, v in zip(scale, sums)]
+
+
+def _dual_grid_sums(kernel: SeriesKernel, rho: np.ndarray, order: int) -> np.ndarray:
+    """:func:`_dual_sums` at each of an array of radii, as rows of an array:
+    the polynomials of the k = 0 term as one product of the Vandermonde rows
+    of cot a, the modes as one of the rows e^(i nu a), in blocks of radii that
+    hold at most _GRID_BLOCK modes."""
+    inner, c, c0, beta, e, polys, modes, scale = _dual_rows(kernel, order)
+    P = np.zeros((len(polys[-1]), len(polys)))  # ascending in cot a, a column per pair
+    for i, poly in enumerate(polys):
+        P[:len(poly), i] = poly[::-1]
+    nus = np.array([nu for nu, _ in modes], dtype=float)
+    C = np.array([row for _, row in modes], dtype=complex).reshape(nus.size, len(polys))
+    sums = np.empty((rho.size, len(polys)))
+    step = max(1, _GRID_BLOCK // max(nus.size, 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, rho.size, step):
+            r = rho[start:start + step]
+            half = r * r < inner
+            a = -2.0 * c * np.where(half, np.log1p((r - inner) / inner), np.log(r))
+            block = np.vander(1.0 / np.tan(a), P.shape[0], increasing=True) @ P
+            if e == 1:
+                block /= np.sin(a)[:, None]
+            if nus.size:
+                block += (np.exp(1j * np.multiply.outer(a, nus)) @ C).real
+            f = np.where(half, (-1.0) ** e * c0, c0) * r ** -beta
+            sums[start:start + step] = block * (
+                f[:, None] / np.vander(r, 2 * order + 1, increasing=True)[:, scale])
+    return sums
+
+
 def _diagonal_sums(kernel: SeriesKernel, w: complex, order: int) -> list:
     """The real sums S_pq = sum_k a_k F_p(n_k) F_q(n_k) |w|^(2 n_k - p - q) for
     q <= p <= order, the moment block at z = w without its phase, as Python
@@ -359,16 +528,20 @@ def _diagonal_sums(kernel: SeriesKernel, w: complex, order: int) -> list:
     a multiplies x before x multiplies again, and stays out of the cached
     rows G = F_p F_q: on a disc window every partial sum of G_pq @ (a x) x is
     then at most the largest true sum S_(order, order), where cached rows
-    a F_p F_q would overflow for coefficients near the double limit.
+    a F_p F_q would overflow for coefficients near the double limit.  A kernel
+    with a dual form takes its sums from :func:`_dual_sums` instead.
     """
-    e, G, scale, low, guarded = _diagonal_rows(kernel, order)
     r = float(abs(w))  # Python floats below: an overflow gives inf or nan, never a warning
-    with np.errstate(over="ignore", invalid="ignore") if guarded else _UNGUARDED:
-        x = r ** e
-        sums = G.dot((kernel._live[1] * x) * x).tolist()  # item access on numpy costs more
-    sums = [r ** k * s for k, s in zip(scale, sums)]
-    for i, c, k in low:
-        sums[i] += c * r ** k
+    if kernel.dual is not None:
+        sums = _dual_sums(kernel, r, order)
+    else:
+        e, G, scale, low, guarded = _diagonal_rows(kernel, order)
+        with np.errstate(over="ignore", invalid="ignore") if guarded else _UNGUARDED:
+            x = r ** e
+            sums = G.dot((kernel._live[1] * x) * x).tolist()  # item access on numpy costs more
+        sums = [r ** k * s for k, s in zip(scale, sums)]
+        for i, c, k in low:
+            sums[i] += c * r ** k
     if not all(map(isfinite, sums)):  # refuse the first sum that is not finite
         pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
         p, q = next(pq for pq, s in zip(pairs, sums) if not isfinite(s))
@@ -386,9 +559,12 @@ def _grid_sums(kernel: SeriesKernel, radii: np.ndarray, order: int) -> np.ndarra
     The radii go in blocks of at most _GRID_BLOCK doubles of power rows
     X[i, k] = r_i^(e_k), with the constants of :func:`_diagonal_rows`: the
     sums of a block are ((a X) X) @ G^T, a still between the two powers, then
-    scaled by r^(2 order - p - q), with the exact low terms added.  A sum that
-    is not finite is returned as it is, for the caller to refuse.
+    scaled by r^(2 order - p - q), with the exact low terms added, or, for a
+    kernel with a dual form, :func:`_dual_grid_sums`.  A sum that is not
+    finite is returned as it is, for the caller to refuse.
     """
+    if kernel.dual is not None:
+        return _dual_grid_sums(kernel, np.asarray(radii, dtype=float), order)
     e, G, scale, low, guarded = _diagonal_rows(kernel, order)
     a, r, scale = kernel._live[1], np.asarray(radii, dtype=float), np.array(scale, dtype=float)
     sums = np.empty((r.size, scale.size))
@@ -492,14 +668,15 @@ def kernel_matrix(kernel: SeriesKernel, z, w) -> np.ndarray:
 
 def eval_kernel(kernel, z: complex, w: complex) -> complex:
     """Evaluate K(z, w); Hermitian in (z, w) by construction.  A series value
-    is refused where its truncation tail bound exceeds TAIL_RTOL * |K(z, w)|.
-    On the diagonal a series value is its order-0 sum, with no block."""
+    from the window is refused where its truncation tail bound exceeds
+    TAIL_RTOL * |K(z, w)|.  On the diagonal a series value is its order-0 sum,
+    with no block, and that of a kernel with a dual form has no tail."""
     if isinstance(kernel, SeriesKernel) and z == w:
         check_point(kernel, w)
         value = complex(_diagonal_sums(kernel, w, 0)[0], -0.0)  # the block's conj(S00 + 0j)
     else:
         value = complex(_block(kernel, z, w, 0)[0, 0])
-    if isinstance(kernel, SeriesKernel):
+    if isinstance(kernel, SeriesKernel) and not (z == w and kernel.dual):
         _refuse_tail(_series_tail_bound(kernel, abs(z) * abs(w)), abs(value), z, w)
     return value
 
@@ -515,7 +692,7 @@ def _is_grid(w) -> bool:
 def diagonal_values(kernel, w):
     """K(w, w).real at w, a float, or at each of an array of points w, an array
     of its shape: the one place where kernel values on a grid are taken, each
-    through :func:`eval_kernel` and its tail test."""
+    through :func:`eval_kernel` (and its tail test, on a window)."""
     if not _is_grid(w):
         return eval_kernel(kernel, w, w).real
     w = np.asarray(w, dtype=complex)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,3 +85,94 @@ def same_bits(a, b) -> bool:
     -0.0 and 0.0 differ)."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def window_of(kernel):
+    """The Laurent window of an annulus kernel as a hand-built kernel, whose
+    diagonal sums then come from the window too, not from the dual form."""
+    return kc.SeriesKernel(kernel.n_min, kernel.coeffs, kernel.inner_radius)
+
+
+def dual_sums_mp(r, b, rho, order, szego=False, dps=40):
+    """The diagonal sums S_pq = sum_n a_n F_p(n) F_q(n) rho^(2n - p - q), q <= p <= order,
+    packed row by row, of the weighted Bergman kernel of rho^b (or the Szego
+    kernel) on the annulus r < |z| < 1 at |w| = rho, to ``dps`` digits.
+
+    K(w, w) is the Poisson-summed dual of its Laurent series: with L = ln(1/r),
+    s = -2 ln rho and u_k = (pi / 2L)(s + 2 pi i k),
+    K_b = rho^-(2 + b) pi / (4 L^2) sum_k e^(i pi b k) csc^2 u_k and
+    S = rho^-1 / (4L) sum_k (-1)^k csc u_k.  |k| runs up to where q~^|k|
+    (q~ = exp(-2 pi^2 / L); sqrt(q~) for S) is below 10^-(dps + 10).  A factor
+    n of the series is theta = t d/dt = -d/ds (t = rho^2), and the derivatives
+    in s are mpmath's numerical ones, so nothing is shared with the library's
+    recurrences."""
+    with mpmath.workdps(dps):
+        r, b, rho = mpmath.mpf(r), mpmath.mpf(b), mpmath.mpf(rho)
+        L = mpmath.log(1 / r)
+        decay = mpmath.pi ** 2 / L * (1 if szego else 2)
+        top = int(mpmath.ceil((dps + 10) * mpmath.log(10) / decay))
+        c = mpmath.pi / (2 * L)
+
+        def kernel(s):
+            total = 0
+            for k in range(-top, top + 1):
+                u = c * (s + 2j * mpmath.pi * k)
+                total += ((-1) ** k / mpmath.sin(u) if szego
+                          else mpmath.expj(mpmath.pi * b * k) / mpmath.sin(u) ** 2)
+            if szego:
+                return (mpmath.exp(s / 2) / (4 * L) * total).real
+            return (mpmath.exp((2 + b) * s / 2) * mpmath.pi / (4 * L ** 2) * total).real
+
+        theta = [(-1) ** j * d for j, d in
+                 enumerate(mpmath.diffs(kernel, -2 * mpmath.log(rho), 2 * order))]
+
+        def falling(p):  # F_p(theta), ascending in theta
+            poly = [mpmath.mpf(1)]
+            for i in range(p):
+                poly = [(poly[j - 1] if j else 0) - (i * poly[j] if j < len(poly) else 0)
+                        for j in range(len(poly) + 1)]
+            return poly
+
+        sums = []
+        for p in range(order + 1):
+            for q in range(p + 1):
+                total = 0
+                for i, x in enumerate(falling(p)):
+                    for j, y in enumerate(falling(q)):
+                        total += x * y * theta[i + j]
+                sums.append(total / rho ** (p + q))
+        return sums
+
+
+def laurent_sums_mp(r, b, rho, order, szego=False, top=600, dps=40):
+    """The sums of :func:`dual_sums_mp` as the Laurent series itself, over the
+    terms n = -top..top, a_n = (2n + 2 + b) / (2 pi (1 - r^(2n + 2 + b))) (1 / (2 pi L)
+    where 2n + 2 + b = 0) or, for the Szego kernel, 1 / (2 pi (1 + r^(2n + 1)))."""
+    pairs = [(p, q) for p in range(order + 1) for q in range(p + 1)]
+    with mpmath.workdps(dps):
+        r, b, rho = mpmath.mpf(r), mpmath.mpf(b), mpmath.mpf(rho)
+        sums = [mpmath.mpf(0)] * len(pairs)
+        for n in range(-top, top + 1):
+            if szego:
+                a = 1 / (2 * mpmath.pi * (1 + r ** (2 * n + 1)))
+            else:
+                e = 2 * n + 2 + b
+                a = e / (2 * mpmath.pi * (1 - r ** e)) if e else 1 / (2 * mpmath.pi * mpmath.log(1 / r))
+            fall = [1]
+            for i in range(order):
+                fall.append(fall[-1] * (n - i))
+            for i, (p, q) in enumerate(pairs):
+                sums[i] += a * fall[p] * fall[q] * rho ** (2 * n - p - q)
+        return sums
+
+
+def dual_oracle(kernel, rho, order):
+    """:func:`dual_sums_mp` of an annulus kernel built with its dual form."""
+    e, b = kernel.dual
+    return dual_sums_mp(kernel.inner_radius, b, rho, order, szego=e == 1)
+
+
+def curvature_mp(sums):
+    """(S10 / S00)^2 - S11 / S00 of 40-digit sums [S00, S10, S11, ...]."""
+    with mpmath.workdps(40):
+        return (sums[1] / sums[0]) ** 2 - sums[2] / sums[0]

@@ -11,7 +11,8 @@ from rkhs_lab import kernels as kc
 from rkhs_lab.curvature import ci_slack, curvature_scalar
 from rkhs_lab.errors import (ConfigError, DegenerateJet, NonFiniteValue, NotLogHarmonic,
                              QuadratureFailure, TruncationTailTooLarge)
-from tests.conftest import counting
+from tests.conftest import (counting, curvature_mp, dual_oracle, dual_sums_mp,
+                            laurent_sums_mp, window_of)
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +97,11 @@ def test_profile_norms_match_mpmath_at_a_kink():
 @pytest.mark.parametrize("b", [-2, 0, 3, 50])
 def test_thin_annulus_profile_matches_power_law(b):
     # at r = 0.05 the norms of negative n leave the double range; both builds
-    # keep every norm up to the double limit, so they trim the same window
+    # keep every norm up to the double limit, so they trim the same window,
+    # and their values are both the window's
     spec = an.AnnulusSpec(r=0.05)
     prof = an.weighted_bergman_kernel(spec, an.RadialWeight.from_profile(lambda rho: rho ** b))
-    closed = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(b))
+    closed = window_of(an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(b)))
     assert np.array_equal(prof.ns, closed.ns)
     assert prof.ns[-1] == spec.N
     assert np.max(np.abs(prof.coeffs / closed.coeffs - 1.0)) <= 1e-12
@@ -393,3 +395,115 @@ def test_szego_kernel_is_built_once_per_spec(monkeypatch):
     assert [hardy_slack(spec, complex(x)) for x in (0.6, 0.75)] == expected
     # the public builder still returns a new kernel on every call
     assert an.szego_kernel(spec) is not an.szego_kernel(spec)
+
+
+# ---------------------------------------------------------------------------
+# the dual form of the diagonal against its exact 40-digit oracle
+
+
+@pytest.mark.parametrize("r, b, rho", [(0.3, 0.0, 0.55), (0.5, 1.0, 0.7), (0.5, -2.0, 0.62),
+                                       (0.7, 2.5, 0.85)])
+@pytest.mark.parametrize("szego", [False, True], ids=["bergman", "szego"])
+def test_the_dual_oracle_is_the_laurent_series(r, b, rho, szego):
+    # at interior points, where 1,201 Laurent terms leave less than 1e-60 out
+    dual = dual_sums_mp(r, b, rho, 2, szego=szego)
+    series = laurent_sums_mp(r, b, rho, 2, szego=szego)
+    for x, y in zip(dual, series):
+        assert abs(x - y) <= mpmath.mpf("1e-35") * abs(y)
+
+
+@pytest.mark.parametrize("r, gap", [(0.3, 5.377e-5), (0.5, 4.245e-10), (0.55, 5.508e-12),
+                                    (0.6, 2.503e-14), (0.7, 2.454e-21)])
+def test_the_b_and_b_plus_1_curvature_gap_is_of_order_q_tilde(r, gap):
+    # over the 20-radius band of character_equivalence: the characters of
+    # rho^0 and rho^1 differ, and their curvatures by this much at most
+    radii = an._band(an.AnnulusSpec(r=r), 20)
+    exact = max(abs(curvature_mp(dual_sums_mp(r, 0.0, x, 1))
+                    - curvature_mp(dual_sums_mp(r, 1.0, x, 1))) for x in radii)
+    assert float(exact) == pytest.approx(gap, rel=1e-3)
+
+
+def _dual_kernels(r):
+    spec = an.AnnulusSpec(r=r)
+    return [an.szego_kernel(spec)] + [an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(b))
+                                      for b in (-2.0, 0.5, 1.0, 2.5)]
+
+
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_the_dual_diagonal_matches_the_40_digit_oracle(r):
+    # within 0.03 of both circles: every S_pq within 1e-13 of the largest
+    # |S_pq| of its order, at one point and on a grid, and K(w, w), the
+    # curvature and the extremal value within 1e-13 relative
+    radii = [r + kc.BOUNDARY_MARGIN + 1e-9, r + 0.03, 0.97, 1.0 - kc.BOUNDARY_MARGIN - 1e-9]
+    for kernel in _dual_kernels(r):
+        grids = [kc._grid_sums(kernel, radii, order) for order in range(3)]
+        for i, x in enumerate(radii):
+            exact = dual_oracle(kernel, x, 2)
+            for order in range(3):
+                count = (order + 1) * (order + 2) // 2
+                largest = float(max(abs(v) for v in exact[:count]))
+                for got in (kc._diagonal_sums(kernel, x, order), grids[order][i]):
+                    for value, want in zip(got, exact):
+                        assert abs(value - want) <= 1e-13 * largest, (kernel.dual, x, order)
+            w = x * np.exp(0.7j)
+            assert abs(kc.eval_kernel(kernel, w, w).real - exact[0]) <= 1e-13 * exact[0]
+            curvature = curvature_mp(exact)
+            for got in (curvature_scalar(kernel, w), curvature_scalar(kernel, [w])[0]):
+                assert abs(got - curvature) <= 1e-13 * abs(curvature), (kernel.dual, x)
+            value = -1 / (exact[0] * curvature)
+            assert abs(an.extremal_problem_value(kernel, w) - value) <= 1e-13 * value
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9])
+def test_the_dual_diagonal_keeps_its_digits_at_the_inner_edge(r):
+    # the sine's argument near the inner circle comes from ln(|w| / r); taken
+    # from pi - u it errs about ten times more here (1.6e-14 at r = 0.3)
+    rho = r + kc.BOUNDARY_MARGIN + 1e-12
+    spec = an.AnnulusSpec(r=r)
+    for kernel in (an.szego_kernel(spec),
+                   an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(1.0))):
+        exact = dual_oracle(kernel, rho, 2)
+        for order in range(3):
+            largest = float(max(abs(v) for v in exact[:(order + 1) * (order + 2) // 2]))
+            for value, want in zip(kc._diagonal_sums(kernel, rho, order), exact):
+                assert abs(value - want) <= 4e-15 * largest, (kernel.dual, order)
+
+
+def test_the_dual_diagonal_does_not_depend_on_the_window():
+    # n_max sets the window of two-point sums only
+    spec, long = an.AnnulusSpec(r=0.5, N=50), an.AnnulusSpec(r=0.5, N=400)
+    weight = an.RadialWeight.power_law(1.0)
+    short_kernel = an.weighted_bergman_kernel(spec, weight)
+    long_kernel = an.weighted_bergman_kernel(long, weight)
+    for w in (0.53, 0.7j, -0.98):
+        assert curvature_scalar(short_kernel, w) == curvature_scalar(long_kernel, w)
+        assert kc.eval_kernel(short_kernel, w, w) == kc.eval_kernel(long_kernel, w, w)
+        assert (kc.diagonal_values(an.szego_kernel(spec), w)
+                == kc.diagonal_values(an.szego_kernel(long), w))
+
+
+def test_profile_weights_and_hand_built_windows_keep_the_window():
+    spec = an.AnnulusSpec(r=0.5)
+    profile = an.weighted_bergman_kernel(spec, an.RadialWeight.from_profile(lambda rho: rho))
+    power = an.weighted_bergman_kernel(spec, an.RadialWeight.power_law(1.0))
+    assert profile.dual is None and window_of(power).dual is None
+    assert power.dual == (2, 1.0) and an.szego_kernel(spec).dual == (1, -1.0)
+    # at 0.98 the window's tail is refused; the dual value has none
+    with pytest.raises(TruncationTailTooLarge):
+        kc.eval_kernel(profile, 0.98, 0.98)
+    with pytest.raises(TruncationTailTooLarge):
+        kc.eval_kernel(window_of(power), 0.98, 0.98)
+    assert kc.eval_kernel(power, 0.98, 0.98).real == pytest.approx(
+        float(dual_oracle(power, 0.98, 0)[0]), rel=1e-13)
+    # off the diagonal the window and its tail test still serve
+    with pytest.raises(TruncationTailTooLarge):
+        kc.eval_kernel(power, 0.98, 0.97)
+
+
+@pytest.mark.parametrize("dual", [(3, 1.0), (1, 0.0), (2, float("nan")), (2,), (2, "1"),
+                                  [2, 1.0], 2])
+def test_a_dual_form_is_refused_unless_it_is_one_of_the_two(dual):
+    with pytest.raises(ConfigError, match="'dual'"):
+        kc.SeriesKernel(-2, [1.0] * 5, 0.5, dual=dual)
+    with pytest.raises(ConfigError, match="'dual'"):
+        kc.SeriesKernel(0, [1.0], dual=(2, 1.0))  # on the disc

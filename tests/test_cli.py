@@ -28,7 +28,7 @@ from rkhs_lab.errors import ConfigError
 from rkhs_lab.extremality import FK_RTOL, classify_shift
 from rkhs_lab.positivity import contraction_check
 from rkhs_lab.specio import load_kernel
-from tests.conftest import counting
+from tests.conftest import counting, curvature_mp, dual_sums_mp
 
 
 @pytest.fixture()
@@ -327,39 +327,51 @@ def test_shift_commands_refuse_unrepresentable_weights(runner, command, extra):
 OVERFLOWING_ANNULUS = json.dumps({"kind": "annulus_laurent", "r": 0.05, "weight_b": 1e300})
 
 
-@pytest.mark.parametrize("argv, quantity", [
+@pytest.mark.parametrize("argv, message", [
+    # rho^-(2 + 1e300) overflows the dual form of the diagonal at the first
+    # point, where the window's sums overflowed: the same diagnostic
     (["annulus", "--task", "strict-ci", "--r", "0.5", "--weight", "rho^1e300"],
-     "K(w, w) is not finite at w = "),
+     "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.55+0j)"),
     (["annulus", "--task", "bergman", "--r", "0.5", "--weight", "rho^1e300"],
-     "K(z, w) is not finite at z = "),
+     "moment sum d^0 d^0bar K(z, w) is not finite at z = (0.55+0j), w = (0.55+0j)"),
     (["annulus", "--task", "character", "--r", "0.5", "--weight", "rho^1.7e308"],
-     "period of rho^1.7e+308 is not finite"),
+     "period of rho^1.7e+308 is not finite on the annulus r = 0.5"),
     (["curvature", "--kernel", OVERFLOWING_ANNULUS, "--grid", "0.5:0.9:3"],
-     "K(w, w) is not finite at w = "),
+     "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.5+0j)"),
     (["ci-check", "--kernel", OVERFLOWING_ANNULUS, "--grid", "0.5:0.9:3"],
-     "K(w, w) is not finite at w = "),
+     "moment sum d^0 d^0bar K(w, w) is not finite at w = (0.5+0j)"),
     # S11 / S00 = 1 / 1e-310 at w = 0
     (["curvature", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                            "coeffs": [1e-310, 1, 1]}),
-      "--grid", "0:0.5:2"], "curvature is not finite at w = 0j"),
+      "--grid", "0:0.5:2"], "curvature is not finite at w = 0j (K(w, w) = 1.000e-310)"),
     (["extremal", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                           "coeffs": [1e-310, 1, 1]}),
       "--at", "0"], "curvature is not finite at w = 0j (K(w, w) = 1.000e-310)"),
     (["check", "--kernel", json.dumps({"kind": "disc_diagonal", "coeff_rule": "custom-list",
                                        "coeffs": [1e-310, 1, 1]}),
-      "--tests", "2hyper"], "is not finite at n = 0"),
+      "--tests", "2hyper"], "2-hypercontraction expression 1/a_n - 2/a_(n+1) + 1/a_(n+2) "
+                            "is not finite at n = 0"),
 ], ids=["strict-ci", "bergman", "character", "curvature", "ci-check", "curvature-quotient",
         "tilde-minor", "2hyper-subnormal"])
-def test_non_finite_values_are_refused(runner, argv, quantity):
+def test_non_finite_values_are_refused(runner, argv, message):
     with warnings.catch_warnings():
         # an overflow warning would be printed ahead of the diagnostic
         warnings.simplefilter("error")
         res = runner.invoke(main, argv)
     assert res.exit_code == 1
     assert res.stdout == ""
-    diag = json.loads(res.stderr)
-    assert diag["error"] == "NonFiniteValue"
-    assert quantity in diag["message"]
+    assert res.stderr == json.dumps({"error": "NonFiniteValue", "message": message}) + "\n"
+
+
+def test_the_annulus_curvature_at_the_outer_edge_is_exact(runner):
+    # the 401-term window printed -1190.869 here, 6.9% off; the dual form has no truncation
+    spec = json.dumps({"kind": "annulus_laurent", "r": 0.5, "weight_b": 0})
+    res = runner.invoke(main, ["curvature", "--kernel", spec, "--grid", "0.98:0.98:1"])
+    assert res.exit_code == 0
+    value = float(res.stdout.splitlines()[1].split(",")[1])
+    assert f"{value:.3f}" == "-1279.124"
+    exact = float(curvature_mp(dual_sums_mp(0.5, 0.0, 0.98, 1)))
+    assert value == pytest.approx(exact, rel=1e-13)
 
 
 @pytest.mark.parametrize("argv", [
@@ -554,18 +566,15 @@ def test_ci_check_refuses_flags_that_contradict_spec(runner, spec, flags, messag
 
 
 def test_annulus_szego_task_matches_mpmath(runner):
-    # S(w, w) = sum_n |w|^(2n) / (2 pi (1 + r^(2n+1))) over n = -N..N, N = 200, r = 0.5
-    res = runner.invoke(main, ["annulus", "--task", "szego", "--grid", "0.55:0.9:3"])
+    # S(w, w) = sum_n |w|^(2n) / (2 pi (1 + r^(2n+1))) on r = 0.5, from its exact
+    # 40-digit dual sum, out to 0.02 of either circle
+    res = runner.invoke(main, ["annulus", "--task", "szego", "--grid", "0.52:0.98:5"])
     assert res.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(res.stdout)))
-    assert [row["normalization"] for row in rows] == ["1/(2pi)"] * 3
-    with mpmath.workdps(40):
-        r = mpmath.mpf("0.5")
-        for row in rows:
-            x = mpmath.mpf(row["abs_w"])
-            exact = mpmath.fsum(x ** (2 * n) / (2 * mpmath.pi * (1 + r ** (2 * n + 1)))
-                                for n in range(-200, 201))
-            assert float(row["szego_diag"]) == pytest.approx(float(exact), rel=1e-14)
+    assert [row["normalization"] for row in rows] == ["1/(2pi)"] * 5
+    for row in rows:
+        exact = dual_sums_mp(0.5, -1, float(row["abs_w"]), 0, szego=True)[0]
+        assert float(row["szego_diag"]) == pytest.approx(float(exact), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from rkhs_lab.errors import (CenterOutsideDisc, ConfigError, DegenerateKernel, K
 from rkhs_lab.localop import canonical_form
 from rkhs_lab.positivity import contraction_check, psd_check
 from rkhs_lab.specio import load_kernel
-from tests.conftest import (counting, disc_kernel, random_contractive_coeffs, rank1_points,
-                            same_bits)
+from tests.conftest import (counting, curvature_mp, disc_kernel, dual_oracle,
+                            random_contractive_coeffs, rank1_points, same_bits, window_of)
 
 
 def geometric(n_max=200):
@@ -364,23 +364,53 @@ def windows_and_points(draw):
 # a subnormal point, whose |w| has lost bits: w / |w| is 8e-12 off the unit circle
 @example((kc.SeriesKernel.disc([1.0, 1.0]), 0j, 1.2022125365e-313 + 1.872335091e-313j))
 def test_deriv2_and_jet_match_mpmath(case):
+    # each against its own source: two-point sums against the window, and a
+    # diagonal of the dual form against the exact 40-digit dual sums
     kernel, z, w = case
     J = kc.jet(kernel, w, 2)
-    two_point, two_point_tol = mp_series(kernel, z, w)
-    diagonal, diagonal_tol = mp_series(kernel, w, w)
+    two_point, two_point_tol = (dual_block(kernel, w) if z == w and kernel.dual
+                                else mp_series(kernel, z, w))
+    diagonal, diagonal_tol = dual_block(kernel, w) if kernel.dual else mp_series(kernel, w, w)
     for p in range(3):
         for q in range(3):
             assert abs(kc.deriv2(kernel, z, w, p, q) - two_point[p][q]) <= two_point_tol[p, q]
             assert abs(J[p, q] - diagonal[p][q]) <= diagonal_tol[p, q]
 
 
+def dual_block(kernel, w):
+    """The order-2 jet of a kernel of the dual form at w from the 40-digit dual
+    sums, S_pq (conj(w) / |w|)^(p - q), with tolerances 1e-13 sqrt(S_pp S_qq),
+    the scale that bounds the sum of the moduli of the terms of S_pq by
+    Cauchy-Schwarz."""
+    sums = [float(x) for x in dual_oracle(kernel, abs(w), 2)]
+    unit = complex(kc._unit(w)).conjugate()
+    J = [[0j] * 3 for _ in range(3)]
+    tol = np.zeros((3, 3))
+    for p in range(3):
+        for q in range(3):
+            hi, lo = max(p, q), min(p, q)
+            value = sums[hi * (hi + 1) // 2 + lo] * unit ** abs(p - q)
+            J[p][q] = value if p >= q else value.conjugate()
+            tol[p, q] = 1e-13 * math.sqrt(sums[p * (p + 3) // 2] * sums[q * (q + 3) // 2])
+    return J, tol
+
+
 def assert_curvature_matches_mpmath(kernel, w, value=None):
     """curvature_scalar at w, or the ``value`` under test given for it, against
-    -(J00 J11 - |J01|^2) / J00^2 of the 40-digit diagonal sums.  The bound
+    -(J00 J11 - |J01|^2) / J00^2 of the 40-digit diagonal sums.  A kernel of
+    the dual form is held to its exact 40-digit dual sums, to 1e-13 of the
+    curvature plus four roundings of the quotient at the size of its terms.  The bound
     carries the entry tolerances e of mp_series through the quotient
     (numerator to first order plus the e01^2 and e00 e11 terms, denominator
     over J00 - e00) and adds four roundings of the double quotient at the
     size of its terms."""
+    if kernel.dual:
+        sums = dual_oracle(kernel, abs(w), 1)
+        exact = float(curvature_mp(sums))
+        curv = curvature_scalar(kernel, w) if value is None else value
+        size = float((sums[1] / sums[0]) ** 2 + abs(sums[2] / sums[0]))
+        assert abs(curv - exact) <= 1e-13 * abs(exact) + 4 * 2.0 ** -52 * size, (curv, exact)
+        return
     J, tol = mp_series(kernel, w, w, order=1)
     with mpmath.workdps(40):
         j00, j11 = mpmath.mpf(J[0][0].real), mpmath.mpf(J[1][1].real)
@@ -402,7 +432,9 @@ def assert_curvature_matches_mpmath(kernel, w, value=None):
 
 
 SUBNORMAL_POINT = 1.2022125365e-313 + 1.872335091e-313j
-THIN_STEEP = an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05), an.RadialWeight.power_law(50.0))
+#: the window of r = 0.05, b = 50 alone: its diagonal takes the window, not the dual form
+THIN_STEEP = window_of(an.weighted_bergman_kernel(an.AnnulusSpec(r=0.05),
+                                                  an.RadialWeight.power_law(50.0)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -572,8 +604,10 @@ def test_curvature_of_finite_sums_near_the_double_limit(w):
 
 @pytest.mark.parametrize("kernel, points", [
     (disc_kernel("n+1"), [0.0, 0.5, -0.3 + 0.6j, 0.9j]),
-    # a short window, so that c a_n stays a normal double for every c
-    (an.weighted_bergman_kernel(an.AnnulusSpec(r=0.85, N=50), an.RadialWeight.power_law(1.0)),
+    # a short window, so that c a_n stays a normal double for every c; the
+    # window alone, as its scaled copy
+    (window_of(an.weighted_bergman_kernel(an.AnnulusSpec(r=0.85, N=50),
+                                          an.RadialWeight.power_law(1.0))),
      [0.9, 0.93j, -0.65 + 0.65j]),
 ], ids=["bergman", "laurent"])
 @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
@@ -792,10 +826,10 @@ def diagonal_cases(draw):
                              min_size=1, max_size=40))
         coeffs = [a for a, length in runs for _ in range(length)]
         return kc.tilde_kernel(kc.SeriesKernel.disc(coeffs)), draw(disc_radii)
-    if family == "laurent":
+    if family == "laurent":  # the window alone: the row formula is the window's
         spec = an.AnnulusSpec(r=draw(st.floats(0.05, 0.2)), N=200)
-        kernel = an.weighted_bergman_kernel(
-            spec, an.RadialWeight.power_law(draw(st.floats(3.0, 60.0))))
+        kernel = window_of(an.weighted_bergman_kernel(
+            spec, an.RadialWeight.power_law(draw(st.floats(3.0, 60.0)))))
         inner = spec.r + kc.BOUNDARY_MARGIN + 1e-3
         return kernel, draw(st.one_of(st.just(inner), st.floats(inner, inner + 0.02),
                                       st.floats(inner, 0.97)))
@@ -904,9 +938,11 @@ def _outcome(fn):
 
 
 def _block_value(kernel, w):
-    """K(w, w) by the general route: the order-0 moment block and the tail test."""
+    """K(w, w) by the general route: the order-0 moment block and, for a
+    window, the tail test (a dual diagonal has no tail)."""
     value = complex(kc._block(kernel, w, w, 0)[0, 0])
-    kc._refuse_tail(kc._series_tail_bound(kernel, abs(w) * abs(w)), abs(value), w, w)
+    if kernel.dual is None:
+        kc._refuse_tail(kc._series_tail_bound(kernel, abs(w) * abs(w)), abs(value), w, w)
     return value
 
 

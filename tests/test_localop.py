@@ -14,7 +14,7 @@ from rkhs_lab.errors import NonFiniteValue, NotPositiveDefinite, PointOutsideDom
 from rkhs_lab.localop import (canonical_form, jet_gram, verify_tt_identity,
                               verify_tt_identity_gram)
 from rkhs_lab.specio import load_kernel
-from tests.conftest import (counting, disc_kernel, random_contractive_kernel, rank1_points,
+from tests.conftest import (counting, disc_kernel, dual_oracle, random_contractive_kernel, rank1_points,
                             same_bits, synthetic_normalized_gram)
 
 
@@ -263,14 +263,18 @@ def test_curvature_from_local_form_matches_scalar():
 
 def _mp_local_form(kernel, w):
     """(t, R) of the rank-1 local form at w from the 40-digit diagonal sums of
-    the kernel's own window: the Cholesky factor of the 2 x 2 jet Gram made
-    orthonormal at w has l11^2 = (J00 J11 - |J01|^2) / J00^2, and t = 1 / l11."""
+    the kernel's own source, its window or the exact dual sums of a kernel of
+    the dual form: the Cholesky factor of the 2 x 2 jet Gram made orthonormal
+    at w has l11^2 = (J00 J11 - |J01|^2) / J00^2, and t = 1 / l11."""
     with mpmath.workdps(40):
         r = mpmath.mpf(abs(w))
-        terms = [(mpmath.mpf(a), int(n)) for a, n in zip(kernel.coeffs, kernel.ns)]
-        j00 = mpmath.fsum(a * r ** (2 * n) for a, n in terms)
-        j01 = mpmath.fsum(a * n * r ** (2 * n - 1) for a, n in terms)
-        j11 = mpmath.fsum(a * n * n * r ** (2 * n - 2) for a, n in terms)
+        if kernel.dual:
+            j00, j01, j11 = dual_oracle(kernel, abs(w), 1)
+        else:
+            terms = [(mpmath.mpf(a), int(n)) for a, n in zip(kernel.coeffs, kernel.ns)]
+            j00 = mpmath.fsum(a * r ** (2 * n) for a, n in terms)
+            j01 = mpmath.fsum(a * n * r ** (2 * n - 1) for a, n in terms)
+            j11 = mpmath.fsum(a * n * n * r ** (2 * n - 2) for a, n in terms)
         t = j00 / mpmath.sqrt(j00 * j11 - j01 ** 2)
         return t, t * t
 

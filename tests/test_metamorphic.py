@@ -6,10 +6,14 @@ verdict or a value unchanged, checked on generated kernels and points.
 * Rotating the point, w -> e^(i theta) w, changes neither the curvature nor
   the curvature-inequality slack of a diagonal kernel, on the disc and on
   the annulus.
+* Raising the annulus weight rho^b to rho^(b+2) changes no curvature: the
+  norms give K_(b+2) = K_b / (z wbar), whose logarithms differ by a harmonic
+  function.
 * Every curvature routine returns finite numbers or refuses with a library
   error, without a warning, on windows whose coefficients span 1e-300 to
   1e300 and at points near either circle; an array of points refuses with
-  the error of its first bad point.  So does the rank-1 local form.
+  the error of its first bad point.  So does the rank-1 local form, and so
+  does every reader of the dual form of an annulus diagonal.
 """
 
 import cmath
@@ -187,3 +191,79 @@ def test_the_rank1_local_form_returns_finite_values_or_refuses(case):
             curvature = refusal_or_value(
                 lambda: cv.curvature_matrix(cv.frame_from_jet(kernel, w)).matrix)
             assert curvature[0] != "value" or np.isfinite(curvature[1]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((0.1, *ANNULUS_R, 0.7)), st.floats(-3.0, 3.0), st.floats(0.0, 1.0),
+       st.floats(-math.pi, math.pi))
+def test_raising_the_weight_by_two_changes_no_curvature(r, b, t, phase):
+    # ||z^n||^2 of rho^(b+2) is ||z^(n+1)||^2 of rho^b, out to 0.02 of both circles
+    _, _, k = annulus_case(r, b)
+    _, _, raised = annulus_case(r, b + 2.0)
+    lo, hi = r + kc.BOUNDARY_MARGIN, 1.0 - kc.BOUNDARY_MARGIN
+    radius = lo + t * (hi - lo)
+    w = cmath.rect(radius, phase)
+    if not lo <= abs(w) <= hi:  # the rotation rounds |w| past an edge
+        w = radius
+    assert abs(cv.curvature_scalar(raised, w) - cv.curvature_scalar(k, w)) <= rounding(k, w)
+    radii = np.linspace(lo, hi, 40)
+    grid, raised_grid = cv.curvature_scalar(k, radii), cv.curvature_scalar(raised, radii)
+    tol = [rounding(k, x) for x in radii]
+    assert (np.abs(raised_grid - grid) <= tol).all()
+
+
+@st.composite
+def dual_kernels_and_points(draw):
+    """A spec kernel of the dual form, the Szego kernel or the weighted Bergman
+    kernel of rho^b, on r in [0.01, 0.95] with b in [-60, 60] or b = -1e3, 1e3
+    or 1e300, and 1 to 4 points within 0.03 of either edge of the domain, so
+    some fall outside it."""
+    r = draw(st.floats(0.01, 0.95))
+    b = draw(st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-1e3, 1e3, 1e300])))
+    edges = (r + kc.BOUNDARY_MARGIN, 1.0 - kc.BOUNDARY_MARGIN)
+    point = st.builds(lambda edge, t, phase: cmath.rect(edge + t, phase),
+                      st.sampled_from(edges), st.floats(-0.03, 0.03), st.floats(-math.pi, math.pi))
+    return r, b, draw(st.booleans()), draw(st.lists(point, min_size=1, max_size=4))
+
+
+def finite(outcome):
+    """Whether a refusal_or_value outcome is a library refusal or finite values."""
+    kind, value = outcome
+    if kind != "value":
+        return True
+    values = [value] if isinstance(value, (float, complex)) else value
+    return bool(np.isfinite(np.asarray(values, dtype=complex)).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_kernels_and_points())
+@example((0.01, -1e3, False, [0.5]))  # every window coefficient underflows
+@example((0.5, 1e300, False, [0.52, 0.98]))
+@example((0.05, 1e300, True, [0.5, 0.9j]))
+def test_the_dual_readers_return_finite_values_or_refuse(case):
+    r, b, szego, points = case
+    spec, weight = an.AnnulusSpec(r=r, N=50), an.RadialWeight.power_law(b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = refusal_or_value(lambda: an.szego_kernel(spec) if szego
+                                 else an.weighted_bergman_kernel(spec, weight))
+        if built[0] != "value":
+            return
+        kernel, array = built[1], np.array(points)
+        s = an.szego_kernel(spec)
+        singles = [refusal_or_value(lambda: cv.curvature_scalar(kernel, w)) for w in points]
+        first = next((one for one in singles if one[0] != "value"), None)
+        grid = refusal_or_value(lambda: cv.curvature_scalar(kernel, array))
+        assert grid == first if first else finite(grid) and all(map(finite, singles))
+        calls = [lambda: kc.diagonal_values(kernel, array),
+                 lambda: cv.ci_slack(kernel, array, kc.diagonal_values(s, array)),
+                 lambda: an.character_equivalence(spec, b, b + 1.0, grid_points=5)
+                 .max_curvature_diff]
+        for w in points:
+            calls += [lambda w=w: kc.eval_kernel(kernel, w, w), lambda w=w: kc.jet(kernel, w, 2),
+                      lambda w=w: an.extremal_problem_value(kernel, w),
+                      lambda w=w: lo.canonical_form(lo.jet_gram(kernel, w)).t]
+            if not szego:
+                calls.append(lambda w=w: an.strict_ci_check(spec, weight, w, kernel=kernel))
+        for call in calls:
+            assert finite(refusal_or_value(call))
